@@ -2,9 +2,10 @@
 
 Config files are flat ``section.key = value`` lines. ``#`` starts a comment,
 blank lines are ignored. Every key must belong to the schema, appear at most
-once, parse to its declared type, and satisfy its range check; violations
-raise :class:`ConfigError` naming the offending key. Unset keys take their
-schema defaults.
+once, parse to its declared type (floats must be finite), and satisfy its
+range check; violations raise :class:`ConfigError` naming the offending key.
+Unset keys take their schema defaults. ``default_config`` keyword tweaks go
+through the same checks.
 
 The canonical echo renders the resolved configuration in schema order with
 floats at 17 significant digits, so byte-identical echoes mean identical
@@ -12,6 +13,7 @@ configurations; its SHA-256 is the config hash stamped into output files.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -218,26 +220,28 @@ def parse_config_text(text, source="config"):
 
 
 def _convert(key, raw):
-    kind, _, check, requirement = SCHEMA[key]
+    kind = SCHEMA[key][0]
     try:
-        value = _PARSERS[kind](raw)
+        return _PARSERS[kind](raw)
     except ValueError:
         raise ConfigError(key, f"cannot parse {raw!r} as {kind}") from None
+
+
+def _check_key(key, value):
+    """Per-key schema check: float values must be finite, then the range rule."""
+    kind, _, check, requirement = SCHEMA[key]
+    if kind in ("float", "float_list"):
+        items = value if kind == "float_list" else (value,)
+        if not all(math.isfinite(x) for x in items):
+            raise ConfigError(key, f"must be finite (got {value})")
     if check is not None and not check(value):
-        raise ConfigError(key, f"{requirement} (got {raw})")
-    return value
+        raise ConfigError(key, f"{requirement} (got {value})")
 
 
-def build_config(values):
-    """Typed SimConfig from raw string values; applies defaults and checks."""
-    resolved = {}
-    for key, (kind, default, _check, _req) in SCHEMA.items():
-        if key in values:
-            resolved[key] = _convert(key, values[key])
-        else:
-            resolved[key] = default
-    if resolved["lp.z0"] is None:
-        resolved["lp.z0"] = 2.0 * resolved["pool.y0"]
+def _checked_config(resolved):
+    """SimConfig from fully resolved values, after every per-key and cross-key check."""
+    for key, value in resolved.items():
+        _check_key(key, value)
 
     def cross(cond, key, reason):
         if not cond:
@@ -249,8 +253,18 @@ def build_config(values):
           "lp.control_max", "must exceed lp.control_min")
     cross(resolved["grid.x_max"] > resolved["grid.x_min"],
           "grid.x_max", "must exceed grid.x_min")
-    cross(resolved["grid.x_points"] >= 2, "grid.x_points", "needs at least 2 points")
     return SimConfig(**{_attr(k): v for k, v in resolved.items()})
+
+
+def build_config(values):
+    """Typed SimConfig from raw string values; applies defaults and checks."""
+    resolved = {
+        key: _convert(key, values[key]) if key in values else default
+        for key, (_kind, default, _check, _req) in SCHEMA.items()
+    }
+    if resolved["lp.z0"] is None:
+        resolved["lp.z0"] = 2.0 * resolved["pool.y0"]
+    return _checked_config(resolved)
 
 
 def apply_overrides(values, overrides):
@@ -295,10 +309,18 @@ def config_hash(config: SimConfig):
 
 
 def default_config(**attr_overrides):
-    """Resolved default configuration, with keyword tweaks by attribute name."""
-    cfg = build_config({})
-    if attr_overrides:
-        from dataclasses import replace
+    """Resolved default configuration, with keyword tweaks by attribute name.
 
-        cfg = replace(cfg, **attr_overrides)
-    return cfg
+    ``lp_z0`` resolves from the default ``pool_y0`` before the tweaks apply;
+    the tweaked values pass the same checks as a config file.
+    """
+    cfg = build_config({})
+    if not attr_overrides:
+        return cfg
+    resolved = {key: getattr(cfg, _attr(key)) for key in SCHEMA}
+    keys = {_attr(key): key for key in SCHEMA}
+    for attr, value in attr_overrides.items():
+        if attr not in keys:
+            raise ConfigError(attr, "unknown config attribute")
+        resolved[keys[attr]] = value
+    return _checked_config(resolved)

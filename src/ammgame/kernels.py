@@ -1,51 +1,26 @@
-"""Numerical hot loops with two interchangeable backends.
+"""Numerical hot loops: the DP sweep, the measure pushforward and LVR paths.
 
 The backward dynamic-programming sweep, the forward measure pushforward, and
 the per-path rebalancing/drain accumulator are the only loops in the package
-that are hot enough to matter. Each exists twice: a vectorized pure-numpy
-version and a compiled version. Backend selection happens once at import time
-via the ``AMMGAME_BACKEND`` environment variable:
+that are hot enough to matter. Each is written once, in vectorized numpy.
 
-    AMMGAME_BACKEND=numba   force the compiled kernels (error if unavailable)
-    AMMGAME_BACKEND=numpy   force the pure-numpy kernels
-    unset / "auto"          compiled if importable, numpy otherwise
+The DP and the pushforward share one transition: from node x under control
+atom a, the next state is sampled at x + a*dt + sigma*sqrt(dt)*z_q for the
+quadrature nodes z_q, and each sample is split linearly between the two grid
+nodes around it (``grid_cell``). Samples outside the grid clamp to the edge
+node (constant extrapolation, the usual truncation of an unbounded diffusion
+onto a bounded grid). These points do not depend on time, so
+``transition_stencil`` computes their cells and weights once per call and
+both kernels gather from it at every step.
 
-Both backends implement identical semantics: strict first-maximum tie-breaks,
-identical linear interpolation on the uniform state grid with constant
-extrapolation at the edges (quadrature tails clamp to the boundary, the usual
-truncation of an unbounded diffusion onto a bounded grid), and the same
-admissibility rule: a control atom is admissible at a node only if the
-deterministic drift target x + a*dt stays inside the grid. A node with no
-admissible atom, or pushforward mass whose drift target exits, signals grid
-bounds too tight for the control set; callers raise on it. Floating-point
-results may differ between backends at rounding level; determinism is
-guaranteed per backend.
+A control atom is admissible at a node only if the deterministic drift
+target x + a*dt stays inside the grid. A node with no admissible atom, or
+pushforward mass whose drift target exits, signals grid bounds too tight for
+the control set; callers raise on it. Ties in the DP break to the lowest
+atom index.
 """
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit, prange
-
-    has_numba = True
-except ImportError:
-    has_numba = False
-
-_choice = os.environ.get("AMMGAME_BACKEND", "auto").strip().lower() or "auto"
-if _choice not in ("auto", "numba", "numpy"):
-    raise ValueError(
-        f"AMMGAME_BACKEND={_choice!r} not understood (use 'numba', 'numpy' or 'auto')"
-    )
-if _choice == "numba" and not has_numba:
-    raise ImportError("AMMGAME_BACKEND=numba but numba is not importable")
-
-use_numba = has_numba if _choice == "auto" else _choice == "numba"
-
-
-def backend_name():
-    return "numba" if use_numba else "numpy"
 
 
 def gauss_hermite(n_nodes):
@@ -54,87 +29,84 @@ def gauss_hermite(n_nodes):
     return nodes, weights / weights.sum()
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy kernels
-# ---------------------------------------------------------------------------
+def grid_cell(x, x0, h, nx):
+    """Linear-interpolation cell of points x on the uniform grid x0 + h*i.
 
-
-def _interp_uniform_np(values, x, x0, h, n):
-    pos = (x - x0) / h
-    i0 = np.floor(pos).astype(np.int64)
-    np.clip(i0, 0, n - 2, out=i0)
+    Returns (i0, frac): x sits at (1 - frac) * node i0 + frac * node i0+1,
+    with i0 in [0, nx-2]. Points beyond either end get frac 0 or 1 at the
+    edge cell, so they take the edge node's value.
+    """
+    pos = (np.asarray(x, dtype=float) - x0) / h
+    i0 = np.clip(np.floor(pos).astype(np.int64), 0, nx - 2)
     frac = np.clip(pos - i0, 0.0, 1.0)
-    return values[i0] * (1.0 - frac) + values[i0 + 1] * frac
+    return i0, frac
 
 
-def _dp_backward_np(reward, terminal, x_grid, atoms, dt, sig_root_dt, z_nodes, z_weights):
-    n_steps, nx, na = reward.shape
+def transition_stencil(x_grid, atoms, dt, sig_root_dt, z_nodes):
+    """Cells of every post-move sample point, plus the admissibility mask.
+
+    Returns (i0, frac, admissible): i0 and frac are (nx, na, m) arrays from
+    ``grid_cell`` for the point x_i + a_j*dt + sig_root_dt*z_q, and
+    admissible[i, j] says whether the drift target x_i + a_j*dt lies on the
+    grid.
+    """
+    nx = len(x_grid)
     x0, xn = x_grid[0], x_grid[-1]
-    h = x_grid[1] - x_grid[0] if nx > 1 else 1.0
+    h = x_grid[1] - x_grid[0]
+    drift = x_grid[:, None] + atoms[None, :] * dt
+    admissible = (drift >= x0) & (drift <= xn)
+    i0, frac = grid_cell(drift[:, :, None] + sig_root_dt * z_nodes[None, None, :], x0, h, nx)
+    return i0, frac, admissible
+
+
+def dp_backward(reward, terminal, x_grid, atoms, dt, sig_root_dt, z_nodes, z_weights):
+    """Backward sweep: value (steps+1, nx), argmax policy and admissibility flags."""
+    n_steps, nx, _ = reward.shape
+    i0, frac, admissible = transition_stencil(x_grid, atoms, dt, sig_root_dt, z_nodes)
+    i1 = i0 + 1
+    w0 = 1.0 - frac
+    blocked = ~admissible
+    ix = np.arange(nx)
 
     value = np.empty((n_steps + 1, nx))
     policy = np.empty((n_steps, nx), dtype=np.int64)
     ok = np.empty((n_steps, nx), dtype=np.bool_)
     value[n_steps] = terminal
-
-    # post-move sample states are time-independent: (nx, na, m)
-    drift = x_grid[:, None] + atoms[None, :] * dt
-    admissible = (drift >= x0) & (drift <= xn)
-    cand = drift[:, :, None] + sig_root_dt * z_nodes[None, None, :]
-    flat = cand.reshape(-1)
-
     for t in range(n_steps - 1, -1, -1):
-        interp = _interp_uniform_np(value[t + 1], flat, x0, h, nx).reshape(nx, na, -1)
-        expect = interp @ z_weights
+        nxt = value[t + 1]
+        expect = (nxt[i0] * w0 + nxt[i1] * frac) @ z_weights
         cand_val = reward[t] * dt + expect
-        cand_val[~admissible] = -np.inf
+        cand_val[blocked] = -np.inf
         policy[t] = np.argmax(cand_val, axis=1)
-        value[t] = cand_val[np.arange(nx), policy[t]]
-        ok[t] = admissible[np.arange(nx), policy[t]]
+        value[t] = cand_val[ix, policy[t]]
+        ok[t] = admissible[ix, policy[t]]
     return value, policy, ok
 
 
-def _dp_evaluate_np(policy, reward, terminal, x_grid, atoms, dt, sig_root_dt, z_nodes, z_weights):
-    n_steps, nx, _ = reward.shape
-    x0, xn = x_grid[0], x_grid[-1]
-    h = x_grid[1] - x_grid[0] if nx > 1 else 1.0
-    value = np.empty((n_steps + 1, nx))
-    value[n_steps] = terminal
-    ix = np.arange(nx)
-    for t in range(n_steps - 1, -1, -1):
-        a = atoms[policy[t]]
-        cand = x_grid[:, None] + a[:, None] * dt + sig_root_dt * z_nodes[None, :]
-        interp = _interp_uniform_np(value[t + 1], cand.reshape(-1), x0, h, nx)
-        value[t] = reward[t, ix, policy[t]] * dt + interp.reshape(nx, -1) @ z_weights
-    return value
-
-
-def _push_forward_np(policy, mu0, x_grid, atoms, dt, sig_root_dt, z_nodes, z_weights):
+def push_forward(policy, mu0, x_grid, atoms, dt, sig_root_dt, z_nodes, z_weights):
+    """Forward law (steps+1, nx) under a feedback policy, and an exit flag."""
     n_steps, nx = policy.shape
-    x0, xn = x_grid[0], x_grid[-1]
-    h = x_grid[1] - x_grid[0] if nx > 1 else 1.0
+    i0, frac, admissible = transition_stencil(x_grid, atoms, dt, sig_root_dt, z_nodes)
+    ix = np.arange(nx)
     mu = np.zeros((n_steps + 1, nx))
     mu[0] = mu0
     overflow = False
     for t in range(n_steps):
-        a = atoms[policy[t]]
-        drift = x_grid + a * dt
-        if (mu[t][(drift < x0) | (drift > xn)] > 0.0).any():
+        j = policy[t]
+        if (mu[t][~admissible[ix, j]] > 0.0).any():
             overflow = True
-        cand = drift[:, None] + sig_root_dt * z_nodes[None, :]
-        pos = (cand - x0) / h
-        i0 = np.floor(pos).astype(np.int64)
-        np.clip(i0, 0, nx - 2, out=i0)
-        frac = np.clip(pos - i0, 0.0, 1.0)
+        cell = i0[ix, j].reshape(-1)
+        f = frac[ix, j]
         mass = mu[t][:, None] * z_weights[None, :]
         nxt = np.zeros(nx)
-        np.add.at(nxt, i0.reshape(-1), (mass * (1.0 - frac)).reshape(-1))
-        np.add.at(nxt, (i0 + 1).reshape(-1), (mass * frac).reshape(-1))
+        np.add.at(nxt, cell, (mass * (1.0 - f)).reshape(-1))
+        np.add.at(nxt, cell + 1, (mass * f).reshape(-1))
         mu[t + 1] = nxt
     return mu, overflow
 
 
-def _lvr_paths_np(z, p0, sigma, dt, k):
+def lvr_paths(z, p0, sigma, dt, k):
+    """Per path: arbitrage take, accrued drain, replicating and pool values at T."""
     n_paths, n_steps = z.shape
     root = np.sqrt(dt)
     p = np.full(n_paths, float(p0))
@@ -155,169 +127,3 @@ def _lvr_paths_np(z, p0, sigma, dt, k):
     out[:, 2] = v0 + hedge
     out[:, 3] = v_t
     return out
-
-
-# ---------------------------------------------------------------------------
-# compiled kernels (same semantics, loop form)
-# ---------------------------------------------------------------------------
-
-if has_numba:
-
-    @njit(cache=True)
-    def _dp_backward_nb(reward, terminal, x_grid, atoms, dt, sig_root_dt, z_nodes, z_weights):
-        n_steps, nx, na = reward.shape
-        x0 = x_grid[0]
-        xn = x_grid[nx - 1]
-        h = x_grid[1] - x_grid[0] if nx > 1 else 1.0
-        m = z_nodes.shape[0]
-
-        value = np.empty((n_steps + 1, nx))
-        policy = np.empty((n_steps, nx), dtype=np.int64)
-        ok = np.empty((n_steps, nx), dtype=np.bool_)
-        for i in range(nx):
-            value[n_steps, i] = terminal[i]
-
-        for t in range(n_steps - 1, -1, -1):
-            for i in range(nx):
-                best = -np.inf
-                best_j = -1
-                for j in range(na):
-                    base = x_grid[i] + atoms[j] * dt
-                    if base < x0 or base > xn:
-                        continue
-                    acc = 0.0
-                    for q in range(m):
-                        x1 = base + sig_root_dt * z_nodes[q]
-                        pos = (x1 - x0) / h
-                        i0 = int(np.floor(pos))
-                        if i0 < 0:
-                            i0 = 0
-                        elif i0 > nx - 2:
-                            i0 = nx - 2
-                        frac = pos - i0
-                        if frac < 0.0:
-                            frac = 0.0
-                        elif frac > 1.0:
-                            frac = 1.0
-                        acc += z_weights[q] * (
-                            value[t + 1, i0] * (1.0 - frac) + value[t + 1, i0 + 1] * frac
-                        )
-                    cand = reward[t, i, j] * dt + acc
-                    if cand > best:
-                        best = cand
-                        best_j = j
-                if best_j < 0:
-                    value[t, i] = -np.inf
-                    policy[t, i] = 0
-                    ok[t, i] = False
-                else:
-                    value[t, i] = best
-                    policy[t, i] = best_j
-                    ok[t, i] = True
-        return value, policy, ok
-
-    @njit(cache=True)
-    def _dp_evaluate_nb(policy, reward, terminal, x_grid, atoms, dt, sig_root_dt, z_nodes, z_weights):
-        n_steps, nx, _ = reward.shape
-        x0 = x_grid[0]
-        xn = x_grid[nx - 1]
-        h = x_grid[1] - x_grid[0] if nx > 1 else 1.0
-        m = z_nodes.shape[0]
-        value = np.empty((n_steps + 1, nx))
-        for i in range(nx):
-            value[n_steps, i] = terminal[i]
-        for t in range(n_steps - 1, -1, -1):
-            for i in range(nx):
-                j = policy[t, i]
-                base = x_grid[i] + atoms[j] * dt
-                acc = 0.0
-                for q in range(m):
-                    x1 = base + sig_root_dt * z_nodes[q]
-                    pos = (x1 - x0) / h
-                    i0 = int(np.floor(pos))
-                    if i0 < 0:
-                        i0 = 0
-                    elif i0 > nx - 2:
-                        i0 = nx - 2
-                    frac = pos - i0
-                    if frac < 0.0:
-                        frac = 0.0
-                    elif frac > 1.0:
-                        frac = 1.0
-                    acc += z_weights[q] * (
-                        value[t + 1, i0] * (1.0 - frac) + value[t + 1, i0 + 1] * frac
-                    )
-                value[t, i] = reward[t, i, j] * dt + acc
-        return value
-
-    @njit(cache=True)
-    def _push_forward_nb(policy, mu0, x_grid, atoms, dt, sig_root_dt, z_nodes, z_weights):
-        n_steps, nx = policy.shape
-        x0 = x_grid[0]
-        xn = x_grid[nx - 1]
-        h = x_grid[1] - x_grid[0] if nx > 1 else 1.0
-        m = z_nodes.shape[0]
-        mu = np.zeros((n_steps + 1, nx))
-        for i in range(nx):
-            mu[0, i] = mu0[i]
-        overflow = False
-        for t in range(n_steps):
-            for i in range(nx):
-                w = mu[t, i]
-                if w == 0.0:
-                    continue
-                base = x_grid[i] + atoms[policy[t, i]] * dt
-                if base < x0 or base > xn:
-                    overflow = True
-                for q in range(m):
-                    x1 = base + sig_root_dt * z_nodes[q]
-                    pos = (x1 - x0) / h
-                    i0 = int(np.floor(pos))
-                    if i0 < 0:
-                        i0 = 0
-                    elif i0 > nx - 2:
-                        i0 = nx - 2
-                    frac = pos - i0
-                    if frac < 0.0:
-                        frac = 0.0
-                    elif frac > 1.0:
-                        frac = 1.0
-                    mu[t + 1, i0] += w * z_weights[q] * (1.0 - frac)
-                    mu[t + 1, i0 + 1] += w * z_weights[q] * frac
-        return mu, overflow
-
-    @njit(cache=True, parallel=True)
-    def _lvr_paths_nb(z, p0, sigma, dt, k):
-        n_paths, n_steps = z.shape
-        root = np.sqrt(dt)
-        v0 = 2.0 * np.sqrt(k * p0)
-        quarter = 0.25 * sigma * sigma
-        out = np.empty((n_paths, 4))
-        for n in prange(n_paths):
-            p = p0
-            hedge = 0.0
-            drain = 0.0
-            for t in range(n_steps):
-                sq = np.sqrt(k * p)
-                drain += quarter * sq * dt
-                p_next = p * np.exp((-0.5 * sigma * sigma) * dt + sigma * root * z[n, t])
-                hedge += (sq / p) * (p_next - p)
-                p = p_next
-            v_t = 2.0 * np.sqrt(k * p)
-            out[n, 0] = v0 + hedge - v_t
-            out[n, 1] = drain
-            out[n, 2] = v0 + hedge
-            out[n, 3] = v_t
-        return out
-
-
-if use_numba:
-    dp_backward = _dp_backward_nb
-    dp_evaluate = _dp_evaluate_nb
-    push_forward = _push_forward_nb
-    lvr_paths = _lvr_paths_nb
-else:
-    dp_backward = _dp_backward_np
-    dp_evaluate = _dp_evaluate_np
-    push_forward = _push_forward_np
-    lvr_paths = _lvr_paths_np

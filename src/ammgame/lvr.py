@@ -16,7 +16,7 @@ path by path.
 Monte Carlo paths use exact log-normal price increments and left-point (Ito)
 evaluation of the integrand; each path owns a stream seeded by
 (master seed, path index) and the reduction order is fixed, so results are
-bit-reproducible for a given backend.
+bit-reproducible.
 """
 
 from dataclasses import dataclass

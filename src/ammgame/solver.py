@@ -131,9 +131,7 @@ def initial_trader_law(config, x_grid):
     mu0 = np.zeros(nx)
     if config.trader_init_law == "point":
         h = x_grid[1] - x_grid[0]
-        pos = (config.trader_init_mean - x_grid[0]) / h
-        i0 = int(np.clip(math.floor(pos), 0, nx - 2))
-        frac = min(max(pos - i0, 0.0), 1.0)
+        i0, frac = kernels.grid_cell(config.trader_init_mean, x_grid[0], h, nx)
         mu0[i0] = 1.0 - frac
         mu0[i0 + 1] += frac
     else:
@@ -356,10 +354,7 @@ def solve_mfg(config, lp_control_path=None, damping=None, tol=None, max_iter=Non
                 converged=True,
                 iterations=iteration,
                 lp_control_path=np.asarray(lp_control_path, dtype=float),
-                diagnostics={
-                    "equilibrium_value": float(mu0 @ policy.value[0]),
-                    "backend": kernels.backend_name(),
-                },
+                diagnostics={"equilibrium_value": float(mu0 @ policy.value[0])},
             )
         flows = FlowOfMeasures(
             x_grid=x_grid,

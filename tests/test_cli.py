@@ -50,6 +50,15 @@ def test_config_error_exits_2(tmp_path, capsys):
     assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+    empty = tmp_path / "empty.cfg"
+    empty.write_text("")
+    for key, raw in [("lp.z0", "nan"), ("trader.a_max", "inf")]:
+        code = main(["simulate", "--config", str(empty), "--out", str(out),
+                     "--override", f"{key}={raw}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+        assert not out.exists()
 
 
 def test_unknown_override_exits_2(tmp_path, cfg_file):

@@ -103,6 +103,33 @@ def test_range_violations_name_the_key():
     with pytest.raises(ConfigError) as err:
         build_config({"solver.damping": "0"})
     assert err.value.key == "solver.damping"
+    for key, raw in [("lp.z0", "nan"), ("trader.a_max", "inf"), ("pool.x0", "-inf"),
+                     ("trader.init_mean", "nan"), ("lvr.dt_values", "0.01,inf")]:
+        with pytest.raises(ConfigError) as err:
+            build_config({key: raw})
+        assert err.value.key == key
+        assert "finite" in err.value.reason
+
+
+def test_default_config_runs_the_schema_checks():
+    with pytest.raises(ConfigError) as err:
+        default_config(solver_damping=7.0, pool_tau=1.5)
+    assert err.value.key == "pool.tau"
+    with pytest.raises(ConfigError) as err:
+        default_config(solver_damping=7.0)
+    assert err.value.key == "solver.damping"
+    with pytest.raises(ConfigError) as err:
+        default_config(trader_a_min=2.0, trader_a_max=1.5)
+    assert err.value.key == "trader.a_max"
+    with pytest.raises(ConfigError) as err:
+        default_config(lp_z0=float("nan"))
+    assert err.value.key == "lp.z0"
+    with pytest.raises(ConfigError) as err:
+        default_config(no_such_key=1)
+    assert err.value.key == "no_such_key"
+    # lp_z0 keeps its value resolved from the default pool quote
+    assert default_config(pool_y0=250.0).lp_z0 == 2000.0
+    assert default_config(pool_tau=0.01) == build_config({"pool.tau": "0.01"})
 
 
 def test_cross_check_control_bounds():

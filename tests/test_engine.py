@@ -216,8 +216,8 @@ def test_price_path_first_order_in_dt():
 
 def test_invariant_monotone_under_one_sided_flow():
     """With no traders the drain keeps delta rising, so k_t rises too."""
-    cfg = default_config(engine_traders=0, external_sigma0=0.0)
-    traj = simulate(cfg, constant_policy(0.0), np.zeros(cfg.grid_steps), seed=4)
+    cfg = default_config(external_sigma0=0.0)
+    traj = simulate(cfg, constant_policy(0.0), np.zeros(cfg.grid_steps), seed=4, n_traders=0)
     assert np.all(np.diff(traj.delta_path) > 0)
     assert np.all(np.diff(traj.invariant_path) > 0)
 

@@ -90,10 +90,10 @@ def test_epsilon_nash_gap_common_noise_pairing():
 
 
 def test_epsilon_nash_gap_validates_replications():
-    cfg = quick_cfg(harness_replications=1)
+    cfg = quick_cfg()
     sol = solve_mfg(cfg)
     with pytest.raises(InvalidParameter):
-        epsilon_nash_gap(cfg, n_players=4, seed=1, solution=sol)
+        epsilon_nash_gap(cfg, n_players=4, replications=1, seed=1, solution=sol)
 
 
 def test_convergence_study_report_shape():

@@ -1,23 +1,9 @@
-"""Quadrature, interpolation, and numpy/numba backend agreement."""
+"""Quadrature, the shared interpolation stencil, and DP/pushforward duality."""
 
 import numpy as np
 import pytest
 
 from ammgame import kernels
-
-needs_numba = pytest.mark.skipif(not kernels.has_numba, reason="numba not importable")
-
-
-def random_dp_instance(seed, steps=6, nx=31, na=5, m=7):
-    rng = np.random.default_rng(seed)
-    x_grid = np.linspace(-1.5, 1.5, nx)
-    atoms = np.linspace(-1.0, 1.0, na)
-    reward = rng.normal(size=(steps, nx, na))
-    terminal = rng.normal(size=nx)
-    nodes, weights = kernels.gauss_hermite(m)
-    dt = 0.05
-    sig = 0.3 * np.sqrt(dt)
-    return reward, terminal, x_grid, atoms, dt, sig, nodes, weights
 
 
 def test_gauss_hermite_is_a_probability_rule():
@@ -40,66 +26,38 @@ def test_interpolation_clamps_at_edges():
     values = np.array([1.0, 3.0, 2.0, 5.0])
     x0, h, n = 0.0, 1.0, 4
     query = np.array([-10.0, 0.0, 0.5, 1.0, 2.25, 3.0, 99.0])
-    out = kernels._interp_uniform_np(values, query, x0, h, n)
+    i0, frac = kernels.grid_cell(query, x0, h, n)
+    np.testing.assert_array_equal(i0, [0, 0, 0, 1, 2, 2, 2])
+    out = values[i0] * (1.0 - frac) + values[i0 + 1] * frac
     np.testing.assert_allclose(out, [1.0, 1.0, 2.0, 3.0, 2.75, 5.0, 5.0], atol=1e-15)
 
 
-@needs_numba
-def test_dp_backward_backends_agree():
-    """Identical policies; values equal up to accumulation-order ulps."""
-    inst = random_dp_instance(7)
-    v_np, p_np, ok_np = kernels._dp_backward_np(*inst)
-    v_nb, p_nb, ok_nb = kernels._dp_backward_nb(*inst)
-    np.testing.assert_array_equal(ok_np, ok_nb)
-    np.testing.assert_array_equal(p_np, p_nb)
-    np.testing.assert_allclose(v_nb, v_np, rtol=1e-13, atol=1e-14)
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_dp_and_push_forward_share_one_transition(seed):
+    """One atom, zero reward: mu0 @ value[0] equals (pushed mu0) @ terminal.
 
-
-@needs_numba
-def test_dp_evaluate_backends_agree():
-    inst = random_dp_instance(11)
-    _, policy, _ = kernels._dp_backward_np(*inst)
-    v_np = kernels._dp_evaluate_np(policy, *inst)
-    v_nb = kernels._dp_evaluate_nb(policy, *inst)
-    np.testing.assert_allclose(v_nb, v_np, rtol=1e-13, atol=1e-14)
-
-
-@needs_numba
-def test_push_forward_backends_agree():
-    inst = random_dp_instance(13)
-    reward, terminal, x_grid, atoms, dt, sig, nodes, weights = inst
-    _, policy, _ = kernels._dp_backward_np(*inst)
-    rng = np.random.default_rng(3)
-    mu0 = rng.uniform(size=len(x_grid))
+    The DP's value[0] is the one-step expectation of ``terminal`` and the
+    pushforward moves ``mu0`` by the same transition, so the two pairings
+    agree exactly up to summation order.
+    """
+    rng = np.random.default_rng(seed)
+    nx = 31
+    x_grid = np.linspace(-1.0, 1.0, nx)
+    atoms = np.array([rng.uniform(-0.5, 0.5)])
+    dt = 0.1
+    sig = rng.uniform(0.05, 0.6)  # wide enough that the tails clamp at the edges
+    nodes, weights = kernels.gauss_hermite(7)
+    reward = np.zeros((1, nx, 1))
+    terminal = rng.normal(size=nx)
+    value, policy, ok = kernels.dp_backward(
+        reward, terminal, x_grid, atoms, dt, sig, nodes, weights
+    )
+    admissible = ok[0]  # the drift exits the grid from the nodes off this mask
+    mu0 = rng.uniform(size=nx) * admissible
     mu0 /= mu0.sum()
-    mu_np, of_np = kernels._push_forward_np(policy, mu0, x_grid, atoms, dt, sig, nodes, weights)
-    mu_nb, of_nb = kernels._push_forward_nb(policy, mu0, x_grid, atoms, dt, sig, nodes, weights)
-    assert of_np == of_nb
-    np.testing.assert_allclose(mu_nb, mu_np, rtol=1e-13, atol=1e-15)
-
-
-@needs_numba
-def test_lvr_paths_backends_agree():
-    rng = np.random.default_rng(29)
-    z = rng.normal(size=(8, 200)) * np.sqrt(0.005)
-    out_np = kernels._lvr_paths_np(z, 1.0, 0.2, 0.005, 10000.0)
-    out_nb = kernels._lvr_paths_nb(z, 1.0, 0.2, 0.005, 10000.0)
-    np.testing.assert_allclose(out_nb, out_np, rtol=1e-12, atol=1e-12)
-
-
-def test_selected_backend_matches_flag():
-    expected = "_nb" if kernels.use_numba else "_np"
-    assert kernels.dp_backward.__name__.endswith(expected)
-    assert kernels.backend_name() == ("numba" if kernels.use_numba else "numpy")
-
-
-def test_dp_evaluate_reproduces_backward_value():
-    """Evaluating the argmax policy returns the optimal value function."""
-    inst = random_dp_instance(17)
-    value, policy, ok = kernels.dp_backward(*inst)
-    assert ok.all()
-    v_eval = kernels.dp_evaluate(policy, *inst)
-    np.testing.assert_array_equal(v_eval, value)
+    mu, overflow = kernels.push_forward(policy, mu0, x_grid, atoms, dt, sig, nodes, weights)
+    assert not overflow
+    assert mu[1] @ terminal == pytest.approx(mu0[admissible] @ value[0][admissible], abs=1e-12)
 
 
 def test_push_forward_conserves_mass_and_flags_exits():
