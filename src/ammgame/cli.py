@@ -12,12 +12,14 @@ Output discipline:
     ``objective``, ``final_residual``, ``runtime_seconds``. The runtime field
     is wall-clock and is the one field that varies between identical reruns.
 
-Exit codes: 0 success, 1 experiment failure (diagnostics still written),
+Exit codes: 0 success, 1 experiment failure (diagnostics still written; a
+run whose objective or final residual is not finite counts as failed),
 2 configuration error.
 """
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -123,12 +125,13 @@ def _run_solve_major_minor(cfg, out_dir):
     sol = solve_major_minor(cfg)
     seg_cols = [f"seg_{i}" for i in range(cfg.lp_segments)]
     rows = [
-        (row["eval"], row["step"], row["objective"], row["status"], *row["segments"])
+        (row["eval"], row["step"], row["objective"], row["status"], *row["segments"],
+         row["maps"], row["exact"])
         for row in sol.search_trace
     ]
     _write_csv(
         out_dir / "search_trace.csv", cfg,
-        ["eval", "step", "objective", "status", *seg_cols], rows,
+        ["eval", "step", "objective", "status", *seg_cols, "maps", "exact"], rows,
     )
     res_rows = [(i + 1, r) for i, r in enumerate(sol.residual_history)]
     _write_csv(out_dir / "residuals.csv", cfg, ["iteration", "residual"], res_rows)
@@ -202,10 +205,10 @@ def _run_lvr_check(cfg, out_dir):
 
 def _run_nash_test(cfg, out_dir):
     report = convergence_study(cfg)
-    columns = ["n_players", "gap", "stderr", "replications"]
+    columns = ["n_players", "gap", "stderr", "replications", "clipped"]
     rows = [
-        (n, g, s, report.replications)
-        for n, g, s in zip(report.n_values, report.gaps, report.stderrs)
+        (n, g, s, report.replications, bool(c))
+        for n, g, s, c in zip(report.n_values, report.gaps, report.stderrs, report.clipped)
     ]
     _write_csv(out_dir / "nash_report.csv", cfg, columns, rows)
     floor = report.gaps + 3.0 * report.stderrs
@@ -291,6 +294,15 @@ def main(argv=None):
     except Exception as exc:  # contract pins exit codes to {0, 1, 2}
         _write_summary(out_dir, "failed", None, None, time.perf_counter() - start)
         print(f"{args.subcommand} failed unexpectedly: {exc}", file=sys.stderr)
+        return 1
+    nonfinite = [
+        name for name, value in (("objective", objective), ("final_residual", final_residual))
+        if not math.isfinite(value)
+    ]
+    if nonfinite:
+        _write_summary(out_dir, "failed", None, None, time.perf_counter() - start)
+        print(f"{args.subcommand} failed: non-finite {' and '.join(nonfinite)}",
+              file=sys.stderr)
         return 1
     _write_summary(out_dir, "ok", objective, final_residual, time.perf_counter() - start)
     return 0

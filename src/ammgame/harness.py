@@ -58,8 +58,12 @@ class NashReport:
     seed: int
     slope: float
     intercept: float
-    n_clipped: int = 0
+    clipped: np.ndarray  # per N: gap raised to GAP_FLOOR before the fit
     estimates: list = field(default_factory=list)
+
+    @property
+    def n_clipped(self):
+        return int(self.clipped.sum())
 
 
 def _derived_seed(*entropy):
@@ -200,9 +204,9 @@ def convergence_study(config, n_values=None, replications=None, seed=None,
     gaps = np.array([e.gap for e in estimates])
     stderrs = np.array([e.stderr for e in estimates])
 
-    clipped = np.maximum(gaps, GAP_FLOOR)
-    n_clipped = int((gaps < GAP_FLOOR).sum())
-    slope, intercept = np.polyfit(np.log(np.asarray(n_values, dtype=float)), np.log(clipped), 1)
+    clipped = gaps < GAP_FLOOR
+    floored = np.maximum(gaps, GAP_FLOOR)
+    slope, intercept = np.polyfit(np.log(np.asarray(n_values, dtype=float)), np.log(floored), 1)
     return NashReport(
         n_values=n_values,
         gaps=gaps,
@@ -211,6 +215,6 @@ def convergence_study(config, n_values=None, replications=None, seed=None,
         seed=seed,
         slope=float(slope),
         intercept=float(intercept),
-        n_clipped=n_clipped,
+        clipped=clipped,
         estimates=estimates,
     )

@@ -10,14 +10,24 @@ Three nested problems:
 
 2. Consistency: the flow of control laws must equal the one induced by the
    best response. A damped Picard iteration on the (state law, control law)
-   pair runs until the 1-d Wasserstein residual drops below tolerance; the
-   certificate is re-evaluated from scratch at the returned point.
+   pair runs until the 1-d Wasserstein residual drops below tolerance. Once
+   the best-response policy repeats (or the residual is already within
+   tolerance) the iteration probes the undamped image: the image of one
+   policy is a fixed point exactly when mapping it again reproduces it bit
+   for bit, and then that image is returned with residual 0.0, the probe
+   itself being the from-scratch certificate. Each policy is probed at most
+   once; without an exact hit the damped iterate within tolerance is
+   returned and its certificate is re-evaluated from scratch.
 
 3. LP control: over piecewise-constant controls on K segments, a coordinate
    pattern search with shrinking step minimizes the LP cost (negated running
    reward plus quadratic terminal penalty), solving problem 2 at every
-   candidate. Inner non-convergence marks the candidate infeasible instead of
-   aborting the search.
+   candidate, warm-started from the incumbent's flows. A warm solve is kept
+   only when it ends on an exact fixed point; otherwise it is redone cold.
+   A candidate's cost and status therefore do not depend on the path the
+   search took whenever its cold solve ends on the same exact point, as
+   every candidate of the default search does. Inner non-convergence marks
+   the candidate infeasible instead of aborting the search.
 
 The solver runs in deterministic-flow mode: no common price noise enters the
 fixed point; idiosyncratic trader noise is integrated exactly through the
@@ -41,6 +51,9 @@ from .errors import (
 )
 from .lvr import instantaneous_lvr
 from .pool import EPS_RESERVE_FACTOR
+
+# what an inner solve raises on a hopeless instance; each carries ``maps``
+_SOLVE_ERRORS = (DegenerateReserves, GridOverflow, NotConverged)
 
 
 @dataclass(frozen=True)
@@ -313,11 +326,92 @@ def _response_map(config, lp_control_path, flows: FlowOfMeasures, initial_law):
     return induced_flows(config, policy, initial_law), policy, env
 
 
-def solve_mfg(config, lp_control_path=None, damping=None, tol=None, max_iter=None):
+def _picard(config, lp_control_path, initial_law, flows, lam, tol, max_iter):
+    """Damped Picard iteration from ``flows``, probing the undamped image.
+
+    When a response map repeats the previous map's policy, or its residual is
+    within ``tol``, the image itself is mapped once more (at most once per
+    distinct policy). If that probe reproduces the image bit for bit, the
+    image is an exact fixed point and is returned with residual 0.0 from the
+    probe as its certificate. Otherwise the damped iterates, and the stop at
+    ``residual <= tol``, are those of the plain iteration. Every map, probes
+    included, is one entry of the residual history and counts toward
+    ``max_iter``, so a probe that fails at the stop is the last entry. An
+    error raised here carries ``maps``, the response maps attempted.
+    """
+    history = []
+    probed = set()
+    previous = None
+
+    def solution(flows, policy, env, certificate, exact, maps):
+        return EquilibriumSolution(
+            policy=policy,
+            flows=flows,
+            env=env,
+            residual_history=history,
+            certificate_residual=certificate,
+            converged=True,
+            iterations=len(history),
+            lp_control_path=lp_control_path,
+            diagnostics={
+                "equilibrium_value": float(initial_law @ policy.value[0]),
+                "maps": maps,
+                "exact": exact,
+            },
+        )
+
+    try:
+        while len(history) < max_iter:
+            image, policy, env = _response_map(config, lp_control_path, flows, initial_law)
+            residual = _flow_residual(image, flows)
+            history.append(residual)
+            key = policy.policy_idx.tobytes()
+            if ((residual <= tol or key == previous) and key not in probed
+                    and len(history) < max_iter):
+                probed.add(key)
+                again, probe_policy, probe_env = _response_map(
+                    config, lp_control_path, image, initial_law
+                )
+                history.append(_flow_residual(again, image))
+                if np.array_equal(again.mu, image.mu) and np.array_equal(again.q, image.q):
+                    return solution(image, probe_policy, probe_env, history[-1], True,
+                                    len(history))
+            if residual <= tol:
+                certificate = fixed_point_certificate(config, lp_control_path, flows)
+                return solution(flows, policy, env, certificate, False, len(history) + 1)
+            previous = key
+            flows = FlowOfMeasures(
+                x_grid=image.x_grid,
+                atoms=image.atoms,
+                mu=lam * image.mu + (1.0 - lam) * flows.mu,
+                q=lam * image.q + (1.0 - lam) * flows.q,
+            )
+    except (DegenerateReserves, GridOverflow) as exc:
+        exc.maps = len(history) + 1
+        raise
+    exc = NotConverged(
+        f"no fixed point within {max_iter} iterations (last residual {history[-1]:.3e})",
+        residual_history=history,
+    )
+    exc.maps = len(history)
+    raise exc
+
+
+def solve_mfg(config, lp_control_path=None, damping=None, tol=None, max_iter=None,
+              start=None):
     """Damped Picard iteration to the consistency fixed point.
 
-    Returns the flow iterate whose image under the response map is within
-    tolerance, together with the best response against it.
+    Returns an exact fixed point (its own image, bit for bit) when a probe of
+    the undamped image finds one; otherwise the flow iterate whose image
+    under the response map is within tolerance. Either way the best response
+    against the returned flows comes with it.
+
+    ``start`` (a FlowOfMeasures on the solver grids) replaces the cold initial
+    flows. A warm solve that raises, or ends without an exact fixed point, is
+    redone cold, so the result is an exact fixed point or exactly what a cold
+    call returns. ``diagnostics`` records ``maps`` (response maps spent,
+    warm attempt and certificate included) and ``exact``; an error raised
+    here carries ``maps`` as well.
     """
     grid = TimeGrid(config.grid_horizon, config.grid_steps)
     lam = config.solver_damping if damping is None else damping
@@ -329,43 +423,39 @@ def solve_mfg(config, lp_control_path=None, damping=None, tol=None, max_iter=Non
         raise InvalidParameter("tol must be positive and max_iter >= 1")
     if lp_control_path is None:
         lp_control_path = np.zeros(grid.steps)
+    lp_control_path = np.asarray(lp_control_path, dtype=float)
 
     x_grid, atoms = trader_grids(config)
     mu0 = initial_trader_law(config, x_grid)
     j0 = int(np.argmin(np.abs(atoms)))
     q = np.zeros((grid.steps, len(atoms)))
     q[:, j0] = 1.0
-    flows = FlowOfMeasures(
+    cold = FlowOfMeasures(
         x_grid=x_grid, atoms=atoms, mu=np.tile(mu0, (grid.steps + 1, 1)), q=q
     )
 
-    history = []
-    for iteration in range(1, max_iter + 1):
-        image, policy, env = _response_map(config, lp_control_path, flows, mu0)
-        residual = _flow_residual(image, flows)
-        history.append(residual)
-        if residual <= tol:
-            return EquilibriumSolution(
-                policy=policy,
-                flows=flows,
-                env=env,
-                residual_history=history,
-                certificate_residual=fixed_point_certificate(config, lp_control_path, flows),
-                converged=True,
-                iterations=iteration,
-                lp_control_path=np.asarray(lp_control_path, dtype=float),
-                diagnostics={"equilibrium_value": float(mu0 @ policy.value[0])},
+    spent = 0
+    if start is not None:
+        if start.mu.shape != cold.mu.shape or start.q.shape != cold.q.shape:
+            raise InvalidParameter(
+                f"start flows must have shapes {cold.mu.shape} and {cold.q.shape}, "
+                f"got {start.mu.shape} and {start.q.shape}"
             )
-        flows = FlowOfMeasures(
-            x_grid=x_grid,
-            atoms=atoms,
-            mu=lam * image.mu + (1.0 - lam) * flows.mu,
-            q=lam * image.q + (1.0 - lam) * flows.q,
-        )
-    raise NotConverged(
-        f"no fixed point within {max_iter} iterations (last residual {history[-1]:.3e})",
-        residual_history=history,
-    )
+        try:
+            warm = _picard(config, lp_control_path, mu0, start, lam, tol, max_iter)
+        except _SOLVE_ERRORS as exc:
+            spent = exc.maps
+        else:
+            if warm.diagnostics["exact"]:
+                return warm
+            spent = warm.diagnostics["maps"]
+    try:
+        sol = _picard(config, lp_control_path, mu0, cold, lam, tol, max_iter)
+    except _SOLVE_ERRORS as exc:
+        exc.maps += spent
+        raise
+    sol.diagnostics["maps"] += spent
+    return sol
 
 
 def fixed_point_certificate(config, lp_control_path, flows: FlowOfMeasures):
@@ -388,16 +478,17 @@ def lp_path_from_segments(segments, steps):
     return segments[(np.arange(steps) * k) // steps]
 
 
-def lp_objective(config, segments, solution: EquilibriumSolution = None):
+def lp_objective(config, segments, solution: EquilibriumSolution = None, start=None):
     """LP cost of a segment vector: negated running reward plus terminal penalty.
 
-    Deterministic-flow evaluation; solves the inner fixed point unless a
-    matching solution is supplied. Returns (cost, solution).
+    Deterministic-flow evaluation; solves the inner fixed point (warm-started
+    from ``start`` flows, if given) unless a matching solution is supplied.
+    Returns (cost, solution).
     """
     grid = TimeGrid(config.grid_horizon, config.grid_steps)
     path = lp_path_from_segments(segments, grid.steps)
     if solution is None:
-        solution = solve_mfg(config, path)
+        solution = solve_mfg(config, path, start=start)
     env = solution.env
     dt = grid.dt
     x_lp = config.lp_x0 + np.concatenate(([0.0], np.cumsum(path * dt)))
@@ -412,8 +503,10 @@ def solve_major_minor(config):
     """Coordinate pattern search over the LP's piecewise-constant control.
 
     Greedy first-improvement polling with step halving; every candidate runs
-    the inner fixed point to tolerance. Returns the best candidate's full
-    equilibrium with the search trace attached.
+    the inner fixed point to tolerance, warm-started from the incumbent's
+    flows. Returns the best candidate's full equilibrium with the search
+    trace attached; each trace row records the response maps its inner solve
+    spent and whether it ended on an exact fixed point.
     """
     k = config.lp_segments
     lo, hi = config.lp_control_min, config.lp_control_max
@@ -423,6 +516,7 @@ def solve_major_minor(config):
 
     cache = {}
     trace = []
+    best_sol = None
 
     def evaluate(u, respect_budget=True):
         key = u.tobytes()
@@ -430,13 +524,17 @@ def solve_major_minor(config):
             return cache[key]
         if respect_budget and len(trace) >= budget:
             return (math.inf, None, "budget")  # not cached: never actually evaluated
+        start = None if best_sol is None else best_sol.flows
         try:
-            cost, sol = lp_objective(config, u)
+            cost, sol = lp_objective(config, u, start=start)
             result = (cost, sol, "ok")
-        except NotConverged:
+            maps, exact = sol.diagnostics["maps"], sol.diagnostics["exact"]
+        except NotConverged as exc:
             result = (math.inf, None, "inner_not_converged")
-        except DegenerateReserves:
+            maps, exact = exc.maps, False
+        except DegenerateReserves as exc:
             result = (math.inf, None, "degenerate")
+            maps, exact = exc.maps, False
         trace.append(
             {
                 "eval": len(trace),
@@ -444,6 +542,8 @@ def solve_major_minor(config):
                 "segments": u.tolist(),
                 "objective": result[0],
                 "status": result[2],
+                "maps": maps,
+                "exact": exact,
             }
         )
         cache[key] = result

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ammgame import cli
 from ammgame.cli import main
 from ammgame.config import canonical_echo, config_hash, default_config
 
@@ -155,8 +156,11 @@ def test_nash_test_small(tmp_path, cfg_file):
                  "--override", "harness.replications=4"])
     assert code == 0
     lines = (out / "nash_report.csv").read_text().splitlines()
-    assert lines[3] == "n_players,gap,stderr,replications"
+    assert lines[3] == "n_players,gap,stderr,replications,clipped"
     assert len(lines) == 4 + 2
+    for line in lines[4:]:
+        gap, clipped = float(line.split(",")[1]), line.split(",")[4]
+        assert clipped == ("true" if gap < 1e-12 else "false")
 
 
 def test_solve_major_minor_small(tmp_path, cfg_file):
@@ -166,6 +170,22 @@ def test_solve_major_minor_small(tmp_path, cfg_file):
                  "--override", "solver.step_tol=0.5"])
     assert code == 0
     trace = (out / "search_trace.csv").read_text().splitlines()
-    assert trace[3] == "eval,step,objective,status,seg_0"
+    assert trace[3] == "eval,step,objective,status,seg_0,maps,exact"
+    for line in trace[4:]:
+        maps, exact = line.split(",")[-2:]
+        assert int(maps) >= 1 and exact in ("true", "false")
     assert (out / "residuals.csv").exists()
     assert read_summary(out)["status"] == "ok"
+
+
+@pytest.mark.parametrize("objective, residual", [(float("nan"), 0.0), (1.0, float("inf"))])
+def test_non_finite_result_fails_the_run(tmp_path, cfg_file, capsys, monkeypatch,
+                                         objective, residual):
+    """No summary says ok next to a number that is not finite."""
+    monkeypatch.setitem(cli._RUNNERS, "solve-mfg", lambda cfg, out_dir: (objective, residual))
+    out = tmp_path / "out"
+    assert main(["solve-mfg", "--config", str(cfg_file), "--out", str(out)]) == 1
+    assert "non-finite" in capsys.readouterr().err
+    summary = read_summary(out)
+    assert summary["status"] == "failed"
+    assert summary["objective"] is None and summary["final_residual"] is None

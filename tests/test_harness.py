@@ -106,6 +106,8 @@ def test_convergence_study_report_shape():
     np.testing.assert_array_equal(report.stderrs, [e.stderr for e in report.estimates])
     assert np.isfinite(report.slope) and np.isfinite(report.intercept)
     assert 0 <= report.n_clipped <= 2
+    np.testing.assert_array_equal(report.clipped, report.gaps < 1e-12)
+    assert report.n_clipped == int(report.clipped.sum())
     # the fitted line reproduces the clipped log-log regression
     logs = np.log(np.clip(report.gaps, 1e-12, None))
     coef = np.polyfit(np.log(report.n_values), logs, 1)

@@ -391,6 +391,82 @@ def test_solve_mfg_rejects_bad_damping():
         solve_mfg(cfg, damping=1.5)
 
 
+def _same_solution(a, b):
+    np.testing.assert_array_equal(a.flows.mu, b.flows.mu)
+    np.testing.assert_array_equal(a.flows.q, b.flows.q)
+    np.testing.assert_array_equal(a.policy.policy_idx, b.policy.policy_idx)
+    np.testing.assert_array_equal(a.env.pd_reward, b.env.pd_reward)
+    assert a.certificate_residual == b.certificate_residual
+
+
+def test_solve_mfg_warm_start_matches_cold():
+    """Warm-started from another path's flows: same point and LP cost, bit for bit."""
+    cfg = small_cfg(lp_segments=2)
+    segments = np.array([1.5, -0.5])
+    path = lp_path_from_segments(segments, cfg.grid_steps)
+    other = solve_mfg(cfg, np.full(cfg.grid_steps, -2.0))
+    cold = solve_mfg(cfg, path)
+    warm = solve_mfg(cfg, path, start=other.flows)
+    assert warm.diagnostics["exact"] and cold.diagnostics["exact"]
+    assert warm.diagnostics["maps"] < cold.diagnostics["maps"]
+    _same_solution(warm, cold)
+    cost_cold, _ = lp_objective(cfg, segments)
+    cost_warm, _ = lp_objective(cfg, segments, start=other.flows)
+    assert cost_warm == cost_cold
+
+
+def test_solve_mfg_default_ends_on_exact_fixed_point():
+    """The returned flows are their own image under the response map."""
+    cfg = default_config()
+    sol = solve_mfg(cfg)
+    assert sol.diagnostics["exact"]
+    assert sol.certificate_residual == 0.0
+    assert sol.residual_history[-1] == 0.0
+    assert sol.iterations == len(sol.residual_history) <= 23
+    assert sol.diagnostics["maps"] == sol.iterations
+    env = forward_environment(cfg, sol.lp_control_path, sol.flows.mean_controls())
+    x_grid, _ = trader_grids(cfg)
+    image = induced_flows(cfg, best_response(cfg, env), initial_trader_law(cfg, x_grid))
+    np.testing.assert_array_equal(image.mu, sol.flows.mu)
+    np.testing.assert_array_equal(image.q, sol.flows.q)
+
+
+def test_solve_mfg_hostile_start_falls_back_to_cold():
+    """A warm start that raises or runs out of maps gives the cold result."""
+    cfg = small_cfg()
+    cold = solve_mfg(cfg)
+    x_grid, atoms = trader_grids(cfg)
+    mu = np.tile(initial_trader_law(cfg, x_grid), (cfg.grid_steps + 1, 1))
+    # a control law of mass 1e7 on the top atom degenerates the first map's market
+    q = np.zeros((cfg.grid_steps, len(atoms)))
+    q[:, -1] = 1e7
+    degenerate = solve_mfg(cfg, start=FlowOfMeasures(x_grid, atoms, mu, q))
+    _same_solution(degenerate, cold)
+    assert degenerate.diagnostics["maps"] == cold.diagnostics["maps"] + 1
+    # every trader on the lowest atom: the warm attempt runs out of maps
+    budget = cold.iterations
+    q = np.zeros((cfg.grid_steps, len(atoms)))
+    q[:, 0] = 1.0
+    slow = solve_mfg(cfg, max_iter=budget, start=FlowOfMeasures(x_grid, atoms, mu, q))
+    assert slow.diagnostics["maps"] == cold.diagnostics["maps"] + budget
+    _same_solution(slow, solve_mfg(cfg, max_iter=budget))
+    # every trader on the atom below zero, at a loose tol: the warm attempt
+    # stops on a damped iterate, not on an exact point
+    q = np.zeros((cfg.grid_steps, len(atoms)))
+    q[:, 1] = 1.0
+    loose = solve_mfg(cfg, tol=0.5, start=FlowOfMeasures(x_grid, atoms, mu, q))
+    cold_loose = solve_mfg(cfg, tol=0.5)
+    assert loose.diagnostics["maps"] > cold_loose.diagnostics["maps"]
+    _same_solution(loose, cold_loose)
+
+
+def test_solve_mfg_rejects_start_on_other_grid():
+    cfg = small_cfg()
+    other = solve_mfg(small_cfg(grid_x_points=21))
+    with pytest.raises(InvalidParameter):
+        solve_mfg(cfg, start=other.flows)
+
+
 def test_policy_as_policy_nearest_node():
     cfg = small_cfg()
     sol = solve_mfg(cfg)
@@ -450,6 +526,9 @@ def test_solve_major_minor_local_optimum():
     # the trace never recorded anything better than the returned optimum
     finite = [row["objective"] for row in sol.search_trace if row["status"] == "ok"]
     assert min(finite) == pytest.approx(sol.lp_objective, rel=1e-15)
+    # every evaluation ends on an exact fixed point: at least a map and its probe
+    assert all(row["exact"] for row in sol.search_trace)
+    assert all(row["maps"] >= 2 for row in sol.search_trace)
 
 
 def test_solve_major_minor_k1_is_constant_path():
