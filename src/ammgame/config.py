@@ -253,6 +253,10 @@ def _checked_config(resolved):
           "lp.control_max", "must exceed lp.control_min")
     cross(resolved["grid.x_max"] > resolved["grid.x_min"],
           "grid.x_max", "must exceed grid.x_min")
+    cross(resolved["grid.x_min"] <= resolved["trader.init_mean"] <= resolved["grid.x_max"],
+          "trader.init_mean",
+          f"must lie in [grid.x_min, grid.x_max] = [{resolved['grid.x_min']}, "
+          f"{resolved['grid.x_max']}] (got {resolved['trader.init_mean']})")
     return SimConfig(**{_attr(k): v for k, v in resolved.items()})
 
 

@@ -1,13 +1,14 @@
 """Seeded Euler-Maruyama simulation of the coupled market.
 
-One step advances, in this order and all at left-point coefficients: trader
-controls from the policy, the arbitrage drain rate l(P), the net trade-flow
-rate, the price drift, running rewards, then the state updates (traders, LP,
-adjusted reserves, flow, price). The price carries an optional common noise
-sigma0 dW0; traders carry idiosyncratic noise; the LP carries three own
-streams. Every stream is derived from (seed, stream kind, index), so a bundle
-is a pure function of (seed, grid, population size) and any two runs with the
-same inputs are bit-identical.
+``simulate`` runs one lane of ``market.step``: at every grid time it reads
+the trader controls from the policy, takes their mean, and lets the market
+step advance the drain rate l(P), the price drift, the running rewards and
+every stock (traders, LP, adjusted reserves, net flow, price) at left-point
+coefficients. The price carries an optional common noise sigma0 dW0; traders
+carry idiosyncratic noise; the LP carries three own streams. Every stream is
+derived from (seed, stream kind, index), so a bundle is a pure function of
+(seed, grid, population size) and any two runs with the same inputs are
+bit-identical.
 
 Reserve or price degeneracy aborts the run with the step index and offending
 quantity attached to the exception; nothing is clamped.
@@ -17,10 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agents import LPState, g_factor, lp_state_step, price_drift, terminal_cost
-from .errors import DegenerateReserves, InvalidParameter
-from .lvr import instantaneous_lvr
-from .pool import EPS_RESERVE_FACTOR
+from .errors import InvalidParameter
+from .market import Market, opening_state, step, terminal_cost, trader_objective
 
 
 @dataclass(frozen=True)
@@ -109,32 +108,8 @@ class SystemTrajectory:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _check_state(step, p, x_adj, y_adj, delta, x0, y0, phi):
-    floor_x = EPS_RESERVE_FACTOR * x0
-    floor_y = EPS_RESERVE_FACTOR * y0
-    if not p > 0:
-        raise DegenerateReserves(f"price nonpositive at step {step}: {p}", step=step, quantity=p)
-    if x_adj <= floor_x:
-        raise DegenerateReserves(
-            f"adjusted ETH reserve exhausted at step {step}: {x_adj}", step=step, quantity=x_adj
-        )
-    if y_adj <= floor_y:
-        raise DegenerateReserves(
-            f"adjusted USDT reserve exhausted at step {step}: {y_adj}", step=step, quantity=y_adj
-        )
-    total = x_adj + delta
-    if total <= floor_x:
-        raise DegenerateReserves(
-            f"total ETH reserve exhausted at step {step}: {total}", step=step, quantity=total
-        )
-    if x_adj + phi * delta <= floor_x:
-        raise DegenerateReserves(
-            f"fee-leg reserve exhausted at step {step}", step=step, quantity=x_adj + phi * delta
-        )
-
-
 def simulate(config, trader_policy, lp_control_path, seed, noise=None, n_traders=None, deviant_policy=None):
-    """Run the coupled system forward.
+    """Run the coupled system forward as one lane of the market step.
 
     ``trader_policy`` maps (step index, inventory vector) to a control vector;
     ``deviant_policy``, if given, overrides player 0. ``lp_control_path`` is a
@@ -154,25 +129,13 @@ def simulate(config, trader_policy, lp_control_path, seed, noise=None, n_traders
     if noise.idiosyncratic.shape[0] < m or noise.common.shape[0] != grid.steps:
         raise InvalidParameter("noise bundle does not cover this run")
 
-    x0, y0 = config.pool_x0, config.pool_y0
-    k0 = x0 * y0
-    phi = 1.0 - config.pool_tau
-    wedge = (1.0 + phi * phi) / (2.0 * phi)
-    sign = 1.0 if config.model_flow_convention == "definition" else -1.0
-    sigma_tr = config.trader_sigma
-    sigma0 = config.external_sigma0
-    arb_on = config.arbitrage_enabled
-    slip_on = config.trader_slippage
-    vols = (config.lp_sigma_x, config.lp_sigma_y, config.lp_sigma_z)
-
+    mk = Market.from_config(config)
     n = grid.steps
     price = np.empty(n + 1)
     x_adj = np.empty(n + 1)
     y_adj = np.empty(n + 1)
     delta = np.empty(n + 1)
-    k_path = np.empty(n + 1)
     lvr_rate = np.empty(n)
-    lvr_cum = np.empty(n + 1)
     qbar_path = np.empty(n)
     tr_x = np.empty((m, n + 1))
     tr_y = np.empty((m, n + 1))
@@ -183,60 +146,30 @@ def simulate(config, trader_policy, lp_control_path, seed, noise=None, n_traders
     lp_s = np.empty(n + 1)
     lp_f = np.empty(n)
 
-    price[0] = y0 / x0
-    x_adj[0] = x0
-    y_adj[0] = y0
-    delta[0] = 0.0
-    lvr_cum[0] = 0.0
-    tr_x[:, 0] = initial_trader_states(config, m, seed)
-    tr_y[:, 0] = 0.0
-    lp = LPState(config.lp_x0, config.lp_y0, config.lp_z0, 0.0)
-    lp_x[0], lp_y[0], lp_z[0], lp_s[0] = lp.x_inventory, lp.y_inventory, lp.pool_share_value, 0.0
-
-    for t in range(n):
-        p, xa, ya, dl = price[t], x_adj[t], y_adj[t], delta[t]
-        _check_state(t, p, xa, ya, dl, x0, y0, phi)
-        k_path[t] = k0 * (xa + dl) / (xa + phi * dl)
-
-        alpha = np.asarray(trader_policy(t, tr_x[:, t]), dtype=float)
+    s = opening_state(config, initial_trader_states(config, m, seed))
+    for t in range(n + 1):
+        price[t], x_adj[t], y_adj[t], delta[t] = s.price, s.x_adj, s.y_adj, s.delta
+        lp_x[t], lp_y[t], lp_z[t], lp_s[t] = s.lp_x, s.lp_y, s.lp_z, s.lp_s
+        tr_x[:, t], tr_y[:, t] = s.trader_x, s.trader_y
+        if t == n:
+            break
+        alpha = np.asarray(trader_policy(t, s.trader_x), dtype=float)
         if deviant_policy is not None:
             alpha = alpha.copy()
-            alpha[0] = float(np.asarray(deviant_policy(t, tr_x[0:1, t]))[0])
-        a_lp = lp_control_path[t]
+            alpha[0] = float(np.asarray(deviant_policy(t, s.trader_x[0:1]))[0])
         qbar = float(alpha.mean()) if m > 0 else 0.0
-        ell = float(instantaneous_lvr(p, config.external_sigma, k0)) if arb_on else 0.0
-        d_rate = sign * (ell - qbar)
-        x_total = xa + dl
-        g = g_factor(xa, dl, phi)
-        pd_price = price_drift(xa, dl, a_lp, d_rate, phi, k0)
-        pd_reward = price_drift(xa, dl, a_lp, qbar, phi, k0)
+        s, flows = step(mk, s, t, alpha, qbar, lp_control_path[t],
+                        noise.common[t], noise.idiosyncratic[:m, t], noise.lp[:, t])
+        lvr_rate[t], qbar_path[t] = flows.lvr_rate, qbar
+        tr_f[:, t], lp_f[t] = flows.trader_reward, flows.lp_reward
 
-        slip = alpha / x_total if slip_on else np.zeros_like(alpha)
-        akg = alpha * (k0 * g)
-        tr_f[:, t] = tr_x[:, t] * pd_reward + akg + akg * (1.0 - slip) * (1.0 - wedge)
-        lp_f[t] = lp.x_inventory * pd_reward
-        qbar_path[t] = qbar
-        lvr_rate[t] = ell
-        lvr_cum[t + 1] = lvr_cum[t] + ell * dt
-
-        tr_x[:, t + 1] = tr_x[:, t] + alpha * dt + sigma_tr * noise.idiosyncratic[:m, t]
-        tr_y[:, t + 1] = tr_y[:, t] - alpha * (1.0 - slip) * wedge * p * dt
-        lp = lp_state_step(lp, a_lp, p, dt, noise=noise.lp[:, t], vols=vols, pool_x0=x0)
-        lp_x[t + 1], lp_y[t + 1] = lp.x_inventory, lp.y_inventory
-        lp_z[t + 1], lp_s[t + 1] = lp.pool_share_value, lp.cumulative_control
-        x_adj[t + 1] = xa + a_lp * dt
-        y_adj[t + 1] = ya + a_lp * p * dt
-        delta[t + 1] = dl + d_rate * dt
-        price[t + 1] = p + pd_price * dt + sigma0 * noise.common[t]
-
-    _check_state(n, price[n], x_adj[n], y_adj[n], delta[n], x0, y0, phi)
-    k_path[n] = k0 * (x_adj[n] + delta[n]) / (x_adj[n] + phi * delta[n])
-
-    objectives = tr_f.sum(axis=1) * dt - config.trader_terminal_weight * tr_x[:, n] ** 2
+    reserve = x_adj + delta
+    lvr_cum = np.concatenate(([0.0], np.cumsum(lvr_rate * dt)))
+    objectives = trader_objective(tr_f, tr_x[:, n], dt, config.trader_terminal_weight)
     lp_objective = float(
         lp_f.sum() * dt
-        - terminal_cost(lp.x_inventory, config.lp_terminal_weight)
-        - terminal_cost(lp.pool_share_value, config.lp_terminal_weight)
+        - terminal_cost(s.lp_x, config.lp_terminal_weight)
+        - terminal_cost(s.lp_z, config.lp_terminal_weight)
     )
 
     return SystemTrajectory(
@@ -246,8 +179,8 @@ def simulate(config, trader_policy, lp_control_path, seed, noise=None, n_traders
         x_adj_path=x_adj,
         y_adj_path=y_adj,
         delta_path=delta,
-        reserve_path=x_adj + delta,
-        invariant_path=k_path,
+        reserve_path=reserve,
+        invariant_path=mk.k0 * reserve / (x_adj + mk.phi * delta),
         lvr_rate_path=lvr_rate,
         lvr_cum_path=lvr_cum,
         mean_control_path=qbar_path,
@@ -261,5 +194,5 @@ def simulate(config, trader_policy, lp_control_path, seed, noise=None, n_traders
         lp_s_path=lp_s,
         lp_reward_path=lp_f,
         lp_realized_objective=lp_objective,
-        diagnostics={"n_traders": m, "flow_sign": sign},
+        diagnostics={"n_traders": m, "flow_sign": mk.sign},
     )

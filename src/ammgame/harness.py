@@ -16,16 +16,20 @@ N players. The deviation benchmark is built in two stages:
    idiosyncratic noise, and baseline and deviation runs share the bundle
    (common random numbers), so the pairwise difference isolates the
    deviator's edge plus the O(1/N) feedback of their control on the market.
+   All R replications run as one batch of 2R lanes of the market step
+   (baseline and deviation lane per replication), which keeps only (lanes,
+   N) stocks and player 0's per-step reward.
 
 The reported gap for each N is the mean paired difference in player 0's
 realized objective; the convergence study fits a log-log slope across N.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import NoiseBundle, TimeGrid, make_noise, simulate
+from . import market
+from .engine import TimeGrid, initial_trader_states, make_noise, simulate
 from .errors import InvalidParameter
 from .solver import (
     MfgEnvironment,
@@ -70,46 +74,35 @@ def _derived_seed(*entropy):
     return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])
 
 
-def simulate_n_players(config, trader_policy, lp_control_path, seed, n_players,
-                       noise=None, deviant_policy=None):
-    """N-player system run; wraps the simulator with an explicit population size."""
-    if n_players < 1:
-        raise InvalidParameter(f"need at least one player, got {n_players}")
-    return simulate(
-        config,
-        trader_policy,
-        lp_control_path,
-        seed,
-        noise=noise,
-        n_traders=n_players,
-        deviant_policy=deviant_policy,
-    )
+def _paired_gaps(config, policy, deviation, lp_control_path, seed, noise, own):
+    """Player 0's objective gap, deviation minus baseline, for every replication.
 
-
-def environment_from_trajectory(config, traj, lp_control_path):
-    """Empirical market environment extracted from a realized trajectory."""
-    k0 = config.pool_x0 * config.pool_y0
-    phi = 1.0 - config.pool_tau
-    n = traj.grid.steps
-    xa = traj.x_adj_path[:-1]
-    dl = traj.delta_path[:-1]
-    qbar = traj.mean_control_path
-    a_fac = xa + phi * dl
-    b_fac = xa + dl
-    g = 1.0 / (a_fac * b_fac)
-    a_lp = np.asarray(lp_control_path, dtype=float)
-    pd_reward = -k0 * ((a_lp + phi * qbar) * b_fac + a_fac * (a_lp + qbar)) * g * g
-    return MfgEnvironment(
-        x_adj=traj.x_adj_path.copy(),
-        delta=traj.delta_path.copy(),
-        price=traj.price_path.copy(),
-        lvr_rate=traj.lvr_rate_path.copy(),
-        qbar=qbar.copy(),
-        lp_control=a_lp.copy(),
-        g=g,
-        x_total=b_fac.copy(),
-        pd_reward=pd_reward,
+    All replications run as one lane batch of the market step: lanes [0, R)
+    play ``policy``, lanes [R, 2R) let player 0 play ``deviation``. Lanes r
+    and R + r share every stream: the pilot ``noise`` for the common price,
+    the LP and players 1..N-1, and ``own[r]`` for player 0. Only (lanes, N)
+    stocks and player 0's per-step reward are kept.
+    """
+    reps, steps = own.shape
+    m = noise.idiosyncratic.shape[0]
+    mk = market.Market.from_config(config)
+    s = market.opening_state(
+        config, np.tile(initial_trader_states(config, m, seed), (2 * reps, 1))
     )
+    dw = np.empty((2 * reps, m))
+    reward0 = np.empty((2 * reps, steps))
+    for t in range(steps):
+        alpha = policy(t, s.trader_x)
+        alpha[reps:, 0] = deviation(t, s.trader_x[reps:, 0])
+        dw[:] = noise.idiosyncratic[:, t]
+        dw[:reps, 0] = dw[reps:, 0] = own[:, t]
+        s, flows = market.step(mk, s, t, alpha, alpha.mean(axis=1), lp_control_path[t],
+                               noise.common[t], dw, noise.lp[:, t])
+        reward0[:, t] = flows.trader_reward[:, 0]
+    objective = market.trader_objective(
+        reward0, s.trader_x[:, 0], mk.dt, config.trader_terminal_weight
+    )
+    return objective[reps:] - objective[:reps]
 
 
 def epsilon_nash_gap(config, n_players, replications=None, seed=None,
@@ -118,20 +111,34 @@ def epsilon_nash_gap(config, n_players, replications=None, seed=None,
     grid = TimeGrid(config.grid_horizon, config.grid_steps)
     replications = config.harness_replications if replications is None else replications
     seed = config.seed if seed is None else seed
+    if n_players < 1:
+        raise InvalidParameter(f"need at least one player, got {n_players}")
     if replications < 2:
         raise InvalidParameter("paired estimation needs at least 2 replications")
     if lp_control_path is None:
         lp_control_path = np.zeros(grid.steps)
+    lp_control_path = np.asarray(lp_control_path, dtype=float)
     if solution is None:
         solution = solve_mfg(config, lp_control_path)
     policy = solution.policy.as_policy()
 
     pilot_seed = _derived_seed(seed, 0, n_players)
     pilot_noise = make_noise(pilot_seed, grid, n_players)
-    pilot = simulate_n_players(
-        config, policy, lp_control_path, pilot_seed, n_players, noise=pilot_noise
+    pilot = simulate(
+        config, policy, lp_control_path, pilot_seed, noise=pilot_noise, n_traders=n_players
     )
-    env = environment_from_trajectory(config, pilot, lp_control_path)
+    # the pilot's realized market is the environment the deviation answers
+    env = MfgEnvironment(
+        x_adj=pilot.x_adj_path,
+        delta=pilot.delta_path,
+        price=pilot.price_path,
+        lvr_rate=pilot.lvr_rate_path,
+        qbar=pilot.mean_control_path,
+        lp_control=lp_control_path,
+        lp_x=pilot.lp_x_path,
+        lp_z=pilot.lp_z_path,
+        lp_reward=pilot.lp_reward_path,
+    )
     # freeze the other players' pilot contribution to the empirical mean and
     # let the deviator's own control enter it with weight 1/N, mirroring how
     # the engine pays a finite-N player
@@ -146,23 +153,14 @@ def epsilon_nash_gap(config, n_players, replications=None, seed=None,
     # replications redraw only player 0's idiosyncratic noise; the other
     # players (and the common and LP streams) stay frozen at the pilot draw,
     # so baseline and deviation differ purely by player 0's policy
-    root_dt = np.sqrt(grid.dt)
-    gaps = np.empty(replications)
-    for r in range(replications):
-        own = np.random.default_rng(
+    own = np.stack([
+        np.random.default_rng(
             np.random.SeedSequence((seed, 2, n_players, r))
-        ).standard_normal(grid.steps) * root_dt
-        idio = pilot_noise.idiosyncratic.copy()
-        idio[0] = own
-        noise = replace(pilot_noise, idiosyncratic=idio)
-        base = simulate_n_players(
-            config, policy, lp_control_path, pilot_seed, n_players, noise=noise
-        )
-        dev = simulate_n_players(
-            config, policy, lp_control_path, pilot_seed, n_players,
-            noise=noise, deviant_policy=deviation,
-        )
-        gaps[r] = dev.trader_objectives[0] - base.trader_objectives[0]
+        ).standard_normal(grid.steps)
+        for r in range(replications)
+    ]) * np.sqrt(grid.dt)
+    gaps = _paired_gaps(config, policy, deviation, lp_control_path, pilot_seed,
+                        pilot_noise, own)
 
     gap = float(gaps.mean())
     stderr = float(gaps.std(ddof=1) / np.sqrt(replications))

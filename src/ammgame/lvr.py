@@ -58,13 +58,6 @@ def replication_increment(p_prev, p_next, k):
     return rebalancing_position(p_prev, k) * (np.asarray(p_next, dtype=float) - p_prev)
 
 
-def adjusted_lp_inventory(v_lp, lvr_t):
-    """LP inventory net of the accumulated arbitrage drain."""
-    if np.any(np.asarray(lvr_t) < 0):
-        raise InvalidParameter("cumulative drain cannot be negative")
-    return v_lp - lvr_t
-
-
 @dataclass
 class LvrAccount:
     """Result of one drain-vs-replication experiment.

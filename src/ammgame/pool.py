@@ -3,14 +3,14 @@
 A pool holds reserves (X, Y) with invariant k = X*Y and quotes the spot price
 Y/X. Trades run in two stages: the invariant is enforced against the
 fee-credited leg phi*dx (phi = 1 - tau), then the full dx enters the reserve,
-which inflates the invariant. With a liquidity provider adding or removing at
-the current ratio, prices are quoted against the LP-adjusted reserves; with
-arbitrage and trader flow on top, the running ETH reserve decomposes into
-adjusted reserve + arbitrage impact - mean trader impact.
+which inflates the invariant. The market step (``market.step``) builds on
+this: it quotes the price against the LP-adjusted reserves and tracks the
+running ETH reserve as adjusted reserve plus the net flow of arbitrage and
+mean trader impact.
 
 Everything here is plain scalar arithmetic (no numpy), deliberately: the same
 functions run on ``fractions.Fraction`` inputs, which is how the test oracles
-verify the algebra exactly.
+verify the algebra exactly. The market step keeps that property.
 """
 
 from dataclasses import dataclass
@@ -61,39 +61,9 @@ def make_pool(x0, y0, tau):
     )
 
 
-@dataclass(frozen=True)
-class ReserveDecomposition:
-    """Running ETH reserve split into its three sources.
-
-    ``lp_adjusted_x``/``lp_adjusted_y`` are the reserves after cumulative LP
-    action, ``arb_impact`` the accumulated arbitrage inflow, and
-    ``trader_impact`` the accumulated mean trader outflow.
-    """
-
-    lp_adjusted_x: float
-    lp_adjusted_y: float
-    arb_impact: float
-    trader_impact: float
-
-
 def spot_price(pool: PoolState):
     """Marginal price of ETH in USDT implied by the reserve ratio."""
     return pool.y_reserve / pool.x_reserve
-
-
-def execution_price(k0, x_adj, delta_x, phi):
-    """Price at which a net flow ``delta_x`` executes against adjusted reserves.
-
-    The two-stage trade leaves the price k0 / ((x_adj + phi*dx) * (x_adj + dx)).
-    ``delta_x`` is signed: positive for ETH entering the pool.
-    """
-    a = x_adj + phi * delta_x
-    b = x_adj + delta_x
-    if a <= 0 or b <= 0:
-        raise DegenerateReserves(
-            f"trade of {delta_x} would overdraw the pool (factors {a}, {b})"
-        )
-    return k0 / (a * b)
 
 
 def quote_trade(pool: PoolState, x_adj, y_adj, delta_x):
@@ -131,29 +101,3 @@ def slippage(alpha, x_total):
     if x_total != x_total or x_total <= 0:  # NaN or nonpositive
         raise DegenerateReserves(f"reserve depth must be positive, got {x_total}")
     return alpha / x_total
-
-
-def adjusted_reserves(lp_control_path, price_path, t_index, x0, y0, dt):
-    """Reserves after cumulative LP deposits/withdrawals at the running ratio.
-
-    Left-endpoint rule on a uniform grid: contributions from steps strictly
-    before ``t_index``. Accepts any scalar type supporting + and * (floats in
-    production, Fractions in the exact oracles).
-    """
-    if t_index < 0 or t_index > len(lp_control_path):
-        raise InvalidParameter(f"t_index {t_index} outside the sampled path")
-    x_adj = x0 + sum(lp_control_path[s] * dt for s in range(t_index))
-    y_adj = y0 + sum(lp_control_path[s] * price_path[s] * dt for s in range(t_index))
-    if x_adj <= EPS_RESERVE_FACTOR * x0 or y_adj <= EPS_RESERVE_FACTOR * y0:
-        raise DegenerateReserves(
-            f"LP path drains the pool by step {t_index} (x_adj={x_adj}, y_adj={y_adj})"
-        )
-    return x_adj, y_adj
-
-
-def total_eth_reserves(decomp: ReserveDecomposition):
-    """Running ETH reserve: LP-adjusted stock plus arbitrage minus trader flow."""
-    total = decomp.lp_adjusted_x + decomp.arb_impact - decomp.trader_impact
-    if total <= 0:
-        raise DegenerateReserves(f"total ETH reserve nonpositive: {total}")
-    return total

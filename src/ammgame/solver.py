@@ -31,8 +31,10 @@ Three nested problems:
 
 The solver runs in deterministic-flow mode: no common price noise enters the
 fixed point; idiosyncratic trader noise is integrated exactly through the
-quadrature. The environment recursion reuses the engine's left-point updates,
-so DP rewards are tabulated on exactly the path a noise-free simulation
+quadrature. The environment is one noise-free lane of the market step the
+engine runs, so it reuses the engine's left-point updates, and the DP reward
+table and the LP cost read the drift, G and the LP's stocks from that same
+step: DP rewards are tabulated on exactly the path a noise-free simulation
 realizes.
 """
 
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
+from . import kernels, market
 from .engine import TimeGrid
 from .errors import (
     DegenerateReserves,
@@ -49,8 +51,6 @@ from .errors import (
     InvalidParameter,
     NotConverged,
 )
-from .lvr import instantaneous_lvr
-from .pool import EPS_RESERVE_FACTOR
 
 # what an inner solve raises on a hopeless instance; each carries ``maps``
 _SOLVE_ERRORS = (DegenerateReserves, GridOverflow, NotConverged)
@@ -97,7 +97,7 @@ class FlowOfMeasures:
 
 @dataclass
 class MfgEnvironment:
-    """Deterministic market path a representative trader optimizes against."""
+    """Market path a representative trader optimizes against, with the LP's stocks."""
 
     x_adj: np.ndarray      # (steps+1,)
     delta: np.ndarray      # (steps+1,)
@@ -105,9 +105,9 @@ class MfgEnvironment:
     lvr_rate: np.ndarray   # (steps,)
     qbar: np.ndarray       # (steps,)
     lp_control: np.ndarray  # (steps,)
-    g: np.ndarray          # (steps,) 1/((x_adj+phi*delta)(x_adj+delta)) at left points
-    x_total: np.ndarray    # (steps,)
-    pd_reward: np.ndarray  # (steps,) price drift with the mean-control rate slot
+    lp_x: np.ndarray       # (steps+1,)
+    lp_z: np.ndarray       # (steps+1,)
+    lp_reward: np.ndarray  # (steps,)
 
 
 @dataclass
@@ -150,7 +150,13 @@ def initial_trader_law(config, x_grid):
     else:
         z = (x_grid - config.trader_init_mean) / config.trader_init_sd
         mu0 = np.exp(-0.5 * z * z)
-        mu0 /= mu0.sum()
+        mass = mu0.sum()
+        if not mass > 0:
+            raise InvalidParameter(
+                f"trader.init_sd = {config.trader_init_sd!r} puts no mass of the gaussian "
+                "initial law on any inventory node"
+            )
+        mu0 /= mass
     return mu0
 
 
@@ -161,60 +167,33 @@ def wasserstein_grid(u, v, spacing):
 
 
 def forward_environment(config, lp_control_path, qbar):
-    """Advance the deterministic market path (same recursions as the engine)."""
+    """Advance the deterministic market path.
+
+    One noise-free lane of the market step, with no traders and the mean
+    control ``qbar`` given.
+    """
     grid = TimeGrid(config.grid_horizon, config.grid_steps)
     n = grid.steps
-    dt = grid.dt
     lp_control_path = np.asarray(lp_control_path, dtype=float)
     qbar = np.asarray(qbar, dtype=float)
     if lp_control_path.shape != (n,) or qbar.shape != (n,):
         raise InvalidParameter("lp control and mean-control paths must cover every step")
 
-    x0, y0 = config.pool_x0, config.pool_y0
-    k0 = x0 * y0
-    phi = 1.0 - config.pool_tau
-    sign = 1.0 if config.model_flow_convention == "definition" else -1.0
-    floor = EPS_RESERVE_FACTOR * x0
-
+    mk = market.Market.from_config(config)
     x_adj = np.empty(n + 1)
     delta = np.empty(n + 1)
     price = np.empty(n + 1)
+    lp_x = np.empty(n + 1)
+    lp_z = np.empty(n + 1)
     lvr_rate = np.empty(n)
-    g = np.empty(n)
-    x_total = np.empty(n)
-    pd_reward = np.empty(n)
-
-    x_adj[0], delta[0], price[0] = x0, 0.0, y0 / x0
-    for t in range(n):
-        xa, dl, p = x_adj[t], delta[t], price[t]
-        a = xa + phi * dl
-        b = xa + dl
-        if p <= 0 or a <= floor or b <= floor:
-            raise DegenerateReserves(
-                f"environment degenerate at step {t} (price {p}, factors {a}, {b})",
-                step=t,
-                quantity=min(a, b, p),
-            )
-        ell = float(instantaneous_lvr(p, config.external_sigma, k0)) if config.arbitrage_enabled else 0.0
-        d_rate = sign * (ell - qbar[t])
-        a_lp = lp_control_path[t]
-        gg = 1.0 / (a * b)
-        a_rate = a_lp + phi * qbar[t]
-        b_rate = a_lp + qbar[t]
-        pd_r = -k0 * (a_rate * b + a * b_rate) * gg * gg
-        a_rate_p = a_lp + phi * d_rate
-        b_rate_p = a_lp + d_rate
-        pd_p = -k0 * (a_rate_p * b + a * b_rate_p) * gg * gg
-
-        lvr_rate[t] = ell
-        g[t] = gg
-        x_total[t] = b
-        pd_reward[t] = pd_r
-        x_adj[t + 1] = xa + a_lp * dt
-        delta[t + 1] = dl + d_rate * dt
-        price[t + 1] = p + pd_p * dt
-    if price[n] <= 0 or x_adj[n] + phi * delta[n] <= floor or x_adj[n] + delta[n] <= floor:
-        raise DegenerateReserves("environment degenerate at the terminal step", step=n)
+    lp_reward = np.empty(n)
+    s = market.opening_state(config)
+    for t in range(n + 1):
+        x_adj[t], delta[t], price[t], lp_x[t], lp_z[t] = s.x_adj, s.delta, s.price, s.lp_x, s.lp_z
+        if t == n:
+            break
+        s, flows = market.step(mk, s, t, None, qbar[t], lp_control_path[t])
+        lvr_rate[t], lp_reward[t] = flows.lvr_rate, flows.lp_reward
 
     return MfgEnvironment(
         x_adj=x_adj,
@@ -223,9 +202,9 @@ def forward_environment(config, lp_control_path, qbar):
         lvr_rate=lvr_rate,
         qbar=qbar,
         lp_control=lp_control_path,
-        g=g,
-        x_total=x_total,
-        pd_reward=pd_reward,
+        lp_x=lp_x,
+        lp_z=lp_z,
+        lp_reward=lp_reward,
     )
 
 
@@ -239,30 +218,21 @@ def tabulate_rewards(config, env: MfgEnvironment, x_grid, atoms,
     reward then matches what the finite-N engine pays a player whose control
     enters the empirical average, so a deviator can internalize its own
     impact. With own_weight = 0 the slot is the frozen mean field itself.
+    G and the drift come from the market step's formulas at the path's left
+    points, so the table pays what the engine pays.
     """
-    k0 = config.pool_x0 * config.pool_y0
-    phi = 1.0 - config.pool_tau
-    wedge = (1.0 + phi * phi) / (2.0 * phi)
-    akg = atoms[None, :] * (k0 * env.g[:, None])         # (steps, na)
-    if config.trader_slippage:
-        slip = atoms[None, :] / env.x_total[:, None]
-    else:
-        slip = np.zeros_like(akg)
-    trade = akg + akg * (1.0 - slip) * (1.0 - wedge)
+    mk = market.Market.from_config(config)
+    xa = env.x_adj[:-1, None]
+    dl = env.delta[:-1, None]
+    akg = atoms[None, :] * (mk.k0 * market.g_factor(xa, dl, mk.phi))  # (steps, na)
+    slip = atoms[None, :] / (xa + dl) if mk.slippage else 0.0 * akg
+    trade = akg + akg * (1.0 - slip) * (1.0 - mk.wedge)
     if own_weight == 0.0:
-        pd = env.pd_reward[:, None]                      # (steps, 1)
+        qslot = env.qbar[:, None]
     else:
         base = env.qbar if qbar_others is None else np.asarray(qbar_others, dtype=float)
         qslot = base[:, None] + own_weight * atoms[None, :]
-        a_fac = (env.x_adj + phi * env.delta)[:-1]
-        b_fac = env.x_total
-        a_lp = env.lp_control
-        pd = (
-            -k0
-            * ((a_lp[:, None] + phi * qslot) * b_fac[:, None]
-               + a_fac[:, None] * (a_lp[:, None] + qslot))
-            * env.g[:, None] ** 2
-        )
+    pd = market.price_drift(xa, dl, env.lp_control[:, None], qslot, mk.phi, mk.k0)
     return x_grid[None, :, None] * pd[:, None, :] + trade[:, None, :]
 
 
@@ -483,19 +453,17 @@ def lp_objective(config, segments, solution: EquilibriumSolution = None, start=N
 
     Deterministic-flow evaluation; solves the inner fixed point (warm-started
     from ``start`` flows, if given) unless a matching solution is supplied.
-    Returns (cost, solution).
+    The LP's reward and stocks are those the market step recorded along the
+    solution's environment. Returns (cost, solution).
     """
     grid = TimeGrid(config.grid_horizon, config.grid_steps)
-    path = lp_path_from_segments(segments, grid.steps)
     if solution is None:
+        path = lp_path_from_segments(segments, grid.steps)
         solution = solve_mfg(config, path, start=start)
     env = solution.env
-    dt = grid.dt
-    x_lp = config.lp_x0 + np.concatenate(([0.0], np.cumsum(path * dt)))
-    z_lp = config.lp_z0 - 2.0 * np.concatenate(([0.0], np.cumsum(path * env.price[:-1] * dt)))
-    running = float(np.sum(x_lp[:-1] * env.pd_reward) * dt)
+    running = float(np.sum(env.lp_reward) * grid.dt)
     c = config.lp_terminal_weight
-    cost = -running + c * (x_lp[-1] ** 2 + z_lp[-1] ** 2)
+    cost = -running + c * (env.lp_x[-1] ** 2 + env.lp_z[-1] ** 2)
     return cost, solution
 
 

@@ -53,13 +53,16 @@ def test_config_error_exits_2(tmp_path, capsys):
     assert not out.exists()
     empty = tmp_path / "empty.cfg"
     empty.write_text("")
-    for key, raw in [("lp.z0", "nan"), ("trader.a_max", "inf")]:
-        code = main(["simulate", "--config", str(empty), "--out", str(out),
-                     "--override", f"{key}={raw}"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "config error" in err and key in err
-        assert not out.exists()
+    for key, raw, extra in [("lp.z0", "nan", []), ("trader.a_max", "inf", []),
+                            ("trader.init_mean", "5.0", []),
+                            ("trader.init_mean", "60.0", ["trader.init_law=gaussian"])]:
+        overrides = [arg for item in [f"{key}={raw}", *extra] for arg in ("--override", item)]
+        for sub in ("simulate", "solve-mfg"):
+            code = main([sub, "--config", str(empty), "--out", str(out), *overrides])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "config error" in err and key in err
+            assert not out.exists()
 
 
 def test_unknown_override_exits_2(tmp_path, cfg_file):

@@ -109,6 +109,14 @@ def test_range_violations_name_the_key():
             build_config({key: raw})
         assert err.value.key == key
         assert "finite" in err.value.reason
+    for values in ({"trader.init_mean": "5.0"},
+                   {"trader.init_law": "gaussian", "trader.init_mean": "60.0"},
+                   {"grid.x_min": "0.5", "grid.x_max": "2"}):
+        with pytest.raises(ConfigError) as err:
+            build_config(values)
+        assert err.value.key == "trader.init_mean"
+        assert "grid.x_min, grid.x_max" in err.value.reason
+    assert build_config({"trader.init_mean": "2.0"}).trader_init_mean == 2.0
 
 
 def test_default_config_runs_the_schema_checks():

@@ -1,20 +1,21 @@
 """Finite-player simulation and deviation-gap estimation."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
+from ammgame import harness
 from ammgame.config import default_config
-from ammgame.engine import simulate
+from ammgame.engine import TimeGrid, make_noise, simulate
 from ammgame.errors import InvalidParameter
 from ammgame.harness import (
     DeviationEstimate,
     NashReport,
     convergence_study,
-    environment_from_trajectory,
     epsilon_nash_gap,
-    simulate_n_players,
 )
-from ammgame.solver import forward_environment, solve_mfg
+from ammgame.solver import best_response, forward_environment, solve_mfg
 
 
 def quick_cfg(**kw):
@@ -23,41 +24,56 @@ def quick_cfg(**kw):
     return default_config(**base)
 
 
-def test_simulate_n_players_matches_engine_with_matching_count():
-    """The harness wrapper is the engine run with n traders."""
-    cfg = quick_cfg()
+def test_paired_lanes_match_engine_runs():
+    """One lane batch gives the gaps of two engine runs per replication, bit for bit."""
+    cfg = quick_cfg(trader_init_law="gaussian", lp_sigma_z=0.5, external_sigma0=0.02)
     sol = solve_mfg(cfg)
-    pol = sol.policy.as_policy()
-    traj = simulate_n_players(cfg, pol, sol.lp_control_path, seed=5, n_players=8)
-    direct = simulate(cfg, pol, sol.lp_control_path, seed=5, n_traders=8)
-    np.testing.assert_array_equal(traj.price_path, direct.price_path)
-    np.testing.assert_array_equal(traj.trader_objectives, direct.trader_objectives)
-    assert traj.trader_x.shape[0] == 8
+    policy = sol.policy.as_policy()
+
+    def deviation(t, x):
+        return np.clip(policy(t, x) + 0.5, cfg.trader_a_min, cfg.trader_a_max)
+
+    grid = TimeGrid(cfg.grid_horizon, cfg.grid_steps)
+    lp_path = np.linspace(0.5, -0.5, grid.steps)
+    noise = make_noise(5, grid, 8)
+    own = np.random.default_rng(1).standard_normal((3, grid.steps)) * np.sqrt(grid.dt)
+    gaps = harness._paired_gaps(cfg, policy, deviation, lp_path, 5, noise, own)
+    for r in range(3):
+        idio = noise.idiosyncratic.copy()
+        idio[0] = own[r]
+        bundle = replace(noise, idiosyncratic=idio)
+        base = simulate(cfg, policy, lp_path, 5, noise=bundle, n_traders=8)
+        dev = simulate(cfg, policy, lp_path, 5, noise=bundle, n_traders=8,
+                       deviant_policy=deviation)
+        assert gaps[r] == dev.trader_objectives[0] - base.trader_objectives[0]
+    assert np.any(gaps != 0.0)
 
 
 def test_simulate_n_players_rejects_nonpositive():
+    """An N-player deviation run needs at least one player."""
     cfg = quick_cfg()
     sol = solve_mfg(cfg)
     with pytest.raises(InvalidParameter):
-        simulate_n_players(cfg, sol.policy.as_policy(), sol.lp_control_path,
-                           seed=1, n_players=0)
+        epsilon_nash_gap(cfg, n_players=0, seed=1, solution=sol)
 
 
-def test_environment_from_trajectory_reproduces_deterministic_env():
-    """On a noise-free run the realized environment equals the solver's."""
-    cfg = quick_cfg(trader_sigma=0.0, external_sigma0=0.0)
-    steps = cfg.grid_steps
-    lp_path = np.full(steps, 0.2)
-    qbar = np.full(steps, 0.3)
-    traj = simulate(cfg, lambda t, x: np.full(np.shape(x), 0.3), lp_path, seed=3,
-                    n_traders=4)
-    env_real = environment_from_trajectory(cfg, traj, lp_path)
-    env_det = forward_environment(cfg, lp_path, qbar)
-    np.testing.assert_allclose(env_real.price, env_det.price, rtol=1e-12)
-    np.testing.assert_allclose(env_real.qbar, env_det.qbar, rtol=1e-12)
-    np.testing.assert_allclose(env_real.g, env_det.g, rtol=1e-12)
-    np.testing.assert_allclose(env_real.pd_reward, env_det.pd_reward, rtol=1e-12)
-    np.testing.assert_allclose(env_real.delta, env_det.delta, rtol=1e-12, atol=1e-15)
+def test_pilot_environment_reproduces_deterministic_env(monkeypatch):
+    """On a noise-free pilot the deviation answers the solver's environment exactly."""
+    cfg = quick_cfg(trader_sigma=0.0, external_sigma0=0.0, harness_replications=2)
+    sol = solve_mfg(cfg)
+    seen = []
+
+    def spy(config, env, **kw):
+        seen.append(env)
+        return best_response(config, env, **kw)
+
+    monkeypatch.setattr(harness, "best_response", spy)
+    lp_path = np.full(cfg.grid_steps, 0.2)
+    epsilon_nash_gap(cfg, n_players=4, seed=3, solution=sol, lp_control_path=lp_path)
+    (env_real,) = seen
+    env_det = forward_environment(cfg, lp_path, env_real.qbar)
+    for f in fields(env_det):
+        np.testing.assert_array_equal(getattr(env_real, f.name), getattr(env_det, f.name))
 
 
 def test_epsilon_nash_gap_fields_and_determinism():
@@ -82,8 +98,7 @@ def test_epsilon_nash_gap_common_noise_pairing():
     est = epsilon_nash_gap(cfg, n_players=8, seed=2, solution=sol)
     pol = sol.policy.as_policy()
     baselines = [
-        simulate_n_players(cfg, pol, sol.lp_control_path, seed=s,
-                           n_players=8).trader_objectives[0]
+        simulate(cfg, pol, sol.lp_control_path, seed=s, n_traders=8).trader_objectives[0]
         for s in range(40, 48)
     ]
     assert np.std(est.paired_gaps) < 0.2 * np.std(baselines)

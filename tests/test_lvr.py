@@ -7,7 +7,6 @@ import pytest
 from ammgame.config import default_config
 from ammgame.errors import InvalidParameter
 from ammgame.lvr import (
-    adjusted_lp_inventory,
     instantaneous_lvr,
     pool_value,
     rebalancing_position,
@@ -61,12 +60,6 @@ def test_drain_rate_matches_value_curvature():
 def test_replication_increment_is_left_point():
     inc = replication_increment(4.0, 4.1, 10000.0)
     assert inc == pytest.approx(50.0 * 0.1, rel=1e-12)
-
-
-def test_adjusted_lp_inventory():
-    assert adjusted_lp_inventory(400.0, 25.0) == 375.0
-    with pytest.raises(InvalidParameter):
-        adjusted_lp_inventory(400.0, -1.0)
 
 
 def test_experiment_identity_tightens_with_dt():

@@ -1,11 +1,12 @@
-"""Pool mechanics against exact rational arithmetic.
+"""Pool mechanics and the market step's reserves against exact rational arithmetic.
 
-The pool functions are plain scalar expressions, so running them on
+The pool functions and the market step are plain scalar expressions, so running them on
 ``fractions.Fraction`` inputs reproduces the algebra with no rounding at all.
 Expected values below were computed that way and frozen.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -14,17 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ammgame.errors import DegenerateReserves, InvalidParameter
+from ammgame.market import Market, MarketState, check_state, g_factor, step
 from ammgame.pool import (
     EPS_RESERVE_FACTOR,
     PoolState,
-    ReserveDecomposition,
-    adjusted_reserves,
-    execution_price,
     make_pool,
     quote_trade,
     slippage,
     spot_price,
-    total_eth_reserves,
 )
 
 finite_pos = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -87,12 +85,12 @@ def test_quote_trade_overdraw_raises():
 
 
 def test_execution_price_matches_two_stage_product():
-    """P(dx) = k0 / ((x+phi dx)(x+dx)), checked on a rational point."""
-    p = execution_price(10000.0, 100.0, 10.0, 0.997)
+    """P(dx) = k0 * G = k0 / ((x+phi dx)(x+dx)), checked on a rational point."""
     exact = F(10000) / (F(10997, 100) * F(110))
-    assert p == pytest.approx(float(exact), rel=1e-15)
+    assert F(10000) * g_factor(F(100), F(10), F(997, 1000)) == exact
+    assert 10000.0 * g_factor(100.0, 10.0, 0.997) == pytest.approx(float(exact), rel=1e-15)
     with pytest.raises(DegenerateReserves):
-        execution_price(10000.0, 100.0, -100.0, 0.997)
+        check_state(lp_market(F(100), F(100), 1.0), reserves(100.0, 100.0, delta=-100.0), 0)
 
 
 @given(
@@ -148,56 +146,71 @@ def test_slippage_values_and_errors():
         slippage(1.0, float("nan"))
 
 
+def lp_market(x0, y0, dt):
+    return Market(x0=x0, y0=y0, phi=1, dt=dt, arbitrage=False)
+
+
+def reserves(x, y, delta=0):
+    return MarketState(price=y / x, x_adj=x, y_adj=y, delta=delta,
+                       lp_x=0, lp_y=0, lp_z=0, lp_s=0)
+
+
+def lp_reserves(mk, s, lp, prices):
+    """Market steps under LP rates ``lp``, with the pool price set to ``prices``."""
+    path = [s]
+    for t, (a, p) in enumerate(zip(lp, prices)):
+        s, _ = step(mk, replace(s, price=p), t, None, 0, a)
+        path.append(s)
+    return path
+
+
 def test_adjusted_reserves_left_point_rule():
     """Deposits count only from steps strictly before the sample index."""
     lp = [2.0, -1.0, 4.0]
     prices = [1.0, 2.0, 0.5]
-    x, y = adjusted_reserves(lp, prices, 0, 100.0, 100.0, 0.1)
-    assert (x, y) == (100.0, 100.0)
-    x, y = adjusted_reserves(lp, prices, 2, 100.0, 100.0, 0.1)
-    assert x == pytest.approx(100.0 + (2.0 - 1.0) * 0.1, rel=1e-15)
-    assert y == pytest.approx(100.0 + (2.0 * 1.0 - 1.0 * 2.0) * 0.1, rel=1e-15)
+    path = lp_reserves(lp_market(100.0, 100.0, 0.1), reserves(100.0, 100.0), lp, prices)
+    assert (path[0].x_adj, path[0].y_adj) == (100.0, 100.0)
+    assert path[2].x_adj == pytest.approx(100.0 + (2.0 - 1.0) * 0.1, rel=1e-15)
+    assert path[2].y_adj == pytest.approx(100.0 + (2.0 * 1.0 - 1.0 * 2.0) * 0.1, rel=1e-15)
 
 
 def test_adjusted_reserves_price_neutrality():
     """LP action at the spot ratio never moves the quoted price."""
     x, y = 100.0, 250.0
     p0 = y / x
-    dt = 0.05
+    mk = lp_market(x, y, 0.05)
     rng = np.random.default_rng(7)
-    controls = rng.uniform(-5.0, 5.0, size=40)
-    prices = []
-    xa, ya = x, y
-    for a in controls:
-        p = ya / xa
-        prices.append(p)
-        xa += a * dt
-        ya += a * p * dt
-    xs, ys = adjusted_reserves(controls, prices, len(controls), x, y, dt)
-    assert ys / xs == pytest.approx(p0, rel=1e-12)
+    s = reserves(x, y)
+    for t, a in enumerate(rng.uniform(-5.0, 5.0, size=40)):
+        s, _ = step(mk, replace(s, price=s.y_adj / s.x_adj), t, None, 0.0, a)
+    assert s.y_adj / s.x_adj == pytest.approx(p0, rel=1e-12)
 
 
 def test_adjusted_reserves_drain_raises():
-    with pytest.raises(DegenerateReserves):
-        adjusted_reserves([-60.0, -60.0], [1.0, 1.0], 2, 100.0, 100.0, 1.0)
+    mk = lp_market(100.0, 100.0, 1.0)
+    with pytest.raises(DegenerateReserves) as err:
+        lp_reserves(mk, reserves(100.0, 100.0), [-60.0, -60.0], [1.0, 1.0])
+    assert err.value.step == 2
     with pytest.raises(InvalidParameter):
-        adjusted_reserves([1.0], [1.0], 5, 100.0, 100.0, 1.0)
+        lp_market(100.0, 100.0, -1.0)
 
 
 def test_adjusted_reserves_exact_on_fractions():
     lp = [F(1, 2), F(-1, 4)]
     prices = [F(2), F(3)]
-    x, y = adjusted_reserves(lp, prices, 2, F(10), F(20), F(1, 10))
-    assert x == F(10) + (F(1, 2) - F(1, 4)) * F(1, 10)
-    assert y == F(20) + (F(1) - F(3, 4)) * F(1, 10)
+    path = lp_reserves(lp_market(F(10), F(20), F(1, 10)), reserves(F(10), F(20)), lp, prices)
+    assert path[2].x_adj == F(10) + (F(1, 2) - F(1, 4)) * F(1, 10)
+    assert path[2].y_adj == F(20) + (F(1) - F(3, 4)) * F(1, 10)
 
 
 def test_total_eth_reserves_decomposition():
-    d = ReserveDecomposition(lp_adjusted_x=100.0, lp_adjusted_y=100.0, arb_impact=3.0, trader_impact=1.5)
-    assert total_eth_reserves(d) == 101.5
-    bad = ReserveDecomposition(lp_adjusted_x=1.0, lp_adjusted_y=1.0, arb_impact=0.0, trader_impact=2.0)
-    with pytest.raises(DegenerateReserves):
-        total_eth_reserves(bad)
+    """The running ETH reserve is the adjusted stock plus arbitrage minus trader flow."""
+    mk = Market(x0=F(100), y0=F(100), phi=1, dt=1, arbitrage=False)
+    s, _ = step(mk, reserves(F(100), F(100), delta=F(3)), 0, None, F(3, 2), 0)
+    assert s.x_adj + s.delta == F(203, 2)
+    with pytest.raises(DegenerateReserves) as err:
+        step(mk, reserves(F(1), F(1)), 0, None, F(2), 0)
+    assert "total ETH reserve" in str(err.value)
 
 
 def test_reserve_floor_scales_with_pool():

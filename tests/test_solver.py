@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ammgame import kernels
+from ammgame import kernels, market
 from ammgame.config import default_config
 from ammgame.engine import simulate
 from ammgame.errors import (
@@ -76,6 +76,11 @@ def test_initial_law_gaussian_normalized():
     mu0 = initial_trader_law(cfg, x_grid)
     assert mu0.sum() == pytest.approx(1.0, abs=1e-12)
     assert x_grid[np.argmax(mu0)] == pytest.approx(0.2, abs=0.04)
+    # between two nodes (spacing 0.04) with sd 1e-4 every node density underflows to 0
+    narrow = default_config(trader_init_law="gaussian", trader_init_mean=0.01,
+                            trader_init_sd=1e-4)
+    with pytest.raises(InvalidParameter, match="trader.init_sd"):
+        initial_trader_law(narrow, x_grid)
 
 
 def test_wasserstein_point_mass_shift():
@@ -108,11 +113,15 @@ def test_forward_environment_matches_noise_free_engine():
     qbar = np.full(steps, alpha)
     env = forward_environment(cfg, lp_path, qbar)
     traj = simulate(cfg, lambda t, x: np.full(np.shape(x), alpha), lp_path, seed=11)
-    np.testing.assert_allclose(env.price, traj.price_path, rtol=1e-12)
-    np.testing.assert_allclose(env.x_adj, traj.x_adj_path, rtol=1e-12)
-    np.testing.assert_allclose(env.delta, traj.delta_path, rtol=1e-12, atol=1e-15)
-    np.testing.assert_allclose(env.lvr_rate, traj.lvr_rate_path, rtol=1e-12)
-    np.testing.assert_allclose(env.x_total, traj.reserve_path[:-1], rtol=1e-12)
+    np.testing.assert_array_equal(traj.mean_control_path, qbar)
+    np.testing.assert_array_equal(env.price, traj.price_path)
+    np.testing.assert_array_equal(env.x_adj, traj.x_adj_path)
+    np.testing.assert_array_equal(env.delta, traj.delta_path)
+    np.testing.assert_array_equal(env.lvr_rate, traj.lvr_rate_path)
+    np.testing.assert_array_equal(env.x_adj + env.delta, traj.reserve_path)
+    np.testing.assert_array_equal(env.lp_x, traj.lp_x_path)
+    np.testing.assert_array_equal(env.lp_z, traj.lp_z_path)
+    np.testing.assert_array_equal(env.lp_reward, traj.lp_reward_path)
 
 
 def test_forward_environment_rejects_bad_shapes_and_degeneracy():
@@ -125,25 +134,23 @@ def test_forward_environment_rejects_bad_shapes_and_degeneracy():
 
 
 def test_tabulate_rewards_matches_agent_formula():
-    """The reward table agrees with the scalar reward at sampled entries."""
-    from ammgame.agents import MeanFieldAggregates, trader_running_reward
-
+    """The reward table agrees with the market step's trader reward at sampled entries."""
     cfg = small_cfg()
     steps = cfg.grid_steps
-    env = forward_environment(cfg, np.zeros(steps), np.full(steps, 0.2))
+    env = forward_environment(cfg, np.full(steps, 0.3), np.full(steps, 0.2))
     x_grid, atoms = trader_grids(cfg)
     table = tabulate_rewards(cfg, env, x_grid, atoms)
     assert table.shape == (steps, len(x_grid), len(atoms))
-    phi = 1.0 - cfg.pool_tau
+    mk = market.Market.from_config(cfg)
     for t, ix, ja in ((0, 0, 0), (3, 20, 2), (9, 40, 4)):
-        agg = MeanFieldAggregates(
-            mean_control=env.qbar[t], h_q=env.delta[t], g_factor=env.g[t]
+        state = market.MarketState(
+            price=env.price[t], x_adj=env.x_adj[t], y_adj=cfg.pool_y0, delta=env.delta[t],
+            lp_x=0.0, lp_y=0.0, lp_z=0.0, lp_s=0.0,
+            trader_x=np.array([x_grid[ix]]), trader_y=np.zeros(1),
         )
-        expected = trader_running_reward(
-            x_grid[ix], agg, atoms[ja], env.lp_control[t],
-            env.x_adj[t], phi, cfg.pool_x0 * cfg.pool_y0, env.x_total[t],
-        )
-        assert table[t, ix, ja] == pytest.approx(expected, rel=1e-12)
+        _, flows = market.step(mk, state, t, np.array([atoms[ja]]), env.qbar[t],
+                               env.lp_control[t])
+        assert table[t, ix, ja] == pytest.approx(flows.trader_reward[0], rel=1e-12)
 
 
 def test_tabulate_rewards_own_weight_continuity():
@@ -395,7 +402,8 @@ def _same_solution(a, b):
     np.testing.assert_array_equal(a.flows.mu, b.flows.mu)
     np.testing.assert_array_equal(a.flows.q, b.flows.q)
     np.testing.assert_array_equal(a.policy.policy_idx, b.policy.policy_idx)
-    np.testing.assert_array_equal(a.env.pd_reward, b.env.pd_reward)
+    np.testing.assert_array_equal(a.env.price, b.env.price)
+    np.testing.assert_array_equal(a.env.lp_reward, b.env.lp_reward)
     assert a.certificate_residual == b.certificate_residual
 
 
@@ -501,8 +509,11 @@ def test_lp_objective_formula():
     dt = grid.dt
     x_lp = cfg.lp_x0 + np.concatenate(([0.0], np.cumsum(path * dt)))
     z_lp = cfg.lp_z0 - 2.0 * np.concatenate(([0.0], np.cumsum(path * sol.env.price[:-1] * dt)))
+    phi = 1.0 - cfg.pool_tau
+    pd_reward = market.price_drift(sol.env.x_adj[:-1], sol.env.delta[:-1], path,
+                                   sol.env.qbar, phi, cfg.pool_x0 * cfg.pool_y0)
     manual = (
-        -float(np.sum(x_lp[:-1] * sol.env.pd_reward) * dt)
+        -float(np.sum(x_lp[:-1] * pd_reward) * dt)
         + cfg.lp_terminal_weight * (x_lp[-1] ** 2 + z_lp[-1] ** 2)
     )
     assert cost == pytest.approx(manual, rel=1e-12)
