@@ -100,7 +100,7 @@ SCHEMA = {
     "trader.slippage": ("bool", True, None, ""),
     "lp.x0": ("float", 10.0, _nonnegative, "must be nonnegative"),
     "lp.y0": ("float", 10.0, _nonnegative, "must be nonnegative"),
-    "lp.z0": ("float", None, None, ""),  # defaults to 2 * pool.y0
+    "lp.z0": ("float", None, _nonnegative, "must be nonnegative"),  # defaults to 2 * pool.y0
     "lp.sigma_x": ("float", 0.0, _nonnegative, "must be nonnegative"),
     "lp.sigma_y": ("float", 0.0, _nonnegative, "must be nonnegative"),
     "lp.sigma_z": ("float", 0.0, _nonnegative, "must be nonnegative"),

@@ -1,8 +1,9 @@
 """Numerical hot loops: the DP sweep, the measure pushforward and LVR paths.
 
 The backward dynamic-programming sweep, the forward measure pushforward, and
-the per-path rebalancing/drain accumulator are the only loops in the package
-that are hot enough to matter. Each is written once, in vectorized numpy.
+the rebalancing/drain accumulator over LVR paths are the only loops in the
+package that are hot enough to matter. Each is written once, in vectorized
+numpy.
 
 The DP and the pushforward share one transition: from node x under control
 atom a, the next state is sampled at x + a*dt + sigma*sqrt(dt)*z_q for the
@@ -18,6 +19,11 @@ target x + a*dt stays inside the grid. A node with no admissible atom, or
 pushforward mass whose drift target exits, signals grid bounds too tight for
 the control set; callers raise on it. Ties in the DP break to the lowest
 atom index.
+
+The LVR accumulator loops over time and is vectorized over paths: each call
+advances every path over one block of noise rows, carrying the (price, hedge,
+drain) state across calls, so the caller streams the noise block by block
+and memory does not grow with the number of steps.
 """
 
 import numpy as np
@@ -105,25 +111,30 @@ def push_forward(policy, mu0, x_grid, atoms, dt, sig_root_dt, z_nodes, z_weights
     return mu, overflow
 
 
-def lvr_paths(z, p0, sigma, dt, k):
-    """Per path: arbitrage take, accrued drain, replicating and pool values at T."""
-    n_paths, n_steps = z.shape
-    root = np.sqrt(dt)
-    p = np.full(n_paths, float(p0))
-    v0 = 2.0 * np.sqrt(k * p0)
-    hedge = np.zeros(n_paths)
-    drain = np.zeros(n_paths)
-    quarter = 0.25 * sigma * sigma
-    for t in range(n_steps):
-        sq = np.sqrt(k * p)
-        drain += quarter * sq * dt
-        p_next = p * np.exp((-0.5 * sigma * sigma) * dt + sigma * root * z[:, t])
-        hedge += (sq / p) * (p_next - p)  # holding sqrt(k/P) units at the left point
+def _drain_rate(root, sigma):
+    """Drain rate l(P) = sigma^2 * sqrt(k*P) / 4, from root = sqrt(k*P)."""
+    return 0.25 * sigma * sigma * root
+
+
+def lvr_paths(z, state, sigma, dt, k):
+    """Advance every path over the rows of z, a (steps, paths) block of normals.
+
+    ``state`` is a (3, paths) array of price, hedge gain and accrued drain,
+    advanced in place. Each step accrues the drain at the left-point price,
+    moves the price by its exact log-normal increment and books the gain of
+    holding the replicating sqrt(k/P) units over it. Returns path 0's state
+    after each row, shaped (3, steps).
+    """
+    drift = (-0.5 * sigma * sigma) * dt
+    vol = sigma * np.sqrt(dt)
+    p, hedge, drain = state
+    record = np.empty((3, len(z)))
+    for t, zt in enumerate(z):
+        root = np.sqrt(k * p)
+        drain += _drain_rate(root, sigma) * dt
+        p_next = p * np.exp(drift + vol * zt)
+        hedge += (root / p) * (p_next - p)
         p = p_next
-    v_t = 2.0 * np.sqrt(k * p)
-    out = np.empty((n_paths, 4))
-    out[:, 0] = v0 + hedge - v_t  # arbitrageurs' cumulative take
-    out[:, 1] = drain
-    out[:, 2] = v0 + hedge
-    out[:, 3] = v_t
-    return out
+        record[:, t] = p[0], hedge[0], drain[0]
+    state[0] = p
+    return record

@@ -17,6 +17,14 @@ Monte Carlo paths use exact log-normal price increments and left-point (Ito)
 evaluation of the integrand; each path owns a stream seeded by
 (master seed, path index) and the reduction order is fixed, so results are
 bit-reproducible.
+
+All paths advance together, one block of up to 256 steps at a time: every
+stream draws its next block into a small (128 paths, block) tile, the tiles
+are copied into one (block, paths) buffer, and ``kernels.lvr_paths`` steps
+every path over that buffer's rows, recording path 0 on the way. Since
+consecutive draws from a generator equal one long draw, no number depends on
+the block or tile size. Memory is bounded by the buffer, block * paths * 8
+bytes (20 MB at 10^4 paths), whatever dt is.
 """
 
 from dataclasses import dataclass
@@ -26,8 +34,10 @@ import numpy as np
 from . import kernels
 from .errors import InvalidParameter
 
-# paths per kernel batch; bounds the noise buffer at ~32 MB for dt = 1e-4
-_CHUNK_TARGET = 4_000_000
+# steps per noise block: the (steps, paths) buffer is 2 MB per 1,000 paths
+_BLOCK = 256
+# paths per transpose tile: a (tile, block) row buffer stays in cache
+_TILE = 128
 
 
 def pool_value(p, k):
@@ -37,25 +47,13 @@ def pool_value(p, k):
     return 2.0 * np.sqrt(np.asarray(k, dtype=float) * p)
 
 
-def rebalancing_position(p, k):
-    """ETH holding sqrt(k/p) of the replicating portfolio (argmin of P*x + k/x)."""
-    if not np.all(np.asarray(p) > 0) or not np.all(np.asarray(k) > 0):
-        raise InvalidParameter("rebalancing_position needs positive price and invariant")
-    return np.sqrt(np.asarray(k, dtype=float) / p)
-
-
 def instantaneous_lvr(p, sigma, k):
     """Drain rate sigma^2 * sqrt(k*p) / 4, in USDT per unit time."""
     if not np.all(np.asarray(p) > 0) or not np.all(np.asarray(k) > 0):
         raise InvalidParameter("instantaneous_lvr needs positive price and invariant")
     if np.any(np.asarray(sigma) < 0):
         raise InvalidParameter("volatility must be nonnegative")
-    return 0.25 * sigma * sigma * np.sqrt(np.asarray(k, dtype=float) * p)
-
-
-def replication_increment(p_prev, p_next, k):
-    """One Ito step of the rebalancing portfolio: x*(p_prev) * (p_next - p_prev)."""
-    return rebalancing_position(p_prev, k) * (np.asarray(p_next, dtype=float) - p_prev)
+    return kernels._drain_rate(np.sqrt(np.asarray(k, dtype=float) * p), sigma)
 
 
 @dataclass
@@ -84,13 +82,17 @@ class LvrAccount:
     stderr_residual: float
 
 
-def _path_noise(seed, first, count, n_steps):
-    """Standard-normal increments for paths [first, first+count), one row each."""
-    out = np.empty((count, n_steps))
-    for i in range(count):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, first + i)))
-        out[i] = rng.standard_normal(n_steps)
-    return out
+def _fill(streams, z, tile):
+    """Draw the next len(z) normals of every path's stream into z (steps, paths).
+
+    Each path draws one contiguous row of ``tile``; a full tile is then copied
+    into its columns of z.
+    """
+    for first in range(0, len(streams), _TILE):
+        rows = tile[: min(_TILE, len(streams) - first), : len(z)]
+        for g, row in zip(streams[first : first + _TILE], rows):
+            g.standard_normal(out=row)
+        z[:, first : first + len(rows)] = rows.T
 
 
 def run_lvr_experiment(config, dt=None, n_paths=None, seed=None):
@@ -115,54 +117,48 @@ def run_lvr_experiment(config, dt=None, n_paths=None, seed=None):
         raise InvalidParameter("need at least one path")
     n_steps = int(round(horizon / dt))
 
-    terminal = np.empty((n_paths, 4))
-    chunk = max(1, min(n_paths, _CHUNK_TARGET // max(1, n_steps)))
-    for first in range(0, n_paths, chunk):
-        count = min(chunk, n_paths - first)
-        z = _path_noise(seed, first, count, n_steps)
-        terminal[first : first + count] = kernels.lvr_paths(z, p0, sigma, dt, k)
+    streams = [np.random.default_rng(np.random.SeedSequence((seed, i))) for i in range(n_paths)]
+    block = max(1, min(_BLOCK, n_steps))
+    z = np.empty((block, n_paths))
+    tile = np.empty((min(_TILE, n_paths), block))
+    state = np.zeros((3, n_paths))  # price, hedge gain, accrued drain
+    state[0] = p0
+    history = np.empty((3, n_steps + 1))  # path 0's state at every step
+    history[:, 0] = state[:, 0]
+    for start in range(0, n_steps, block):
+        end = min(start + block, n_steps)
+        rows = z[: end - start]
+        _fill(streams, rows, tile)
+        history[:, start + 1 : end + 1] = kernels.lvr_paths(rows, state, sigma, dt, k)
 
-    residual = terminal[:, 0] - terminal[:, 1]
+    v0 = pool_value(p0, k)
+
+    def marked(s):
+        """Pool value, replicating portfolio and accrued drain of a (3, ...) state."""
+        return pool_value(s[0], k), v0 + s[1], s[2]
+
+    pool_t, replication_t, drain_t = marked(state)
+    pool_path, replication_path, lvr_path = marked(history)
+    arb_t = replication_t - pool_t
+    residual = arb_t - drain_t
     mean_abs = float(np.mean(np.abs(residual)))
     mean_res = float(np.mean(residual))
     stderr = float(np.std(residual, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
 
-    v_path, r_path, l_path = _replay_path(seed, 0, n_steps, p0, sigma, dt, k)
     return LvrAccount(
         dt=float(dt),
         n_paths=int(n_paths),
         sigma=float(sigma),
         seed=int(seed),
-        pool_value_path=v_path,
-        replication_path=r_path,
-        lvr_path=l_path,
-        arb_gain=float(terminal[0, 0]),
-        terminal_arb=terminal[:, 0].copy(),
-        terminal_lvr=terminal[:, 1].copy(),
-        terminal_replication=terminal[:, 2].copy(),
-        terminal_pool_value=terminal[:, 3].copy(),
+        pool_value_path=pool_path,
+        replication_path=replication_path,
+        lvr_path=lvr_path,
+        arb_gain=float(arb_t[0]),
+        terminal_arb=arb_t,
+        terminal_lvr=drain_t,
+        terminal_replication=replication_t,
+        terminal_pool_value=pool_t,
         mean_abs_residual=mean_abs,
         mean_residual=mean_res,
         stderr_residual=stderr,
     )
-
-
-def _replay_path(seed, index, n_steps, p0, sigma, dt, k):
-    """Full sampled paths (V, R, LVR) for one path index, for reporting."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
-    z = rng.standard_normal(n_steps)
-    p = np.empty(n_steps + 1)
-    p[0] = p0
-    root = np.sqrt(dt)
-    for t in range(n_steps):  # sequential, same association as the kernel
-        p[t + 1] = p[t] * np.exp((-0.5 * sigma * sigma) * dt + sigma * root * z[t])
-
-    v_path = pool_value(p, k)
-    increments = replication_increment(p[:-1], p[1:], k)
-    r_path = np.empty(n_steps + 1)
-    r_path[0] = v_path[0]
-    r_path[1:] = v_path[0] + np.cumsum(increments)
-    l_path = np.empty(n_steps + 1)
-    l_path[0] = 0.0
-    l_path[1:] = np.cumsum(instantaneous_lvr(p[:-1], sigma, k) * dt)
-    return v_path, r_path, l_path

@@ -90,14 +90,3 @@ def quote_trade(pool: PoolState, x_adj, y_adj, delta_x):
     # ratio first: at phi == 1 this is exactly 1.0 and k_new == k0 bit-for-bit
     new_invariant = k0 * (b / a)
     return delta_y, new_invariant
-
-
-def slippage(alpha, x_total):
-    """Execution-price degradation for a flow ``alpha`` against reserve depth.
-
-    Signed fraction alpha / x_total; an infinite depth (slippage disabled)
-    yields exactly 0.
-    """
-    if x_total != x_total or x_total <= 0:  # NaN or nonpositive
-        raise DegenerateReserves(f"reserve depth must be positive, got {x_total}")
-    return alpha / x_total

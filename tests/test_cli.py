@@ -1,12 +1,18 @@
 """Command-line interface: exit codes, artifacts, byte-stable outputs."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ammgame import cli
 from ammgame.cli import main
-from ammgame.config import canonical_echo, config_hash, default_config
+from ammgame.config import canonical_echo, config_hash, default_config, load_config
 
 FAST = [
     "--override", "grid.steps=10",
@@ -44,6 +50,53 @@ def test_print_config_echo_and_idempotence(tmp_path, cfg_file, capsys):
     assert header[2] == "# seed = 31"
 
 
+_finite = dict(allow_nan=False, allow_infinity=False)
+# valid values per key; floats stay below 1e300 so the 2 * pool.y0 default of lp.z0 is finite
+_VALID_OVERRIDES = {
+    "pool.x0": st.floats(min_value=0.0, max_value=1e300, exclude_min=True, **_finite),
+    "pool.y0": st.floats(min_value=0.0, max_value=1e300, exclude_min=True, **_finite),
+    "pool.tau": st.floats(min_value=0.0, max_value=1.0, exclude_max=True, **_finite),
+    "trader.sigma": st.floats(min_value=0.0, max_value=1e300, **_finite),
+    "trader.init_mean": st.floats(min_value=-2.0, max_value=2.0, **_finite),
+    "trader.init_law": st.sampled_from(["point", "gaussian"]),
+    "trader.slippage": st.sampled_from(["true", "false"]),
+    "lp.z0": st.floats(min_value=0.0, max_value=1e300, **_finite),
+    "external.sigma": st.floats(min_value=0.0, max_value=1e300, **_finite),
+    "model.flow_convention": st.sampled_from(["definition", "display"]),
+    "grid.steps": st.integers(min_value=1, max_value=10**6),
+    "solver.damping": st.floats(min_value=0.0, max_value=1.0, exclude_min=True, **_finite),
+    "harness.n_values": st.lists(st.integers(min_value=1, max_value=512), min_size=1,
+                                 max_size=5).map(lambda v: ",".join(map(str, v))),
+    "lvr.dt_values": st.lists(st.floats(min_value=0.0, max_value=1e300, exclude_min=True,
+                                        **_finite),
+                              min_size=1, max_size=4).map(lambda v: ",".join(map(repr, v))),
+    "seed": st.integers(min_value=0, max_value=2**63),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fixed_dictionaries({}, optional=_VALID_OVERRIDES))
+def test_print_config_output_loads_back(values):
+    """print-config under random valid overrides echoes a config that reloads
+    to the same SimConfig and the same hash."""
+    overrides = [f"{key}={v if isinstance(v, str) else repr(v)}" for key, v in values.items()]
+    with tempfile.TemporaryDirectory() as tmp:
+        empty = Path(tmp) / "empty.cfg"
+        empty.write_text("")
+        expected = load_config(empty, overrides)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(["print-config", "--config", str(empty),
+                         *[arg for item in overrides for arg in ("--override", item)]])
+        assert code == 0
+        echo = Path(tmp) / "echo.cfg"
+        echo.write_text(stdout.getvalue())
+        again = load_config(echo)
+    assert again == expected
+    assert config_hash(again) == config_hash(expected)
+    assert canonical_echo(again) == stdout.getvalue()
+
+
 def test_config_error_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("pool.tau = 1.5\n")
@@ -53,7 +106,8 @@ def test_config_error_exits_2(tmp_path, capsys):
     assert not out.exists()
     empty = tmp_path / "empty.cfg"
     empty.write_text("")
-    for key, raw, extra in [("lp.z0", "nan", []), ("trader.a_max", "inf", []),
+    for key, raw, extra in [("lp.z0", "nan", []), ("lp.z0", "-1", []),
+                            ("trader.a_max", "inf", []),
                             ("trader.init_mean", "5.0", []),
                             ("trader.init_mean", "60.0", ["trader.init_law=gaussian"])]:
         overrides = [arg for item in [f"{key}={raw}", *extra] for arg in ("--override", item)]

@@ -117,6 +117,16 @@ def test_range_violations_name_the_key():
         assert err.value.key == "trader.init_mean"
         assert "grid.x_min, grid.x_max" in err.value.reason
     assert build_config({"trader.init_mean": "2.0"}).trader_init_mean == 2.0
+    # lp.z0 is checked once its 2 * pool.y0 default has resolved
+    with pytest.raises(ConfigError) as err:
+        build_config({"lp.z0": "-1"})
+    assert err.value.key == "lp.z0"
+    assert "must be nonnegative" in err.value.reason
+    with pytest.raises(ConfigError) as err:
+        build_config({"pool.y0": "-1"})
+    assert err.value.key == "pool.y0"
+    assert build_config({"lp.z0": "0"}).lp_z0 == 0.0
+    assert build_config({"pool.y0": "7"}).lp_z0 == 14.0
 
 
 def test_default_config_runs_the_schema_checks():

@@ -1,24 +1,30 @@
-"""Pool value, the drain rate, and the drain-vs-replication identity."""
+"""Pool value, the drain rate, the path kernel and the drain-vs-replication identity."""
+
+import math
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from ammgame import kernels
 from ammgame.config import default_config
 from ammgame.errors import InvalidParameter
-from ammgame.lvr import (
-    instantaneous_lvr,
-    pool_value,
-    rebalancing_position,
-    replication_increment,
-    run_lvr_experiment,
-)
+from ammgame.lvr import _BLOCK, _TILE, instantaneous_lvr, pool_value, run_lvr_experiment
+
+
+def one_step(p0, k, sigma=0.2, dt=0.01, z=0.7):
+    """One kernel step of one path: (p1, hedge gain, drain)."""
+    state = np.array([[p0], [0.0], [0.0]])
+    record = kernels.lvr_paths(np.array([[z]]), state, sigma, dt, k)
+    np.testing.assert_array_equal(record, state)
+    return tuple(state[:, 0])
 
 
 def test_pool_value_closed_form():
-    """V(4) on k = 10000 is 2*sqrt(40000) = 400 exactly."""
+    """V(4) on k = 10000 is 2*sqrt(40000) = 400 exactly; the hedge holds 50."""
     assert pool_value(4.0, 10000.0) == 400.0
-    assert rebalancing_position(4.0, 10000.0) == 50.0
+    p1, hedge, _ = one_step(4.0, 10000.0)
+    assert hedge == 50.0 * (p1 - 4.0)
     np.testing.assert_allclose(
         pool_value(np.array([1.0, 4.0]), 10000.0), [200.0, 400.0], rtol=0
     )
@@ -30,7 +36,8 @@ def test_pool_value_is_min_of_marked_inventory():
     xs = np.linspace(0.1, 500.0, 20000)
     marked = p * xs + k / xs
     assert pool_value(p, k) <= marked.min() + 1e-6
-    x_star = rebalancing_position(p, k)
+    p1, hedge, _ = one_step(p, k)
+    x_star = hedge / (p1 - p)  # the kernel's holding over the step
     assert p * x_star + k / x_star == pytest.approx(pool_value(p, k), rel=1e-15)
 
 
@@ -58,8 +65,11 @@ def test_drain_rate_matches_value_curvature():
 
 
 def test_replication_increment_is_left_point():
-    inc = replication_increment(4.0, 4.1, 10000.0)
-    assert inc == pytest.approx(50.0 * 0.1, rel=1e-12)
+    """The kernel holds sqrt(k/P) at the step's left point, and drains at it too."""
+    p1, hedge, drain = one_step(4.0, 10000.0, z=2.5)
+    assert p1 > 4.1
+    assert hedge == pytest.approx(50.0 * (p1 - 4.0), rel=1e-15)
+    assert drain == pytest.approx(instantaneous_lvr(4.0, 0.2, 10000.0) * 0.01, rel=1e-15)
 
 
 def test_experiment_identity_tightens_with_dt():
@@ -99,6 +109,60 @@ def test_experiment_path_count_independent_of_chunking():
     full = run_lvr_experiment(cfg, dt=0.01, seed=5, n_paths=10)
     head = run_lvr_experiment(cfg, dt=0.01, seed=5, n_paths=3)
     np.testing.assert_array_equal(full.terminal_arb[:3], head.terminal_arb)
+
+
+def scalar_replay(seed, index, n_steps, p0, sigma, dt, k):
+    """(V, R, LVR) paths of one stream from a plain ``math`` loop over its draws."""
+    z = np.random.default_rng(np.random.SeedSequence((seed, index))).standard_normal(n_steps)
+    p, hedge, drain = p0, 0.0, 0.0
+    v0 = 2.0 * math.sqrt(k * p0)
+    v, r, lvr = [v0], [v0], [0.0]
+    for zt in z.tolist():
+        drain += sigma * sigma * math.sqrt(k * p) / 4.0 * dt
+        p_next = p * math.exp(-0.5 * sigma * sigma * dt + sigma * math.sqrt(dt) * zt)
+        hedge += math.sqrt(k / p) * (p_next - p)
+        p = p_next
+        v.append(2.0 * math.sqrt(k * p))
+        r.append(v0 + hedge)
+        lvr.append(drain)
+    return np.array(v), np.array(r), np.array(lvr)
+
+
+@pytest.mark.parametrize(
+    "n_steps, n_paths",
+    [
+        (2 * _BLOCK + 7, _TILE + 3),  # several blocks, last one short; two tiles
+        (_BLOCK // 3, 5),  # one block shorter than _BLOCK
+        (_BLOCK + 1, 1),  # one path
+    ],
+)
+def test_kernel_matches_scalar_replay(n_steps, n_paths):
+    """Terminals of every path and path 0's series equal a per-stream scalar loop.
+
+    The kernel steps all paths over blocks of shared rows; the replay draws
+    each stream in one call and steps it alone, with sqrt(k/P) as the hedge.
+    Tolerance: a few roundings of the pool value per step, over n_steps steps
+    (seen: at most 0.04 of that).
+    """
+    seed, sigma = 77, 0.3
+    cfg = default_config(lvr_paths=n_paths, external_sigma=sigma, seed=seed)
+    dt = cfg.grid_horizon / n_steps
+    k = cfg.pool_x0 * cfg.pool_y0
+    p0 = cfg.pool_y0 / cfg.pool_x0
+    acct = run_lvr_experiment(cfg, dt=dt)
+    assert len(acct.terminal_arb) == n_paths
+    assert len(acct.lvr_path) == n_steps + 1
+    tol = dict(rtol=0, atol=4 * np.finfo(float).eps * n_steps * 2.0 * math.sqrt(k * p0))
+    for i in range(n_paths):
+        v, r, lvr = scalar_replay(seed, i, n_steps, p0, sigma, dt, k)
+        np.testing.assert_allclose(acct.terminal_pool_value[i], v[-1], **tol)
+        np.testing.assert_allclose(acct.terminal_replication[i], r[-1], **tol)
+        np.testing.assert_allclose(acct.terminal_lvr[i], lvr[-1], **tol)
+        np.testing.assert_allclose(acct.terminal_arb[i], r[-1] - v[-1], **tol)
+        if i == 0:
+            np.testing.assert_allclose(acct.pool_value_path, v, **tol)
+            np.testing.assert_allclose(acct.replication_path, r, **tol)
+            np.testing.assert_allclose(acct.lvr_path, lvr, **tol)
 
 
 def test_experiment_rejects_bad_arguments():

@@ -21,7 +21,6 @@ from ammgame.pool import (
     PoolState,
     make_pool,
     quote_trade,
-    slippage,
     spot_price,
 )
 
@@ -137,13 +136,31 @@ def test_invariant_direction_and_monotonicity(x, y, tau, f1, f2):
 
 
 def test_slippage_values_and_errors():
-    assert slippage(5.0, 100.0) == 0.05
-    assert slippage(-5.0, 100.0) == -0.05
-    assert slippage(3.0, math.inf) == 0.0
-    with pytest.raises(DegenerateReserves):
-        slippage(1.0, 0.0)
-    with pytest.raises(DegenerateReserves):
-        slippage(1.0, float("nan"))
+    """The step's slippage discount alpha / (x_adj + delta) on the traders' USDT leg.
+
+    phi = 1 makes the fee wedge 1, so one step of a trader at rate alpha
+    moves its USDT by -alpha * (1 - slip) * p * dt: the discount carries the
+    sign of alpha, vanishes exactly with slippage off, and a nonpositive or
+    NaN depth is caught by the step's floor check.
+    """
+
+    def usdt_leg(alpha, delta=F(0), slippage=True):
+        mk = Market(x0=F(100), y0=F(100), phi=F(1), dt=F(1), arbitrage=False,
+                    slippage=slippage)
+        s = replace(reserves(F(100), F(100), delta),
+                    trader_x=np.array([F(0)], dtype=object),
+                    trader_y=np.array([F(0)], dtype=object))
+        new, _ = step(mk, s, 0, np.array([alpha], dtype=object), 0, 0)
+        return new.trader_y[0]
+
+    assert usdt_leg(F(5)) == -5 * (1 - F(1, 20))  # slip = 5/100
+    assert usdt_leg(F(-5)) == 5 * (1 + F(1, 20))
+    assert usdt_leg(F(5), delta=F(60)) == -5 * (1 - F(5, 160))  # depth x_adj + delta
+    assert usdt_leg(F(3), slippage=False) == -3
+    with pytest.raises(DegenerateReserves, match="total ETH reserve exhausted at step 1"):
+        usdt_leg(F(1), delta=F(-150))
+    with pytest.raises(DegenerateReserves, match="at step 1"):
+        usdt_leg(1.0, delta=float("nan"))
 
 
 def lp_market(x0, y0, dt):
