@@ -238,6 +238,15 @@ def _check_key(key, value):
         raise ConfigError(key, f"{requirement} (got {value})")
 
 
+def _divides(dt, horizon):
+    """Whether dt cuts horizon into n >= 1 whole steps, to 1e-9 relative."""
+    ratio = horizon / dt
+    if not math.isfinite(ratio):
+        return False
+    n = round(ratio)
+    return n >= 1 and abs(n * dt - horizon) <= 1e-9 * horizon
+
+
 def _checked_config(resolved):
     """SimConfig from fully resolved values, after every per-key and cross-key check."""
     for key, value in resolved.items():
@@ -257,6 +266,11 @@ def _checked_config(resolved):
           "trader.init_mean",
           f"must lie in [grid.x_min, grid.x_max] = [{resolved['grid.x_min']}, "
           f"{resolved['grid.x_max']}] (got {resolved['trader.init_mean']})")
+    horizon = resolved["grid.horizon"]
+    for dt in resolved["lvr.dt_values"]:
+        cross(_divides(dt, horizon), "lvr.dt_values",
+              f"each step size must divide grid.horizon = {horizon} into whole steps "
+              f"(got {dt})")
     return SimConfig(**{_attr(k): v for k, v in resolved.items()})
 
 

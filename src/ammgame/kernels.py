@@ -5,14 +5,16 @@ the rebalancing/drain accumulator over LVR paths are the only loops in the
 package that are hot enough to matter. Each is written once, in vectorized
 numpy.
 
-The DP and the pushforward share one transition: from node x under control
-atom a, the next state is sampled at x + a*dt + sigma*sqrt(dt)*z_q for the
-quadrature nodes z_q, and each sample is split linearly between the two grid
-nodes around it (``grid_cell``). Samples outside the grid clamp to the edge
-node (constant extrapolation, the usual truncation of an unbounded diffusion
-onto a bounded grid). These points do not depend on time, so
-``transition_stencil`` computes their cells and weights once per call and
-both kernels gather from it at every step.
+The DP and the pushforward are two sides of one transition matrix T, built
+by ``transition_operator``. From node x under control atom a, the next state
+is sampled at x + a*dt + sigma*sqrt(dt)*z_q for the quadrature nodes z_q, and
+each sample is split linearly between the two grid nodes around it
+(``grid_cell``, the one interpolation rule). Samples outside the grid clamp
+to the edge node (constant extrapolation, the usual truncation of an
+unbounded diffusion onto a bounded grid). Row x*na + a of T is that law, so
+the DP's expectation is T @ V and the pushforward takes mu @ T on the rows
+the policy selects: the pushforward is the transpose of the DP's expectation.
+T does not depend on time, so each call builds it once.
 
 A control atom is admissible at a node only if the deterministic drift
 target x + a*dt stays inside the grid. A node with no admissible atom, or
@@ -48,66 +50,59 @@ def grid_cell(x, x0, h, nx):
     return i0, frac
 
 
-def transition_stencil(x_grid, atoms, dt, sig_root_dt, z_nodes):
-    """Cells of every post-move sample point, plus the admissibility mask.
+def transition_operator(x_grid, atoms, dt, sig_root_dt, z_nodes, z_weights):
+    """One-step transition matrix T and the admissibility mask.
 
-    Returns (i0, frac, admissible): i0 and frac are (nx, na, m) arrays from
-    ``grid_cell`` for the point x_i + a_j*dt + sig_root_dt*z_q, and
-    admissible[i, j] says whether the drift target x_i + a_j*dt lies on the
-    grid.
+    T is dense, (nx*na, nx) and row-stochastic: row i*na + j is the law of the
+    next node from node i under atom j, the quadrature samples
+    x_i + a_j*dt + sig_root_dt*z_q split between their two nodes by
+    ``grid_cell``. admissible[i, j] says whether the drift target x_i + a_j*dt
+    lies on the grid.
     """
-    nx = len(x_grid)
+    nx, na = len(x_grid), len(atoms)
     x0, xn = x_grid[0], x_grid[-1]
     h = x_grid[1] - x_grid[0]
     drift = x_grid[:, None] + atoms[None, :] * dt
     admissible = (drift >= x0) & (drift <= xn)
     i0, frac = grid_cell(drift[:, :, None] + sig_root_dt * z_nodes[None, None, :], x0, h, nx)
-    return i0, frac, admissible
+    flat = (np.arange(nx * na) * nx).reshape(nx, na, 1) + i0
+    T = np.bincount(
+        np.concatenate([flat.ravel(), flat.ravel() + 1]),
+        weights=np.concatenate([(z_weights * (1.0 - frac)).ravel(), (z_weights * frac).ravel()]),
+        minlength=nx * na * nx,
+    )
+    return T.reshape(nx * na, nx), admissible
 
 
 def dp_backward(reward, terminal, x_grid, atoms, dt, sig_root_dt, z_nodes, z_weights):
     """Backward sweep: value (steps+1, nx), argmax policy and admissibility flags."""
-    n_steps, nx, _ = reward.shape
-    i0, frac, admissible = transition_stencil(x_grid, atoms, dt, sig_root_dt, z_nodes)
-    i1 = i0 + 1
-    w0 = 1.0 - frac
+    n_steps, nx, na = reward.shape
+    T, admissible = transition_operator(x_grid, atoms, dt, sig_root_dt, z_nodes, z_weights)
     blocked = ~admissible
     ix = np.arange(nx)
 
     value = np.empty((n_steps + 1, nx))
     policy = np.empty((n_steps, nx), dtype=np.int64)
-    ok = np.empty((n_steps, nx), dtype=np.bool_)
     value[n_steps] = terminal
     for t in range(n_steps - 1, -1, -1):
-        nxt = value[t + 1]
-        expect = (nxt[i0] * w0 + nxt[i1] * frac) @ z_weights
-        cand_val = reward[t] * dt + expect
+        cand_val = reward[t] * dt + (T @ value[t + 1]).reshape(nx, na)
         cand_val[blocked] = -np.inf
         policy[t] = np.argmax(cand_val, axis=1)
         value[t] = cand_val[ix, policy[t]]
-        ok[t] = admissible[ix, policy[t]]
-    return value, policy, ok
+    return value, policy, admissible[ix, policy]
 
 
 def push_forward(policy, mu0, x_grid, atoms, dt, sig_root_dt, z_nodes, z_weights):
     """Forward law (steps+1, nx) under a feedback policy, and an exit flag."""
     n_steps, nx = policy.shape
-    i0, frac, admissible = transition_stencil(x_grid, atoms, dt, sig_root_dt, z_nodes)
+    T, admissible = transition_operator(x_grid, atoms, dt, sig_root_dt, z_nodes, z_weights)
     ix = np.arange(nx)
-    mu = np.zeros((n_steps + 1, nx))
+    rows = ix * len(atoms) + policy
+    mu = np.empty((n_steps + 1, nx))
     mu[0] = mu0
-    overflow = False
     for t in range(n_steps):
-        j = policy[t]
-        if (mu[t][~admissible[ix, j]] > 0.0).any():
-            overflow = True
-        cell = i0[ix, j].reshape(-1)
-        f = frac[ix, j]
-        mass = mu[t][:, None] * z_weights[None, :]
-        nxt = np.zeros(nx)
-        np.add.at(nxt, cell, (mass * (1.0 - f)).reshape(-1))
-        np.add.at(nxt, cell + 1, (mass * f).reshape(-1))
-        mu[t + 1] = nxt
+        mu[t + 1] = mu[t] @ T[rows[t]]
+    overflow = bool((mu[:-1][~admissible[ix, policy]] > 0.0).any())
     return mu, overflow
 
 

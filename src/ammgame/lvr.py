@@ -27,6 +27,7 @@ the block or tile size. Memory is bounded by the buffer, block * paths * 8
 bytes (20 MB at 10^4 paths), whatever dt is.
 """
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,10 +117,17 @@ def run_lvr_experiment(config, dt=None, n_paths=None, seed=None):
     if n_paths < 1:
         raise InvalidParameter("need at least one path")
     n_steps = int(round(horizon / dt))
+    if n_steps < 1:
+        raise InvalidParameter(f"dt = {dt} runs no step over the horizon {horizon}")
 
     streams = [np.random.default_rng(np.random.SeedSequence((seed, i))) for i in range(n_paths)]
     block = max(1, min(_BLOCK, n_steps))
-    z = np.empty((block, n_paths))
+    # An anonymous mapping of its own, so freeing z unmaps it. A buffer this
+    # size from malloc is mmapped the first time, but freeing it raises
+    # glibc's mmap threshold; the next call's buffer then comes from the brk
+    # heap, which small allocations landing in its freed hole can grow by
+    # several MB, making peak memory depend on allocation timing.
+    z = np.frombuffer(mmap.mmap(-1, block * n_paths * 8), dtype=float).reshape(block, n_paths)
     tile = np.empty((min(_TILE, n_paths), block))
     state = np.zeros((3, n_paths))  # price, hedge gain, accrued drain
     state[0] = p0

@@ -144,6 +144,23 @@ def price_drift(x_adj, delta, alpha_lp, rate, phi, k0):
     return -k0 * ((alpha_lp + phi * rate) * b + a * (alpha_lp + rate)) / (ab * ab)
 
 
+def slippage(mk: Market, alpha, x_total):
+    """Slippage discount S = alpha / X_total of a trade at rate alpha (0 when off)."""
+    return alpha / x_total if mk.slippage else 0 * alpha
+
+
+def trader_reward(mk: Market, x, alpha, x_adj, delta, drift):
+    """Running reward of a trader holding x ETH and trading at rate alpha.
+
+    ``drift`` is the price drift with the mean control in its rate slot. The
+    inventory earns x * drift; the trade earns its notional alpha * k0 * G
+    plus the fee-and-slippage correction alpha * k0 * G * (1 - S) * (1 - wedge).
+    The arguments broadcast against each other.
+    """
+    akg = alpha * (mk.k0 * g_factor(x_adj, delta, mk.phi))
+    return x * drift + akg + akg * (1 - slippage(mk, alpha, x_adj + delta)) * (1 - mk.wedge)
+
+
 def terminal_cost(x, c_terminal):
     """Quadratic terminal inventory penalty c * x^2."""
     if c_terminal < 0:
@@ -202,15 +219,13 @@ def step(mk: Market, s: MarketState, t, alpha, qbar, a_lp,
     dt, phi, k0 = mk.dt, mk.phi, mk.k0
     ell = instantaneous_lvr(p, mk.sigma, k0) if mk.arbitrage else 0 * p
     d_rate = mk.sign * (ell - qbar)
-    g = g_factor(xa, dl, phi)
     pd_price = price_drift(xa, dl, a_lp, d_rate, phi, k0)
     pd_reward = price_drift(xa, dl, a_lp, qbar, phi, k0)
 
-    trader_x = trader_y = trader_reward = None
+    trader_x = trader_y = reward = None
     if s.trader_x is not None:
-        slip = alpha / _col(xa + dl) if mk.slippage else 0 * alpha
-        akg = alpha * _col(k0 * g)
-        trader_reward = s.trader_x * _col(pd_reward) + akg + akg * (1 - slip) * (1 - mk.wedge)
+        reward = trader_reward(mk, s.trader_x, alpha, _col(xa), _col(dl), _col(pd_reward))
+        slip = slippage(mk, alpha, _col(xa + dl))
         trader_x = s.trader_x + alpha * dt + mk.trader_sigma * dw_traders
         trader_y = s.trader_y - alpha * (1 - slip) * mk.wedge * _col(p) * dt
 
@@ -229,5 +244,5 @@ def step(mk: Market, s: MarketState, t, alpha, qbar, a_lp,
     )
     check_state(mk, new, t + 1)
     return new, StepFlows(
-        lvr_rate=ell, trader_reward=trader_reward, lp_reward=s.lp_x * pd_reward
+        lvr_rate=ell, trader_reward=reward, lp_reward=s.lp_x * pd_reward
     )

@@ -161,9 +161,13 @@ def initial_trader_law(config, x_grid):
 
 
 def wasserstein_grid(u, v, spacing):
-    """W1 between two weight vectors on a shared uniform grid."""
-    diff = np.cumsum(u - v)
-    return float(spacing * np.abs(diff[:-1]).sum())
+    """W1 between weight vectors on a shared uniform grid, row by row.
+
+    The weights run along the last axis; a pair of 1-d vectors gives a float.
+    """
+    diff = np.cumsum(np.subtract(u, v), axis=-1)
+    w1 = spacing * np.abs(diff[..., :-1]).sum(axis=-1)
+    return float(w1) if w1.ndim == 0 else w1
 
 
 def forward_environment(config, lp_control_path, qbar):
@@ -218,22 +222,21 @@ def tabulate_rewards(config, env: MfgEnvironment, x_grid, atoms,
     reward then matches what the finite-N engine pays a player whose control
     enters the empirical average, so a deviator can internalize its own
     impact. With own_weight = 0 the slot is the frozen mean field itself.
-    G and the drift come from the market step's formulas at the path's left
-    points, so the table pays what the engine pays.
+    The drift and the reward are the market step's, evaluated at the path's
+    left points, so the table pays what the engine pays.
     """
     mk = market.Market.from_config(config)
     xa = env.x_adj[:-1, None]
     dl = env.delta[:-1, None]
-    akg = atoms[None, :] * (mk.k0 * market.g_factor(xa, dl, mk.phi))  # (steps, na)
-    slip = atoms[None, :] / (xa + dl) if mk.slippage else 0.0 * akg
-    trade = akg + akg * (1.0 - slip) * (1.0 - mk.wedge)
     if own_weight == 0.0:
         qslot = env.qbar[:, None]
     else:
         base = env.qbar if qbar_others is None else np.asarray(qbar_others, dtype=float)
         qslot = base[:, None] + own_weight * atoms[None, :]
     pd = market.price_drift(xa, dl, env.lp_control[:, None], qslot, mk.phi, mk.k0)
-    return x_grid[None, :, None] * pd[:, None, :] + trade[:, None, :]
+    return market.trader_reward(
+        mk, x_grid[None, :, None], atoms, xa[:, None], dl[:, None], pd[:, None, :]
+    )
 
 
 def best_response(config, env: MfgEnvironment, own_weight=0.0, qbar_others=None):
@@ -271,23 +274,19 @@ def induced_flows(config, policy: PolicyGrid, initial_law):
             "positive mass drifts outside the state grid (bounds too tight)"
         )
     steps, na = policy.policy_idx.shape[0], len(policy.atoms)
-    q = np.zeros((steps, na))
-    for t in range(steps):
-        np.add.at(q[t], policy.policy_idx[t], mu[t])
-    return FlowOfMeasures(x_grid=policy.x_grid, atoms=policy.atoms, mu=mu, q=q)
+    slots = np.arange(steps)[:, None] * na + policy.policy_idx
+    q = np.bincount(slots.ravel(), weights=mu[:-1].ravel(), minlength=steps * na)
+    return FlowOfMeasures(
+        x_grid=policy.x_grid, atoms=policy.atoms, mu=mu, q=q.reshape(steps, na)
+    )
 
 
 def _flow_residual(flows_a: FlowOfMeasures, flows_b: FlowOfMeasures):
     hx = flows_a.x_grid[1] - flows_a.x_grid[0]
     ha = flows_a.atoms[1] - flows_a.atoms[0] if len(flows_a.atoms) > 1 else 1.0
-    steps = flows_a.q.shape[0]
-    worst = wasserstein_grid(flows_a.mu[steps], flows_b.mu[steps], hx)
-    for t in range(steps):
-        r = wasserstein_grid(flows_a.q[t], flows_b.q[t], ha) + wasserstein_grid(
-            flows_a.mu[t], flows_b.mu[t], hx
-        )
-        worst = max(worst, r)
-    return worst
+    w_mu = wasserstein_grid(flows_a.mu, flows_b.mu, hx)
+    w_q = wasserstein_grid(flows_a.q, flows_b.q, ha)
+    return max(float(w_mu[-1]), float((w_q + w_mu[:-1]).max()))
 
 
 def _response_map(config, lp_control_path, flows: FlowOfMeasures, initial_law):

@@ -67,8 +67,8 @@ _VALID_OVERRIDES = {
     "solver.damping": st.floats(min_value=0.0, max_value=1.0, exclude_min=True, **_finite),
     "harness.n_values": st.lists(st.integers(min_value=1, max_value=512), min_size=1,
                                  max_size=5).map(lambda v: ",".join(map(str, v))),
-    "lvr.dt_values": st.lists(st.floats(min_value=0.0, max_value=1e300, exclude_min=True,
-                                        **_finite),
+    # step sizes 1/n divide the default horizon of 1 into whole steps
+    "lvr.dt_values": st.lists(st.integers(min_value=1, max_value=10**6).map(lambda n: 1.0 / n),
                               min_size=1, max_size=4).map(lambda v: ",".join(map(repr, v))),
     "seed": st.integers(min_value=0, max_value=2**63),
 }
@@ -109,9 +109,11 @@ def test_config_error_exits_2(tmp_path, capsys):
     for key, raw, extra in [("lp.z0", "nan", []), ("lp.z0", "-1", []),
                             ("trader.a_max", "inf", []),
                             ("trader.init_mean", "5.0", []),
-                            ("trader.init_mean", "60.0", ["trader.init_law=gaussian"])]:
+                            ("trader.init_mean", "60.0", ["trader.init_law=gaussian"]),
+                            ("lvr.dt_values", "5", ["lvr.paths=10"]),
+                            ("lvr.dt_values", "0.3", ["lvr.paths=10"])]:
         overrides = [arg for item in [f"{key}={raw}", *extra] for arg in ("--override", item)]
-        for sub in ("simulate", "solve-mfg"):
+        for sub in ("simulate", "solve-mfg", "lvr-check"):
             code = main([sub, "--config", str(empty), "--out", str(out), *overrides])
             assert code == 2
             err = capsys.readouterr().err

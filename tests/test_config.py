@@ -117,6 +117,15 @@ def test_range_violations_name_the_key():
         assert err.value.key == "trader.init_mean"
         assert "grid.x_min, grid.x_max" in err.value.reason
     assert build_config({"trader.init_mean": "2.0"}).trader_init_mean == 2.0
+    # every LVR step size must cut the horizon into n >= 1 whole steps
+    for values in ({"lvr.dt_values": "5"}, {"lvr.dt_values": "0.01,0.3"},
+                   {"grid.horizon": "0.5", "lvr.dt_values": "0.2"}, {"lvr.dt_values": "5e-324"}):
+        with pytest.raises(ConfigError) as err:
+            build_config(values)
+        assert err.value.key == "lvr.dt_values"
+        assert "grid.horizon" in err.value.reason
+    assert build_config({"grid.horizon": "0.5", "lvr.dt_values": "0.5,0.1"}).lvr_dt_values == (
+        0.5, 0.1)
     # lp.z0 is checked once its 2 * pool.y0 default has resolved
     with pytest.raises(ConfigError) as err:
         build_config({"lp.z0": "-1"})

@@ -171,3 +171,5 @@ def test_experiment_rejects_bad_arguments():
         run_lvr_experiment(cfg, dt=-0.1)
     with pytest.raises(InvalidParameter):
         run_lvr_experiment(cfg, dt=0.01, n_paths=0)
+    with pytest.raises(InvalidParameter, match="no step"):
+        run_lvr_experiment(cfg, dt=5.0, n_paths=2)

@@ -99,6 +99,15 @@ def test_wasserstein_split_mass():
     assert wasserstein_grid(u, v, 1.0) == pytest.approx(1.5, abs=1e-15)
 
 
+def test_wasserstein_stacked_rows_equal_row_by_row_calls():
+    rng = np.random.default_rng(5)
+    u, v = rng.random((7, 101)), rng.random((7, 101))
+    rows = wasserstein_grid(u, v, 0.04)
+    assert rows.shape == (7,)
+    assert isinstance(wasserstein_grid(u[0], v[0], 0.04), float)
+    np.testing.assert_array_equal(rows, [wasserstein_grid(a, b, 0.04) for a, b in zip(u, v)])
+
+
 # ---------------------------------------------------------------------------
 # deterministic environment
 # ---------------------------------------------------------------------------
@@ -324,11 +333,11 @@ def test_induced_flows_control_law_counts_mass_per_atom():
     x_grid, atoms = trader_grids(cfg)
     mu0 = initial_trader_law(cfg, x_grid)
     flows = induced_flows(cfg, pol, mu0)
-    t = 0
-    manual = np.zeros(len(atoms))
-    for i, w in enumerate(mu0):
-        manual[pol.policy_idx[t, i]] += w
-    np.testing.assert_allclose(flows.q[t], manual, atol=1e-15)
+    for t in range(cfg.grid_steps):
+        manual = np.zeros(len(atoms))
+        for i, w in enumerate(flows.mu[t]):
+            manual[pol.policy_idx[t, i]] += w
+        np.testing.assert_allclose(flows.q[t], manual, atol=1e-15)
 
 
 def test_push_forward_overflow_flag():
