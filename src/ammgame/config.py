@@ -129,8 +129,8 @@ SCHEMA = {
     "solver.initial_step": ("float", 1.0, _positive, "must be positive"),
     "solver.step_tol": ("float", 0.01, _positive, "must be positive"),
     "harness.n_values": ("int_list", (8, 16, 32, 64),
-                         lambda v: len(v) >= 1 and all(x >= 1 for x in v),
-                         "needs positive population sizes"),
+                         lambda v: len(v) >= 2 and all(x >= 1 for x in v),
+                         "needs at least two positive population sizes"),
     "harness.replications": ("int", 100, lambda v: v >= 2, "needs at least 2"),
     "lvr.paths": ("int", 10000, _positive, "must be positive"),
     "lvr.dt_values": ("float_list", (0.01, 0.001, 0.0001),
@@ -238,13 +238,15 @@ def _check_key(key, value):
         raise ConfigError(key, f"{requirement} (got {value})")
 
 
-def _divides(dt, horizon):
-    """Whether dt cuts horizon into n >= 1 whole steps, to 1e-9 relative."""
+def divides(dt, horizon):
+    """Number n >= 1 of whole steps of size dt in horizon, to 1e-9 relative; 0 if none."""
+    if not dt > 0:
+        return 0
     ratio = horizon / dt
     if not math.isfinite(ratio):
-        return False
+        return 0
     n = round(ratio)
-    return n >= 1 and abs(n * dt - horizon) <= 1e-9 * horizon
+    return n if n >= 1 and abs(n * dt - horizon) <= 1e-9 * horizon else 0
 
 
 def _checked_config(resolved):
@@ -268,7 +270,7 @@ def _checked_config(resolved):
           f"{resolved['grid.x_max']}] (got {resolved['trader.init_mean']})")
     horizon = resolved["grid.horizon"]
     for dt in resolved["lvr.dt_values"]:
-        cross(_divides(dt, horizon), "lvr.dt_values",
+        cross(divides(dt, horizon), "lvr.dt_values",
               f"each step size must divide grid.horizon = {horizon} into whole steps "
               f"(got {dt})")
     return SimConfig(**{_attr(k): v for k, v in resolved.items()})

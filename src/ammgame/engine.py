@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .market import Market, opening_state, step, terminal_cost, trader_objective
+from .pool import invariant_after
 
 
 @dataclass(frozen=True)
@@ -180,7 +181,7 @@ def simulate(config, trader_policy, lp_control_path, seed, noise=None, n_traders
         y_adj_path=y_adj,
         delta_path=delta,
         reserve_path=reserve,
-        invariant_path=mk.k0 * reserve / (x_adj + mk.phi * delta),
+        invariant_path=invariant_after(mk.k0, x_adj, delta, mk.phi),
         lvr_rate_path=lvr_rate,
         lvr_cum_path=lvr_cum,
         mean_control_path=qbar_path,

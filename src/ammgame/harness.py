@@ -105,16 +105,14 @@ def _paired_gaps(config, policy, deviation, lp_control_path, seed, noise, own):
     return objective[reps:] - objective[:reps]
 
 
-def epsilon_nash_gap(config, n_players, replications=None, seed=None,
-                     solution=None, lp_control_path=None):
-    """Best-deviation gain for one player among ``n_players`` on the MFG policy."""
+def epsilon_nash_gap(config, n_players, seed=None, solution=None, lp_control_path=None):
+    """Best-deviation gain for one player among ``n_players`` on the MFG policy,
+    from ``harness.replications`` paired replications."""
     grid = TimeGrid(config.grid_horizon, config.grid_steps)
-    replications = config.harness_replications if replications is None else replications
+    replications = config.harness_replications
     seed = config.seed if seed is None else seed
     if n_players < 1:
         raise InvalidParameter(f"need at least one player, got {n_players}")
-    if replications < 2:
-        raise InvalidParameter("paired estimation needs at least 2 replications")
     if lp_control_path is None:
         lp_control_path = np.zeros(grid.steps)
     lp_control_path = np.asarray(lp_control_path, dtype=float)
@@ -173,15 +171,10 @@ def epsilon_nash_gap(config, n_players, replications=None, seed=None,
     )
 
 
-def convergence_study(config, n_values=None, replications=None, seed=None,
-                      lp_control_path=None):
-    """Deviation gains over a ladder of population sizes, with slope fit."""
-    n_values = list(config.harness_n_values) if n_values is None else list(n_values)
+def convergence_study(config, seed=None, lp_control_path=None):
+    """Deviation gains over ``harness.n_values``, with a log-log slope fit."""
+    n_values = list(config.harness_n_values)
     seed = config.seed if seed is None else seed
-    if len(n_values) < 2:
-        raise InvalidParameter("slope fit needs at least two population sizes")
-    if any(n < 1 for n in n_values):
-        raise InvalidParameter("population sizes must be positive")
 
     grid = TimeGrid(config.grid_horizon, config.grid_steps)
     if lp_control_path is None:
@@ -193,7 +186,6 @@ def convergence_study(config, n_values=None, replications=None, seed=None,
         estimates.append(
             epsilon_nash_gap(
                 config, n,
-                replications=replications,
                 seed=seed,
                 solution=solution,
                 lp_control_path=lp_control_path,

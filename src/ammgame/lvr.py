@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .config import divides
 from .errors import InvalidParameter
 
 # steps per noise block: the (steps, paths) buffer is 2 MB per 1,000 paths
@@ -41,19 +42,26 @@ _BLOCK = 256
 _TILE = 128
 
 
+def _check_args(p, k, sigma=0.0):
+    """Raise unless p > 0, k > 0 and sigma >= 0 everywhere (NaN fails), tested in
+    one pass; the failing argument is looked for only then, to name it."""
+    if (np.greater(p, 0) & np.greater(k, 0) & np.greater_equal(sigma, 0)).all():
+        return
+    for name, value in (("price", p), ("invariant", k)):
+        if not np.all(np.greater(value, 0)):
+            raise InvalidParameter(f"{name} must be positive")
+    raise InvalidParameter("volatility must be nonnegative")
+
+
 def pool_value(p, k):
     """Mark-to-market pool value 2*sqrt(k*p) at external price p."""
-    if not np.all(np.asarray(p) > 0) or not np.all(np.asarray(k) > 0):
-        raise InvalidParameter("pool_value needs positive price and invariant")
+    _check_args(p, k)
     return 2.0 * np.sqrt(np.asarray(k, dtype=float) * p)
 
 
 def instantaneous_lvr(p, sigma, k):
     """Drain rate sigma^2 * sqrt(k*p) / 4, in USDT per unit time."""
-    if not np.all(np.asarray(p) > 0) or not np.all(np.asarray(k) > 0):
-        raise InvalidParameter("instantaneous_lvr needs positive price and invariant")
-    if np.any(np.asarray(sigma) < 0):
-        raise InvalidParameter("volatility must be nonnegative")
+    _check_args(p, k, sigma)
     return kernels._drain_rate(np.sqrt(np.asarray(k, dtype=float) * p), sigma)
 
 
@@ -96,32 +104,30 @@ def _fill(streams, z, tile):
         z[:, first : first + len(rows)] = rows.T
 
 
-def run_lvr_experiment(config, dt=None, n_paths=None, seed=None):
+def run_lvr_experiment(config, dt=None, seed=None):
     """Simulate the drain identity on GBM external prices.
 
-    Pool parameters, volatility, horizon, path count and seed default to the
-    supplied config; ``dt`` defaults to the first configured step size.
+    Pool parameters, volatility, horizon and path count come from the config;
+    ``dt`` (by default the first configured step size) must cut the horizon
+    into whole steps, and ``seed`` defaults to the config's.
     """
     sigma = config.external_sigma
     horizon = config.grid_horizon
+    n_paths = config.lvr_paths
     k = config.pool_x0 * config.pool_y0
     p0 = config.pool_y0 / config.pool_x0
     if dt is None:
         dt = config.lvr_dt_values[0]
-    if n_paths is None:
-        n_paths = config.lvr_paths
     if seed is None:
         seed = config.seed
-    if dt <= 0 or horizon <= 0:
-        raise InvalidParameter("dt and horizon must be positive")
-    if n_paths < 1:
-        raise InvalidParameter("need at least one path")
-    n_steps = int(round(horizon / dt))
-    if n_steps < 1:
-        raise InvalidParameter(f"dt = {dt} runs no step over the horizon {horizon}")
+    n_steps = divides(dt, horizon)
+    if n_steps == 0:
+        raise InvalidParameter(
+            f"dt = {dt} does not cut grid.horizon = {horizon} into whole steps"
+        )
 
     streams = [np.random.default_rng(np.random.SeedSequence((seed, i))) for i in range(n_paths)]
-    block = max(1, min(_BLOCK, n_steps))
+    block = min(_BLOCK, n_steps)
     # An anonymous mapping of its own, so freeing z unmaps it. A buffer this
     # size from malloc is mmapped the first time, but freeing it raises
     # glibc's mmap threshold; the next call's buffer then comes from the brk

@@ -87,6 +87,10 @@ def quote_trade(pool: PoolState, x_adj, y_adj, delta_x):
             f"trade of {delta_x} would empty the pool (factors {a}, {b})"
         )
     delta_y = y_adj - k0 / a
-    # ratio first: at phi == 1 this is exactly 1.0 and k_new == k0 bit-for-bit
-    new_invariant = k0 * (b / a)
-    return delta_y, new_invariant
+    return delta_y, invariant_after(k0, x_adj, delta_x, phi)
+
+
+def invariant_after(k0, x_adj, delta_x, phi):
+    """Invariant k0 * (x_adj + delta_x) / (x_adj + phi*delta_x) once delta_x is admitted."""
+    # ratio first: at phi == 1 this is exactly 1.0 and the result is k0 bit for bit
+    return k0 * ((x_adj + delta_x) / (x_adj + phi * delta_x))

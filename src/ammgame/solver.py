@@ -295,7 +295,7 @@ def _response_map(config, lp_control_path, flows: FlowOfMeasures, initial_law):
     return induced_flows(config, policy, initial_law), policy, env
 
 
-def _picard(config, lp_control_path, initial_law, flows, lam, tol, max_iter):
+def _picard(config, lp_control_path, initial_law, flows):
     """Damped Picard iteration from ``flows``, probing the undamped image.
 
     When a response map repeats the previous map's policy, or its residual is
@@ -308,6 +308,7 @@ def _picard(config, lp_control_path, initial_law, flows, lam, tol, max_iter):
     ``max_iter``, so a probe that fails at the stop is the last entry. An
     error raised here carries ``maps``, the response maps attempted.
     """
+    lam, tol, max_iter = config.solver_damping, config.solver_tol, config.solver_max_iter
     history = []
     probed = set()
     previous = None
@@ -366,9 +367,9 @@ def _picard(config, lp_control_path, initial_law, flows, lam, tol, max_iter):
     raise exc
 
 
-def solve_mfg(config, lp_control_path=None, damping=None, tol=None, max_iter=None,
-              start=None):
-    """Damped Picard iteration to the consistency fixed point.
+def solve_mfg(config, lp_control_path=None, start=None):
+    """Damped Picard iteration to the consistency fixed point, with the
+    config's ``solver.damping``, ``solver.tol`` and ``solver.max_iter``.
 
     Returns an exact fixed point (its own image, bit for bit) when a probe of
     the undamped image finds one; otherwise the flow iterate whose image
@@ -383,13 +384,6 @@ def solve_mfg(config, lp_control_path=None, damping=None, tol=None, max_iter=Non
     here carries ``maps`` as well.
     """
     grid = TimeGrid(config.grid_horizon, config.grid_steps)
-    lam = config.solver_damping if damping is None else damping
-    tol = config.solver_tol if tol is None else tol
-    max_iter = config.solver_max_iter if max_iter is None else max_iter
-    if not (0 < lam <= 1):
-        raise InvalidParameter(f"damping must lie in (0, 1], got {lam}")
-    if tol <= 0 or max_iter < 1:
-        raise InvalidParameter("tol must be positive and max_iter >= 1")
     if lp_control_path is None:
         lp_control_path = np.zeros(grid.steps)
     lp_control_path = np.asarray(lp_control_path, dtype=float)
@@ -411,7 +405,7 @@ def solve_mfg(config, lp_control_path=None, damping=None, tol=None, max_iter=Non
                 f"got {start.mu.shape} and {start.q.shape}"
             )
         try:
-            warm = _picard(config, lp_control_path, mu0, start, lam, tol, max_iter)
+            warm = _picard(config, lp_control_path, mu0, start)
         except _SOLVE_ERRORS as exc:
             spent = exc.maps
         else:
@@ -419,7 +413,7 @@ def solve_mfg(config, lp_control_path=None, damping=None, tol=None, max_iter=Non
                 return warm
             spent = warm.diagnostics["maps"]
     try:
-        sol = _picard(config, lp_control_path, mu0, cold, lam, tol, max_iter)
+        sol = _picard(config, lp_control_path, mu0, cold)
     except _SOLVE_ERRORS as exc:
         exc.maps += spent
         raise
@@ -447,18 +441,16 @@ def lp_path_from_segments(segments, steps):
     return segments[(np.arange(steps) * k) // steps]
 
 
-def lp_objective(config, segments, solution: EquilibriumSolution = None, start=None):
+def lp_objective(config, segments, start=None):
     """LP cost of a segment vector: negated running reward plus terminal penalty.
 
-    Deterministic-flow evaluation; solves the inner fixed point (warm-started
-    from ``start`` flows, if given) unless a matching solution is supplied.
-    The LP's reward and stocks are those the market step recorded along the
-    solution's environment. Returns (cost, solution).
+    Deterministic-flow evaluation: solves the inner fixed point, warm-started
+    from ``start`` flows if given. The LP's reward and stocks are those the
+    market step recorded along the solution's environment. Returns
+    (cost, solution).
     """
     grid = TimeGrid(config.grid_horizon, config.grid_steps)
-    if solution is None:
-        path = lp_path_from_segments(segments, grid.steps)
-        solution = solve_mfg(config, path, start=start)
+    solution = solve_mfg(config, lp_path_from_segments(segments, grid.steps), start=start)
     env = solution.env
     running = float(np.sum(env.lp_reward) * grid.dt)
     c = config.lp_terminal_weight

@@ -121,6 +121,39 @@ def test_profit_nonnegative_and_legs_consistent(r_alpha, r_beta, mult):
     assert lhs == pytest.approx(k, rel=1e-10)
 
 
+@given(
+    r_alpha=st.floats(min_value=1e-2, max_value=1e6),
+    r_beta=st.floats(min_value=1e-2, max_value=1e6),
+    ratio=st.floats(min_value=1e-2, max_value=1e2),
+    tau=st.floats(min_value=0.0, max_value=0.3),
+)
+@settings(max_examples=300, deadline=None)
+def test_best_arbitrage_leaves_spot_in_no_trade_band(r_alpha, r_beta, ratio, tau):
+    """Profit is nonnegative; with no trade the spot price lies in
+    [phi*m_p, m_p/phi], and a trade moves the fee-credited reserves' price
+    onto the edge it crossed.
+
+    The inactive check allows 8 ulps at the edges: on a draw sitting at an
+    activation threshold, rounding can leave the spot price 2 ulps outside
+    with no trade (seen on band-edge draws).
+    """
+    phi = 1.0 - tau
+    k = r_alpha * r_beta
+    spot = r_beta / r_alpha
+    m_p = spot * ratio
+    sol = best_arbitrage(r_alpha, r_beta, k, m_p, phi)
+    assert sol.profit >= 0
+    if sol.direction == "none":
+        ulps = 8 * np.finfo(float).eps
+        assert phi * m_p * (1 - ulps) <= spot <= m_p / phi * (1 + ulps)
+    elif sol.direction == "buy_eth":
+        post = (r_beta + phi * sol.delta_beta) / (r_alpha - sol.delta_alpha)
+        assert post == pytest.approx(phi * m_p, rel=1e-8)
+    else:
+        post = (r_beta - sol.delta_beta) / (r_alpha + phi * sol.delta_alpha)
+        assert post == pytest.approx(m_p / phi, rel=1e-8)
+
+
 def test_brute_force_rejects_bad_inputs():
     with pytest.raises(InvalidParameter):
         brute_force_arbitrage(-1.0, 1.0, 1.0, 1.0, 1.0)

@@ -65,7 +65,7 @@ _VALID_OVERRIDES = {
     "model.flow_convention": st.sampled_from(["definition", "display"]),
     "grid.steps": st.integers(min_value=1, max_value=10**6),
     "solver.damping": st.floats(min_value=0.0, max_value=1.0, exclude_min=True, **_finite),
-    "harness.n_values": st.lists(st.integers(min_value=1, max_value=512), min_size=1,
+    "harness.n_values": st.lists(st.integers(min_value=1, max_value=512), min_size=2,
                                  max_size=5).map(lambda v: ",".join(map(str, v))),
     # step sizes 1/n divide the default horizon of 1 into whole steps
     "lvr.dt_values": st.lists(st.integers(min_value=1, max_value=10**6).map(lambda n: 1.0 / n),
@@ -119,6 +119,13 @@ def test_config_error_exits_2(tmp_path, capsys):
             err = capsys.readouterr().err
             assert "config error" in err and key in err
             assert not out.exists()
+    # the slope fit needs two population sizes: the config rejects one, naming the key
+    code = main(["nash-test", "--config", str(empty), "--out", str(out),
+                 "--override", "harness.n_values=8"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "harness.n_values" in err
+    assert not out.exists()
 
 
 def test_unknown_override_exits_2(tmp_path, cfg_file):

@@ -100,9 +100,13 @@ def test_range_violations_name_the_key():
         build_config({"pool.tau": "1.2"})
     assert err.value.key == "pool.tau"
     assert "[0, 1)" in err.value.reason
-    with pytest.raises(ConfigError) as err:
-        build_config({"solver.damping": "0"})
-    assert err.value.key == "solver.damping"
+    # settings the solvers read only from the config
+    for key, raw in [("solver.damping", "0"), ("solver.damping", "1.5"), ("solver.tol", "0"),
+                     ("solver.max_iter", "0"), ("harness.replications", "1"),
+                     ("harness.n_values", "8"), ("harness.n_values", "0,8"), ("lvr.paths", "0")]:
+        with pytest.raises(ConfigError) as err:
+            build_config({key: raw})
+        assert err.value.key == key
     for key, raw in [("lp.z0", "nan"), ("trader.a_max", "inf"), ("pool.x0", "-inf"),
                      ("trader.init_mean", "nan"), ("lvr.dt_values", "0.01,inf")]:
         with pytest.raises(ConfigError) as err:

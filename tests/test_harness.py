@@ -104,13 +104,6 @@ def test_epsilon_nash_gap_common_noise_pairing():
     assert np.std(est.paired_gaps) < 0.2 * np.std(baselines)
 
 
-def test_epsilon_nash_gap_validates_replications():
-    cfg = quick_cfg()
-    sol = solve_mfg(cfg)
-    with pytest.raises(InvalidParameter):
-        epsilon_nash_gap(cfg, n_players=4, replications=1, seed=1, solution=sol)
-
-
 def test_convergence_study_report_shape():
     cfg = quick_cfg(harness_n_values=(4, 8), harness_replications=5)
     report = convergence_study(cfg, seed=17)

@@ -45,10 +45,10 @@ def test_instantaneous_lvr_exact_point():
     """sigma=0.2, k=10000, P=4: rate = 0.01 * 200 = 2."""
     assert instantaneous_lvr(4.0, 0.2, 10000.0) == pytest.approx(2.0, rel=1e-15)
     assert instantaneous_lvr(4.0, 0.0, 10000.0) == 0.0
-    with pytest.raises(InvalidParameter):
-        instantaneous_lvr(-1.0, 0.2, 1.0)
-    with pytest.raises(InvalidParameter):
-        instantaneous_lvr(1.0, -0.2, 1.0)
+    for p, sigma, k, name in [(-1.0, 0.2, 1.0, "price"), (1.0, 0.2, np.nan, "invariant"),
+                              (1.0, -0.2, 1.0, "volatility"), (1.0, np.nan, 1.0, "volatility")]:
+        with pytest.raises(InvalidParameter, match=name):
+            instantaneous_lvr(p, sigma, k)
 
 
 def test_drain_rate_matches_value_curvature():
@@ -105,9 +105,8 @@ def test_experiment_seeded_reproducibility():
 
 def test_experiment_path_count_independent_of_chunking():
     """Per-path seeding makes results independent of the batch layout."""
-    cfg = default_config(lvr_paths=10)
-    full = run_lvr_experiment(cfg, dt=0.01, seed=5, n_paths=10)
-    head = run_lvr_experiment(cfg, dt=0.01, seed=5, n_paths=3)
+    full = run_lvr_experiment(default_config(lvr_paths=10), dt=0.01, seed=5)
+    head = run_lvr_experiment(default_config(lvr_paths=3), dt=0.01, seed=5)
     np.testing.assert_array_equal(full.terminal_arb[:3], head.terminal_arb)
 
 
@@ -166,10 +165,8 @@ def test_kernel_matches_scalar_replay(n_steps, n_paths):
 
 
 def test_experiment_rejects_bad_arguments():
-    cfg = default_config()
-    with pytest.raises(InvalidParameter):
-        run_lvr_experiment(cfg, dt=-0.1)
-    with pytest.raises(InvalidParameter):
-        run_lvr_experiment(cfg, dt=0.01, n_paths=0)
-    with pytest.raises(InvalidParameter, match="no step"):
-        run_lvr_experiment(cfg, dt=5.0, n_paths=2)
+    """A step size must cut the horizon into whole steps, as lvr.dt_values must."""
+    cfg = default_config(lvr_paths=2)
+    for dt in (-0.1, 0.0, 5.0, 0.3):
+        with pytest.raises(InvalidParameter, match="dt = "):
+            run_lvr_experiment(cfg, dt=dt)

@@ -393,18 +393,10 @@ def test_solve_mfg_honors_lp_path():
 
 
 def test_solve_mfg_not_converged_carries_history():
-    cfg = small_cfg()
+    cfg = small_cfg(solver_max_iter=1, solver_tol=1e-30)
     with pytest.raises(NotConverged) as err:
-        solve_mfg(cfg, max_iter=1, tol=1e-30)
+        solve_mfg(cfg)
     assert len(err.value.residual_history) == 1
-
-
-def test_solve_mfg_rejects_bad_damping():
-    cfg = small_cfg()
-    with pytest.raises(InvalidParameter):
-        solve_mfg(cfg, damping=0.0)
-    with pytest.raises(InvalidParameter):
-        solve_mfg(cfg, damping=1.5)
 
 
 def _same_solution(a, b):
@@ -464,15 +456,17 @@ def test_solve_mfg_hostile_start_falls_back_to_cold():
     budget = cold.iterations
     q = np.zeros((cfg.grid_steps, len(atoms)))
     q[:, 0] = 1.0
-    slow = solve_mfg(cfg, max_iter=budget, start=FlowOfMeasures(x_grid, atoms, mu, q))
+    tight = small_cfg(solver_max_iter=budget)
+    slow = solve_mfg(tight, start=FlowOfMeasures(x_grid, atoms, mu, q))
     assert slow.diagnostics["maps"] == cold.diagnostics["maps"] + budget
-    _same_solution(slow, solve_mfg(cfg, max_iter=budget))
+    _same_solution(slow, solve_mfg(tight))
     # every trader on the atom below zero, at a loose tol: the warm attempt
     # stops on a damped iterate, not on an exact point
     q = np.zeros((cfg.grid_steps, len(atoms)))
     q[:, 1] = 1.0
-    loose = solve_mfg(cfg, tol=0.5, start=FlowOfMeasures(x_grid, atoms, mu, q))
-    cold_loose = solve_mfg(cfg, tol=0.5)
+    loose_cfg = small_cfg(solver_tol=0.5)
+    loose = solve_mfg(loose_cfg, start=FlowOfMeasures(x_grid, atoms, mu, q))
+    cold_loose = solve_mfg(loose_cfg)
     assert loose.diagnostics["maps"] > cold_loose.diagnostics["maps"]
     _same_solution(loose, cold_loose)
 
