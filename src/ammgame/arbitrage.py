@@ -16,8 +16,8 @@ outside price. First-order conditions give the closed form
 active exactly when phi*m_p exceeds the pool ratio R_beta/R_alpha; negative
 candidates collapse to the inactive (0, 0, 0) solution. The opposite direction
 (ETH in, USDT out) is the same problem with token roles swapped and price
-1/m_p. Between the two activation thresholds no trade is profitable, which at
-first order in tau is the band [(1-tau) m_p, (1+tau) m_p].
+1/m_p. Between the two activation thresholds no trade is profitable: the pool
+ratio R_beta/R_alpha lies in the band [phi*m_p, m_p/phi].
 
 ``brute_force_arbitrage`` solves the unconstrained-direction problem by grid
 search plus golden-section refinement and is the oracle the closed form is
@@ -51,23 +51,6 @@ class ArbSolution:
 
 
 INACTIVE = ArbSolution(0.0, 0.0, 0.0, "none")
-
-
-@dataclass(frozen=True)
-class NoArbBand:
-    """Price interval within which neither trade direction is profitable."""
-
-    lower: float
-    upper: float
-
-
-def no_arb_band(m_p, tau):
-    """First-order no-trade band around the external price."""
-    if not m_p > 0:
-        raise InvalidParameter(f"external price must be positive, got {m_p}")
-    if not (0 <= tau < 1):
-        raise InvalidParameter(f"tau must lie in [0, 1), got {tau}")
-    return NoArbBand(lower=(1 - tau) * m_p, upper=(1 + tau) * m_p)
 
 
 def _check_positive(**kwargs):

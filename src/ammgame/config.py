@@ -132,7 +132,7 @@ SCHEMA = {
                          lambda v: len(v) >= 2 and all(x >= 1 for x in v),
                          "needs at least two positive population sizes"),
     "harness.replications": ("int", 100, lambda v: v >= 2, "needs at least 2"),
-    "lvr.paths": ("int", 10000, _positive, "must be positive"),
+    "lvr.paths": ("int", 10000, lambda v: v >= 2, "needs at least 2"),
     "lvr.dt_values": ("float_list", (0.01, 0.001, 0.0001),
                       lambda v: len(v) >= 1 and all(x > 0 for x in v),
                       "needs positive step sizes"),

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameter
-from .market import Market, opening_state, step, terminal_cost, trader_objective
+from .market import Market, opening_state, step, trader_objective
 from .pool import invariant_after
 
 
@@ -105,17 +105,16 @@ class SystemTrajectory:
     lp_z_path: np.ndarray
     lp_s_path: np.ndarray
     lp_reward_path: np.ndarray
-    lp_realized_objective: float
     diagnostics: dict = field(default_factory=dict)
 
 
-def simulate(config, trader_policy, lp_control_path, seed, noise=None, n_traders=None, deviant_policy=None):
+def simulate(config, trader_policy, lp_control_path, seed, noise=None, n_traders=None):
     """Run the coupled system forward as one lane of the market step.
 
     ``trader_policy`` maps (step index, inventory vector) to a control vector;
-    ``deviant_policy``, if given, overrides player 0. ``lp_control_path`` is a
-    per-step rate vector. A prebuilt ``noise`` bundle enables common-random-
-    number comparisons; by default one is derived from ``seed``.
+    ``lp_control_path`` is a per-step rate vector. A prebuilt ``noise`` bundle
+    enables common-random-number comparisons; by default one is derived from
+    ``seed``.
     """
     grid = TimeGrid(config.grid_horizon, config.grid_steps)
     dt = grid.dt
@@ -155,9 +154,6 @@ def simulate(config, trader_policy, lp_control_path, seed, noise=None, n_traders
         if t == n:
             break
         alpha = np.asarray(trader_policy(t, s.trader_x), dtype=float)
-        if deviant_policy is not None:
-            alpha = alpha.copy()
-            alpha[0] = float(np.asarray(deviant_policy(t, s.trader_x[0:1]))[0])
         qbar = float(alpha.mean()) if m > 0 else 0.0
         s, flows = step(mk, s, t, alpha, qbar, lp_control_path[t],
                         noise.common[t], noise.idiosyncratic[:m, t], noise.lp[:, t])
@@ -167,11 +163,6 @@ def simulate(config, trader_policy, lp_control_path, seed, noise=None, n_traders
     reserve = x_adj + delta
     lvr_cum = np.concatenate(([0.0], np.cumsum(lvr_rate * dt)))
     objectives = trader_objective(tr_f, tr_x[:, n], dt, config.trader_terminal_weight)
-    lp_objective = float(
-        lp_f.sum() * dt
-        - terminal_cost(s.lp_x, config.lp_terminal_weight)
-        - terminal_cost(s.lp_z, config.lp_terminal_weight)
-    )
 
     return SystemTrajectory(
         grid=grid,
@@ -194,6 +185,5 @@ def simulate(config, trader_policy, lp_control_path, seed, noise=None, n_traders
         lp_z_path=lp_z,
         lp_s_path=lp_s,
         lp_reward_path=lp_f,
-        lp_realized_objective=lp_objective,
         diagnostics={"n_traders": m, "flow_sign": mk.sign},
     )

@@ -117,19 +117,15 @@ def lvr_paths(z, state, sigma, dt, k):
     ``state`` is a (3, paths) array of price, hedge gain and accrued drain,
     advanced in place. Each step accrues the drain at the left-point price,
     moves the price by its exact log-normal increment and books the gain of
-    holding the replicating sqrt(k/P) units over it. Returns path 0's state
-    after each row, shaped (3, steps).
+    holding the replicating sqrt(k/P) units over it.
     """
     drift = (-0.5 * sigma * sigma) * dt
     vol = sigma * np.sqrt(dt)
     p, hedge, drain = state
-    record = np.empty((3, len(z)))
-    for t, zt in enumerate(z):
+    for zt in z:
         root = np.sqrt(k * p)
         drain += _drain_rate(root, sigma) * dt
         p_next = p * np.exp(drift + vol * zt)
         hedge += (root / p) * (p_next - p)
         p = p_next
-        record[:, t] = p[0], hedge[0], drain[0]
     state[0] = p
-    return record

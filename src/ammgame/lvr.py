@@ -21,10 +21,10 @@ bit-reproducible.
 All paths advance together, one block of up to 256 steps at a time: every
 stream draws its next block into a small (128 paths, block) tile, the tiles
 are copied into one (block, paths) buffer, and ``kernels.lvr_paths`` steps
-every path over that buffer's rows, recording path 0 on the way. Since
-consecutive draws from a generator equal one long draw, no number depends on
-the block or tile size. Memory is bounded by the buffer, block * paths * 8
-bytes (20 MB at 10^4 paths), whatever dt is.
+every path over that buffer's rows. Since consecutive draws from a generator
+equal one long draw, no number depends on the block or tile size. Memory is
+bounded by the buffer, block * paths * 8 bytes (20 MB at 10^4 paths),
+whatever dt is.
 """
 
 import mmap
@@ -69,19 +69,14 @@ def instantaneous_lvr(p, sigma, k):
 class LvrAccount:
     """Result of one drain-vs-replication experiment.
 
-    Path-level arrays describe the first simulated path; the ``terminal_*``
-    arrays hold per-path terminal quantities for all paths; the residual is
-    ARB_T - LVR_T.
+    The ``terminal_*`` arrays hold per-path terminal quantities for all paths;
+    the residual is ARB_T - LVR_T.
     """
 
     dt: float
     n_paths: int
     sigma: float
     seed: int
-    pool_value_path: np.ndarray
-    replication_path: np.ndarray
-    lvr_path: np.ndarray
-    arb_gain: float
     terminal_arb: np.ndarray
     terminal_lvr: np.ndarray
     terminal_replication: np.ndarray
@@ -137,37 +132,25 @@ def run_lvr_experiment(config, dt=None, seed=None):
     tile = np.empty((min(_TILE, n_paths), block))
     state = np.zeros((3, n_paths))  # price, hedge gain, accrued drain
     state[0] = p0
-    history = np.empty((3, n_steps + 1))  # path 0's state at every step
-    history[:, 0] = state[:, 0]
     for start in range(0, n_steps, block):
-        end = min(start + block, n_steps)
-        rows = z[: end - start]
+        rows = z[: min(block, n_steps - start)]
         _fill(streams, rows, tile)
-        history[:, start + 1 : end + 1] = kernels.lvr_paths(rows, state, sigma, dt, k)
+        kernels.lvr_paths(rows, state, sigma, dt, k)
 
-    v0 = pool_value(p0, k)
-
-    def marked(s):
-        """Pool value, replicating portfolio and accrued drain of a (3, ...) state."""
-        return pool_value(s[0], k), v0 + s[1], s[2]
-
-    pool_t, replication_t, drain_t = marked(state)
-    pool_path, replication_path, lvr_path = marked(history)
+    pool_t = pool_value(state[0], k)
+    replication_t = pool_value(p0, k) + state[1]
+    drain_t = state[2]
     arb_t = replication_t - pool_t
     residual = arb_t - drain_t
     mean_abs = float(np.mean(np.abs(residual)))
     mean_res = float(np.mean(residual))
-    stderr = float(np.std(residual, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
+    stderr = float(np.std(residual, ddof=1) / np.sqrt(n_paths))
 
     return LvrAccount(
         dt=float(dt),
         n_paths=int(n_paths),
         sigma=float(sigma),
         seed=int(seed),
-        pool_value_path=pool_path,
-        replication_path=replication_path,
-        lvr_path=lvr_path,
-        arb_gain=float(arb_t[0]),
         terminal_arb=arb_t,
         terminal_lvr=drain_t,
         terminal_replication=replication_t,

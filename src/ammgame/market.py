@@ -161,13 +161,6 @@ def trader_reward(mk: Market, x, alpha, x_adj, delta, drift):
     return x * drift + akg + akg * (1 - slippage(mk, alpha, x_adj + delta)) * (1 - mk.wedge)
 
 
-def terminal_cost(x, c_terminal):
-    """Quadratic terminal inventory penalty c * x^2."""
-    if c_terminal < 0:
-        raise InvalidParameter(f"terminal weight must be nonnegative, got {c_terminal}")
-    return c_terminal * x * x
-
-
 def trader_objective(reward, x_terminal, dt, c_terminal):
     """Realized trader objective: summed running rewards minus c * X_T^2.
 

@@ -73,7 +73,12 @@ def quote_trade(pool: PoolState, x_adj, y_adj, delta_x):
         delta_y = y_adj - k0 / (x_adj + phi*delta_x)
     Stage 2 admits the full delta_x, so the invariant becomes
         k_new = k0 * (x_adj + delta_x) / (x_adj + phi*delta_x),
-    strictly increasing in delta_x whenever tau > 0 and equal to k0 at tau = 0.
+    equal to k0 at tau = 0 (bit for bit in floats). In exact arithmetic k_new
+    is strictly increasing in delta_x whenever tau > 0; in floats it can fall
+    as the trade grows at tau of about 1e-13 or less, where the fee moves the
+    ratio by less than the rounding of its two factors.
+    ``test_pool::test_invariant_nondecreasing_in_trade_size`` checks the
+    exact values.
 
     Returns (delta_y, new_invariant). delta_y > 0 means USDT leaves the pool.
     """

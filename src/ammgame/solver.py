@@ -66,9 +66,6 @@ class PolicyGrid:
     policy_idx: np.ndarray  # (steps, nx) indices into atoms
     value: np.ndarray       # (steps+1, nx)
 
-    def control_table(self):
-        return self.atoms[self.policy_idx]
-
     def as_policy(self):
         """Callable (step, inventory vector) -> control vector, nearest node."""
         x0 = self.x_grid[0]

@@ -20,7 +20,6 @@ from ammgame.market import (
     opening_state,
     price_drift,
     step,
-    terminal_cost,
 )
 from ammgame.solver import FlowOfMeasures, forward_environment
 
@@ -165,14 +164,6 @@ def test_mean_field_aggregates_quadrature():
     assert s.delta == h
     assert g_factor(s.x_adj, s.delta, 1) == 1 / ((100 + h) * (100 + h))
     assert second.lp_reward == -F(10000) * 2 * (100 + h) * F(1, 2) / (100 + h) ** 4
-
-
-def test_terminal_cost_quadratic():
-    assert terminal_cost(3.0, 2.0) == 18.0
-    assert terminal_cost(-3.0, 2.0) == 18.0
-    assert terminal_cost(5.0, 0.0) == 0.0
-    with pytest.raises(InvalidParameter):
-        terminal_cost(1.0, -1.0)
 
 
 def test_reward_exactness_on_fractions():

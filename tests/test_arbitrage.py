@@ -11,7 +11,6 @@ from ammgame.arbitrage import (
     INACTIVE,
     best_arbitrage,
     brute_force_arbitrage,
-    no_arb_band,
     optimal_arbitrage,
 )
 from ammgame.errors import InvalidParameter
@@ -75,16 +74,6 @@ def test_post_trade_price_lands_on_band_edge():
     sol = optimal_arbitrage(r_alpha, r_beta, k, m_p, phi)
     spot_post = k / (r_alpha - sol.delta_alpha) ** 2
     assert spot_post == pytest.approx(phi * m_p, rel=1e-12)
-
-
-def test_no_arb_band_shape():
-    band = no_arb_band(4.0, 0.003)
-    assert band.lower == pytest.approx(3.988)
-    assert band.upper == pytest.approx(4.012)
-    with pytest.raises(InvalidParameter):
-        no_arb_band(-1.0, 0.1)
-    with pytest.raises(InvalidParameter):
-        no_arb_band(1.0, 1.0)
 
 
 @given(

@@ -119,13 +119,15 @@ def test_config_error_exits_2(tmp_path, capsys):
             err = capsys.readouterr().err
             assert "config error" in err and key in err
             assert not out.exists()
-    # the slope fit needs two population sizes: the config rejects one, naming the key
-    code = main(["nash-test", "--config", str(empty), "--out", str(out),
-                 "--override", "harness.n_values=8"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "harness.n_values" in err
-    assert not out.exists()
+    # the slope fit needs two population sizes and the residual's stderr two
+    # paths: the config rejects one, naming the key
+    for sub, key, raw in [("nash-test", "harness.n_values", "8"), ("lvr-check", "lvr.paths", "1")]:
+        code = main([sub, "--config", str(empty), "--out", str(out),
+                     "--override", f"{key}={raw}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+        assert not out.exists()
 
 
 def test_unknown_override_exits_2(tmp_path, cfg_file):

@@ -103,7 +103,8 @@ def test_range_violations_name_the_key():
     # settings the solvers read only from the config
     for key, raw in [("solver.damping", "0"), ("solver.damping", "1.5"), ("solver.tol", "0"),
                      ("solver.max_iter", "0"), ("harness.replications", "1"),
-                     ("harness.n_values", "8"), ("harness.n_values", "0,8"), ("lvr.paths", "0")]:
+                     ("harness.n_values", "8"), ("harness.n_values", "0,8"), ("lvr.paths", "0"),
+                     ("lvr.paths", "1")]:
         with pytest.raises(ConfigError) as err:
             build_config({key: raw})
         assert err.value.key == key

@@ -33,6 +33,12 @@ def test_paired_lanes_match_engine_runs():
     def deviation(t, x):
         return np.clip(policy(t, x) + 0.5, cfg.trader_a_min, cfg.trader_a_max)
 
+    def deviant(t, x):
+        """Player 0 plays ``deviation``, the others ``policy``."""
+        alpha = np.asarray(policy(t, x), dtype=float).copy()
+        alpha[0] = deviation(t, x[0:1])[0]
+        return alpha
+
     grid = TimeGrid(cfg.grid_horizon, cfg.grid_steps)
     lp_path = np.linspace(0.5, -0.5, grid.steps)
     noise = make_noise(5, grid, 8)
@@ -43,8 +49,7 @@ def test_paired_lanes_match_engine_runs():
         idio[0] = own[r]
         bundle = replace(noise, idiosyncratic=idio)
         base = simulate(cfg, policy, lp_path, 5, noise=bundle, n_traders=8)
-        dev = simulate(cfg, policy, lp_path, 5, noise=bundle, n_traders=8,
-                       deviant_policy=deviation)
+        dev = simulate(cfg, deviant, lp_path, 5, noise=bundle, n_traders=8)
         assert gaps[r] == dev.trader_objectives[0] - base.trader_objectives[0]
     assert np.any(gaps != 0.0)
 

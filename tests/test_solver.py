@@ -483,7 +483,7 @@ def test_policy_as_policy_nearest_node():
     sol = solve_mfg(cfg)
     pol = sol.policy.as_policy()
     x_grid = sol.policy.x_grid
-    table = sol.policy.control_table()
+    table = sol.policy.atoms[sol.policy.policy_idx]
     out = pol(0, np.array([x_grid[3] + 0.001, x_grid[3] - 0.001, -99.0, 99.0]))
     assert out[0] == table[0, 3]
     assert out[1] == table[0, 3]
