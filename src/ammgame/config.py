@@ -1,11 +1,17 @@
 """Configuration schema, parser, canonical echo, and hash.
 
+``SCHEMA`` is the one list of keys: :class:`SimConfig` is built from it, one
+field per key with the dots written as underscores (``pool.tau`` is
+``pool_tau``). Every ``SimConfig`` is checked when it is built, whether by its
+constructor, ``build_config``, ``default_config`` or ``dataclasses.replace``:
+float values must be finite, each key must satisfy its range check (in schema
+order), then the cross-key rules must hold. A violation raises
+:class:`ConfigError` naming the offending key.
+
 Config files are flat ``section.key = value`` lines. ``#`` starts a comment,
 blank lines are ignored. Every key must belong to the schema, appear at most
-once, parse to its declared type (floats must be finite), and satisfy its
-range check; violations raise :class:`ConfigError` naming the offending key.
-Unset keys take their schema defaults. ``default_config`` keyword tweaks go
-through the same checks.
+once and parse to its declared type; ``--override key=value`` pairs are read
+by the same rule. Unset keys take their schema defaults.
 
 The canonical echo renders the resolved configuration in schema order with
 floats at 17 significant digits, so byte-identical echoes mean identical
@@ -14,15 +20,13 @@ configurations; its SHA-256 is the config hash stamped into output files.
 
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import make_dataclass, replace
 
 from .errors import ConfigError
 
-_FLOAT_FMT = "%.17g"
-
 
 def _fmt_float(v):
-    return _FLOAT_FMT % float(v)
+    return "%.17g" % float(v)
 
 
 def _parse_bool(raw):
@@ -33,45 +37,17 @@ def _parse_bool(raw):
     raise ValueError("expected true or false")
 
 
-def _parse_int(raw):
-    return int(raw, 10)
-
-
-def _parse_int_list(raw):
-    items = [s.strip() for s in raw.split(",")]
-    if not items or any(not s for s in items):
-        raise ValueError("expected comma-separated integers")
-    return tuple(int(s, 10) for s in items)
-
-
-def _parse_float_list(raw):
-    items = [s.strip() for s in raw.split(",")]
-    if not items or any(not s for s in items):
-        raise ValueError("expected comma-separated numbers")
-    return tuple(float(s) for s in items)
-
-
-def _fmt_value(kind, v):
-    if kind == "float":
-        return _fmt_float(v)
-    if kind == "int":
-        return "%d" % v
-    if kind == "bool":
-        return "true" if v else "false"
-    if kind == "int_list":
-        return ",".join("%d" % x for x in v)
-    if kind == "float_list":
-        return ",".join(_fmt_float(x) for x in v)
-    return str(v)
-
-
-_PARSERS = {
-    "float": float,
-    "int": _parse_int,
-    "bool": _parse_bool,
-    "str": str,
-    "int_list": _parse_int_list,
-    "float_list": _parse_float_list,
+# kind -> (parser of the raw text, formatter for the echo, field type);
+# int() and float() reject the empty item of a stray comma
+_KINDS = {
+    "float": (float, _fmt_float, float),
+    "int": (lambda raw: int(raw, 10), lambda v: "%d" % v, int),
+    "bool": (_parse_bool, lambda v: "true" if v else "false", bool),
+    "str": (str, str, str),
+    "int_list": (lambda raw: tuple(int(s, 10) for s in raw.split(",")),
+                 lambda v: ",".join("%d" % x for x in v), tuple),
+    "float_list": (lambda raw: tuple(float(s) for s in raw.split(",")),
+                   lambda v: ",".join(map(_fmt_float, v)), tuple),
 }
 
 
@@ -83,7 +59,7 @@ def _nonnegative(v):
     return v >= 0
 
 
-# key -> (type, default, per-key check or None, requirement text)
+# key -> (kind, default, per-key check or None, requirement text)
 # default None means resolved after parsing (documented per key).
 SCHEMA = {
     "pool.x0": ("float", 1000.0, _positive, "must be positive"),
@@ -129,8 +105,8 @@ SCHEMA = {
     "solver.initial_step": ("float", 1.0, _positive, "must be positive"),
     "solver.step_tol": ("float", 0.01, _positive, "must be positive"),
     "harness.n_values": ("int_list", (8, 16, 32, 64),
-                         lambda v: len(v) >= 2 and all(x >= 1 for x in v),
-                         "needs at least two positive population sizes"),
+                         lambda v: len(set(v)) >= 2 and all(x >= 1 for x in v),
+                         "needs at least two distinct positive population sizes"),
     "harness.replications": ("int", 100, lambda v: v >= 2, "needs at least 2"),
     "lvr.paths": ("int", 10000, lambda v: v >= 2, "needs at least 2"),
     "lvr.dt_values": ("float_list", (0.01, 0.001, 0.0001),
@@ -145,99 +121,6 @@ def _attr(key):
     return key.replace(".", "_")
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    pool_x0: float
-    pool_y0: float
-    pool_tau: float
-    trader_sigma: float
-    trader_a_min: float
-    trader_a_max: float
-    trader_terminal_weight: float
-    trader_init_law: str
-    trader_init_mean: float
-    trader_init_sd: float
-    trader_slippage: bool
-    lp_x0: float
-    lp_y0: float
-    lp_z0: float
-    lp_sigma_x: float
-    lp_sigma_y: float
-    lp_sigma_z: float
-    lp_control_min: float
-    lp_control_max: float
-    lp_segments: int
-    lp_terminal_weight: float
-    external_sigma: float
-    external_sigma0: float
-    arbitrage_enabled: bool
-    model_flow_convention: str
-    engine_traders: int
-    grid_horizon: float
-    grid_steps: int
-    grid_x_min: float
-    grid_x_max: float
-    grid_x_points: int
-    grid_control_points: int
-    grid_quad_points: int
-    solver_damping: float
-    solver_tol: float
-    solver_max_iter: int
-    solver_budget: int
-    solver_initial_step: float
-    solver_step_tol: float
-    harness_n_values: tuple
-    harness_replications: int
-    lvr_paths: int
-    lvr_dt_values: tuple
-    arb_draws: int
-    seed: int
-
-
-assert [f.name for f in fields(SimConfig)] == [_attr(k) for k in SCHEMA]
-
-
-def parse_config_text(text, source="config"):
-    """Raw key/value extraction with duplicate and unknown-key rejection."""
-    values = {}
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}", "expected key = value")
-        key, _, raw = line.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        if key not in SCHEMA:
-            raise ConfigError(key, f"unknown key ({source}:{lineno})")
-        if key in values:
-            raise ConfigError(key, f"duplicate key ({source}:{lineno})")
-        if not raw:
-            raise ConfigError(key, f"empty value ({source}:{lineno})")
-        values[key] = raw
-    return values
-
-
-def _convert(key, raw):
-    kind = SCHEMA[key][0]
-    try:
-        return _PARSERS[kind](raw)
-    except ValueError:
-        raise ConfigError(key, f"cannot parse {raw!r} as {kind}") from None
-
-
-def _check_key(key, value):
-    """Per-key schema check: float values must be finite, then the range rule."""
-    kind, _, check, requirement = SCHEMA[key]
-    if kind in ("float", "float_list"):
-        items = value if kind == "float_list" else (value,)
-        if not all(math.isfinite(x) for x in items):
-            raise ConfigError(key, f"must be finite (got {value})")
-    if check is not None and not check(value):
-        raise ConfigError(key, f"{requirement} (got {value})")
-
-
 def divides(dt, horizon):
     """Number n >= 1 of whole steps of size dt in horizon, to 1e-9 relative; 0 if none."""
     if not dt > 0:
@@ -249,59 +132,98 @@ def divides(dt, horizon):
     return n if n >= 1 and abs(n * dt - horizon) <= 1e-9 * horizon else 0
 
 
-def _checked_config(resolved):
-    """SimConfig from fully resolved values, after every per-key and cross-key check."""
-    for key, value in resolved.items():
-        _check_key(key, value)
+def _check(cfg):
+    """Every per-key check in schema order, then every cross-key check."""
+    for key, (kind, _default, check, requirement) in SCHEMA.items():
+        value = getattr(cfg, _attr(key))
+        if kind in ("float", "float_list"):
+            items = value if kind == "float_list" else (value,)
+            if not all(math.isfinite(x) for x in items):
+                raise ConfigError(key, f"must be finite (got {value})")
+        if check is not None and not check(value):
+            raise ConfigError(key, f"{requirement} (got {value})")
 
     def cross(cond, key, reason):
         if not cond:
             raise ConfigError(key, reason)
 
-    cross(resolved["trader.a_max"] > resolved["trader.a_min"],
-          "trader.a_max", "must exceed trader.a_min")
-    cross(resolved["lp.control_max"] > resolved["lp.control_min"],
+    cross(cfg.trader_a_max > cfg.trader_a_min, "trader.a_max", "must exceed trader.a_min")
+    cross(cfg.lp_control_max > cfg.lp_control_min,
           "lp.control_max", "must exceed lp.control_min")
-    cross(resolved["grid.x_max"] > resolved["grid.x_min"],
-          "grid.x_max", "must exceed grid.x_min")
-    cross(resolved["grid.x_min"] <= resolved["trader.init_mean"] <= resolved["grid.x_max"],
+    cross(cfg.grid_x_max > cfg.grid_x_min, "grid.x_max", "must exceed grid.x_min")
+    cross(cfg.grid_x_min <= cfg.trader_init_mean <= cfg.grid_x_max,
           "trader.init_mean",
-          f"must lie in [grid.x_min, grid.x_max] = [{resolved['grid.x_min']}, "
-          f"{resolved['grid.x_max']}] (got {resolved['trader.init_mean']})")
-    horizon = resolved["grid.horizon"]
-    for dt in resolved["lvr.dt_values"]:
-        cross(divides(dt, horizon), "lvr.dt_values",
-              f"each step size must divide grid.horizon = {horizon} into whole steps "
-              f"(got {dt})")
-    return SimConfig(**{_attr(k): v for k, v in resolved.items()})
+          f"must lie in [grid.x_min, grid.x_max] = [{cfg.grid_x_min}, {cfg.grid_x_max}] "
+          f"(got {cfg.trader_init_mean})")
+    for dt in cfg.lvr_dt_values:
+        cross(divides(dt, cfg.grid_horizon), "lvr.dt_values",
+              f"each step size must divide grid.horizon = {cfg.grid_horizon} into whole "
+              f"steps (got {dt})")
+
+
+SimConfig = make_dataclass(
+    "SimConfig",
+    [(_attr(key), _KINDS[kind][2]) for key, (kind, *_rest) in SCHEMA.items()],
+    namespace={
+        "__doc__": "Resolved configuration: one field per SCHEMA key, checked when built.",
+        "__post_init__": _check,
+    },
+    frozen=True,
+)
+# before Python 3.12 make_dataclass names the module "types"; pickle must
+# find the class here
+SimConfig.__module__ = __name__
+
+
+def _read_pair(line, where):
+    """``(key, raw value)`` from one ``key = value`` line; errors cite ``where``."""
+    key, eq, raw = (part.strip() for part in line.partition("="))
+    if not eq:
+        raise ConfigError(where, f"expected key = value (got {line!r})")
+    if key not in SCHEMA:
+        raise ConfigError(key, f"unknown key ({where})")
+    if not raw:
+        raise ConfigError(key, f"empty value ({where})")
+    return key, raw
+
+
+def parse_config_text(text, source="config"):
+    """Raw key/value extraction with duplicate and unknown-key rejection."""
+    values = {}
+    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+        line = raw_line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        where = f"{source}:{lineno}"
+        key, raw = _read_pair(line, where)
+        if key in values:
+            raise ConfigError(key, f"duplicate key ({where})")
+        values[key] = raw
+    return values
+
+
+def apply_overrides(values, overrides):
+    """Merge ``key=value`` override strings; later overrides win."""
+    return {**values, **dict(_read_pair(item, "override") for item in overrides)}
+
+
+def _convert(key, raw):
+    kind = SCHEMA[key][0]
+    try:
+        return _KINDS[kind][0](raw)
+    except ValueError:
+        raise ConfigError(key, f"cannot parse {raw!r} as {kind}") from None
 
 
 def build_config(values):
     """Typed SimConfig from raw string values; applies defaults and checks."""
     resolved = {
-        key: _convert(key, values[key]) if key in values else default
-        for key, (_kind, default, _check, _req) in SCHEMA.items()
+        _attr(key): _convert(key, values[key]) if key in values else default
+        for key, (_kind, default, *_rest) in SCHEMA.items()
     }
-    if resolved["lp.z0"] is None:
-        resolved["lp.z0"] = 2.0 * resolved["pool.y0"]
-    return _checked_config(resolved)
-
-
-def apply_overrides(values, overrides):
-    """Merge ``key=value`` override strings; later overrides win."""
-    merged = dict(values)
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(item, "override must look like key=value")
-        key, _, raw = item.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        if key not in SCHEMA:
-            raise ConfigError(key, "unknown key in override")
-        if not raw:
-            raise ConfigError(key, "empty value in override")
-        merged[key] = raw
-    return merged
+    if resolved["lp_z0"] is None:
+        resolved["lp_z0"] = 2.0 * resolved["pool_y0"]
+    return SimConfig(**resolved)
 
 
 def load_config(path, overrides=()):
@@ -317,10 +239,10 @@ def load_config(path, overrides=()):
 
 def canonical_echo(config: SimConfig):
     """Schema-ordered ``key = value`` rendering of the resolved configuration."""
-    lines = []
-    for key, (kind, _default, _check, _req) in SCHEMA.items():
-        value = getattr(config, _attr(key))
-        lines.append(f"{key} = {_fmt_value(kind, value)}")
+    lines = [
+        f"{key} = {_KINDS[kind][1](getattr(config, _attr(key)))}"
+        for key, (kind, *_rest) in SCHEMA.items()
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -334,13 +256,7 @@ def default_config(**attr_overrides):
     ``lp_z0`` resolves from the default ``pool_y0`` before the tweaks apply;
     the tweaked values pass the same checks as a config file.
     """
-    cfg = build_config({})
-    if not attr_overrides:
-        return cfg
-    resolved = {key: getattr(cfg, _attr(key)) for key in SCHEMA}
-    keys = {_attr(key): key for key in SCHEMA}
-    for attr, value in attr_overrides.items():
-        if attr not in keys:
+    for attr in attr_overrides:
+        if attr not in SimConfig.__dataclass_fields__:
             raise ConfigError(attr, "unknown config attribute")
-        resolved[keys[attr]] = value
-    return _checked_config(resolved)
+    return replace(build_config({}), **attr_overrides)

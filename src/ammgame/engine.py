@@ -14,7 +14,7 @@ Reserve or price degeneracy aborts the run with the step index and offending
 quantity attached to the exception; nothing is clamped.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,7 +86,6 @@ class SystemTrajectory:
     """Everything one simulation produced, sampled on the grid."""
 
     grid: TimeGrid
-    seed: int
     price_path: np.ndarray
     x_adj_path: np.ndarray
     y_adj_path: np.ndarray
@@ -105,7 +104,6 @@ class SystemTrajectory:
     lp_z_path: np.ndarray
     lp_s_path: np.ndarray
     lp_reward_path: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
 
 
 def simulate(config, trader_policy, lp_control_path, seed, noise=None, n_traders=None):
@@ -166,7 +164,6 @@ def simulate(config, trader_policy, lp_control_path, seed, noise=None, n_traders
 
     return SystemTrajectory(
         grid=grid,
-        seed=int(seed),
         price_path=price,
         x_adj_path=x_adj,
         y_adj_path=y_adj,
@@ -185,5 +182,4 @@ def simulate(config, trader_policy, lp_control_path, seed, noise=None, n_traders
         lp_z_path=lp_z,
         lp_s_path=lp_s,
         lp_reward_path=lp_f,
-        diagnostics={"n_traders": m, "flow_sign": mk.sign},
     )

@@ -59,9 +59,7 @@ class NashReport:
     gaps: np.ndarray
     stderrs: np.ndarray
     replications: int
-    seed: int
     slope: float
-    intercept: float
     clipped: np.ndarray  # per N: gap raised to GAP_FLOOR before the fit
     estimates: list = field(default_factory=list)
 
@@ -105,9 +103,9 @@ def _paired_gaps(config, policy, deviation, lp_control_path, seed, noise, own):
     return objective[reps:] - objective[:reps]
 
 
-def epsilon_nash_gap(config, n_players, seed=None, solution=None, lp_control_path=None):
-    """Best-deviation gain for one player among ``n_players`` on the MFG policy,
-    from ``harness.replications`` paired replications."""
+def epsilon_nash_gap(config, n_players, solution, seed=None, lp_control_path=None):
+    """Best-deviation gain for one player among ``n_players`` on the MFG
+    ``solution``'s policy, from ``harness.replications`` paired replications."""
     grid = TimeGrid(config.grid_horizon, config.grid_steps)
     replications = config.harness_replications
     seed = config.seed if seed is None else seed
@@ -116,8 +114,6 @@ def epsilon_nash_gap(config, n_players, seed=None, solution=None, lp_control_pat
     if lp_control_path is None:
         lp_control_path = np.zeros(grid.steps)
     lp_control_path = np.asarray(lp_control_path, dtype=float)
-    if solution is None:
-        solution = solve_mfg(config, lp_control_path)
     policy = solution.policy.as_policy()
 
     pilot_seed = _derived_seed(seed, 0, n_players)
@@ -171,14 +167,13 @@ def epsilon_nash_gap(config, n_players, seed=None, solution=None, lp_control_pat
     )
 
 
-def convergence_study(config, seed=None, lp_control_path=None):
-    """Deviation gains over ``harness.n_values``, with a log-log slope fit."""
+def convergence_study(config, seed=None):
+    """Deviation gains over ``harness.n_values`` with the LP idle, and a
+    log-log slope fit."""
     n_values = list(config.harness_n_values)
     seed = config.seed if seed is None else seed
 
-    grid = TimeGrid(config.grid_horizon, config.grid_steps)
-    if lp_control_path is None:
-        lp_control_path = np.zeros(grid.steps)
+    lp_control_path = np.zeros(config.grid_steps)
     solution = solve_mfg(config, lp_control_path)
 
     estimates = []
@@ -196,15 +191,13 @@ def convergence_study(config, seed=None, lp_control_path=None):
 
     clipped = gaps < GAP_FLOOR
     floored = np.maximum(gaps, GAP_FLOOR)
-    slope, intercept = np.polyfit(np.log(np.asarray(n_values, dtype=float)), np.log(floored), 1)
+    slope, _ = np.polyfit(np.log(np.asarray(n_values, dtype=float)), np.log(floored), 1)
     return NashReport(
         n_values=n_values,
         gaps=gaps,
         stderrs=stderrs,
         replications=estimates[0].replications,
-        seed=seed,
         slope=float(slope),
-        intercept=float(intercept),
         clipped=clipped,
         estimates=estimates,
     )

@@ -75,8 +75,6 @@ class LvrAccount:
 
     dt: float
     n_paths: int
-    sigma: float
-    seed: int
     terminal_arb: np.ndarray
     terminal_lvr: np.ndarray
     terminal_replication: np.ndarray
@@ -99,22 +97,18 @@ def _fill(streams, z, tile):
         z[:, first : first + len(rows)] = rows.T
 
 
-def run_lvr_experiment(config, dt=None, seed=None):
+def run_lvr_experiment(config, dt):
     """Simulate the drain identity on GBM external prices.
 
-    Pool parameters, volatility, horizon and path count come from the config;
-    ``dt`` (by default the first configured step size) must cut the horizon
-    into whole steps, and ``seed`` defaults to the config's.
+    Pool parameters, volatility, horizon, path count and seed come from the
+    config; ``dt`` must cut the horizon into whole steps.
     """
     sigma = config.external_sigma
     horizon = config.grid_horizon
     n_paths = config.lvr_paths
+    seed = config.seed
     k = config.pool_x0 * config.pool_y0
     p0 = config.pool_y0 / config.pool_x0
-    if dt is None:
-        dt = config.lvr_dt_values[0]
-    if seed is None:
-        seed = config.seed
     n_steps = divides(dt, horizon)
     if n_steps == 0:
         raise InvalidParameter(
@@ -149,8 +143,6 @@ def run_lvr_experiment(config, dt=None, seed=None):
     return LvrAccount(
         dt=float(dt),
         n_paths=int(n_paths),
-        sigma=float(sigma),
-        seed=int(seed),
         terminal_arb=arb_t,
         terminal_lvr=drain_t,
         terminal_replication=replication_t,

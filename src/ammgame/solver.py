@@ -118,7 +118,6 @@ class EquilibriumSolution:
     certificate_residual: float
     converged: bool
     iterations: int
-    lp_control_path: np.ndarray
     lp_segments: np.ndarray | None = None
     lp_objective: float | None = None
     search_trace: list | None = None
@@ -319,7 +318,6 @@ def _picard(config, lp_control_path, initial_law, flows):
             certificate_residual=certificate,
             converged=True,
             iterations=len(history),
-            lp_control_path=lp_control_path,
             diagnostics={
                 "equilibrium_value": float(initial_law @ policy.value[0]),
                 "maps": maps,

@@ -66,7 +66,7 @@ _VALID_OVERRIDES = {
     "grid.steps": st.integers(min_value=1, max_value=10**6),
     "solver.damping": st.floats(min_value=0.0, max_value=1.0, exclude_min=True, **_finite),
     "harness.n_values": st.lists(st.integers(min_value=1, max_value=512), min_size=2,
-                                 max_size=5).map(lambda v: ",".join(map(str, v))),
+                                 max_size=5, unique=True).map(lambda v: ",".join(map(str, v))),
     # step sizes 1/n divide the default horizon of 1 into whole steps
     "lvr.dt_values": st.lists(st.integers(min_value=1, max_value=10**6).map(lambda n: 1.0 / n),
                               min_size=1, max_size=4).map(lambda v: ",".join(map(repr, v))),
@@ -119,9 +119,11 @@ def test_config_error_exits_2(tmp_path, capsys):
             err = capsys.readouterr().err
             assert "config error" in err and key in err
             assert not out.exists()
-    # the slope fit needs two population sizes and the residual's stderr two
-    # paths: the config rejects one, naming the key
-    for sub, key, raw in [("nash-test", "harness.n_values", "8"), ("lvr-check", "lvr.paths", "1")]:
+    # the slope fit needs two distinct population sizes and the residual's
+    # stderr two paths: the config rejects fewer, naming the key
+    for sub, key, raw in [("nash-test", "harness.n_values", "8"),
+                          ("nash-test", "harness.n_values", "8,8"),
+                          ("lvr-check", "lvr.paths", "1")]:
         code = main([sub, "--config", str(empty), "--out", str(out),
                      "--override", f"{key}={raw}"])
         assert code == 2

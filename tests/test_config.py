@@ -1,9 +1,14 @@
 """Config parsing, validation, overrides, and the canonical echo."""
 
+import pickle
+from dataclasses import fields, replace
+
 import pytest
 
+import ammgame
 from ammgame.config import (
     SCHEMA,
+    SimConfig,
     apply_overrides,
     build_config,
     canonical_echo,
@@ -103,7 +108,8 @@ def test_range_violations_name_the_key():
     # settings the solvers read only from the config
     for key, raw in [("solver.damping", "0"), ("solver.damping", "1.5"), ("solver.tol", "0"),
                      ("solver.max_iter", "0"), ("harness.replications", "1"),
-                     ("harness.n_values", "8"), ("harness.n_values", "0,8"), ("lvr.paths", "0"),
+                     ("harness.n_values", "8"), ("harness.n_values", "0,8"),
+                     ("harness.n_values", "8,8"), ("lvr.paths", "0"),
                      ("lvr.paths", "1")]:
         with pytest.raises(ConfigError) as err:
             build_config({key: raw})
@@ -162,6 +168,27 @@ def test_default_config_runs_the_schema_checks():
     # lp_z0 keeps its value resolved from the default pool quote
     assert default_config(pool_y0=250.0).lp_z0 == 2000.0
     assert default_config(pool_tau=0.01) == build_config({"pool.tau": "0.01"})
+
+
+def test_every_build_runs_the_schema_checks():
+    """The constructor checks, so dataclasses.replace cannot skip the schema."""
+    cfg = default_config()
+    for attr, value, key in [("solver_damping", 0.0, "solver.damping"),
+                             ("grid_steps", 0, "grid.steps"),
+                             ("harness_n_values", (8, 8), "harness.n_values"),
+                             ("lvr_dt_values", (0.3,), "lvr.dt_values")]:
+        with pytest.raises(ConfigError) as err:
+            replace(cfg, **{attr: value})
+        assert err.value.key == key
+    assert replace(cfg, grid_steps=7) == default_config(grid_steps=7)
+
+
+def test_sim_config_is_a_picklable_ammgame_class():
+    cfg = default_config(seed=3)
+    again = pickle.loads(pickle.dumps(cfg))
+    assert again == cfg and hash(again) == hash(cfg)
+    assert SimConfig.__module__ == "ammgame.config" and ammgame.SimConfig is SimConfig
+    assert [f.name for f in fields(SimConfig)] == [key.replace(".", "_") for key in SCHEMA]
 
 
 def test_cross_check_control_bounds():

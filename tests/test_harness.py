@@ -103,7 +103,7 @@ def test_epsilon_nash_gap_common_noise_pairing():
     est = epsilon_nash_gap(cfg, n_players=8, seed=2, solution=sol)
     pol = sol.policy.as_policy()
     baselines = [
-        simulate(cfg, pol, sol.lp_control_path, seed=s, n_traders=8).trader_objectives[0]
+        simulate(cfg, pol, sol.env.lp_control, seed=s, n_traders=8).trader_objectives[0]
         for s in range(40, 48)
     ]
     assert np.std(est.paired_gaps) < 0.2 * np.std(baselines)
@@ -117,7 +117,7 @@ def test_convergence_study_report_shape():
     assert len(report.estimates) == 2
     np.testing.assert_array_equal(report.gaps, [e.gap for e in report.estimates])
     np.testing.assert_array_equal(report.stderrs, [e.stderr for e in report.estimates])
-    assert np.isfinite(report.slope) and np.isfinite(report.intercept)
+    assert np.isfinite(report.slope)
     assert 0 <= report.n_clipped <= 2
     np.testing.assert_array_equal(report.clipped, report.gaps < 1e-12)
     assert report.n_clipped == int(report.clipped.sum())

@@ -81,18 +81,17 @@ def test_experiment_identity_tightens_with_dt():
 
 
 def test_experiment_seeded_reproducibility():
-    cfg = default_config(lvr_paths=64)
-    a = run_lvr_experiment(cfg, dt=0.01, seed=42)
-    b = run_lvr_experiment(cfg, dt=0.01, seed=42)
-    c = run_lvr_experiment(cfg, dt=0.01, seed=43)
+    a = run_lvr_experiment(default_config(lvr_paths=64, seed=42), dt=0.01)
+    b = run_lvr_experiment(default_config(lvr_paths=64, seed=42), dt=0.01)
+    c = run_lvr_experiment(default_config(lvr_paths=64, seed=43), dt=0.01)
     np.testing.assert_array_equal(a.terminal_arb, b.terminal_arb)
     assert not np.array_equal(a.terminal_arb, c.terminal_arb)
 
 
 def test_experiment_path_count_independent_of_chunking():
     """Per-path seeding makes results independent of the batch layout."""
-    full = run_lvr_experiment(default_config(lvr_paths=10), dt=0.01, seed=5)
-    head = run_lvr_experiment(default_config(lvr_paths=3), dt=0.01, seed=5)
+    full = run_lvr_experiment(default_config(lvr_paths=10, seed=5), dt=0.01)
+    head = run_lvr_experiment(default_config(lvr_paths=3, seed=5), dt=0.01)
     np.testing.assert_array_equal(full.terminal_arb[:3], head.terminal_arb)
 
 

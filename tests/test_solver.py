@@ -379,7 +379,7 @@ def test_solve_mfg_certificate_matches_stopping_residual():
     """The from-scratch certificate recomputes the same deterministic map."""
     cfg = small_cfg()
     sol = solve_mfg(cfg)
-    again = fixed_point_certificate(cfg, sol.lp_control_path, sol.flows)
+    again = fixed_point_certificate(cfg, sol.env.lp_control, sol.flows)
     assert again == pytest.approx(sol.certificate_residual, rel=1e-12, abs=1e-15)
     assert sol.certificate_residual == pytest.approx(sol.residual_history[-1], rel=1e-9)
 
@@ -389,7 +389,6 @@ def test_solve_mfg_honors_lp_path():
     lp_path = np.full(cfg.grid_steps, 0.25)
     sol = solve_mfg(cfg, lp_path)
     np.testing.assert_array_equal(sol.env.lp_control, lp_path)
-    np.testing.assert_array_equal(sol.lp_control_path, lp_path)
 
 
 def test_solve_mfg_not_converged_carries_history():
@@ -433,7 +432,7 @@ def test_solve_mfg_default_ends_on_exact_fixed_point():
     assert sol.residual_history[-1] == 0.0
     assert sol.iterations == len(sol.residual_history) <= 23
     assert sol.diagnostics["maps"] == sol.iterations
-    env = forward_environment(cfg, sol.lp_control_path, sol.flows.mean_controls())
+    env = forward_environment(cfg, sol.env.lp_control, sol.flows.mean_controls())
     x_grid, _ = trader_grids(cfg)
     image = induced_flows(cfg, best_response(cfg, env), initial_trader_law(cfg, x_grid))
     np.testing.assert_array_equal(image.mu, sol.flows.mu)
@@ -550,5 +549,5 @@ def test_solve_major_minor_k1_is_constant_path():
     sol = solve_major_minor(cfg)
     assert len(sol.lp_segments) == 1
     np.testing.assert_array_equal(
-        sol.lp_control_path, np.full(cfg.grid_steps, sol.lp_segments[0])
+        sol.env.lp_control, np.full(cfg.grid_steps, sol.lp_segments[0])
     )
