@@ -4,7 +4,9 @@
 field per key with the dots written as underscores (``pool.tau`` is
 ``pool_tau``). Every ``SimConfig`` is checked when it is built, whether by its
 constructor, ``build_config``, ``default_config`` or ``dataclasses.replace``:
-float values must be finite, each key must satisfy its range check (in schema
+each value must have its kind's type (an int where a float is declared is
+converted when exact, a list where a tuple is declared becomes a tuple), float
+values must be finite, each key must satisfy its range check (in schema
 order), then the cross-key rules must hold. A violation raises
 :class:`ConfigError` naming the offending key.
 
@@ -20,6 +22,7 @@ configurations; its SHA-256 is the config hash stamped into output files.
 
 import hashlib
 import math
+import numbers
 from dataclasses import make_dataclass, replace
 
 from .errors import ConfigError
@@ -37,17 +40,56 @@ def _parse_bool(raw):
     raise ValueError("expected true or false")
 
 
-# kind -> (parser of the raw text, formatter for the echo, field type);
-# int() and float() reject the empty item of a stray comma
+def _is_int(v):
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _as_int(v):
+    if not _is_int(v):
+        raise TypeError("an integer")
+    return int(v)
+
+
+def _as_float(v):
+    # every int up to 2**53 is exactly a float
+    if not (isinstance(v, float) or _is_int(v) and abs(v) <= 2**53):
+        raise TypeError("a float")
+    return float(v)
+
+
+def _as(kind_type, what):
+    def check(v):
+        if not isinstance(v, kind_type):
+            raise TypeError(what)
+        return v
+    return check
+
+
+def _tuple_of(item, what):
+    def convert(v):
+        try:
+            if isinstance(v, (tuple, list)):
+                return tuple(map(item, v))
+        except TypeError:
+            pass
+        raise TypeError(what)
+    return convert
+
+
+# kind -> (parser of the raw text, formatter for the echo, field type, typer
+# that returns a built value as the field type or raises TypeError naming the
+# type); int() and float() reject the empty item of a stray comma
 _KINDS = {
-    "float": (float, _fmt_float, float),
-    "int": (lambda raw: int(raw, 10), lambda v: "%d" % v, int),
-    "bool": (_parse_bool, lambda v: "true" if v else "false", bool),
-    "str": (str, str, str),
+    "float": (float, _fmt_float, float, _as_float),
+    "int": (lambda raw: int(raw, 10), lambda v: "%d" % v, int, _as_int),
+    "bool": (_parse_bool, lambda v: "true" if v else "false", bool, _as(bool, "true or false")),
+    "str": (str, str, str, _as(str, "a string")),
     "int_list": (lambda raw: tuple(int(s, 10) for s in raw.split(",")),
-                 lambda v: ",".join("%d" % x for x in v), tuple),
+                 lambda v: ",".join("%d" % x for x in v), tuple,
+                 _tuple_of(_as_int, "a tuple of integers")),
     "float_list": (lambda raw: tuple(float(s) for s in raw.split(",")),
-                   lambda v: ",".join(map(_fmt_float, v)), tuple),
+                   lambda v: ",".join(map(_fmt_float, v)), tuple,
+                   _tuple_of(_as_float, "a tuple of floats")),
 }
 
 
@@ -133,9 +175,17 @@ def divides(dt, horizon):
 
 
 def _check(cfg):
-    """Every per-key check in schema order, then every cross-key check."""
+    """Every per-key check in schema order, then every cross-key check.
+
+    Each value is first stored as its kind's type, or rejected.
+    """
     for key, (kind, _default, check, requirement) in SCHEMA.items():
         value = getattr(cfg, _attr(key))
+        try:
+            value = _KINDS[kind][3](value)
+        except TypeError as exc:
+            raise ConfigError(key, f"must be {exc} (got {value!r})") from None
+        object.__setattr__(cfg, _attr(key), value)
         if kind in ("float", "float_list"):
             items = value if kind == "float_list" else (value,)
             if not all(math.isfinite(x) for x in items):

@@ -33,6 +33,7 @@ from .engine import TimeGrid, initial_trader_states, make_noise, simulate
 from .errors import InvalidParameter
 from .solver import (
     MfgEnvironment,
+    TraderLayer,
     best_response,
     solve_mfg,
 )
@@ -103,9 +104,13 @@ def _paired_gaps(config, policy, deviation, lp_control_path, seed, noise, own):
     return objective[reps:] - objective[:reps]
 
 
-def epsilon_nash_gap(config, n_players, solution, seed=None, lp_control_path=None):
+def epsilon_nash_gap(config, n_players, solution, seed=None, lp_control_path=None,
+                     layer=None):
     """Best-deviation gain for one player among ``n_players`` on the MFG
-    ``solution``'s policy, from ``harness.replications`` paired replications."""
+    ``solution``'s policy, from ``harness.replications`` paired replications.
+
+    ``layer`` is the config's ``TraderLayer``, built here when not given.
+    """
     grid = TimeGrid(config.grid_horizon, config.grid_steps)
     replications = config.harness_replications
     seed = config.seed if seed is None else seed
@@ -141,7 +146,7 @@ def epsilon_nash_gap(config, n_players, solution, seed=None, lp_control_path=Non
     )
     qbar_others = pilot.mean_control_path - alpha0 / n_players
     deviation = best_response(
-        config, env, own_weight=1.0 / n_players, qbar_others=qbar_others
+        config, env, own_weight=1.0 / n_players, qbar_others=qbar_others, layer=layer
     ).as_policy()
 
     # replications redraw only player 0's idiosyncratic noise; the other
@@ -173,8 +178,9 @@ def convergence_study(config, seed=None):
     n_values = list(config.harness_n_values)
     seed = config.seed if seed is None else seed
 
+    layer = TraderLayer.from_config(config)
     lp_control_path = np.zeros(config.grid_steps)
-    solution = solve_mfg(config, lp_control_path)
+    solution = solve_mfg(config, lp_control_path, layer=layer)
 
     estimates = []
     for n in n_values:
@@ -184,6 +190,7 @@ def convergence_study(config, seed=None):
                 seed=seed,
                 solution=solution,
                 lp_control_path=lp_control_path,
+                layer=layer,
             )
         )
     gaps = np.array([e.gap for e in estimates])

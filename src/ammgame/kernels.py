@@ -14,7 +14,9 @@ to the edge node (constant extrapolation, the usual truncation of an
 unbounded diffusion onto a bounded grid). Row x*na + a of T is that law, so
 the DP's expectation is T @ V and the pushforward takes mu @ T on the rows
 the policy selects: the pushforward is the transpose of the DP's expectation.
-T does not depend on time, so each call builds it once.
+T depends on neither time nor the environment, so the solver builds it once
+per solve (its trader layer) and passes it to every sweep and pushforward as
+``operator``; a call without one builds its own.
 
 A control atom is admissible at a node only if the deterministic drift
 target x + a*dt stays inside the grid. A node with no admissible atom, or
@@ -74,10 +76,17 @@ def transition_operator(x_grid, atoms, dt, sig_root_dt, z_nodes, z_weights):
     return T.reshape(nx * na, nx), admissible
 
 
-def dp_backward(reward, terminal, x_grid, atoms, dt, sig_root_dt, z_nodes, z_weights):
-    """Backward sweep: value (steps+1, nx), argmax policy and admissibility flags."""
+def dp_backward(reward, terminal, x_grid, atoms, dt, sig_root_dt, z_nodes, z_weights,
+                operator=None):
+    """Backward sweep: value (steps+1, nx), argmax policy and admissibility flags.
+
+    ``operator`` is ``transition_operator``'s (T, admissible) for these
+    arguments, built here when not given.
+    """
     n_steps, nx, na = reward.shape
-    T, admissible = transition_operator(x_grid, atoms, dt, sig_root_dt, z_nodes, z_weights)
+    T, admissible = operator or transition_operator(
+        x_grid, atoms, dt, sig_root_dt, z_nodes, z_weights
+    )
     blocked = ~admissible
     ix = np.arange(nx)
 
@@ -92,10 +101,16 @@ def dp_backward(reward, terminal, x_grid, atoms, dt, sig_root_dt, z_nodes, z_wei
     return value, policy, admissible[ix, policy]
 
 
-def push_forward(policy, mu0, x_grid, atoms, dt, sig_root_dt, z_nodes, z_weights):
-    """Forward law (steps+1, nx) under a feedback policy, and an exit flag."""
+def push_forward(policy, mu0, x_grid, atoms, dt, sig_root_dt, z_nodes, z_weights,
+                 operator=None):
+    """Forward law (steps+1, nx) under a feedback policy, and an exit flag.
+
+    ``operator`` is as in ``dp_backward``.
+    """
     n_steps, nx = policy.shape
-    T, admissible = transition_operator(x_grid, atoms, dt, sig_root_dt, z_nodes, z_weights)
+    T, admissible = operator or transition_operator(
+        x_grid, atoms, dt, sig_root_dt, z_nodes, z_weights
+    )
     ix = np.arange(nx)
     rows = ix * len(atoms) + policy
     mu = np.empty((n_steps + 1, nx))

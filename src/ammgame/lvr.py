@@ -44,7 +44,14 @@ _TILE = 128
 
 def _check_args(p, k, sigma=0.0):
     """Raise unless p > 0, k > 0 and sigma >= 0 everywhere (NaN fails), tested in
-    one pass; the failing argument is looked for only then, to name it."""
+    one pass; the failing argument is looked for only then, to name it.
+
+    Python and numpy floats take plain comparisons first, which a NaN fails
+    too: the market step calls this once per step on scalars.
+    """
+    if (isinstance(p, float) and isinstance(k, float) and isinstance(sigma, float)
+            and p > 0 and k > 0 and sigma >= 0):
+        return
     if (np.greater(p, 0) & np.greater(k, 0) & np.greater_equal(sigma, 0)).all():
         return
     for name, value in (("price", p), ("invariant", k)):

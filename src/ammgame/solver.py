@@ -29,6 +29,16 @@ Three nested problems:
    every candidate of the default search does. Inner non-convergence marks
    the candidate infeasible instead of aborting the search.
 
+Everything the trader layer derives from the config alone, and that no LP
+candidate or Picard iterate changes, lives in one frozen ``TraderLayer``: the
+time grid, the inventory grid and control atoms, the initial law, the
+terminal reward, the quadrature, the ``Market`` and the transition matrix T
+with its admissibility mask. ``solve_major_minor``, ``solve_mfg`` and the
+Nash harness build it once per call and pass it down to every response map,
+so T is built once per solve, not twice per map. Each public function that
+takes ``layer`` builds it from the config when none is passed; a layer that
+is passed must come from the same config.
+
 The solver runs in deterministic-flow mode: no common price noise enters the
 fixed point; idiosyncratic trader noise is integrated exactly through the
 quadrature. The environment is one noise-free lane of the market step the
@@ -156,6 +166,47 @@ def initial_trader_law(config, x_grid):
     return mu0
 
 
+@dataclass(frozen=True)
+class TraderLayer:
+    """The trader layer's fixed discretization, built once from a config.
+
+    ``operator`` is ``kernels.transition_operator``'s (T, admissible) on these
+    grids, quadrature and sigma * sqrt(dt).
+    """
+
+    grid: TimeGrid
+    x_grid: np.ndarray
+    atoms: np.ndarray
+    mu0: np.ndarray
+    terminal: np.ndarray
+    z_nodes: np.ndarray
+    z_weights: np.ndarray
+    sig_root_dt: float
+    market: market.Market
+    operator: tuple
+
+    @classmethod
+    def from_config(cls, config):
+        grid = TimeGrid(config.grid_horizon, config.grid_steps)
+        x_grid, atoms = trader_grids(config)
+        nodes, weights = kernels.gauss_hermite(config.grid_quad_points)
+        sig_root_dt = config.trader_sigma * math.sqrt(grid.dt)
+        return cls(
+            grid=grid,
+            x_grid=x_grid,
+            atoms=atoms,
+            mu0=initial_trader_law(config, x_grid),
+            terminal=-config.trader_terminal_weight * x_grid**2,
+            z_nodes=nodes,
+            z_weights=weights,
+            sig_root_dt=sig_root_dt,
+            market=market.Market.from_config(config),
+            operator=kernels.transition_operator(
+                x_grid, atoms, grid.dt, sig_root_dt, nodes, weights
+            ),
+        )
+
+
 def wasserstein_grid(u, v, spacing):
     """W1 between weight vectors on a shared uniform grid, row by row.
 
@@ -166,20 +217,20 @@ def wasserstein_grid(u, v, spacing):
     return float(w1) if w1.ndim == 0 else w1
 
 
-def forward_environment(config, lp_control_path, qbar):
+def forward_environment(config, lp_control_path, qbar, layer=None):
     """Advance the deterministic market path.
 
     One noise-free lane of the market step, with no traders and the mean
     control ``qbar`` given.
     """
-    grid = TimeGrid(config.grid_horizon, config.grid_steps)
-    n = grid.steps
+    layer = layer or TraderLayer.from_config(config)
+    n = layer.grid.steps
     lp_control_path = np.asarray(lp_control_path, dtype=float)
     qbar = np.asarray(qbar, dtype=float)
     if lp_control_path.shape != (n,) or qbar.shape != (n,):
         raise InvalidParameter("lp control and mean-control paths must cover every step")
 
-    mk = market.Market.from_config(config)
+    mk = layer.market
     x_adj = np.empty(n + 1)
     delta = np.empty(n + 1)
     price = np.empty(n + 1)
@@ -209,7 +260,7 @@ def forward_environment(config, lp_control_path, qbar):
 
 
 def tabulate_rewards(config, env: MfgEnvironment, x_grid, atoms,
-                     own_weight=0.0, qbar_others=None):
+                     own_weight=0.0, qbar_others=None, mk=None):
     """Running reward table R[t, ix, ja] for the representative trader.
 
     With ``own_weight`` = 1/N and ``qbar_others`` the frozen contribution of
@@ -219,9 +270,10 @@ def tabulate_rewards(config, env: MfgEnvironment, x_grid, atoms,
     enters the empirical average, so a deviator can internalize its own
     impact. With own_weight = 0 the slot is the frozen mean field itself.
     The drift and the reward are the market step's, evaluated at the path's
-    left points, so the table pays what the engine pays.
+    left points, so the table pays what the engine pays. ``mk`` is the
+    config's ``Market``, built here when not given.
     """
-    mk = market.Market.from_config(config)
+    mk = mk or market.Market.from_config(config)
     xa = env.x_adj[:-1, None]
     dl = env.delta[:-1, None]
     if own_weight == 0.0:
@@ -235,18 +287,18 @@ def tabulate_rewards(config, env: MfgEnvironment, x_grid, atoms,
     )
 
 
-def best_response(config, env: MfgEnvironment, own_weight=0.0, qbar_others=None):
+def best_response(config, env: MfgEnvironment, own_weight=0.0, qbar_others=None,
+                  layer=None):
     """Backward DP against a frozen environment."""
-    grid = TimeGrid(config.grid_horizon, config.grid_steps)
-    x_grid, atoms = trader_grids(config)
+    layer = layer or TraderLayer.from_config(config)
+    grid, x_grid, atoms = layer.grid, layer.x_grid, layer.atoms
     rewards = tabulate_rewards(
-        config, env, x_grid, atoms, own_weight=own_weight, qbar_others=qbar_others
+        config, env, x_grid, atoms, own_weight=own_weight, qbar_others=qbar_others,
+        mk=layer.market,
     )
-    terminal = -config.trader_terminal_weight * x_grid**2
-    nodes, weights = kernels.gauss_hermite(config.grid_quad_points)
-    sig_root_dt = config.trader_sigma * math.sqrt(grid.dt)
     value, policy_idx, ok = kernels.dp_backward(
-        rewards, terminal, x_grid, atoms, grid.dt, sig_root_dt, nodes, weights
+        rewards, layer.terminal, x_grid, atoms, grid.dt, layer.sig_root_dt,
+        layer.z_nodes, layer.z_weights, layer.operator,
     )
     if not ok.all():
         t_bad, i_bad = np.argwhere(~ok)[0]
@@ -257,13 +309,21 @@ def best_response(config, env: MfgEnvironment, own_weight=0.0, qbar_others=None)
     return PolicyGrid(grid=grid, x_grid=x_grid, atoms=atoms, policy_idx=policy_idx, value=value)
 
 
-def induced_flows(config, policy: PolicyGrid, initial_law):
-    """Push the initial law through the policy; collect the control law."""
-    nodes, weights = kernels.gauss_hermite(config.grid_quad_points)
-    sig_root_dt = config.trader_sigma * math.sqrt(policy.grid.dt)
+def induced_flows(config, policy: PolicyGrid, initial_law, layer=None):
+    """Push the initial law through the policy; collect the control law.
+
+    The policy must live on the layer's time grid, inventory grid and atoms.
+    """
+    layer = layer or TraderLayer.from_config(config)
+    if not (policy.grid == layer.grid and np.array_equal(policy.x_grid, layer.x_grid)
+            and np.array_equal(policy.atoms, layer.atoms)):
+        raise InvalidParameter(
+            "the policy's time grid, inventory grid or control atoms differ from the config's"
+        )
     mu, overflow = kernels.push_forward(
         policy.policy_idx, np.asarray(initial_law, dtype=float),
-        policy.x_grid, policy.atoms, policy.grid.dt, sig_root_dt, nodes, weights,
+        layer.x_grid, layer.atoms, layer.grid.dt, layer.sig_root_dt,
+        layer.z_nodes, layer.z_weights, layer.operator,
     )
     if overflow:
         raise GridOverflow(
@@ -285,13 +345,13 @@ def _flow_residual(flows_a: FlowOfMeasures, flows_b: FlowOfMeasures):
     return max(float(w_mu[-1]), float((w_q + w_mu[:-1]).max()))
 
 
-def _response_map(config, lp_control_path, flows: FlowOfMeasures, initial_law):
-    env = forward_environment(config, lp_control_path, flows.mean_controls())
-    policy = best_response(config, env)
-    return induced_flows(config, policy, initial_law), policy, env
+def _response_map(config, layer, lp_control_path, flows: FlowOfMeasures):
+    env = forward_environment(config, lp_control_path, flows.mean_controls(), layer)
+    policy = best_response(config, env, layer=layer)
+    return induced_flows(config, policy, layer.mu0, layer), policy, env
 
 
-def _picard(config, lp_control_path, initial_law, flows):
+def _picard(config, layer, lp_control_path, flows):
     """Damped Picard iteration from ``flows``, probing the undamped image.
 
     When a response map repeats the previous map's policy, or its residual is
@@ -319,7 +379,7 @@ def _picard(config, lp_control_path, initial_law, flows):
             converged=True,
             iterations=len(history),
             diagnostics={
-                "equilibrium_value": float(initial_law @ policy.value[0]),
+                "equilibrium_value": float(layer.mu0 @ policy.value[0]),
                 "maps": maps,
                 "exact": exact,
             },
@@ -327,7 +387,7 @@ def _picard(config, lp_control_path, initial_law, flows):
 
     try:
         while len(history) < max_iter:
-            image, policy, env = _response_map(config, lp_control_path, flows, initial_law)
+            image, policy, env = _response_map(config, layer, lp_control_path, flows)
             residual = _flow_residual(image, flows)
             history.append(residual)
             key = policy.policy_idx.tobytes()
@@ -335,14 +395,14 @@ def _picard(config, lp_control_path, initial_law, flows):
                     and len(history) < max_iter):
                 probed.add(key)
                 again, probe_policy, probe_env = _response_map(
-                    config, lp_control_path, image, initial_law
+                    config, layer, lp_control_path, image
                 )
                 history.append(_flow_residual(again, image))
                 if np.array_equal(again.mu, image.mu) and np.array_equal(again.q, image.q):
                     return solution(image, probe_policy, probe_env, history[-1], True,
                                     len(history))
             if residual <= tol:
-                certificate = fixed_point_certificate(config, lp_control_path, flows)
+                certificate = fixed_point_certificate(config, lp_control_path, flows, layer)
                 return solution(flows, policy, env, certificate, False, len(history) + 1)
             previous = key
             flows = FlowOfMeasures(
@@ -362,7 +422,7 @@ def _picard(config, lp_control_path, initial_law, flows):
     raise exc
 
 
-def solve_mfg(config, lp_control_path=None, start=None):
+def solve_mfg(config, lp_control_path=None, start=None, layer=None):
     """Damped Picard iteration to the consistency fixed point, with the
     config's ``solver.damping``, ``solver.tol`` and ``solver.max_iter``.
 
@@ -378,13 +438,12 @@ def solve_mfg(config, lp_control_path=None, start=None):
     warm attempt and certificate included) and ``exact``; an error raised
     here carries ``maps`` as well.
     """
-    grid = TimeGrid(config.grid_horizon, config.grid_steps)
+    layer = layer or TraderLayer.from_config(config)
+    grid, x_grid, atoms, mu0 = layer.grid, layer.x_grid, layer.atoms, layer.mu0
     if lp_control_path is None:
         lp_control_path = np.zeros(grid.steps)
     lp_control_path = np.asarray(lp_control_path, dtype=float)
 
-    x_grid, atoms = trader_grids(config)
-    mu0 = initial_trader_law(config, x_grid)
     j0 = int(np.argmin(np.abs(atoms)))
     q = np.zeros((grid.steps, len(atoms)))
     q[:, j0] = 1.0
@@ -400,7 +459,7 @@ def solve_mfg(config, lp_control_path=None, start=None):
                 f"got {start.mu.shape} and {start.q.shape}"
             )
         try:
-            warm = _picard(config, lp_control_path, mu0, start)
+            warm = _picard(config, layer, lp_control_path, start)
         except _SOLVE_ERRORS as exc:
             spent = exc.maps
         else:
@@ -408,7 +467,7 @@ def solve_mfg(config, lp_control_path=None, start=None):
                 return warm
             spent = warm.diagnostics["maps"]
     try:
-        sol = _picard(config, lp_control_path, mu0, cold)
+        sol = _picard(config, layer, lp_control_path, cold)
     except _SOLVE_ERRORS as exc:
         exc.maps += spent
         raise
@@ -416,11 +475,10 @@ def solve_mfg(config, lp_control_path=None, start=None):
     return sol
 
 
-def fixed_point_certificate(config, lp_control_path, flows: FlowOfMeasures):
+def fixed_point_certificate(config, lp_control_path, flows: FlowOfMeasures, layer=None):
     """Residual of the response map at ``flows``, recomputed from scratch."""
-    x_grid, _ = trader_grids(config)
-    mu0 = initial_trader_law(config, x_grid)
-    image, _, _ = _response_map(config, lp_control_path, flows, mu0)
+    layer = layer or TraderLayer.from_config(config)
+    image, _, _ = _response_map(config, layer, lp_control_path, flows)
     return _flow_residual(image, flows)
 
 
@@ -436,7 +494,7 @@ def lp_path_from_segments(segments, steps):
     return segments[(np.arange(steps) * k) // steps]
 
 
-def lp_objective(config, segments, start=None):
+def lp_objective(config, segments, start=None, layer=None):
     """LP cost of a segment vector: negated running reward plus terminal penalty.
 
     Deterministic-flow evaluation: solves the inner fixed point, warm-started
@@ -444,10 +502,12 @@ def lp_objective(config, segments, start=None):
     market step recorded along the solution's environment. Returns
     (cost, solution).
     """
-    grid = TimeGrid(config.grid_horizon, config.grid_steps)
-    solution = solve_mfg(config, lp_path_from_segments(segments, grid.steps), start=start)
+    layer = layer or TraderLayer.from_config(config)
+    solution = solve_mfg(
+        config, lp_path_from_segments(segments, layer.grid.steps), start=start, layer=layer
+    )
     env = solution.env
-    running = float(np.sum(env.lp_reward) * grid.dt)
+    running = float(np.sum(env.lp_reward) * layer.grid.dt)
     c = config.lp_terminal_weight
     cost = -running + c * (env.lp_x[-1] ** 2 + env.lp_z[-1] ** 2)
     return cost, solution
@@ -468,6 +528,7 @@ def solve_major_minor(config):
     step = config.solver_initial_step
     step_tol = config.solver_step_tol
 
+    layer = TraderLayer.from_config(config)
     cache = {}
     trace = []
     best_sol = None
@@ -480,7 +541,7 @@ def solve_major_minor(config):
             return (math.inf, None, "budget")  # not cached: never actually evaluated
         start = None if best_sol is None else best_sol.flows
         try:
-            cost, sol = lp_objective(config, u, start=start)
+            cost, sol = lp_objective(config, u, start=start, layer=layer)
             result = (cost, sol, "ok")
             maps, exact = sol.diagnostics["maps"], sol.diagnostics["exact"]
         except NotConverged as exc:

@@ -183,6 +183,27 @@ def test_every_build_runs_the_schema_checks():
     assert replace(cfg, grid_steps=7) == default_config(grid_steps=7)
 
 
+def test_built_values_take_their_kinds_type():
+    """A keyword value of the wrong type is converted exactly or rejected, never kept."""
+    with pytest.raises(ConfigError) as err:
+        default_config(grid_steps=50.0)
+    assert err.value.key == "grid.steps"
+    cfg = default_config(harness_n_values=[8, 16])
+    assert cfg.harness_n_values == (8, 16)
+    assert hash(cfg) == hash(default_config(harness_n_values=(8, 16)))
+    cfg = default_config(pool_x0=1000, lvr_dt_values=[0.5, 1])
+    assert type(cfg.pool_x0) is float and cfg.lvr_dt_values == (0.5, 1.0)
+    assert config_hash(cfg) == config_hash(default_config(lvr_dt_values=(0.5, 1.0)))
+    for attr, value, key in [("pool_tau", True, "pool.tau"), ("pool_x0", 2**60, "pool.x0"),
+                             ("trader_slippage", 1, "trader.slippage"),
+                             ("trader_init_law", 3, "trader.init_law"),
+                             ("harness_n_values", (8, 16.0), "harness.n_values"),
+                             ("lvr_dt_values", 0.01, "lvr.dt_values")]:
+        with pytest.raises(ConfigError) as err:
+            default_config(**{attr: value})
+        assert err.value.key == key
+
+
 def test_sim_config_is_a_picklable_ammgame_class():
     cfg = default_config(seed=3)
     again = pickle.loads(pickle.dumps(cfg))

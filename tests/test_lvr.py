@@ -44,10 +44,14 @@ def test_instantaneous_lvr_exact_point():
     """sigma=0.2, k=10000, P=4: rate = 0.01 * 200 = 2."""
     assert instantaneous_lvr(4.0, 0.2, 10000.0) == pytest.approx(2.0, rel=1e-15)
     assert instantaneous_lvr(4.0, 0.0, 10000.0) == 0.0
-    for p, sigma, k, name in [(-1.0, 0.2, 1.0, "price"), (1.0, 0.2, np.nan, "invariant"),
-                              (1.0, -0.2, 1.0, "volatility"), (1.0, np.nan, 1.0, "volatility")]:
-        with pytest.raises(InvalidParameter, match=name):
-            instantaneous_lvr(p, sigma, k)
+    assert instantaneous_lvr(np.float64(4.0), np.float64(0.2), np.float64(10000.0)) == (
+        instantaneous_lvr(4.0, 0.2, 10000.0))
+    for arg, bad, name in [("p", -1.0, "price"), ("k", np.nan, "invariant"),
+                           ("sigma", -0.2, "volatility"), ("sigma", np.nan, "volatility")]:
+        # a numpy scalar takes the scalar lane, which must reject the same values
+        for value in (bad, np.float64(bad)):
+            with pytest.raises(InvalidParameter, match=name):
+                instantaneous_lvr(**{"p": 1.0, "sigma": 0.2, "k": 1.0, arg: value})
 
 
 def test_drain_rate_matches_value_curvature():

@@ -1,6 +1,7 @@
 """Best response, measure pushforward, fixed point, and the LP search."""
 
 import itertools
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ammgame.errors import (
 from ammgame.solver import (
     FlowOfMeasures,
     PolicyGrid,
+    TraderLayer,
     best_response,
     fixed_point_certificate,
     forward_environment,
@@ -348,7 +350,9 @@ def test_push_forward_overflow_flag():
     policy_idx = np.full((1, 5), 1, dtype=np.int64)  # always push up by 1.0
     pol = PolicyGrid(grid=grid, x_grid=x_grid, atoms=atoms,
                      policy_idx=policy_idx, value=np.zeros((2, 5)))
-    cfg = default_config(grid_steps=1, grid_horizon=1.0, trader_sigma=0.0)
+    cfg = default_config(grid_steps=1, grid_horizon=1.0, trader_sigma=0.0,
+                         grid_x_min=-1.0, grid_x_max=1.0, grid_x_points=5,
+                         trader_a_min=0.0, trader_a_max=1.0, grid_control_points=2)
     mu0 = np.zeros(5)
     mu0[4] = 1.0  # top node drifts to 2.0, outside the grid
     with pytest.raises(GridOverflow):
@@ -542,6 +546,50 @@ def test_solve_major_minor_local_optimum():
     # every evaluation ends on an exact fixed point: at least a map and its probe
     assert all(row["exact"] for row in sol.search_trace)
     assert all(row["maps"] >= 2 for row in sol.search_trace)
+
+
+def test_solve_major_minor_builds_the_trader_layer_once(monkeypatch):
+    """One transition matrix and one quadrature serve every response map of a search."""
+    calls = {"transition_operator": 0, "gauss_hermite": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(kernels, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(kernels, name, counted)
+    cfg = small_cfg(lp_segments=1, solver_budget=6, solver_step_tol=0.5)
+    sol = solve_major_minor(cfg)
+    assert sum(row["maps"] for row in sol.search_trace) > 2
+    assert calls == {"transition_operator": 1, "gauss_hermite": 1}
+
+
+def test_passed_trader_layer_changes_no_number():
+    """A prebuilt layer gives the arrays the config-built one gives, bit for bit."""
+    cfg = small_cfg()
+    layer = TraderLayer.from_config(cfg)
+    lp_path = np.full(cfg.grid_steps, 0.25)
+    qbar = np.full(cfg.grid_steps, 0.1)
+    env = forward_environment(cfg, lp_path, qbar)
+    env_l = forward_environment(cfg, lp_path, qbar, layer)
+    for f in fields(env):
+        np.testing.assert_array_equal(getattr(env_l, f.name), getattr(env, f.name))
+    pol = best_response(cfg, env)
+    pol_l = best_response(cfg, env, layer=layer)
+    np.testing.assert_array_equal(pol_l.policy_idx, pol.policy_idx)
+    np.testing.assert_array_equal(pol_l.value, pol.value)
+    flows = induced_flows(cfg, pol, layer.mu0)
+    flows_l = induced_flows(cfg, pol, layer.mu0, layer)
+    np.testing.assert_array_equal(flows_l.mu, flows.mu)
+    np.testing.assert_array_equal(flows_l.q, flows.q)
+    _same_solution(solve_mfg(cfg, lp_path, layer=layer), solve_mfg(cfg, lp_path))
+
+
+def test_induced_flows_rejects_policy_off_the_layer():
+    cfg = small_cfg()
+    env = forward_environment(cfg, np.zeros(cfg.grid_steps), np.zeros(cfg.grid_steps))
+    pol = best_response(cfg, env)
+    other = small_cfg(grid_x_points=21)
+    with pytest.raises(InvalidParameter):
+        induced_flows(other, pol, TraderLayer.from_config(other).mu0)
 
 
 def test_solve_major_minor_k1_is_constant_path():
