@@ -65,9 +65,8 @@ def _header_block(cfg):
 
 
 def _write_csv(path, cfg, columns, rows):
-    lines = [_header_block(cfg), ",".join(columns), "\n"]
     body = "\n".join(",".join(_fmt_cell(v) for v in row) for row in rows)
-    text = lines[0] + lines[1] + "\n" + (body + "\n" if body else "")
+    text = _header_block(cfg) + ",".join(columns) + "\n" + (body + "\n" if body else "")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 

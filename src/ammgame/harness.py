@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import market
-from .engine import TimeGrid, initial_trader_states, make_noise, simulate
+from .engine import initial_trader_states, make_noise, simulate
 from .errors import InvalidParameter
 from .solver import (
     MfgEnvironment,
@@ -104,20 +104,17 @@ def _paired_gaps(config, policy, deviation, lp_control_path, seed, noise, own):
     return objective[reps:] - objective[:reps]
 
 
-def epsilon_nash_gap(config, n_players, solution, seed=None, lp_control_path=None,
-                     layer=None):
+def epsilon_nash_gap(config, n_players, solution, seed, lp_control_path, layer):
     """Best-deviation gain for one player among ``n_players`` on the MFG
     ``solution``'s policy, from ``harness.replications`` paired replications.
 
-    ``layer`` is the config's ``TraderLayer``, built here when not given.
+    ``solution`` is the equilibrium against ``lp_control_path`` and ``layer``
+    the config's ``TraderLayer``.
     """
-    grid = TimeGrid(config.grid_horizon, config.grid_steps)
+    grid = layer.grid
     replications = config.harness_replications
-    seed = config.seed if seed is None else seed
     if n_players < 1:
         raise InvalidParameter(f"need at least one player, got {n_players}")
-    if lp_control_path is None:
-        lp_control_path = np.zeros(grid.steps)
     lp_control_path = np.asarray(lp_control_path, dtype=float)
     policy = solution.policy.as_policy()
 
@@ -182,17 +179,9 @@ def convergence_study(config, seed=None):
     lp_control_path = np.zeros(config.grid_steps)
     solution = solve_mfg(config, lp_control_path, layer=layer)
 
-    estimates = []
-    for n in n_values:
-        estimates.append(
-            epsilon_nash_gap(
-                config, n,
-                seed=seed,
-                solution=solution,
-                lp_control_path=lp_control_path,
-                layer=layer,
-            )
-        )
+    estimates = [
+        epsilon_nash_gap(config, n, solution, seed, lp_control_path, layer) for n in n_values
+    ]
     gaps = np.array([e.gap for e in estimates])
     stderrs = np.array([e.stderr for e in estimates])
 

@@ -16,7 +16,10 @@ the DP's expectation is T @ V and the pushforward takes mu @ T on the rows
 the policy selects: the pushforward is the transpose of the DP's expectation.
 T depends on neither time nor the environment, so the solver builds it once
 per solve (its trader layer) and passes it to every sweep and pushforward as
-``operator``; a call without one builds its own.
+``operator``. ``push_forward`` takes only the operator; ``dp_backward`` keeps
+the grid, quadrature and noise arguments and builds its own T when none is
+passed, because its leading signature is the one the DP-versus-enumeration
+acceptance test calls and the benchmark's DP hook reads.
 
 A control atom is admissible at a node only if the deterministic drift
 target x + a*dt stays inside the grid. A node with no admissible atom, or
@@ -101,18 +104,16 @@ def dp_backward(reward, terminal, x_grid, atoms, dt, sig_root_dt, z_nodes, z_wei
     return value, policy, admissible[ix, policy]
 
 
-def push_forward(policy, mu0, x_grid, atoms, dt, sig_root_dt, z_nodes, z_weights,
-                 operator=None):
+def push_forward(policy, mu0, operator):
     """Forward law (steps+1, nx) under a feedback policy, and an exit flag.
 
-    ``operator`` is as in ``dp_backward``.
+    ``operator`` is ``transition_operator``'s (T, admissible) on the policy's
+    grid and atoms.
     """
     n_steps, nx = policy.shape
-    T, admissible = operator or transition_operator(
-        x_grid, atoms, dt, sig_root_dt, z_nodes, z_weights
-    )
+    T, admissible = operator
     ix = np.arange(nx)
-    rows = ix * len(atoms) + policy
+    rows = ix * admissible.shape[1] + policy
     mu = np.empty((n_steps + 1, nx))
     mu[0] = mu0
     for t in range(n_steps):

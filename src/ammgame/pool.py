@@ -21,19 +21,18 @@ from .errors import DegenerateReserves, InvalidParameter
 # treated as degenerate rather than clamped.
 EPS_RESERVE_FACTOR = 1e-9
 
-# Tolerance for the stored invariant against x*y after updates.
-EPS_INVARIANT_REL = 1e-12
-
 
 @dataclass(frozen=True)
 class PoolState:
-    """Constant-product pool snapshot: reserves, invariant, fee."""
+    """Constant-product pool snapshot: reserves and fee.
+
+    The invariant x*y and the fee-credit factor phi = 1 - tau are derived
+    from them, so they cannot disagree with the stored values.
+    """
 
     x_reserve: float
     y_reserve: float
-    invariant_k: float
     fee_tau: float
-    phi: float
 
     def __post_init__(self):
         if not self.x_reserve > 0:
@@ -42,23 +41,19 @@ class PoolState:
             raise InvalidParameter(f"y_reserve must be positive, got {self.y_reserve}")
         if not (0 <= self.fee_tau < 1):
             raise InvalidParameter(f"fee_tau must lie in [0, 1), got {self.fee_tau}")
-        if not (0 < self.phi <= 1):
-            raise InvalidParameter(f"phi must lie in (0, 1], got {self.phi}")
-        if abs(self.phi - (1 - self.fee_tau)) > EPS_INVARIANT_REL:
-            raise InvalidParameter("phi must equal 1 - fee_tau")
-        drift = abs(self.invariant_k - self.x_reserve * self.y_reserve)
-        if drift > EPS_INVARIANT_REL * abs(self.invariant_k):
-            raise InvalidParameter(
-                f"invariant_k={self.invariant_k} inconsistent with reserves "
-                f"(x*y={self.x_reserve * self.y_reserve})"
-            )
+
+    @property
+    def invariant_k(self):
+        return self.x_reserve * self.y_reserve
+
+    @property
+    def phi(self):
+        return 1 - self.fee_tau
 
 
 def make_pool(x0, y0, tau):
     """Open a pool with reserves (x0, y0) and fee tau."""
-    return PoolState(
-        x_reserve=x0, y_reserve=y0, invariant_k=x0 * y0, fee_tau=tau, phi=1 - tau
-    )
+    return PoolState(x_reserve=x0, y_reserve=y0, fee_tau=tau)
 
 
 def spot_price(pool: PoolState):

@@ -35,9 +35,23 @@ time grid, the inventory grid and control atoms, the initial law, the
 terminal reward, the quadrature, the ``Market`` and the transition matrix T
 with its admissibility mask. ``solve_major_minor``, ``solve_mfg`` and the
 Nash harness build it once per call and pass it down to every response map,
-so T is built once per solve, not twice per map. Each public function that
-takes ``layer`` builds it from the config when none is passed; a layer that
-is passed must come from the same config.
+so T is built once per solve, not twice per map. A layer that is passed must
+come from the same config. ``tabulate_rewards``, ``fixed_point_certificate``
+and ``harness.epsilon_nash_gap`` require it. The functions that take an
+optional ``layer`` build it from the config when none is passed, each for a
+caller outside the solve:
+
+- ``forward_environment``, ``best_response`` and ``induced_flows``, because
+  the benchmark's check of the LP search recomputes one response map from
+  the config alone;
+- ``lp_objective``, because the LP-search acceptance test re-scores the
+  certificate's neighbours from the config alone;
+- ``solve_mfg`` (with its idle-LP path and cold start) and
+  ``harness.convergence_study``, because the CLI calls them with a config.
+
+``kernels.push_forward`` takes the layer's (T, admissible) and nothing else;
+``kernels.dp_backward`` is passed it too, but still builds its own T when
+called without one, as the DP-versus-enumeration acceptance test calls it.
 
 The solver runs in deterministic-flow mode: no common price noise enters the
 fixed point; idiosyncratic trader noise is integrated exactly through the
@@ -259,8 +273,7 @@ def forward_environment(config, lp_control_path, qbar, layer=None):
     )
 
 
-def tabulate_rewards(config, env: MfgEnvironment, x_grid, atoms,
-                     own_weight=0.0, qbar_others=None, mk=None):
+def tabulate_rewards(layer, env: MfgEnvironment, own_weight, qbar_others):
     """Running reward table R[t, ix, ja] for the representative trader.
 
     With ``own_weight`` = 1/N and ``qbar_others`` the frozen contribution of
@@ -270,32 +283,31 @@ def tabulate_rewards(config, env: MfgEnvironment, x_grid, atoms,
     enters the empirical average, so a deviator can internalize its own
     impact. With own_weight = 0 the slot is the frozen mean field itself.
     The drift and the reward are the market step's, evaluated at the path's
-    left points, so the table pays what the engine pays. ``mk`` is the
-    config's ``Market``, built here when not given.
+    left points, so the table pays what the engine pays. ``qbar_others`` is
+    read only when ``own_weight`` is nonzero.
     """
-    mk = mk or market.Market.from_config(config)
+    mk, atoms = layer.market, layer.atoms
     xa = env.x_adj[:-1, None]
     dl = env.delta[:-1, None]
     if own_weight == 0.0:
         qslot = env.qbar[:, None]
     else:
-        base = env.qbar if qbar_others is None else np.asarray(qbar_others, dtype=float)
-        qslot = base[:, None] + own_weight * atoms[None, :]
+        qslot = np.asarray(qbar_others, dtype=float)[:, None] + own_weight * atoms[None, :]
     pd = market.price_drift(xa, dl, env.lp_control[:, None], qslot, mk.phi, mk.k0)
     return market.trader_reward(
-        mk, x_grid[None, :, None], atoms, xa[:, None], dl[:, None], pd[:, None, :]
+        mk, layer.x_grid[None, :, None], atoms, xa[:, None], dl[:, None], pd[:, None, :]
     )
 
 
 def best_response(config, env: MfgEnvironment, own_weight=0.0, qbar_others=None,
                   layer=None):
-    """Backward DP against a frozen environment."""
+    """Backward DP against a frozen environment.
+
+    ``own_weight`` and ``qbar_others`` are as in ``tabulate_rewards``.
+    """
     layer = layer or TraderLayer.from_config(config)
     grid, x_grid, atoms = layer.grid, layer.x_grid, layer.atoms
-    rewards = tabulate_rewards(
-        config, env, x_grid, atoms, own_weight=own_weight, qbar_others=qbar_others,
-        mk=layer.market,
-    )
+    rewards = tabulate_rewards(layer, env, own_weight, qbar_others)
     value, policy_idx, ok = kernels.dp_backward(
         rewards, layer.terminal, x_grid, atoms, grid.dt, layer.sig_root_dt,
         layer.z_nodes, layer.z_weights, layer.operator,
@@ -321,9 +333,7 @@ def induced_flows(config, policy: PolicyGrid, initial_law, layer=None):
             "the policy's time grid, inventory grid or control atoms differ from the config's"
         )
     mu, overflow = kernels.push_forward(
-        policy.policy_idx, np.asarray(initial_law, dtype=float),
-        layer.x_grid, layer.atoms, layer.grid.dt, layer.sig_root_dt,
-        layer.z_nodes, layer.z_weights, layer.operator,
+        policy.policy_idx, np.asarray(initial_law, dtype=float), layer.operator
     )
     if overflow:
         raise GridOverflow(
@@ -475,9 +485,8 @@ def solve_mfg(config, lp_control_path=None, start=None, layer=None):
     return sol
 
 
-def fixed_point_certificate(config, lp_control_path, flows: FlowOfMeasures, layer=None):
+def fixed_point_certificate(config, lp_control_path, flows: FlowOfMeasures, layer):
     """Residual of the response map at ``flows``, recomputed from scratch."""
-    layer = layer or TraderLayer.from_config(config)
     image, _, _ = _response_map(config, layer, lp_control_path, flows)
     return _flow_residual(image, flows)
 
@@ -564,24 +573,24 @@ def solve_major_minor(config):
         cache[key] = result
         return result
 
-    u = np.clip(np.zeros(k), lo, hi)
-    best_cost, best_sol, status = evaluate(u)
-    while step >= step_tol and len(trace) < budget:
-        improved = False
+    def poll(u, step):
+        """The 2K coordinate neighbours of ``u`` in polling order, with feasibility."""
         for i in range(k):
             for direction in (1.0, -1.0):
                 cand = u.copy()
-                cand[i] = cand[i] + direction * step
-                if cand[i] < lo or cand[i] > hi:
-                    continue
+                cand[i] += direction * step
+                yield cand, lo <= cand[i] <= hi
+
+    u = np.clip(np.zeros(k), lo, hi)
+    best_cost, best_sol, _ = evaluate(u)
+    while step >= step_tol and len(trace) < budget:
+        for cand, feasible in poll(u, step):
+            if feasible:
                 cost, sol, _ = evaluate(cand)
                 if cost < best_cost:
                     u, best_cost, best_sol = cand, cost, sol
-                    improved = True
                     break
-            if improved:
-                break
-        if not improved:
+        else:
             step *= 0.5
 
     if best_sol is None:
@@ -592,15 +601,9 @@ def solve_major_minor(config):
     # local-optimality certificate at the final step size
     neighbors = []
     final_step = max(step, step_tol)
-    for i in range(k):
-        for direction in (1.0, -1.0):
-            cand = u.copy()
-            cand[i] = cand[i] + direction * final_step
-            feasible = lo <= cand[i] <= hi
-            cost = evaluate(cand, respect_budget=False)[0] if feasible else math.inf
-            neighbors.append(
-                {"segments": cand.tolist(), "objective": cost, "feasible": feasible}
-            )
+    for cand, feasible in poll(u, final_step):
+        cost = evaluate(cand, respect_budget=False)[0] if feasible else math.inf
+        neighbors.append({"segments": cand.tolist(), "objective": cost, "feasible": feasible})
 
     best_sol.lp_segments = u
     best_sol.lp_objective = best_cost

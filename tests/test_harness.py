@@ -15,7 +15,7 @@ from ammgame.harness import (
     convergence_study,
     epsilon_nash_gap,
 )
-from ammgame.solver import best_response, forward_environment, solve_mfg
+from ammgame.solver import TraderLayer, best_response, forward_environment, solve_mfg
 
 
 def quick_cfg(**kw):
@@ -59,7 +59,9 @@ def test_simulate_n_players_rejects_nonpositive():
     cfg = quick_cfg()
     sol = solve_mfg(cfg)
     with pytest.raises(InvalidParameter):
-        epsilon_nash_gap(cfg, n_players=0, seed=1, solution=sol)
+        epsilon_nash_gap(cfg, n_players=0, seed=1, solution=sol,
+                         lp_control_path=np.zeros(cfg.grid_steps),
+                         layer=TraderLayer.from_config(cfg))
 
 
 def test_pilot_environment_reproduces_deterministic_env(monkeypatch):
@@ -74,7 +76,8 @@ def test_pilot_environment_reproduces_deterministic_env(monkeypatch):
 
     monkeypatch.setattr(harness, "best_response", spy)
     lp_path = np.full(cfg.grid_steps, 0.2)
-    epsilon_nash_gap(cfg, n_players=4, seed=3, solution=sol, lp_control_path=lp_path)
+    epsilon_nash_gap(cfg, n_players=4, seed=3, solution=sol, lp_control_path=lp_path,
+                     layer=TraderLayer.from_config(cfg))
     (env_real,) = seen
     env_det = forward_environment(cfg, lp_path, env_real.qbar)
     for f in fields(env_det):
@@ -84,7 +87,9 @@ def test_pilot_environment_reproduces_deterministic_env(monkeypatch):
 def test_epsilon_nash_gap_fields_and_determinism():
     cfg = quick_cfg(harness_replications=6)
     sol = solve_mfg(cfg)
-    est = epsilon_nash_gap(cfg, n_players=8, seed=21, solution=sol)
+    idle, layer = np.zeros(cfg.grid_steps), TraderLayer.from_config(cfg)
+    est = epsilon_nash_gap(cfg, n_players=8, seed=21, solution=sol, lp_control_path=idle,
+                           layer=layer)
     assert isinstance(est, DeviationEstimate)
     assert est.n_players == 8
     assert est.replications == 6
@@ -92,7 +97,8 @@ def test_epsilon_nash_gap_fields_and_determinism():
     assert est.gap == pytest.approx(float(np.mean(est.paired_gaps)), rel=1e-15)
     expected_se = float(np.std(est.paired_gaps, ddof=1) / np.sqrt(6))
     assert est.stderr == pytest.approx(expected_se, rel=1e-12)
-    again = epsilon_nash_gap(cfg, n_players=8, seed=21, solution=sol)
+    again = epsilon_nash_gap(cfg, n_players=8, seed=21, solution=sol, lp_control_path=idle,
+                             layer=layer)
     np.testing.assert_array_equal(again.paired_gaps, est.paired_gaps)
 
 
@@ -100,7 +106,9 @@ def test_epsilon_nash_gap_common_noise_pairing():
     """Pairing cancels shared randomness: gap spread is far below objective spread."""
     cfg = quick_cfg(harness_replications=8)
     sol = solve_mfg(cfg)
-    est = epsilon_nash_gap(cfg, n_players=8, seed=2, solution=sol)
+    est = epsilon_nash_gap(cfg, n_players=8, seed=2, solution=sol,
+                           lp_control_path=np.zeros(cfg.grid_steps),
+                           layer=TraderLayer.from_config(cfg))
     pol = sol.policy.as_policy()
     baselines = [
         simulate(cfg, pol, sol.env.lp_control, seed=s, n_traders=8).trader_objectives[0]

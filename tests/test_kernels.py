@@ -92,7 +92,9 @@ def test_dp_and_push_forward_share_one_transition(seed):
     admissible = ok[0]  # the drift exits the grid from the nodes off this mask
     mu0 = rng.uniform(size=nx) * admissible
     mu0 /= mu0.sum()
-    mu, overflow = kernels.push_forward(policy, mu0, x_grid, atoms, dt, sig, nodes, weights)
+    mu, overflow = kernels.push_forward(
+        policy, mu0, kernels.transition_operator(x_grid, atoms, dt, sig, nodes, weights)
+    )
     assert not overflow
     assert mu[1] @ terminal == pytest.approx(mu0[admissible] @ value[0][admissible], abs=1e-12)
 
@@ -107,7 +109,9 @@ def test_dp_and_push_forward_share_one_transition(seed):
     assert len(np.unique(policy)) > 1
     mu0 = rng.uniform(size=nx)
     mu0 /= mu0.sum()
-    mu, overflow = kernels.push_forward(policy, mu0, x_grid, atoms, dt, sig, nodes, weights)
+    mu, overflow = kernels.push_forward(
+        policy, mu0, kernels.transition_operator(x_grid, atoms, dt, sig, nodes, weights)
+    )
     assert not overflow
     ix = np.arange(nx)
     collected = sum(mu[t] @ reward[t][ix, policy[t]] * dt for t in range(steps))
@@ -119,10 +123,11 @@ def test_push_forward_conserves_mass_and_flags_exits():
     atoms = np.array([0.0, 2.0])
     nodes, weights = kernels.gauss_hermite(5)
     mu0 = np.full(11, 1.0 / 11.0)
+    operator = kernels.transition_operator(x_grid, atoms, 0.1, 0.0, nodes, weights)
     stay = np.zeros((3, 11), dtype=np.int64)
-    mu, overflow = kernels.push_forward(stay, mu0, x_grid, atoms, 0.1, 0.0, nodes, weights)
+    mu, overflow = kernels.push_forward(stay, mu0, operator)
     assert not overflow
     np.testing.assert_allclose(mu.sum(axis=1), 1.0, atol=1e-12)
     jump = np.ones((3, 11), dtype=np.int64)  # drift 0.2 pushes top mass out
-    _, overflow = kernels.push_forward(jump, mu0, x_grid, atoms, 0.1, 0.0, nodes, weights)
+    _, overflow = kernels.push_forward(jump, mu0, operator)
     assert overflow

@@ -18,7 +18,6 @@ from ammgame.errors import DegenerateReserves, InvalidParameter
 from ammgame.market import Market, MarketState, check_state, g_factor, step
 from ammgame.pool import (
     EPS_RESERVE_FACTOR,
-    PoolState,
     make_pool,
     quote_trade,
     spot_price,
@@ -42,8 +41,6 @@ def test_pool_state_rejects_bad_inputs():
         make_pool(100.0, 0.0, 0.0)
     with pytest.raises(InvalidParameter):
         make_pool(100.0, 100.0, 1.0)
-    with pytest.raises(InvalidParameter):
-        PoolState(x_reserve=10.0, y_reserve=10.0, invariant_k=50.0, fee_tau=0.0, phi=1.0)
 
 
 def test_quote_trade_no_fee_exact_fraction():

@@ -150,7 +150,7 @@ def test_tabulate_rewards_matches_agent_formula():
     steps = cfg.grid_steps
     env = forward_environment(cfg, np.full(steps, 0.3), np.full(steps, 0.2))
     x_grid, atoms = trader_grids(cfg)
-    table = tabulate_rewards(cfg, env, x_grid, atoms)
+    table = tabulate_rewards(TraderLayer.from_config(cfg), env, 0.0, None)
     assert table.shape == (steps, len(x_grid), len(atoms))
     mk = market.Market.from_config(cfg)
     for t, ix, ja in ((0, 0, 0), (3, 20, 2), (9, 40, 4)):
@@ -169,11 +169,9 @@ def test_tabulate_rewards_own_weight_continuity():
     cfg = small_cfg()
     steps = cfg.grid_steps
     env = forward_environment(cfg, np.zeros(steps), np.full(steps, 0.2))
-    x_grid, atoms = trader_grids(cfg)
-    base = tabulate_rewards(cfg, env, x_grid, atoms)
-    perturbed = tabulate_rewards(
-        cfg, env, x_grid, atoms, own_weight=1e-12, qbar_others=env.qbar
-    )
+    layer = TraderLayer.from_config(cfg)
+    base = tabulate_rewards(layer, env, 0.0, None)
+    perturbed = tabulate_rewards(layer, env, own_weight=1e-12, qbar_others=env.qbar)
     np.testing.assert_allclose(perturbed, base, rtol=1e-9, atol=1e-12)
 
 
@@ -189,7 +187,7 @@ def test_best_response_bellman_residual():
     env = forward_environment(cfg, np.zeros(steps), np.full(steps, 0.1))
     pol = best_response(cfg, env)
     x_grid, atoms = trader_grids(cfg)
-    rewards = tabulate_rewards(cfg, env, x_grid, atoms)
+    rewards = tabulate_rewards(TraderLayer.from_config(cfg), env, 0.0, None)
     nodes, weights = kernels.gauss_hermite(cfg.grid_quad_points)
     grid = TimeGrid(cfg.grid_horizon, cfg.grid_steps)
     sig = cfg.trader_sigma * np.sqrt(grid.dt)
@@ -212,7 +210,7 @@ def test_best_response_no_better_single_deviation():
     env = forward_environment(cfg, np.zeros(steps), np.full(steps, 0.1))
     pol = best_response(cfg, env)
     x_grid, atoms = trader_grids(cfg)
-    rewards = tabulate_rewards(cfg, env, x_grid, atoms)
+    rewards = tabulate_rewards(TraderLayer.from_config(cfg), env, 0.0, None)
     grid = TimeGrid(cfg.grid_horizon, cfg.grid_steps)
     nodes, weights = kernels.gauss_hermite(cfg.grid_quad_points)
     sig = cfg.trader_sigma * np.sqrt(grid.dt)
@@ -383,7 +381,8 @@ def test_solve_mfg_certificate_matches_stopping_residual():
     """The from-scratch certificate recomputes the same deterministic map."""
     cfg = small_cfg()
     sol = solve_mfg(cfg)
-    again = fixed_point_certificate(cfg, sol.env.lp_control, sol.flows)
+    again = fixed_point_certificate(cfg, sol.env.lp_control, sol.flows,
+                                    TraderLayer.from_config(cfg))
     assert again == pytest.approx(sol.certificate_residual, rel=1e-12, abs=1e-15)
     assert sol.certificate_residual == pytest.approx(sol.residual_history[-1], rel=1e-9)
 
