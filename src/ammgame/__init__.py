@@ -14,7 +14,7 @@ from .errors import (
 )
 from .harness import convergence_study, epsilon_nash_gap
 from .lvr import run_lvr_experiment
-from .pool import PoolState, make_pool, quote_trade, spot_price
+from .pool import PoolState, make_pool, quote_trade
 from .solver import solve_major_minor, solve_mfg
 
 __all__ = [
@@ -39,5 +39,4 @@ __all__ = [
     "simulate",
     "solve_major_minor",
     "solve_mfg",
-    "spot_price",
 ]

@@ -36,7 +36,7 @@ class NotConverged(AmmGameError):
     instead of a bare failure.
     """
 
-    def __init__(self, message, residual_history=()):
+    def __init__(self, message, residual_history):
         super().__init__(message)
         self.residual_history = list(residual_history)
 

@@ -142,9 +142,8 @@ def epsilon_nash_gap(config, n_players, solution, seed, lp_control_path, layer):
         [policy(t, pilot.trader_x[0:1, t])[0] for t in range(grid.steps)]
     )
     qbar_others = pilot.mean_control_path - alpha0 / n_players
-    deviation = best_response(
-        config, env, own_weight=1.0 / n_players, qbar_others=qbar_others, layer=layer
-    ).as_policy()
+    qslot = qbar_others[:, None] + (1.0 / n_players) * layer.atoms[None, :]
+    deviation = best_response(config, env, qslot=qslot, layer=layer).as_policy()
 
     # replications redraw only player 0's idiosyncratic noise; the other
     # players (and the common and LP streams) stay frozen at the pilot draw,

@@ -56,11 +56,6 @@ def make_pool(x0, y0, tau):
     return PoolState(x_reserve=x0, y_reserve=y0, fee_tau=tau)
 
 
-def spot_price(pool: PoolState):
-    """Marginal price of ETH in USDT implied by the reserve ratio."""
-    return pool.y_reserve / pool.x_reserve
-
-
 def quote_trade(pool: PoolState, x_adj, y_adj, delta_x):
     """USDT leg and post-trade invariant for a signed ETH trade.
 

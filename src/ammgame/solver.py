@@ -17,7 +17,7 @@ Three nested problems:
    for bit, and then that image is returned with residual 0.0, the probe
    itself being the from-scratch certificate. Each policy is probed at most
    once; without an exact hit the damped iterate within tolerance is
-   returned and its certificate is re-evaluated from scratch.
+   returned, its certificate being the residual of the map that stopped it.
 
 3. LP control: over piecewise-constant controls on K segments, a coordinate
    pattern search with shrinking step minimizes the LP cost (negated running
@@ -36,10 +36,10 @@ terminal reward, the quadrature, the ``Market`` and the transition matrix T
 with its admissibility mask. ``solve_major_minor``, ``solve_mfg`` and the
 Nash harness build it once per call and pass it down to every response map,
 so T is built once per solve, not twice per map. A layer that is passed must
-come from the same config. ``tabulate_rewards``, ``fixed_point_certificate``
-and ``harness.epsilon_nash_gap`` require it. The functions that take an
-optional ``layer`` build it from the config when none is passed, each for a
-caller outside the solve:
+come from the same config. ``tabulate_rewards`` and
+``harness.epsilon_nash_gap`` require it. The functions that take an optional
+``layer`` build it from the config when none is passed, each for a caller
+outside the solve:
 
 - ``forward_environment``, ``best_response`` and ``induced_flows``, because
   the benchmark's check of the LP search recomputes one response map from
@@ -62,6 +62,7 @@ step: DP rewards are tabulated on exactly the path a noise-free simulation
 realizes.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -76,7 +77,7 @@ from .errors import (
     NotConverged,
 )
 
-# what an inner solve raises on a hopeless instance; each carries ``maps``
+# what an inner solve raises on a hopeless instance; solve_mfg tags each with ``maps``
 _SOLVE_ERRORS = (DegenerateReserves, GridOverflow, NotConverged)
 
 
@@ -273,41 +274,42 @@ def forward_environment(config, lp_control_path, qbar, layer=None):
     )
 
 
-def tabulate_rewards(layer, env: MfgEnvironment, own_weight, qbar_others):
+def tabulate_rewards(layer, env: MfgEnvironment, qslot):
     """Running reward table R[t, ix, ja] for the representative trader.
 
-    With ``own_weight`` = 1/N and ``qbar_others`` the frozen contribution of
-    the other N-1 players to the population mean, the mean-control slot of
-    the price drift becomes qbar_others + own_weight * a: the tabulated
-    reward then matches what the finite-N engine pays a player whose control
-    enters the empirical average, so a deviator can internalize its own
-    impact. With own_weight = 0 the slot is the frozen mean field itself.
-    The drift and the reward are the market step's, evaluated at the path's
-    left points, so the table pays what the engine pays. ``qbar_others`` is
-    read only when ``own_weight`` is nonzero.
+    ``qslot`` fills the mean-control slot of the price drift, per step and
+    per own control: shape (steps, 1) for the frozen mean field
+    ``env.qbar[:, None]``, or (steps, atoms) when the player's own control
+    enters the average. The Nash harness passes qbar_others + a / N, with
+    qbar_others the frozen contribution of the other N-1 players: the table
+    then pays what the finite-N engine pays a player whose control enters
+    the empirical mean, so a deviator can internalize its own impact. The
+    drift and the reward are the market step's, evaluated at the path's left
+    points, so the table pays what the engine pays.
     """
     mk, atoms = layer.market, layer.atoms
     xa = env.x_adj[:-1, None]
     dl = env.delta[:-1, None]
-    if own_weight == 0.0:
-        qslot = env.qbar[:, None]
-    else:
-        qslot = np.asarray(qbar_others, dtype=float)[:, None] + own_weight * atoms[None, :]
     pd = market.price_drift(xa, dl, env.lp_control[:, None], qslot, mk.phi, mk.k0)
     return market.trader_reward(
         mk, layer.x_grid[None, :, None], atoms, xa[:, None], dl[:, None], pd[:, None, :]
     )
 
 
-def best_response(config, env: MfgEnvironment, own_weight=0.0, qbar_others=None,
-                  layer=None):
+def best_response(config, env: MfgEnvironment, qslot=None, layer=None):
     """Backward DP against a frozen environment.
 
-    ``own_weight`` and ``qbar_others`` are as in ``tabulate_rewards``.
+    ``qslot`` is as in ``tabulate_rewards``; None means ``env.qbar[:, None]``.
     """
     layer = layer or TraderLayer.from_config(config)
     grid, x_grid, atoms = layer.grid, layer.x_grid, layer.atoms
-    rewards = tabulate_rewards(layer, env, own_weight, qbar_others)
+    qslot = env.qbar[:, None] if qslot is None else np.asarray(qslot, dtype=float)
+    if qslot.shape not in ((grid.steps, 1), (grid.steps, len(atoms))):
+        raise InvalidParameter(
+            f"mean-control slot must have shape ({grid.steps}, 1) or "
+            f"({grid.steps}, {len(atoms)}), got {qslot.shape}"
+        )
+    rewards = tabulate_rewards(layer, env, qslot)
     value, policy_idx, ok = kernels.dp_backward(
         rewards, layer.terminal, x_grid, atoms, grid.dt, layer.sig_root_dt,
         layer.z_nodes, layer.z_weights, layer.operator,
@@ -355,13 +357,7 @@ def _flow_residual(flows_a: FlowOfMeasures, flows_b: FlowOfMeasures):
     return max(float(w_mu[-1]), float((w_q + w_mu[:-1]).max()))
 
 
-def _response_map(config, layer, lp_control_path, flows: FlowOfMeasures):
-    env = forward_environment(config, lp_control_path, flows.mean_controls(), layer)
-    policy = best_response(config, env, layer=layer)
-    return induced_flows(config, policy, layer.mu0, layer), policy, env
-
-
-def _picard(config, layer, lp_control_path, flows):
+def _picard(config, response_map, flows):
     """Damped Picard iteration from ``flows``, probing the undamped image.
 
     When a response map repeats the previous map's policy, or its residual is
@@ -369,67 +365,42 @@ def _picard(config, layer, lp_control_path, flows):
     distinct policy). If that probe reproduces the image bit for bit, the
     image is an exact fixed point and is returned with residual 0.0 from the
     probe as its certificate. Otherwise the damped iterates, and the stop at
-    ``residual <= tol``, are those of the plain iteration. Every map, probes
+    ``residual <= tol``, are those of the plain iteration; the certificate is
+    then the residual of the map that stopped it. Every map, probes
     included, is one entry of the residual history and counts toward
-    ``max_iter``, so a probe that fails at the stop is the last entry. An
-    error raised here carries ``maps``, the response maps attempted.
+    ``max_iter``, so a probe that fails at the stop is the last entry.
+
+    Returns (flows, policy, env, history, certificate, exact).
     """
     lam, tol, max_iter = config.solver_damping, config.solver_tol, config.solver_max_iter
     history = []
     probed = set()
     previous = None
-
-    def solution(flows, policy, env, certificate, exact, maps):
-        return EquilibriumSolution(
-            policy=policy,
-            flows=flows,
-            env=env,
-            residual_history=history,
-            certificate_residual=certificate,
-            converged=True,
-            iterations=len(history),
-            diagnostics={
-                "equilibrium_value": float(layer.mu0 @ policy.value[0]),
-                "maps": maps,
-                "exact": exact,
-            },
+    while len(history) < max_iter:
+        image, policy, env = response_map(flows)
+        residual = _flow_residual(image, flows)
+        history.append(residual)
+        key = policy.policy_idx.tobytes()
+        if ((residual <= tol or key == previous) and key not in probed
+                and len(history) < max_iter):
+            probed.add(key)
+            again, probe_policy, probe_env = response_map(image)
+            history.append(_flow_residual(again, image))
+            if np.array_equal(again.mu, image.mu) and np.array_equal(again.q, image.q):
+                return image, probe_policy, probe_env, history, history[-1], True
+        if residual <= tol:
+            return flows, policy, env, history, residual, False
+        previous = key
+        flows = FlowOfMeasures(
+            x_grid=image.x_grid,
+            atoms=image.atoms,
+            mu=lam * image.mu + (1.0 - lam) * flows.mu,
+            q=lam * image.q + (1.0 - lam) * flows.q,
         )
-
-    try:
-        while len(history) < max_iter:
-            image, policy, env = _response_map(config, layer, lp_control_path, flows)
-            residual = _flow_residual(image, flows)
-            history.append(residual)
-            key = policy.policy_idx.tobytes()
-            if ((residual <= tol or key == previous) and key not in probed
-                    and len(history) < max_iter):
-                probed.add(key)
-                again, probe_policy, probe_env = _response_map(
-                    config, layer, lp_control_path, image
-                )
-                history.append(_flow_residual(again, image))
-                if np.array_equal(again.mu, image.mu) and np.array_equal(again.q, image.q):
-                    return solution(image, probe_policy, probe_env, history[-1], True,
-                                    len(history))
-            if residual <= tol:
-                certificate = fixed_point_certificate(config, lp_control_path, flows, layer)
-                return solution(flows, policy, env, certificate, False, len(history) + 1)
-            previous = key
-            flows = FlowOfMeasures(
-                x_grid=image.x_grid,
-                atoms=image.atoms,
-                mu=lam * image.mu + (1.0 - lam) * flows.mu,
-                q=lam * image.q + (1.0 - lam) * flows.q,
-            )
-    except (DegenerateReserves, GridOverflow) as exc:
-        exc.maps = len(history) + 1
-        raise
-    exc = NotConverged(
+    raise NotConverged(
         f"no fixed point within {max_iter} iterations (last residual {history[-1]:.3e})",
-        residual_history=history,
+        history,
     )
-    exc.maps = len(history)
-    raise exc
 
 
 def solve_mfg(config, lp_control_path=None, start=None, layer=None):
@@ -444,9 +415,9 @@ def solve_mfg(config, lp_control_path=None, start=None, layer=None):
     ``start`` (a FlowOfMeasures on the solver grids) replaces the cold initial
     flows. A warm solve that raises, or ends without an exact fixed point, is
     redone cold, so the result is an exact fixed point or exactly what a cold
-    call returns. ``diagnostics`` records ``maps`` (response maps spent,
-    warm attempt and certificate included) and ``exact``; an error raised
-    here carries ``maps`` as well.
+    call returns. ``diagnostics`` records ``maps`` (response maps spent, a
+    warm attempt included) and ``exact``; an error raised here carries
+    ``maps`` as well.
     """
     layer = layer or TraderLayer.from_config(config)
     grid, x_grid, atoms, mu0 = layer.grid, layer.x_grid, layer.atoms, layer.mu0
@@ -460,35 +431,46 @@ def solve_mfg(config, lp_control_path=None, start=None, layer=None):
     cold = FlowOfMeasures(
         x_grid=x_grid, atoms=atoms, mu=np.tile(mu0, (grid.steps + 1, 1)), q=q
     )
+    if start is not None and (start.mu.shape != cold.mu.shape or start.q.shape != cold.q.shape):
+        raise InvalidParameter(
+            f"start flows must have shapes {cold.mu.shape} and {cold.q.shape}, "
+            f"got {start.mu.shape} and {start.q.shape}"
+        )
 
-    spent = 0
-    if start is not None:
-        if start.mu.shape != cold.mu.shape or start.q.shape != cold.q.shape:
-            raise InvalidParameter(
-                f"start flows must have shapes {cold.mu.shape} and {cold.q.shape}, "
-                f"got {start.mu.shape} and {start.q.shape}"
-            )
-        try:
-            warm = _picard(config, layer, lp_control_path, start)
-        except _SOLVE_ERRORS as exc:
-            spent = exc.maps
-        else:
-            if warm.diagnostics["exact"]:
-                return warm
-            spent = warm.diagnostics["maps"]
+    maps = 0
+
+    def response_map(flows):
+        nonlocal maps
+        maps += 1
+        env = forward_environment(config, lp_control_path, flows.mean_controls(), layer)
+        policy = best_response(config, env, layer=layer)
+        return induced_flows(config, policy, mu0, layer), policy, env
+
+    found = None
     try:
-        sol = _picard(config, layer, lp_control_path, cold)
+        if start is not None:
+            with contextlib.suppress(*_SOLVE_ERRORS):
+                found = _picard(config, response_map, start)
+        if found is None or not found[-1]:  # a warm solve is kept only when exact
+            found = _picard(config, response_map, cold)
     except _SOLVE_ERRORS as exc:
-        exc.maps += spent
+        exc.maps = maps
         raise
-    sol.diagnostics["maps"] += spent
-    return sol
-
-
-def fixed_point_certificate(config, lp_control_path, flows: FlowOfMeasures, layer):
-    """Residual of the response map at ``flows``, recomputed from scratch."""
-    image, _, _ = _response_map(config, layer, lp_control_path, flows)
-    return _flow_residual(image, flows)
+    flows, policy, env, history, certificate, exact = found
+    return EquilibriumSolution(
+        policy=policy,
+        flows=flows,
+        env=env,
+        residual_history=history,
+        certificate_residual=certificate,
+        converged=True,
+        iterations=len(history),
+        diagnostics={
+            "equilibrium_value": float(mu0 @ policy.value[0]),
+            "maps": maps,
+            "exact": exact,
+        },
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 A function, class or method that only tests call is code that production
 never runs. This guard finds each definition with ``ast`` and requires its
-name, as a whole word, somewhere in ``src/ammgame`` or ``perfbench/*.py``
-other than on its own ``def``/``class`` line. A second guard does the same
+name, as a whole word, somewhere in the corpus other than on its own
+``def``/``class`` line. The corpus is ``src/ammgame`` without
+``__init__.py``, whose re-exports name a definition without using it,
+``perfbench/*.py`` and the acceptance tests. A second guard does the same
 for result fields: each annotated field of a class must be read as an
 attribute somewhere. A third does it for parameter defaults: a default that
 only tests rely on is a fallback production never takes.
@@ -16,8 +18,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "ammgame").glob("*.py"))
-CORPUS = PACKAGE + sorted((ROOT / "perfbench").glob("*.py"))
-ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+CORPUS = (
+    [p for p in PACKAGE if p.name != "__init__.py"]
+    + sorted((ROOT / "perfbench").glob("*.py"))
+    + [ROOT / "tests" / "test_acceptance.py"]
+)
 WORD = re.compile(r"\w+")
 
 
@@ -53,15 +58,14 @@ FIELDS_READ_BY_TESTS_ONLY = {
 
 def test_every_result_field_is_read_outside_tests():
     """Every annotated class field in the package is read as an attribute
-    (``obj.name`` in load context) in ``src/ammgame``, ``perfbench/*.py`` or
-    the acceptance tests.
+    (``obj.name`` in load context) somewhere in the corpus.
 
     The scan goes by name, not by type, so a field that shares its name with
     an attribute read elsewhere passes: ``seed``, ``sigma`` and
     ``diagnostics`` would hide a field of that name that nothing reads.
     """
     reads = set()
-    for path in CORPUS + [ACCEPTANCE]:
+    for path in CORPUS:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 reads.add(node.attr)
@@ -114,30 +118,32 @@ def _calls_by_name(paths):
 
 def test_every_default_is_relied_on_outside_tests():
     """Each defaulted parameter of a ``def`` in the package is omitted by at
-    least one call in ``src/ammgame``, ``perfbench/*.py`` or the acceptance
-    tests, passed neither by position nor by keyword.
+    least one call in the corpus, passed neither by position nor by keyword.
 
-    Dunder methods are skipped as in the definition guard: a constructor is
-    called by its class name, which this scan does not resolve. A method's
-    first parameter (``self`` or ``cls``) is not among the positions a call
-    fills; the package has no static methods.
+    An ``__init__`` is checked against the calls of its class by name; other
+    dunder methods are skipped as in the definition guard. A method's first
+    parameter (``self`` or ``cls``) is not among the positions a call fills;
+    the package has no static methods.
     """
-    calls = _calls_by_name(CORPUS + [ACCEPTANCE])
+    calls = _calls_by_name(CORPUS)
     unrelied = []
     for path in PACKAGE:
         tree = ast.parse(path.read_text())
-        methods = {
-            id(stmt) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        owner = {
+            id(stmt): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
             for stmt in cls.body
         }
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            if node.name.startswith("__") and node.name.endswith("__"):
+            name = node.name
+            if name == "__init__":
+                name = owner[id(node)]
+            elif name.startswith("__") and name.endswith("__"):
                 continue
             spec = node.args
             positional = spec.posonlyargs + spec.args
-            if id(node) in methods:
+            if id(node) in owner:
                 positional = positional[1:]
             first = len(positional) - len(spec.defaults)
             defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
@@ -145,10 +151,10 @@ def test_every_default_is_relied_on_outside_tests():
                 (None, a.arg) for a, d in zip(spec.kwonlyargs, spec.kw_defaults) if d is not None
             ]
             for index, param in defaulted:
-                key = f"{node.name}.{param}"
+                key = f"{name}.{param}"
                 if key in DEFAULTS_KEPT:
                     continue
                 if not any((index is None or n <= index) and param not in keywords
-                           for n, keywords in calls[node.name]):
+                           for n, keywords in calls[name]):
                     unrelied.append(f"{path.name}:{node.lineno} {key}")
     assert not unrelied, "defaults relied on only by tests: " + ", ".join(unrelied)

@@ -20,16 +20,15 @@ from ammgame.pool import (
     EPS_RESERVE_FACTOR,
     make_pool,
     quote_trade,
-    spot_price,
 )
 
 finite_pos = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False, allow_infinity=False)
 
 
 def test_make_pool_spot_price():
-    """Reserves (100, 400) quote 4 USDT per ETH."""
+    """Reserves (100, 400) at fee 0.003: invariant 40000, fee-credit factor 0.997."""
     pool = make_pool(100.0, 400.0, 0.003)
-    assert spot_price(pool) == 4.0
+    assert (pool.x_reserve, pool.y_reserve, pool.fee_tau) == (100.0, 400.0, 0.003)
     assert pool.invariant_k == 40000.0
     assert pool.phi == 0.997
 
