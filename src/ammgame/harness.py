@@ -4,11 +4,11 @@ The equilibrium policy is computed in the infinite-population limit; here we
 measure how much a single player can gain by deviating from it in a game with
 N players. The deviation benchmark is built in two stages:
 
-1. A pilot simulation with all N players on the candidate policy yields the
-   empirical market environment (realized price, adjusted reserves, mean
-   control). A backward DP against that frozen environment gives the best
-   deviation a single player could mount if the crowd kept playing the
-   candidate policy.
+1. A pilot simulation with all N players on the candidate policy records the
+   empirical market path (realized price, adjusted reserves, mean control).
+   A backward DP against that frozen record, read as the solver reads its
+   environment, gives the best deviation a single player could mount if the
+   crowd kept playing the candidate policy.
 
 2. Paired replications estimate the value of that deviation. The other
    players stay frozen at their pilot noise (they are the fixed opponents the
@@ -31,12 +31,7 @@ import numpy as np
 from . import market
 from .engine import initial_trader_states, make_noise, simulate
 from .errors import InvalidParameter
-from .solver import (
-    MfgEnvironment,
-    TraderLayer,
-    best_response,
-    solve_mfg,
-)
+from .solver import TraderLayer, best_response, solve_mfg
 
 GAP_FLOOR = 1e-12  # floor before taking logs in the slope fit
 
@@ -115,25 +110,12 @@ def epsilon_nash_gap(config, n_players, solution, seed, lp_control_path, layer):
     replications = config.harness_replications
     if n_players < 1:
         raise InvalidParameter(f"need at least one player, got {n_players}")
-    lp_control_path = np.asarray(lp_control_path, dtype=float)
     policy = solution.policy.as_policy()
 
     pilot_seed = _derived_seed(seed, 0, n_players)
     pilot_noise = make_noise(pilot_seed, grid, n_players)
     pilot = simulate(
         config, policy, lp_control_path, pilot_seed, noise=pilot_noise, n_traders=n_players
-    )
-    # the pilot's realized market is the environment the deviation answers
-    env = MfgEnvironment(
-        x_adj=pilot.x_adj_path,
-        delta=pilot.delta_path,
-        price=pilot.price_path,
-        lvr_rate=pilot.lvr_rate_path,
-        qbar=pilot.mean_control_path,
-        lp_control=lp_control_path,
-        lp_x=pilot.lp_x_path,
-        lp_z=pilot.lp_z_path,
-        lp_reward=pilot.lp_reward_path,
     )
     # freeze the other players' pilot contribution to the empirical mean and
     # let the deviator's own control enter it with weight 1/N, mirroring how
@@ -143,7 +125,8 @@ def epsilon_nash_gap(config, n_players, solution, seed, lp_control_path, layer):
     )
     qbar_others = pilot.mean_control_path - alpha0 / n_players
     qslot = qbar_others[:, None] + (1.0 / n_players) * layer.atoms[None, :]
-    deviation = best_response(config, env, qslot=qslot, layer=layer).as_policy()
+    # the pilot's recorded market is the environment the deviation answers
+    deviation = best_response(config, pilot, qslot=qslot, layer=layer).as_policy()
 
     # replications redraw only player 0's idiosyncratic noise; the other
     # players (and the common and LP streams) stay frozen at the pilot draw,
@@ -154,7 +137,7 @@ def epsilon_nash_gap(config, n_players, solution, seed, lp_control_path, layer):
         ).standard_normal(grid.steps)
         for r in range(replications)
     ]) * np.sqrt(grid.dt)
-    gaps = _paired_gaps(config, policy, deviation, lp_control_path, pilot_seed,
+    gaps = _paired_gaps(config, policy, deviation, pilot.lp_control_path, pilot_seed,
                         pilot_noise, own)
 
     gap = float(gaps.mean())

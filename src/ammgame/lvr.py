@@ -27,6 +27,7 @@ bounded by the buffer, block * paths * 8 bytes (20 MB at 10^4 paths),
 whatever dt is.
 """
 
+import math
 import mmap
 from dataclasses import dataclass
 
@@ -45,13 +46,7 @@ _TILE = 128
 def _check_args(p, k, sigma=0.0):
     """Raise unless p > 0, k > 0 and sigma >= 0 everywhere (NaN fails), tested in
     one pass; the failing argument is looked for only then, to name it.
-
-    Python and numpy floats take plain comparisons first, which a NaN fails
-    too: the market step calls this once per step on scalars.
     """
-    if (isinstance(p, float) and isinstance(k, float) and isinstance(sigma, float)
-            and p > 0 and k > 0 and sigma >= 0):
-        return
     if (np.greater(p, 0) & np.greater(k, 0) & np.greater_equal(sigma, 0)).all():
         return
     for name, value in (("price", p), ("invariant", k)):
@@ -67,7 +62,14 @@ def pool_value(p, k):
 
 
 def instantaneous_lvr(p, sigma, k):
-    """Drain rate sigma^2 * sqrt(k*p) / 4, in USDT per unit time."""
+    """Drain rate sigma^2 * sqrt(k*p) / 4, in USDT per unit time.
+
+    Valid Python and numpy floats (a NaN fails the comparisons) take
+    ``math.sqrt``, which rounds as ``np.sqrt`` does: a lane of floats stays one.
+    """
+    if (isinstance(p, float) and isinstance(k, float) and isinstance(sigma, float)
+            and p > 0 and k > 0 and sigma >= 0):
+        return kernels._drain_rate(math.sqrt(k * p), sigma)
     _check_args(p, k, sigma)
     return kernels._drain_rate(np.sqrt(np.asarray(k, dtype=float) * p), sigma)
 

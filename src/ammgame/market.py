@@ -25,6 +25,9 @@ without traders. Everything is plain arithmetic, so the same code runs on
 floats, on numpy arrays and on ``fractions.Fraction`` inputs, which is how the
 exact oracles check the algebra. Nothing is clamped: a state below a reserve
 floor raises ``DegenerateReserves`` with the step index attached.
+
+``record`` keeps one lane of ``step`` over the grid as a ``SystemTrajectory``,
+the one record of a market path, which the solver and the engine both return.
 """
 
 from dataclasses import dataclass, field
@@ -33,7 +36,7 @@ import numpy as np
 
 from .errors import DegenerateReserves, InvalidParameter
 from .lvr import instantaneous_lvr
-from .pool import EPS_RESERVE_FACTOR
+from .pool import EPS_RESERVE_FACTOR, invariant_after
 
 
 @dataclass(frozen=True)
@@ -196,14 +199,14 @@ def check_state(mk: Market, s: MarketState, t):
             raise DegenerateReserves(f"{what} at step {t}: {worst}", step=t, quantity=worst)
 
 
-def step(mk: Market, s: MarketState, t, alpha, qbar, a_lp,
-         dw0=0, dw_traders=0, dw_lp=(0, 0, 0)):
+def step(mk: Market, s: MarketState, t, alpha, qbar, a_lp, dw0, dw_traders, dw_lp):
     """Advance every lane from grid index ``t`` to ``t + 1``.
 
     ``alpha`` holds the traders' controls (None without traders), ``qbar`` the
     mean control and ``a_lp`` the LP rate of each lane. ``dw0``, ``dw_traders``
     and ``dw_lp`` are Brownian increments already scaled to N(0, dt) for the
-    price, the traders and the LP's three legs; the defaults run noise-free.
+    price, the traders and the LP's three legs (integer zeros run a lane
+    noise-free and keep ``Fraction`` arithmetic exact).
     All coefficients sit at the left point. Returns the new state, checked
     against the reserve floors (an opening state is valid by construction),
     and the step's rates.
@@ -238,4 +241,88 @@ def step(mk: Market, s: MarketState, t, alpha, qbar, a_lp,
     check_state(mk, new, t + 1)
     return new, StepFlows(
         lvr_rate=ell, trader_reward=reward, lp_reward=s.lp_x * pd_reward
+    )
+
+
+@dataclass
+class SystemTrajectory:
+    """One lane of the market on the grid: stocks at steps+1 times, rates per step.
+
+    Trader fields hold a row per trader, None without traders; ``engine.simulate``
+    sets ``trader_objectives``, as it knows the terminal weight.
+    """
+
+    grid: object  # engine.TimeGrid
+    market: Market
+    price_path: np.ndarray
+    x_adj_path: np.ndarray
+    y_adj_path: np.ndarray
+    delta_path: np.ndarray
+    lvr_rate_path: np.ndarray
+    mean_control_path: np.ndarray
+    lp_control_path: np.ndarray
+    trader_x: np.ndarray | None
+    trader_y: np.ndarray | None
+    trader_reward: np.ndarray | None
+    lp_x_path: np.ndarray
+    lp_y_path: np.ndarray
+    lp_z_path: np.ndarray
+    lp_s_path: np.ndarray
+    lp_reward_path: np.ndarray
+    trader_objectives: np.ndarray | None = None
+
+    @property
+    def reserve_path(self):
+        return self.x_adj_path + self.delta_path
+
+    @property
+    def invariant_path(self):
+        return invariant_after(self.market.k0, self.x_adj_path, self.delta_path, self.market.phi)
+
+    @property
+    def lvr_cum_path(self):
+        """Accrued arbitrage drain, left-point sum of l(P) dt."""
+        return np.concatenate(([0.0], np.cumsum(self.lvr_rate_path * self.grid.dt)))
+
+
+def _along(values):
+    """Values over the grid, stacked with time on the last axis (None stays None)."""
+    return None if values[0] is None else np.ascontiguousarray(np.array(values).T)
+
+
+def record(mk: Market, grid, s: MarketState, lp_control_path, act):
+    """Step one lane from ``s`` at the LP rates ``lp_control_path`` and record it.
+
+    ``act(t, s)`` returns step t's (alpha, qbar, dw0, dw_traders, dw_lp). The LP
+    rates enter as Python floats, which step faster than numpy scalars, bit for bit.
+    """
+    states, rates = [s], []
+    for t, a_lp in enumerate(lp_control_path.tolist()):
+        alpha, qbar, dw0, dw_traders, dw_lp = act(t, s)
+        s, f = step(mk, s, t, alpha, qbar, a_lp, dw0, dw_traders, dw_lp)
+        states.append(s)
+        rates.append((f.lvr_rate, qbar, f.trader_reward, f.lp_reward))
+    lvr_rate, qbar, trader_reward, lp_reward = zip(*rates)
+
+    def path(name):
+        return _along([getattr(state, name) for state in states])
+
+    return SystemTrajectory(
+        grid=grid,
+        market=mk,
+        price_path=path("price"),
+        x_adj_path=path("x_adj"),
+        y_adj_path=path("y_adj"),
+        delta_path=path("delta"),
+        lvr_rate_path=_along(lvr_rate),
+        mean_control_path=_along(qbar),
+        lp_control_path=lp_control_path,
+        trader_x=path("trader_x"),
+        trader_y=path("trader_y"),
+        trader_reward=_along(trader_reward),
+        lp_x_path=path("lp_x"),
+        lp_y_path=path("lp_y"),
+        lp_z_path=path("lp_z"),
+        lp_s_path=path("lp_s"),
+        lp_reward_path=_along(lp_reward),
     )

@@ -55,11 +55,10 @@ called without one, as the DP-versus-enumeration acceptance test calls it.
 
 The solver runs in deterministic-flow mode: no common price noise enters the
 fixed point; idiosyncratic trader noise is integrated exactly through the
-quadrature. The environment is one noise-free lane of the market step the
-engine runs, so it reuses the engine's left-point updates, and the DP reward
-table and the LP cost read the drift, G and the LP's stocks from that same
-step: DP rewards are tabulated on exactly the path a noise-free simulation
-realizes.
+quadrature. The environment is a noise-free lane without traders recorded by
+``market.record``, the recorder ``engine.simulate`` runs, and the reward table
+and the LP cost read the drift, G and the LP's stocks from its step, so DP
+rewards are tabulated on exactly the path a noise-free simulation realizes.
 """
 
 import contextlib
@@ -118,27 +117,12 @@ class FlowOfMeasures:
 
 
 @dataclass
-class MfgEnvironment:
-    """Market path a representative trader optimizes against, with the LP's stocks."""
-
-    x_adj: np.ndarray      # (steps+1,)
-    delta: np.ndarray      # (steps+1,)
-    price: np.ndarray      # (steps+1,)
-    lvr_rate: np.ndarray   # (steps,)
-    qbar: np.ndarray       # (steps,)
-    lp_control: np.ndarray  # (steps,)
-    lp_x: np.ndarray       # (steps+1,)
-    lp_z: np.ndarray       # (steps+1,)
-    lp_reward: np.ndarray  # (steps,)
-
-
-@dataclass
 class EquilibriumSolution:
     """Converged policy, flows, diagnostics, and (optionally) the LP layer."""
 
     policy: PolicyGrid
     flows: FlowOfMeasures
-    env: MfgEnvironment
+    env: market.SystemTrajectory
     residual_history: list
     certificate_residual: float
     converged: bool
@@ -233,10 +217,9 @@ def wasserstein_grid(u, v, spacing):
 
 
 def forward_environment(config, lp_control_path, qbar, layer=None):
-    """Advance the deterministic market path.
-
-    One noise-free lane of the market step, with no traders and the mean
-    control ``qbar`` given.
+    """The deterministic market path: one noise-free lane of the market step,
+    with no traders and the mean control ``qbar`` given, recorded by
+    ``market.record``. Its trader fields are None.
     """
     layer = layer or TraderLayer.from_config(config)
     n = layer.grid.steps
@@ -244,43 +227,18 @@ def forward_environment(config, lp_control_path, qbar, layer=None):
     qbar = np.asarray(qbar, dtype=float)
     if lp_control_path.shape != (n,) or qbar.shape != (n,):
         raise InvalidParameter("lp control and mean-control paths must cover every step")
-
-    mk = layer.market
-    x_adj = np.empty(n + 1)
-    delta = np.empty(n + 1)
-    price = np.empty(n + 1)
-    lp_x = np.empty(n + 1)
-    lp_z = np.empty(n + 1)
-    lvr_rate = np.empty(n)
-    lp_reward = np.empty(n)
-    s = market.opening_state(config)
-    for t in range(n + 1):
-        x_adj[t], delta[t], price[t], lp_x[t], lp_z[t] = s.x_adj, s.delta, s.price, s.lp_x, s.lp_z
-        if t == n:
-            break
-        s, flows = market.step(mk, s, t, None, qbar[t], lp_control_path[t])
-        lvr_rate[t], lp_reward[t] = flows.lvr_rate, flows.lp_reward
-
-    return MfgEnvironment(
-        x_adj=x_adj,
-        delta=delta,
-        price=price,
-        lvr_rate=lvr_rate,
-        qbar=qbar,
-        lp_control=lp_control_path,
-        lp_x=lp_x,
-        lp_z=lp_z,
-        lp_reward=lp_reward,
-    )
+    q = qbar.tolist()
+    return market.record(layer.market, layer.grid, market.opening_state(config),
+                         lp_control_path, lambda t, s: (None, q[t], 0, 0, (0, 0, 0)))
 
 
-def tabulate_rewards(layer, env: MfgEnvironment, qslot):
+def tabulate_rewards(layer, env: market.SystemTrajectory, qslot):
     """Running reward table R[t, ix, ja] for the representative trader.
 
     ``qslot`` fills the mean-control slot of the price drift, per step and
     per own control: shape (steps, 1) for the frozen mean field
-    ``env.qbar[:, None]``, or (steps, atoms) when the player's own control
-    enters the average. The Nash harness passes qbar_others + a / N, with
+    ``env.mean_control_path[:, None]``, or (steps, atoms) when the player's
+    own control enters the average. The Nash harness passes qbar_others + a / N, with
     qbar_others the frozen contribution of the other N-1 players: the table
     then pays what the finite-N engine pays a player whose control enters
     the empirical mean, so a deviator can internalize its own impact. The
@@ -288,22 +246,23 @@ def tabulate_rewards(layer, env: MfgEnvironment, qslot):
     points, so the table pays what the engine pays.
     """
     mk, atoms = layer.market, layer.atoms
-    xa = env.x_adj[:-1, None]
-    dl = env.delta[:-1, None]
-    pd = market.price_drift(xa, dl, env.lp_control[:, None], qslot, mk.phi, mk.k0)
+    xa = env.x_adj_path[:-1, None]
+    dl = env.delta_path[:-1, None]
+    pd = market.price_drift(xa, dl, env.lp_control_path[:, None], qslot, mk.phi, mk.k0)
     return market.trader_reward(
         mk, layer.x_grid[None, :, None], atoms, xa[:, None], dl[:, None], pd[:, None, :]
     )
 
 
-def best_response(config, env: MfgEnvironment, qslot=None, layer=None):
+def best_response(config, env: market.SystemTrajectory, qslot=None, layer=None):
     """Backward DP against a frozen environment.
 
-    ``qslot`` is as in ``tabulate_rewards``; None means ``env.qbar[:, None]``.
+    ``qslot`` is as in ``tabulate_rewards``; None means
+    ``env.mean_control_path[:, None]``.
     """
     layer = layer or TraderLayer.from_config(config)
     grid, x_grid, atoms = layer.grid, layer.x_grid, layer.atoms
-    qslot = env.qbar[:, None] if qslot is None else np.asarray(qslot, dtype=float)
+    qslot = env.mean_control_path[:, None] if qslot is None else np.asarray(qslot, dtype=float)
     if qslot.shape not in ((grid.steps, 1), (grid.steps, len(atoms))):
         raise InvalidParameter(
             f"mean-control slot must have shape ({grid.steps}, 1) or "
@@ -498,9 +457,9 @@ def lp_objective(config, segments, start=None, layer=None):
         config, lp_path_from_segments(segments, layer.grid.steps), start=start, layer=layer
     )
     env = solution.env
-    running = float(np.sum(env.lp_reward) * layer.grid.dt)
+    running = float(np.sum(env.lp_reward_path) * layer.grid.dt)
     c = config.lp_terminal_weight
-    cost = -running + c * (env.lp_x[-1] ** 2 + env.lp_z[-1] ** 2)
+    cost = -running + c * (env.lp_x_path[-1] ** 2 + env.lp_z_path[-1] ** 2)
     return cost, solution
 
 

@@ -23,6 +23,9 @@ from ammgame.market import (
 )
 from ammgame.solver import FlowOfMeasures, forward_environment
 
+# dw0, dw_traders, dw_lp of a noise-free step; integer zeros keep Fractions exact
+NO_NOISE = (0, 0, (0, 0, 0))
+
 
 def state(price=1.0, x_adj=100.0, y_adj=100.0, delta=0.0, lp=(0.0, 0.0, 0.0, 0.0),
           trader_x=None, trader_y=None):
@@ -34,12 +37,14 @@ def state(price=1.0, x_adj=100.0, y_adj=100.0, delta=0.0, lp=(0.0, 0.0, 0.0, 0.0
 def test_trader_drift_fee_wedge():
     """phi=1, no slippage: dy = -alpha*p exactly; the wedge only bites for tau>0."""
     mk = Market(x0=100.0, y0=100.0, phi=1.0, dt=1.0, arbitrage=False, slippage=False)
-    s, _ = step(mk, state(price=3.0, trader_x=np.zeros(1)), 0, np.array([2.0]), 0.0, 0.0)
+    s, _ = step(mk, state(price=3.0, trader_x=np.zeros(1)), 0, np.array([2.0]), 0.0, 0.0,
+                *NO_NOISE)
     assert (s.trader_x[0], s.trader_y[0]) == (2.0, -6.0)
     phi = 0.997
     wedge = (1 + phi * phi) / (2 * phi)
     mk = Market(x0=100.0, y0=100.0, phi=phi, dt=1.0, arbitrage=False)
-    s, _ = step(mk, state(price=3.0, trader_x=np.zeros(1)), 0, np.array([2.0]), 0.0, 0.0)
+    s, _ = step(mk, state(price=3.0, trader_x=np.zeros(1)), 0, np.array([2.0]), 0.0, 0.0,
+                *NO_NOISE)
     assert s.trader_x[0] == 2.0
     assert s.trader_y[0] == pytest.approx(-2.0 * (1 - 0.02) * wedge * 3.0, rel=1e-15)
     assert wedge > 1.0
@@ -73,7 +78,7 @@ def test_price_drift_degenerate():
     # the step checks the state it produces: a flow of 20 empties the 10-ETH pool
     with pytest.raises(DegenerateReserves) as err:
         step(Market(x0=10.0, y0=100.0, phi=1.0, dt=1.0, arbitrage=False),
-             state(x_adj=10.0), 4, None, 20.0, 0.0)
+             state(x_adj=10.0), 4, None, 20.0, 0.0, *NO_NOISE)
     assert err.value.step == 5
 
 
@@ -87,7 +92,8 @@ def test_g_factor_matches_denominators():
 def reward_point(**kw):
     """One trader holding 1.5 and trading 0.4 at x_adj=100, H=5, LP rate 0.3, mean 0.2."""
     mk = Market(x0=100.0, y0=100.0, phi=0.997, dt=0.02, arbitrage=False, **kw)
-    return step(mk, state(delta=5.0, trader_x=np.array([1.5])), 0, np.array([0.4]), 0.2, 0.3)
+    return step(mk, state(delta=5.0, trader_x=np.array([1.5])), 0, np.array([0.4]), 0.2, 0.3,
+                *NO_NOISE)
 
 
 def test_trader_running_reward_frozen_oracle():
@@ -99,7 +105,7 @@ def test_trader_running_reward_frozen_oracle():
 def test_trader_reward_trade_terms_vanish_without_fee_and_slippage():
     """phi=1 and no slippage: wedge=1 so the correction term is zero."""
     mk = Market(x0=100.0, y0=100.0, phi=1.0, dt=0.02, arbitrage=False, slippage=False)
-    _, flows = step(mk, state(trader_x=np.zeros(1)), 0, np.array([0.7]), 0.0, 0.0)
+    _, flows = step(mk, state(trader_x=np.zeros(1)), 0, np.array([0.7]), 0.0, 0.0, *NO_NOISE)
     assert flows.trader_reward[0] == pytest.approx(0.7 * 10000.0 / 10000.0, rel=1e-15)
 
 
@@ -107,15 +113,16 @@ def test_lp_reward_is_position_times_price_drift():
     """Structural identity: the LP reward is its ETH stock times the price drift."""
     mk = Market(x0=100.0, y0=100.0, phi=0.997, dt=0.02, arbitrage=False)
     pd = price_drift(100.0, 5.0, 0.3, 0.2, 0.997, 10000.0)
-    _, flows = step(mk, state(delta=5.0, lp=(7.0, 0.0, 0.0, 0.0)), 0, None, 0.2, 0.3)
+    _, flows = step(mk, state(delta=5.0, lp=(7.0, 0.0, 0.0, 0.0)), 0, None, 0.2, 0.3,
+                    *NO_NOISE)
     assert flows.lp_reward == 7.0 * pd
-    _, flows = step(mk, state(delta=5.0), 0, None, 0.2, 0.3)
+    _, flows = step(mk, state(delta=5.0), 0, None, 0.2, 0.3, *NO_NOISE)
     assert flows.lp_reward == 0.0
 
 
 def test_lp_state_step_deterministic():
     mk = Market(x0=100.0, y0=100.0, phi=1.0, dt=0.02, arbitrage=False)
-    s, _ = step(mk, state(lp=(1.0, 2.0, 200.0, 0.0)), 0, None, 0.0, 0.25)
+    s, _ = step(mk, state(lp=(1.0, 2.0, 200.0, 0.0)), 0, None, 0.0, 0.25, *NO_NOISE)
     assert s.lp_x == pytest.approx(1.005, rel=1e-15)
     assert s.lp_y == pytest.approx(2.005, rel=1e-15)
     assert s.lp_z == pytest.approx(199.99, rel=1e-15)
@@ -125,12 +132,12 @@ def test_lp_state_step_deterministic():
 def test_lp_state_step_noise_and_floor():
     mk = Market(x0=100.0, y0=100.0, phi=1.0, dt=1.0, arbitrage=False,
                 lp_vols=(2.0, 2.0, 3.0))
-    s, _ = step(mk, state(), 0, None, 0.0, 0.0, dw_lp=(0.5, -0.5, 1.0))
+    s, _ = step(mk, state(), 0, None, 0.0, 0.0, 0, 0, (0.5, -0.5, 1.0))
     assert s.lp_x == 1.0
     assert s.lp_y == -1.0
     assert s.lp_z == 3.0
     with pytest.raises(DegenerateReserves):
-        step(mk, state(), 0, None, 0.0, -101.0)
+        step(mk, state(), 0, None, 0.0, -101.0, *NO_NOISE)
     with pytest.raises(InvalidParameter):
         Market(x0=100.0, y0=100.0, phi=1.0, dt=0.0)
 
@@ -143,9 +150,9 @@ def test_cumulative_flow_impact_left_point():
         cfg = default_config(grid_steps=steps, model_flow_convention=convention)
         env = forward_environment(cfg, np.full(steps, 0.5), qbar)
         dt = cfg.grid_horizon / steps
-        h = np.concatenate(([0.0], np.cumsum(sign * (env.lvr_rate - qbar) * dt)))
-        np.testing.assert_array_equal(env.delta, h)
-        assert env.delta[0] == 0.0
+        h = np.concatenate(([0.0], np.cumsum(sign * (env.lvr_rate_path - qbar) * dt)))
+        np.testing.assert_array_equal(env.delta_path, h)
+        assert env.delta_path[0] == 0.0
 
 
 def test_mean_field_aggregates_quadrature():
@@ -157,9 +164,9 @@ def test_mean_field_aggregates_quadrature():
     mk = Market(x0=F(100), y0=F(100), phi=F(1), dt=F(1, 10), arbitrage=False)
     s = state(price=F(1), x_adj=F(100), y_adj=F(100), delta=F(0),
               lp=(F(1), F(0), F(0), F(0)))
-    s, first = step(mk, s, 0, None, F(1), F(0))
+    s, first = step(mk, s, 0, None, F(1), F(0), *NO_NOISE)
     assert first.lp_reward == -F(10000) * 2 * 100 / 100**4
-    _, second = step(mk, s, 1, None, F(1, 2), F(0))
+    _, second = step(mk, s, 1, None, F(1, 2), F(0), *NO_NOISE)
     h = -F(1) * F(1, 10)  # only the first step's mean control enters H at t=1
     assert s.delta == h
     assert g_factor(s.x_adj, s.delta, 1) == 1 / ((100 + h) * (100 + h))
@@ -190,7 +197,7 @@ def test_reward_exactness_on_fractions():
     mk = Market(x0=F(100), y0=F(100), phi=phi, dt=dt, arbitrage=False)
     s = state(price=p, x_adj=xa, y_adj=F(100), delta=h, lp=(F(7), F(2), F(200), F(0)),
               trader_x=np.array([trx], dtype=object))
-    new, flows = step(mk, s, 0, np.array([alpha], dtype=object), mean_c, a_lp)
+    new, flows = step(mk, s, 0, np.array([alpha], dtype=object), mean_c, a_lp, *NO_NOISE)
     assert flows.trader_reward[0] == exact
     assert flows.lp_reward == 7 * pd
     assert new.trader_x[0] == trx + alpha * dt

@@ -79,9 +79,10 @@ def test_pilot_environment_reproduces_deterministic_env(monkeypatch):
     epsilon_nash_gap(cfg, n_players=4, seed=3, solution=sol, lp_control_path=lp_path,
                      layer=TraderLayer.from_config(cfg))
     (env_real,) = seen
-    env_det = forward_environment(cfg, lp_path, env_real.qbar)
+    env_det = forward_environment(cfg, lp_path, env_real.mean_control_path)
     for f in fields(env_det):
-        np.testing.assert_array_equal(getattr(env_real, f.name), getattr(env_det, f.name))
+        if getattr(env_det, f.name) is not None:  # the pilot also records its traders
+            np.testing.assert_array_equal(getattr(env_real, f.name), getattr(env_det, f.name))
 
 
 def test_epsilon_nash_gap_fields_and_determinism():
@@ -111,7 +112,7 @@ def test_epsilon_nash_gap_common_noise_pairing():
                            layer=TraderLayer.from_config(cfg))
     pol = sol.policy.as_policy()
     baselines = [
-        simulate(cfg, pol, sol.env.lp_control, seed=s, n_traders=8).trader_objectives[0]
+        simulate(cfg, pol, sol.env.lp_control_path, seed=s, n_traders=8).trader_objectives[0]
         for s in range(40, 48)
     ]
     assert np.std(est.paired_gaps) < 0.2 * np.std(baselines)

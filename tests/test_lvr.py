@@ -1,6 +1,7 @@
 """Pool value, the drain rate, the path kernel and the drain-vs-replication identity."""
 
 import math
+from fractions import Fraction as F
 
 import mpmath as mp
 import numpy as np
@@ -46,6 +47,16 @@ def test_instantaneous_lvr_exact_point():
     assert instantaneous_lvr(4.0, 0.0, 10000.0) == 0.0
     assert instantaneous_lvr(np.float64(4.0), np.float64(0.2), np.float64(10000.0)) == (
         instantaneous_lvr(4.0, 0.2, 10000.0))
+    # floats and numpy floats take math.sqrt, arrays np.sqrt: the same bits,
+    # also where the root is inexact (sigma = 1 leaves the root's bits intact)
+    for p, k in ((4.0, 10000.0), (2.0, 3.0), (1e-3, 3.3)):
+        rate = instantaneous_lvr(p, 1.0, k)
+        assert instantaneous_lvr(np.float64(p), 1.0, np.float64(k)) == rate
+        assert instantaneous_lvr(np.array([p]), 1.0, k)[0] == rate
+    # Fractions are not floats: the numpy lane checks and roots them
+    assert instantaneous_lvr(F(27, 10), 0.2, F(31415)) == instantaneous_lvr(2.7, 0.2, 31415.0)
+    with pytest.raises(InvalidParameter, match="price"):
+        instantaneous_lvr(F(-1), 0.2, F(1))
     for arg, bad, name in [("p", -1.0, "price"), ("k", np.nan, "invariant"),
                            ("sigma", -0.2, "volatility"), ("sigma", np.nan, "volatility")]:
         # a numpy scalar takes the scalar lane, which must reject the same values

@@ -22,6 +22,9 @@ from ammgame.pool import (
     quote_trade,
 )
 
+# dw0, dw_traders, dw_lp of a noise-free step; integer zeros keep Fractions exact
+NO_NOISE = (0, 0, (0, 0, 0))
+
 finite_pos = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False, allow_infinity=False)
 
 
@@ -176,7 +179,7 @@ def test_slippage_values_and_errors():
         s = replace(reserves(F(100), F(100), delta),
                     trader_x=np.array([F(0)], dtype=object),
                     trader_y=np.array([F(0)], dtype=object))
-        new, _ = step(mk, s, 0, np.array([alpha], dtype=object), 0, 0)
+        new, _ = step(mk, s, 0, np.array([alpha], dtype=object), 0, 0, *NO_NOISE)
         return new.trader_y[0]
 
     assert usdt_leg(F(5)) == -5 * (1 - F(1, 20))  # slip = 5/100
@@ -202,7 +205,7 @@ def lp_reserves(mk, s, lp, prices):
     """Market steps under LP rates ``lp``, with the pool price set to ``prices``."""
     path = [s]
     for t, (a, p) in enumerate(zip(lp, prices)):
-        s, _ = step(mk, replace(s, price=p), t, None, 0, a)
+        s, _ = step(mk, replace(s, price=p), t, None, 0, a, *NO_NOISE)
         path.append(s)
     return path
 
@@ -225,7 +228,7 @@ def test_adjusted_reserves_price_neutrality():
     rng = np.random.default_rng(7)
     s = reserves(x, y)
     for t, a in enumerate(rng.uniform(-5.0, 5.0, size=40)):
-        s, _ = step(mk, replace(s, price=s.y_adj / s.x_adj), t, None, 0.0, a)
+        s, _ = step(mk, replace(s, price=s.y_adj / s.x_adj), t, None, 0.0, a, *NO_NOISE)
     assert s.y_adj / s.x_adj == pytest.approx(p0, rel=1e-12)
 
 
@@ -249,10 +252,10 @@ def test_adjusted_reserves_exact_on_fractions():
 def test_total_eth_reserves_decomposition():
     """The running ETH reserve is the adjusted stock plus arbitrage minus trader flow."""
     mk = Market(x0=F(100), y0=F(100), phi=1, dt=1, arbitrage=False)
-    s, _ = step(mk, reserves(F(100), F(100), delta=F(3)), 0, None, F(3, 2), 0)
+    s, _ = step(mk, reserves(F(100), F(100), delta=F(3)), 0, None, F(3, 2), 0, *NO_NOISE)
     assert s.x_adj + s.delta == F(203, 2)
     with pytest.raises(DegenerateReserves) as err:
-        step(mk, reserves(F(1), F(1)), 0, None, F(2), 0)
+        step(mk, reserves(F(1), F(1)), 0, None, F(2), 0, *NO_NOISE)
     assert "total ETH reserve" in str(err.value)
 
 

@@ -115,7 +115,8 @@ def test_wasserstein_stacked_rows_equal_row_by_row_calls():
 
 
 def test_forward_environment_matches_noise_free_engine():
-    """Same recursions: the solver environment equals a noise-free simulation."""
+    """Traders reach the market only through the mean control: the solver's
+    trader-free lane records what a noise-free simulation at that mean records."""
     cfg = default_config(trader_sigma=0.0, external_sigma0=0.0, engine_traders=4)
     steps = cfg.grid_steps
     alpha = 0.3
@@ -124,14 +125,13 @@ def test_forward_environment_matches_noise_free_engine():
     env = forward_environment(cfg, lp_path, qbar)
     traj = simulate(cfg, lambda t, x: np.full(np.shape(x), alpha), lp_path, seed=11)
     np.testing.assert_array_equal(traj.mean_control_path, qbar)
-    np.testing.assert_array_equal(env.price, traj.price_path)
-    np.testing.assert_array_equal(env.x_adj, traj.x_adj_path)
-    np.testing.assert_array_equal(env.delta, traj.delta_path)
-    np.testing.assert_array_equal(env.lvr_rate, traj.lvr_rate_path)
-    np.testing.assert_array_equal(env.x_adj + env.delta, traj.reserve_path)
-    np.testing.assert_array_equal(env.lp_x, traj.lp_x_path)
-    np.testing.assert_array_equal(env.lp_z, traj.lp_z_path)
-    np.testing.assert_array_equal(env.lp_reward, traj.lp_reward_path)
+    for f in fields(env):
+        if f.name.startswith("trader_"):
+            assert getattr(env, f.name) is None
+        else:
+            np.testing.assert_array_equal(getattr(env, f.name), getattr(traj, f.name))
+    for derived in ("reserve_path", "invariant_path", "lvr_cum_path"):
+        np.testing.assert_array_equal(getattr(env, derived), getattr(traj, derived))
 
 
 def test_forward_environment_rejects_bad_shapes_and_degeneracy():
@@ -149,17 +149,17 @@ def test_tabulate_rewards_matches_agent_formula():
     steps = cfg.grid_steps
     env = forward_environment(cfg, np.full(steps, 0.3), np.full(steps, 0.2))
     x_grid, atoms = trader_grids(cfg)
-    table = tabulate_rewards(TraderLayer.from_config(cfg), env, env.qbar[:, None])
+    table = tabulate_rewards(TraderLayer.from_config(cfg), env, env.mean_control_path[:, None])
     assert table.shape == (steps, len(x_grid), len(atoms))
     mk = market.Market.from_config(cfg)
     for t, ix, ja in ((0, 0, 0), (3, 20, 2), (9, 40, 4)):
         state = market.MarketState(
-            price=env.price[t], x_adj=env.x_adj[t], y_adj=cfg.pool_y0, delta=env.delta[t],
-            lp_x=0.0, lp_y=0.0, lp_z=0.0, lp_s=0.0,
+            price=env.price_path[t], x_adj=env.x_adj_path[t], y_adj=cfg.pool_y0,
+            delta=env.delta_path[t], lp_x=0.0, lp_y=0.0, lp_z=0.0, lp_s=0.0,
             trader_x=np.array([x_grid[ix]]), trader_y=np.zeros(1),
         )
-        _, flows = market.step(mk, state, t, np.array([atoms[ja]]), env.qbar[t],
-                               env.lp_control[t])
+        _, flows = market.step(mk, state, t, np.array([atoms[ja]]), env.mean_control_path[t],
+                               env.lp_control_path[t], 0, 0, (0, 0, 0))
         assert table[t, ix, ja] == pytest.approx(flows.trader_reward[0], rel=1e-12)
 
 
@@ -169,8 +169,9 @@ def test_tabulate_rewards_own_weight_continuity():
     steps = cfg.grid_steps
     env = forward_environment(cfg, np.zeros(steps), np.full(steps, 0.2))
     layer = TraderLayer.from_config(cfg)
-    base = tabulate_rewards(layer, env, env.qbar[:, None])
-    perturbed = tabulate_rewards(layer, env, env.qbar[:, None] + 1e-12 * layer.atoms[None, :])
+    qbar = env.mean_control_path
+    base = tabulate_rewards(layer, env, qbar[:, None])
+    perturbed = tabulate_rewards(layer, env, qbar[:, None] + 1e-12 * layer.atoms[None, :])
     np.testing.assert_allclose(perturbed, base, rtol=1e-9, atol=1e-12)
 
 
@@ -179,10 +180,11 @@ def test_best_response_rejects_misshapen_slot():
     cfg = small_cfg()
     steps = cfg.grid_steps
     env = forward_environment(cfg, np.zeros(steps), np.full(steps, 0.2))
-    for slot in (env.qbar, np.zeros((steps, 3)), np.zeros((steps - 1, 1)), np.float64(0.5)):
+    qbar = env.mean_control_path
+    for slot in (qbar, np.zeros((steps, 3)), np.zeros((steps - 1, 1)), np.float64(0.5)):
         with pytest.raises(InvalidParameter, match="mean-control slot"):
             best_response(cfg, env, slot)
-    full = env.qbar[:, None] + 0.0 * TraderLayer.from_config(cfg).atoms[None, :]
+    full = qbar[:, None] + 0.0 * TraderLayer.from_config(cfg).atoms[None, :]
     np.testing.assert_array_equal(best_response(cfg, env, full).policy_idx,
                                   best_response(cfg, env).policy_idx)
 
@@ -199,7 +201,7 @@ def test_best_response_bellman_residual():
     env = forward_environment(cfg, np.zeros(steps), np.full(steps, 0.1))
     pol = best_response(cfg, env)
     x_grid, atoms = trader_grids(cfg)
-    rewards = tabulate_rewards(TraderLayer.from_config(cfg), env, env.qbar[:, None])
+    rewards = tabulate_rewards(TraderLayer.from_config(cfg), env, env.mean_control_path[:, None])
     nodes, weights = kernels.gauss_hermite(cfg.grid_quad_points)
     grid = TimeGrid(cfg.grid_horizon, cfg.grid_steps)
     sig = cfg.trader_sigma * np.sqrt(grid.dt)
@@ -222,7 +224,7 @@ def test_best_response_no_better_single_deviation():
     env = forward_environment(cfg, np.zeros(steps), np.full(steps, 0.1))
     pol = best_response(cfg, env)
     x_grid, atoms = trader_grids(cfg)
-    rewards = tabulate_rewards(TraderLayer.from_config(cfg), env, env.qbar[:, None])
+    rewards = tabulate_rewards(TraderLayer.from_config(cfg), env, env.mean_control_path[:, None])
     grid = TimeGrid(cfg.grid_horizon, cfg.grid_steps)
     nodes, weights = kernels.gauss_hermite(cfg.grid_quad_points)
     sig = cfg.trader_sigma * np.sqrt(grid.dt)
@@ -397,7 +399,7 @@ def test_solve_mfg_certificate_matches_stopping_residual():
     assert not sol.diagnostics["exact"]
     assert sol.diagnostics["maps"] == sol.iterations
     assert sol.certificate_residual <= cfg.solver_tol
-    env = forward_environment(cfg, sol.env.lp_control, sol.flows.mean_controls())
+    env = forward_environment(cfg, sol.env.lp_control_path, sol.flows.mean_controls())
     x_grid, atoms = trader_grids(cfg)
     image = induced_flows(cfg, best_response(cfg, env), initial_trader_law(cfg, x_grid))
     w_mu = wasserstein_grid(image.mu, sol.flows.mu, x_grid[1] - x_grid[0])
@@ -409,7 +411,7 @@ def test_solve_mfg_honors_lp_path():
     cfg = small_cfg()
     lp_path = np.full(cfg.grid_steps, 0.25)
     sol = solve_mfg(cfg, lp_path)
-    np.testing.assert_array_equal(sol.env.lp_control, lp_path)
+    np.testing.assert_array_equal(sol.env.lp_control_path, lp_path)
 
 
 def test_solve_mfg_not_converged_carries_history():
@@ -424,8 +426,8 @@ def _same_solution(a, b):
     np.testing.assert_array_equal(a.flows.mu, b.flows.mu)
     np.testing.assert_array_equal(a.flows.q, b.flows.q)
     np.testing.assert_array_equal(a.policy.policy_idx, b.policy.policy_idx)
-    np.testing.assert_array_equal(a.env.price, b.env.price)
-    np.testing.assert_array_equal(a.env.lp_reward, b.env.lp_reward)
+    np.testing.assert_array_equal(a.env.price_path, b.env.price_path)
+    np.testing.assert_array_equal(a.env.lp_reward_path, b.env.lp_reward_path)
     assert a.certificate_residual == b.certificate_residual
 
 
@@ -454,7 +456,7 @@ def test_solve_mfg_default_ends_on_exact_fixed_point():
     assert sol.residual_history[-1] == 0.0
     assert sol.iterations == len(sol.residual_history) <= 23
     assert sol.diagnostics["maps"] == sol.iterations
-    env = forward_environment(cfg, sol.env.lp_control, sol.flows.mean_controls())
+    env = forward_environment(cfg, sol.env.lp_control_path, sol.flows.mean_controls())
     x_grid, _ = trader_grids(cfg)
     image = induced_flows(cfg, best_response(cfg, env), initial_trader_law(cfg, x_grid))
     np.testing.assert_array_equal(image.mu, sol.flows.mu)
@@ -532,10 +534,11 @@ def test_lp_objective_formula():
     path = lp_path_from_segments(segments, grid.steps)
     dt = grid.dt
     x_lp = cfg.lp_x0 + np.concatenate(([0.0], np.cumsum(path * dt)))
-    z_lp = cfg.lp_z0 - 2.0 * np.concatenate(([0.0], np.cumsum(path * sol.env.price[:-1] * dt)))
+    price = sol.env.price_path[:-1]
+    z_lp = cfg.lp_z0 - 2.0 * np.concatenate(([0.0], np.cumsum(path * price * dt)))
     phi = 1.0 - cfg.pool_tau
-    pd_reward = market.price_drift(sol.env.x_adj[:-1], sol.env.delta[:-1], path,
-                                   sol.env.qbar, phi, cfg.pool_x0 * cfg.pool_y0)
+    pd_reward = market.price_drift(sol.env.x_adj_path[:-1], sol.env.delta_path[:-1], path,
+                                   sol.env.mean_control_path, phi, cfg.pool_x0 * cfg.pool_y0)
     manual = (
         -float(np.sum(x_lp[:-1] * pd_reward) * dt)
         + cfg.lp_terminal_weight * (x_lp[-1] ** 2 + z_lp[-1] ** 2)
@@ -615,5 +618,5 @@ def test_solve_major_minor_k1_is_constant_path():
     sol = solve_major_minor(cfg)
     assert len(sol.lp_segments) == 1
     np.testing.assert_array_equal(
-        sol.env.lp_control, np.full(cfg.grid_steps, sol.lp_segments[0])
+        sol.env.lp_control_path, np.full(cfg.grid_steps, sol.lp_segments[0])
     )
