@@ -47,7 +47,7 @@ class ArbSolution:
     delta_alpha: float
     delta_beta: float
     profit: float
-    direction: str = "buy_eth"
+    direction: str
 
 
 INACTIVE = ArbSolution(0.0, 0.0, 0.0, "none")

@@ -24,7 +24,7 @@ The reported gap for each N is the mean paired difference in player 0's
 realized objective; the convergence study fits a log-log slope across N.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +57,7 @@ class NashReport:
     replications: int
     slope: float
     clipped: np.ndarray  # per N: gap raised to GAP_FLOOR before the fit
-    estimates: list = field(default_factory=list)
+    estimates: list
 
     @property
     def n_clipped(self):

@@ -24,8 +24,11 @@ acceptance test calls and the benchmark's DP hook reads.
 A control atom is admissible at a node only if the deterministic drift
 target x + a*dt stays inside the grid. A node with no admissible atom, or
 pushforward mass whose drift target exits, signals grid bounds too tight for
-the control set; callers raise on it. Ties in the DP break to the lowest
-atom index.
+the control set; callers raise on it. The DP's running part, reward * dt
+with -inf on the inadmissible atoms, changes with t but not with the value
+function, so ``dp_backward`` builds that ``base`` table once per sweep and
+each step only adds T @ V and takes the argmax. Ties in the DP break to the
+lowest atom index.
 
 The LVR accumulator loops over time and is vectorized over paths: each call
 advances every path over one block of noise rows, carrying the (price, hedge,
@@ -84,23 +87,28 @@ def dp_backward(reward, terminal, x_grid, atoms, dt, sig_root_dt, z_nodes, z_wei
     """Backward sweep: value (steps+1, nx), argmax policy and admissibility flags.
 
     ``operator`` is ``transition_operator``'s (T, admissible) for these
-    arguments, built here when not given.
+    arguments, built here when not given. The running part of every
+    candidate, ``base = reward * dt`` with -inf on the blocked atoms, is
+    built once for the whole sweep, so each step only adds the expectation
+    ``T @ V`` and takes the argmax. A node with no admissible atom gets value
+    -inf, which makes every earlier candidate nan (0 * -inf in T @ V), so the
+    earlier policy and flags then say only that the grid is too tight.
     """
     n_steps, nx, na = reward.shape
     T, admissible = operator or transition_operator(
         x_grid, atoms, dt, sig_root_dt, z_nodes, z_weights
     )
-    blocked = ~admissible
+    base = reward * dt
+    base[:, ~admissible] = -np.inf
     ix = np.arange(nx)
 
     value = np.empty((n_steps + 1, nx))
     policy = np.empty((n_steps, nx), dtype=np.int64)
     value[n_steps] = terminal
     for t in range(n_steps - 1, -1, -1):
-        cand_val = reward[t] * dt + (T @ value[t + 1]).reshape(nx, na)
-        cand_val[blocked] = -np.inf
-        policy[t] = np.argmax(cand_val, axis=1)
-        value[t] = cand_val[ix, policy[t]]
+        cand = base[t] + (T @ value[t + 1]).reshape(nx, na)
+        policy[t] = np.argmax(cand, axis=1)
+        value[t] = cand[ix, policy[t]]
     return value, policy, admissible[ix, policy]
 
 

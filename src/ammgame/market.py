@@ -51,14 +51,13 @@ class Market:
     y0: float
     phi: float
     dt: float
-    # integer defaults keep Fraction arithmetic exact
-    sign: float = 1
-    sigma: float = 0
-    arbitrage: bool = True
-    slippage: bool = True
-    trader_sigma: float = 0
-    sigma0: float = 0
-    lp_vols: tuple = (0, 0, 0)
+    sign: float
+    sigma: float
+    arbitrage: bool
+    slippage: bool
+    trader_sigma: float
+    sigma0: float
+    lp_vols: tuple
     k0: float = field(init=False)
     wedge: float = field(init=False)
 
@@ -97,8 +96,8 @@ class MarketState:
     lp_y: object
     lp_z: object
     lp_s: object  # cumulative LP control
-    trader_x: object = None
-    trader_y: object = None
+    trader_x: object
+    trader_y: object
 
 
 @dataclass

@@ -27,7 +27,9 @@ Three nested problems:
    A candidate's cost and status therefore do not depend on the path the
    search took whenever its cold solve ends on the same exact point, as
    every candidate of the default search does. Inner non-convergence marks
-   the candidate infeasible instead of aborting the search.
+   the candidate infeasible instead of aborting the search. The search
+   caches each candidate's cost and status, not its solution: a cached cost
+   never beats the incumbent, so only the incumbent's solution is ever read.
 
 Everything the trader layer derives from the config alone, and that no LP
 candidate or Picard iterate changes, lives in one frozen ``TraderLayer``: the
@@ -36,7 +38,13 @@ terminal reward, the quadrature, the ``Market`` and the transition matrix T
 with its admissibility mask. ``solve_major_minor``, ``solve_mfg`` and the
 Nash harness build it once per call and pass it down to every response map,
 so T is built once per solve, not twice per map. A layer that is passed must
-come from the same config. ``tabulate_rewards`` and
+come from the same config. The layer also memoizes ``induced_flows``' last
+pushforward of its own ``mu0``: the pushed law is a function of the policy,
+``mu0`` and T alone, and most response maps of a search repeat the previous
+map's policy. The memo is keyed on the identity of ``mu0`` (a caller's own
+initial law never reaches it) and holds one entry, so its memory does not
+grow; it lives on the layer, not in the module, so a new solve starts
+empty. ``tabulate_rewards`` and
 ``harness.epsilon_nash_gap`` require it. The functions that take an optional
 ``layer`` build it from the config when none is passed, each for a caller
 outside the solve:
@@ -63,7 +71,7 @@ rewards are tabulated on exactly the path a noise-free simulation realizes.
 
 import contextlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,10 +135,10 @@ class EquilibriumSolution:
     certificate_residual: float
     converged: bool
     iterations: int
+    diagnostics: dict
     lp_segments: np.ndarray | None = None
     lp_objective: float | None = None
     search_trace: list | None = None
-    diagnostics: dict = field(default_factory=dict)
 
 
 def trader_grids(config):
@@ -170,7 +178,9 @@ class TraderLayer:
     """The trader layer's fixed discretization, built once from a config.
 
     ``operator`` is ``kernels.transition_operator``'s (T, admissible) on these
-    grids, quadrature and sigma * sqrt(dt).
+    grids, quadrature and sigma * sqrt(dt). ``pushed`` is ``induced_flows``'
+    one-entry memo: the policy bytes and the read-only flows of the last
+    pushforward of ``mu0``.
     """
 
     grid: TimeGrid
@@ -183,6 +193,7 @@ class TraderLayer:
     sig_root_dt: float
     market: market.Market
     operator: tuple
+    pushed: list
 
     @classmethod
     def from_config(cls, config):
@@ -203,6 +214,7 @@ class TraderLayer:
             operator=kernels.transition_operator(
                 x_grid, atoms, grid.dt, sig_root_dt, nodes, weights
             ),
+            pushed=[None, None],
         )
 
 
@@ -274,7 +286,11 @@ def best_response(config, env: market.SystemTrajectory, qslot=None, layer=None):
         layer.z_nodes, layer.z_weights, layer.operator,
     )
     if not ok.all():
-        t_bad, i_bad = np.argwhere(~ok)[0]
+        # a node with no admissible atom has value -inf, which turns the
+        # candidates of every earlier step into nan and their argmax into
+        # index 0, so the flags there do not locate it; the mask does
+        dead = ~layer.operator[1].any(axis=1)
+        t_bad, i_bad = (0, dead.argmax()) if dead.any() else np.argwhere(~ok)[0]
         raise GridOverflow(
             f"no admissible control at step {t_bad}, node x={x_grid[i_bad]}: "
             "every drift target exits the state grid (bounds too tight)"
@@ -286,6 +302,9 @@ def induced_flows(config, policy: PolicyGrid, initial_law, layer=None):
     """Push the initial law through the policy; collect the control law.
 
     The policy must live on the layer's time grid, inventory grid and atoms.
+    Pushing the layer's own ``mu0`` (the same object) goes through the
+    layer's one-entry memo: the same policy as the last such call returns
+    the same flows, whose arrays are read-only because later maps share them.
     """
     layer = layer or TraderLayer.from_config(config)
     if not (policy.grid == layer.grid and np.array_equal(policy.x_grid, layer.x_grid)
@@ -293,6 +312,10 @@ def induced_flows(config, policy: PolicyGrid, initial_law, layer=None):
         raise InvalidParameter(
             "the policy's time grid, inventory grid or control atoms differ from the config's"
         )
+    memo = initial_law is layer.mu0
+    key = policy.policy_idx.tobytes() if memo else None
+    if memo and layer.pushed[0] == key:
+        return layer.pushed[1]
     mu, overflow = kernels.push_forward(
         policy.policy_idx, np.asarray(initial_law, dtype=float), layer.operator
     )
@@ -303,9 +326,14 @@ def induced_flows(config, policy: PolicyGrid, initial_law, layer=None):
     steps, na = policy.policy_idx.shape[0], len(policy.atoms)
     slots = np.arange(steps)[:, None] * na + policy.policy_idx
     q = np.bincount(slots.ravel(), weights=mu[:-1].ravel(), minlength=steps * na)
-    return FlowOfMeasures(
+    flows = FlowOfMeasures(
         x_grid=policy.x_grid, atoms=policy.atoms, mu=mu, q=q.reshape(steps, na)
     )
+    if memo:
+        flows.mu.setflags(write=False)
+        flows.q.setflags(write=False)
+        layer.pushed[:] = key, flows
+    return flows
 
 
 def _flow_residual(flows_a: FlowOfMeasures, flows_b: FlowOfMeasures):
@@ -371,6 +399,12 @@ def solve_mfg(config, lp_control_path=None, start=None, layer=None):
     under the response map is within tolerance. Either way the best response
     against the returned flows comes with it.
 
+    The response map reads its input only through the mean controls, and the
+    LP path is fixed here, so a map whose input carries the last computed
+    map's mean controls, bit for bit, returns that map's result; it still
+    counts as a map. A probe of an image whose mean controls equal its
+    input's is such a map.
+
     ``start`` (a FlowOfMeasures on the solver grids) replaces the cold initial
     flows. A warm solve that raises, or ends without an exact fixed point, is
     redone cold, so the result is an exact fixed point or exactly what a cold
@@ -397,13 +431,18 @@ def solve_mfg(config, lp_control_path=None, start=None, layer=None):
         )
 
     maps = 0
+    last = None  # (mean-control bytes, result) of the last map computed
 
     def response_map(flows):
-        nonlocal maps
+        nonlocal maps, last
         maps += 1
-        env = forward_environment(config, lp_control_path, flows.mean_controls(), layer)
-        policy = best_response(config, env, layer=layer)
-        return induced_flows(config, policy, mu0, layer), policy, env
+        qbar = flows.mean_controls()
+        key = qbar.tobytes()
+        if last is None or last[0] != key:
+            env = forward_environment(config, lp_control_path, qbar, layer)
+            policy = best_response(config, env, layer=layer)
+            last = key, (induced_flows(config, policy, mu0, layer), policy, env)
+        return last[1]
 
     found = None
     try:
@@ -511,7 +550,7 @@ def solve_major_minor(config):
                 "exact": exact,
             }
         )
-        cache[key] = result
+        cache[key] = (result[0], None, result[2])  # a cached cost never beats the incumbent
         return result
 
     def poll(u, step):

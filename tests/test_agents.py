@@ -27,6 +27,14 @@ from ammgame.solver import FlowOfMeasures, forward_environment
 NO_NOISE = (0, 0, (0, 0, 0))
 
 
+def bare_market(**kw):
+    """A ``Market`` from ``kw``: unless it says otherwise, no noise, flow sign
+    +1, arbitrage and slippage on; integer zeros keep Fractions exact."""
+    plain = dict(sign=1, sigma=0, arbitrage=True, slippage=True, trader_sigma=0, sigma0=0,
+                 lp_vols=(0, 0, 0))
+    return Market(**{**plain, **kw})
+
+
 def state(price=1.0, x_adj=100.0, y_adj=100.0, delta=0.0, lp=(0.0, 0.0, 0.0, 0.0),
           trader_x=None, trader_y=None):
     if trader_x is not None and trader_y is None:
@@ -36,13 +44,13 @@ def state(price=1.0, x_adj=100.0, y_adj=100.0, delta=0.0, lp=(0.0, 0.0, 0.0, 0.0
 
 def test_trader_drift_fee_wedge():
     """phi=1, no slippage: dy = -alpha*p exactly; the wedge only bites for tau>0."""
-    mk = Market(x0=100.0, y0=100.0, phi=1.0, dt=1.0, arbitrage=False, slippage=False)
+    mk = bare_market(x0=100.0, y0=100.0, phi=1.0, dt=1.0, arbitrage=False, slippage=False)
     s, _ = step(mk, state(price=3.0, trader_x=np.zeros(1)), 0, np.array([2.0]), 0.0, 0.0,
                 *NO_NOISE)
     assert (s.trader_x[0], s.trader_y[0]) == (2.0, -6.0)
     phi = 0.997
     wedge = (1 + phi * phi) / (2 * phi)
-    mk = Market(x0=100.0, y0=100.0, phi=phi, dt=1.0, arbitrage=False)
+    mk = bare_market(x0=100.0, y0=100.0, phi=phi, dt=1.0, arbitrage=False)
     s, _ = step(mk, state(price=3.0, trader_x=np.zeros(1)), 0, np.array([2.0]), 0.0, 0.0,
                 *NO_NOISE)
     assert s.trader_x[0] == 2.0
@@ -71,13 +79,13 @@ def test_price_drift_finite_difference():
 
 def test_price_drift_degenerate():
     """A state whose price denominators vanish is rejected before any drift uses it."""
-    mk = Market(x0=10.0, y0=100.0, phi=1.0, dt=1.0)
+    mk = bare_market(x0=10.0, y0=100.0, phi=1.0, dt=1.0)
     with pytest.raises(DegenerateReserves) as err:
         check_state(mk, state(x_adj=10.0, delta=-10.0), 3)
     assert err.value.step == 3
     # the step checks the state it produces: a flow of 20 empties the 10-ETH pool
     with pytest.raises(DegenerateReserves) as err:
-        step(Market(x0=10.0, y0=100.0, phi=1.0, dt=1.0, arbitrage=False),
+        step(bare_market(x0=10.0, y0=100.0, phi=1.0, dt=1.0, arbitrage=False),
              state(x_adj=10.0), 4, None, 20.0, 0.0, *NO_NOISE)
     assert err.value.step == 5
 
@@ -86,12 +94,13 @@ def test_g_factor_matches_denominators():
     g = g_factor(100.0, 5.0, 0.997)
     assert g == pytest.approx(9.0715907261128002e-05, rel=1e-14)
     with pytest.raises(DegenerateReserves):
-        check_state(Market(x0=1.0, y0=1.0, phi=1.0, dt=1.0), state(x_adj=1.0, delta=-2.0), 0)
+        check_state(bare_market(x0=1.0, y0=1.0, phi=1.0, dt=1.0),
+                    state(x_adj=1.0, delta=-2.0), 0)
 
 
 def reward_point(**kw):
     """One trader holding 1.5 and trading 0.4 at x_adj=100, H=5, LP rate 0.3, mean 0.2."""
-    mk = Market(x0=100.0, y0=100.0, phi=0.997, dt=0.02, arbitrage=False, **kw)
+    mk = bare_market(x0=100.0, y0=100.0, phi=0.997, dt=0.02, arbitrage=False, **kw)
     return step(mk, state(delta=5.0, trader_x=np.array([1.5])), 0, np.array([0.4]), 0.2, 0.3,
                 *NO_NOISE)
 
@@ -104,14 +113,14 @@ def test_trader_running_reward_frozen_oracle():
 
 def test_trader_reward_trade_terms_vanish_without_fee_and_slippage():
     """phi=1 and no slippage: wedge=1 so the correction term is zero."""
-    mk = Market(x0=100.0, y0=100.0, phi=1.0, dt=0.02, arbitrage=False, slippage=False)
+    mk = bare_market(x0=100.0, y0=100.0, phi=1.0, dt=0.02, arbitrage=False, slippage=False)
     _, flows = step(mk, state(trader_x=np.zeros(1)), 0, np.array([0.7]), 0.0, 0.0, *NO_NOISE)
     assert flows.trader_reward[0] == pytest.approx(0.7 * 10000.0 / 10000.0, rel=1e-15)
 
 
 def test_lp_reward_is_position_times_price_drift():
     """Structural identity: the LP reward is its ETH stock times the price drift."""
-    mk = Market(x0=100.0, y0=100.0, phi=0.997, dt=0.02, arbitrage=False)
+    mk = bare_market(x0=100.0, y0=100.0, phi=0.997, dt=0.02, arbitrage=False)
     pd = price_drift(100.0, 5.0, 0.3, 0.2, 0.997, 10000.0)
     _, flows = step(mk, state(delta=5.0, lp=(7.0, 0.0, 0.0, 0.0)), 0, None, 0.2, 0.3,
                     *NO_NOISE)
@@ -121,7 +130,7 @@ def test_lp_reward_is_position_times_price_drift():
 
 
 def test_lp_state_step_deterministic():
-    mk = Market(x0=100.0, y0=100.0, phi=1.0, dt=0.02, arbitrage=False)
+    mk = bare_market(x0=100.0, y0=100.0, phi=1.0, dt=0.02, arbitrage=False)
     s, _ = step(mk, state(lp=(1.0, 2.0, 200.0, 0.0)), 0, None, 0.0, 0.25, *NO_NOISE)
     assert s.lp_x == pytest.approx(1.005, rel=1e-15)
     assert s.lp_y == pytest.approx(2.005, rel=1e-15)
@@ -130,8 +139,8 @@ def test_lp_state_step_deterministic():
 
 
 def test_lp_state_step_noise_and_floor():
-    mk = Market(x0=100.0, y0=100.0, phi=1.0, dt=1.0, arbitrage=False,
-                lp_vols=(2.0, 2.0, 3.0))
+    mk = bare_market(x0=100.0, y0=100.0, phi=1.0, dt=1.0, arbitrage=False,
+                     lp_vols=(2.0, 2.0, 3.0))
     s, _ = step(mk, state(), 0, None, 0.0, 0.0, 0, 0, (0.5, -0.5, 1.0))
     assert s.lp_x == 1.0
     assert s.lp_y == -1.0
@@ -139,7 +148,7 @@ def test_lp_state_step_noise_and_floor():
     with pytest.raises(DegenerateReserves):
         step(mk, state(), 0, None, 0.0, -101.0, *NO_NOISE)
     with pytest.raises(InvalidParameter):
-        Market(x0=100.0, y0=100.0, phi=1.0, dt=0.0)
+        bare_market(x0=100.0, y0=100.0, phi=1.0, dt=0.0)
 
 
 def test_cumulative_flow_impact_left_point():
@@ -161,7 +170,7 @@ def test_mean_field_aggregates_quadrature():
     q = np.array([[0.0, 1.0], [0.5, 0.5]])
     flows = FlowOfMeasures(x_grid=np.zeros(2), atoms=atoms, mu=np.zeros((3, 2)), q=q)
     np.testing.assert_array_equal(flows.mean_controls(), [1.0, 0.5])
-    mk = Market(x0=F(100), y0=F(100), phi=F(1), dt=F(1, 10), arbitrage=False)
+    mk = bare_market(x0=F(100), y0=F(100), phi=F(1), dt=F(1, 10), arbitrage=False)
     s = state(price=F(1), x_adj=F(100), y_adj=F(100), delta=F(0),
               lp=(F(1), F(0), F(0), F(0)))
     s, first = step(mk, s, 0, None, F(1), F(0), *NO_NOISE)
@@ -194,7 +203,7 @@ def test_reward_exactness_on_fractions():
     akg = alpha * k0 * g
     exact = trx * pd + akg + akg * (1 - slip) * (1 - wedge)
 
-    mk = Market(x0=F(100), y0=F(100), phi=phi, dt=dt, arbitrage=False)
+    mk = bare_market(x0=F(100), y0=F(100), phi=phi, dt=dt, arbitrage=False)
     s = state(price=p, x_adj=xa, y_adj=F(100), delta=h, lp=(F(7), F(2), F(200), F(0)),
               trader_x=np.array([trx], dtype=object))
     new, flows = step(mk, s, 0, np.array([alpha], dtype=object), mean_c, a_lp, *NO_NOISE)

@@ -118,6 +118,54 @@ def test_dp_and_push_forward_share_one_transition(seed):
     assert collected + mu[steps] @ terminal == pytest.approx(mu0 @ value[0], abs=1e-12)
 
 
+def _dp_per_step_mask(reward, terminal, operator, dt):
+    """The sweep with the running reward scaled and masked inside every step."""
+    T, admissible = operator
+    n_steps, nx, na = reward.shape
+    ix = np.arange(nx)
+    value = np.empty((n_steps + 1, nx))
+    policy = np.empty((n_steps, nx), dtype=np.int64)
+    value[n_steps] = terminal
+    for t in range(n_steps - 1, -1, -1):
+        cand = reward[t] * dt + (T @ value[t + 1]).reshape(nx, na)
+        cand[~admissible] = -np.inf
+        policy[t] = np.argmax(cand, axis=1)
+        value[t] = cand[ix, policy[t]]
+    return value, policy, admissible[ix, policy]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_dp_matches_a_per_step_masked_sweep(seed):
+    """The sweep's hoisted running table changes no bit of value, policy or flags."""
+    rng = np.random.default_rng(seed)
+    nx = int(rng.integers(5, 40))
+    x_grid = np.linspace(-1.0, 1.0, nx)
+    dt = rng.uniform(0.05, 0.3)
+    # atoms of both signs reaching past the grid from its edge nodes, and 0
+    atoms = np.sort(np.concatenate(([0.0], rng.uniform(-4.0, 4.0, size=int(rng.integers(2, 6))))))
+    nodes, weights = kernels.gauss_hermite(int(rng.integers(1, 8)))
+    sig = rng.uniform(0.0, 0.5)
+    operator = kernels.transition_operator(x_grid, atoms, dt, sig, nodes, weights)
+    admissible = operator[1]
+    assert not admissible.all() and admissible.any(axis=1).all()
+    steps = int(rng.integers(1, 8))
+    reward = rng.normal(size=(steps, nx, len(atoms)))
+    terminal = rng.normal(size=nx)
+    expected = _dp_per_step_mask(reward, terminal, operator, dt)
+    for op in (operator, None):
+        got = kernels.dp_backward(reward, terminal, x_grid, atoms, dt, sig, nodes, weights, op)
+        for a, b in zip(got, expected):
+            np.testing.assert_array_equal(a, b)
+
+    # all candidates tie: every node takes its lowest admissible atom
+    flat = np.zeros_like(reward)
+    got = kernels.dp_backward(flat, np.zeros(nx), x_grid, atoms, dt, sig, nodes, weights,
+                              operator)
+    for a, b in zip(got, _dp_per_step_mask(flat, np.zeros(nx), operator, dt)):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(got[1], np.broadcast_to(admissible.argmax(axis=1), got[1].shape))
+
+
 def test_push_forward_conserves_mass_and_flags_exits():
     x_grid = np.linspace(0.0, 1.0, 11)
     atoms = np.array([0.0, 2.0])

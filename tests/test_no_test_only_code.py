@@ -7,8 +7,9 @@ name, as a whole word, somewhere in the corpus other than on its own
 ``__init__.py``, whose re-exports name a definition without using it,
 ``perfbench/*.py`` and the acceptance tests. A second guard does the same
 for result fields: each annotated field of a class must be read as an
-attribute somewhere. A third does it for parameter defaults: a default that
-only tests rely on is a fallback production never takes.
+attribute somewhere. A third does it for parameter defaults, of a ``def``
+and of a dataclass field alike: a default that only tests rely on is a
+fallback production never takes.
 """
 
 import ast
@@ -91,70 +92,111 @@ DEFAULTS_KEPT = {
 }
 
 
+def _name(node):
+    """The name a call or decorator uses: ``f`` for ``f(...)`` and ``obj.f(...)``."""
+    node = node.func if isinstance(node, ast.Call) else node
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
 def _calls_by_name(paths):
     """Function name -> (positional count, keyword names) of each call to it.
 
-    A call names its function as ``f(...)`` or ``obj.f(...)``; calls that
-    spread ``*args`` or ``**kwargs`` could pass anything and are left out.
+    A call names its function as ``f(...)`` or ``obj.f(...)``; ``cls(...)``
+    inside a class names that class. Calls that spread ``*args`` or
+    ``**kwargs`` could pass anything and are left out.
     """
     calls = defaultdict(list)
     for path in paths:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(node, ast.Call):
-                continue
-            if isinstance(node.func, ast.Name):
-                name = node.func.id
-            elif isinstance(node.func, ast.Attribute):
-                name = node.func.attr
-            else:
+        tree = ast.parse(path.read_text())
+        owner = {
+            id(node): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in ast.walk(cls) if isinstance(node, ast.Call) and _name(node) == "cls"
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or _name(node) is None:
                 continue
             if any(isinstance(a, ast.Starred) for a in node.args):
                 continue
             if any(k.arg is None for k in node.keywords):
                 continue
+            name = owner.get(id(node), _name(node))
             calls[name].append((len(node.args), {k.arg for k in node.keywords}))
     return calls
 
 
-def test_every_default_is_relied_on_outside_tests():
-    """Each defaulted parameter of a ``def`` in the package is omitted by at
-    least one call in the corpus, passed neither by position nor by keyword.
+def _field_default(stmt):
+    """Whether a dataclass field gives its ``__init__`` parameter a default,
+    or None when the field is no parameter (``field(init=False)``)."""
+    value = stmt.value
+    if not (isinstance(value, ast.Call) and _name(value) == "field"):
+        return value is not None
+    keywords = {k.arg: k.value for k in value.keywords}
+    init = keywords.get("init")
+    if isinstance(init, ast.Constant) and init.value is False:
+        return None
+    return "default" in keywords or "default_factory" in keywords
 
-    An ``__init__`` is checked against the calls of its class by name; other
-    dunder methods are skipped as in the definition guard. A method's first
-    parameter (``self`` or ``cls``) is not among the positions a call fills;
-    the package has no static methods.
+
+def _defaulted_parameters(tree):
+    """(line, callable name, position or None for keyword-only, parameter) of
+    each defaulted parameter: of every ``def``, and of every dataclass field
+    (``= value`` or ``field(default=...)`` or ``field(default_factory=...)``),
+    whose position is its place among the class's ``__init__`` fields.
+
+    An ``__init__`` is named after its class; other dunder methods are
+    skipped as in the definition guard. A method's first parameter (``self``
+    or ``cls``) is not among the positions a call fills; the package has no
+    static methods.
     """
+    owner = {
+        id(stmt): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for stmt in cls.body
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+            _name(d) == "dataclass" for d in node.decorator_list
+        ):
+            params = [
+                stmt for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                and _field_default(stmt) is not None
+            ]
+            for index, stmt in enumerate(params):
+                if _field_default(stmt):
+                    yield stmt.lineno, node.name, index, stmt.target.id
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        name = node.name
+        if name == "__init__":
+            name = owner[id(node)]
+        elif name.startswith("__") and name.endswith("__"):
+            continue
+        spec = node.args
+        positional = spec.posonlyargs + spec.args
+        if id(node) in owner:
+            positional = positional[1:]
+        first = len(positional) - len(spec.defaults)
+        for index, a in enumerate(positional):
+            if index >= first:
+                yield node.lineno, name, index, a.arg
+        for a, d in zip(spec.kwonlyargs, spec.kw_defaults):
+            if d is not None:
+                yield node.lineno, name, None, a.arg
+
+
+def test_every_default_is_relied_on_outside_tests():
+    """Each defaulted parameter in the package is omitted by at least one
+    call in the corpus, passed neither by position nor by keyword."""
     calls = _calls_by_name(CORPUS)
     unrelied = []
     for path in PACKAGE:
-        tree = ast.parse(path.read_text())
-        owner = {
-            id(stmt): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
-            for stmt in cls.body
-        }
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        for line, name, index, param in _defaulted_parameters(ast.parse(path.read_text())):
+            key = f"{name}.{param}"
+            if key in DEFAULTS_KEPT:
                 continue
-            name = node.name
-            if name == "__init__":
-                name = owner[id(node)]
-            elif name.startswith("__") and name.endswith("__"):
-                continue
-            spec = node.args
-            positional = spec.posonlyargs + spec.args
-            if id(node) in owner:
-                positional = positional[1:]
-            first = len(positional) - len(spec.defaults)
-            defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
-            defaulted += [
-                (None, a.arg) for a, d in zip(spec.kwonlyargs, spec.kw_defaults) if d is not None
-            ]
-            for index, param in defaulted:
-                key = f"{name}.{param}"
-                if key in DEFAULTS_KEPT:
-                    continue
-                if not any((index is None or n <= index) and param not in keywords
-                           for n, keywords in calls[name]):
-                    unrelied.append(f"{path.name}:{node.lineno} {key}")
+            if not any((index is None or n <= index) and param not in keywords
+                       for n, keywords in calls[name]):
+                unrelied.append(f"{path.name}:{line} {key}")
     assert not unrelied, "defaults relied on only by tests: " + ", ".join(unrelied)

@@ -25,6 +25,14 @@ from ammgame.pool import (
 # dw0, dw_traders, dw_lp of a noise-free step; integer zeros keep Fractions exact
 NO_NOISE = (0, 0, (0, 0, 0))
 
+
+def bare_market(**kw):
+    """A ``Market`` from ``kw``: unless it says otherwise, no noise, flow sign
+    +1, arbitrage and slippage on; integer zeros keep Fractions exact."""
+    plain = dict(sign=1, sigma=0, arbitrage=True, slippage=True, trader_sigma=0, sigma0=0,
+                 lp_vols=(0, 0, 0))
+    return Market(**{**plain, **kw})
+
 finite_pos = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False, allow_infinity=False)
 
 
@@ -174,8 +182,8 @@ def test_slippage_values_and_errors():
     """
 
     def usdt_leg(alpha, delta=F(0), slippage=True):
-        mk = Market(x0=F(100), y0=F(100), phi=F(1), dt=F(1), arbitrage=False,
-                    slippage=slippage)
+        mk = bare_market(x0=F(100), y0=F(100), phi=F(1), dt=F(1), arbitrage=False,
+                         slippage=slippage)
         s = replace(reserves(F(100), F(100), delta),
                     trader_x=np.array([F(0)], dtype=object),
                     trader_y=np.array([F(0)], dtype=object))
@@ -193,12 +201,12 @@ def test_slippage_values_and_errors():
 
 
 def lp_market(x0, y0, dt):
-    return Market(x0=x0, y0=y0, phi=1, dt=dt, arbitrage=False)
+    return bare_market(x0=x0, y0=y0, phi=1, dt=dt, arbitrage=False)
 
 
 def reserves(x, y, delta=0):
     return MarketState(price=y / x, x_adj=x, y_adj=y, delta=delta,
-                       lp_x=0, lp_y=0, lp_z=0, lp_s=0)
+                       lp_x=0, lp_y=0, lp_z=0, lp_s=0, trader_x=None, trader_y=None)
 
 
 def lp_reserves(mk, s, lp, prices):
@@ -251,7 +259,7 @@ def test_adjusted_reserves_exact_on_fractions():
 
 def test_total_eth_reserves_decomposition():
     """The running ETH reserve is the adjusted stock plus arbitrage minus trader flow."""
-    mk = Market(x0=F(100), y0=F(100), phi=1, dt=1, arbitrage=False)
+    mk = bare_market(x0=F(100), y0=F(100), phi=1, dt=1, arbitrage=False)
     s, _ = step(mk, reserves(F(100), F(100), delta=F(3)), 0, None, F(3, 2), 0, *NO_NOISE)
     assert s.x_adj + s.delta == F(203, 2)
     with pytest.raises(DegenerateReserves) as err:

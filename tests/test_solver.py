@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from ammgame import kernels, market
+from ammgame import kernels, market, solver
 from ammgame.config import default_config
 from ammgame.engine import simulate
 from ammgame.errors import (
@@ -602,6 +602,85 @@ def test_passed_trader_layer_changes_no_number():
     np.testing.assert_array_equal(flows_l.mu, flows.mu)
     np.testing.assert_array_equal(flows_l.q, flows.q)
     _same_solution(solve_mfg(cfg, lp_path, layer=layer), solve_mfg(cfg, lp_path))
+
+
+def _replay(cfg, lp_path, start=None):
+    """``solve_mfg``'s fixed point with a fresh layer in every response map,
+    so neither the map's reuse of its last result nor the layer's pushforward
+    memo can serve it. Returns (flows, policy, history, exact) and the maps."""
+    maps = 0
+
+    def response_map(flows):
+        nonlocal maps
+        maps += 1
+        layer = TraderLayer.from_config(cfg)
+        env = forward_environment(cfg, lp_path, flows.mean_controls(), layer)
+        policy = best_response(cfg, env, layer=layer)
+        return induced_flows(cfg, policy, layer.mu0, layer), policy, env
+
+    if start is not None:
+        flows, policy, _, history, _, exact = solver._picard(cfg, response_map, start)
+        assert exact  # the cold fallback is not replayed
+        return (flows, policy, history, exact), maps
+    x_grid, atoms = trader_grids(cfg)
+    q = np.zeros((cfg.grid_steps, len(atoms)))
+    q[:, np.argmin(np.abs(atoms))] = 1.0
+    mu = np.tile(initial_trader_law(cfg, x_grid), (cfg.grid_steps + 1, 1))
+    flows, policy, _, history, _, exact = solver._picard(
+        cfg, response_map, FlowOfMeasures(x_grid, atoms, mu, q)
+    )
+    return (flows, policy, history, exact), maps
+
+
+def test_memoized_maps_match_a_replay_without_memos():
+    """One shared layer across a cold solve and two warm ones, where both
+    memos serve maps, gives what fresh layers give, bit for bit."""
+    cfg = small_cfg()
+    layer = TraderLayer.from_config(cfg)
+    idle, busy = np.zeros(cfg.grid_steps), np.full(cfg.grid_steps, 0.5)
+    cold = solve_mfg(cfg, idle, layer=layer)
+    runs = [(cold, idle, None),
+            (solve_mfg(cfg, idle, start=cold.flows, layer=layer), idle, cold.flows),
+            (solve_mfg(cfg, busy, start=cold.flows, layer=layer), busy, cold.flows)]
+    for sol, lp_path, start in runs:
+        (flows, policy, history, exact), maps = _replay(cfg, lp_path, start)
+        np.testing.assert_array_equal(sol.policy.policy_idx, policy.policy_idx)
+        np.testing.assert_array_equal(sol.flows.mu, flows.mu)
+        np.testing.assert_array_equal(sol.flows.q, flows.q)
+        assert sol.residual_history == history
+        assert sol.diagnostics["maps"] == maps
+        assert sol.diagnostics["exact"] == exact
+
+
+def test_induced_flows_memo_serves_only_the_layers_own_mu0():
+    cfg = small_cfg()
+    layer = TraderLayer.from_config(cfg)
+    env = forward_environment(cfg, np.zeros(cfg.grid_steps), np.zeros(cfg.grid_steps), layer)
+    pol = best_response(cfg, env, layer=layer)
+    memo = induced_flows(cfg, pol, layer.mu0, layer)
+    assert induced_flows(cfg, pol, layer.mu0, layer) is memo
+    with pytest.raises(ValueError):
+        memo.mu[0, 0] = 1.0  # shared with later maps, so read-only
+    # an equal law that is not the layer's own object bypasses the memo
+    own = induced_flows(cfg, pol, layer.mu0.copy(), layer)
+    assert own is not memo and own.mu.flags.writeable
+    np.testing.assert_array_equal(own.mu, memo.mu)
+    np.testing.assert_array_equal(own.q, memo.q)
+    assert layer.pushed[1] is memo
+
+
+def test_solve_major_minor_reuses_sweeps_and_pushforwards(monkeypatch):
+    """Fewer DP sweeps and pushforwards run than the search counts maps."""
+    calls = {"dp_backward": 0, "push_forward": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(kernels, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(kernels, name, counted)
+    cfg = small_cfg(lp_segments=1, solver_budget=6, solver_step_tol=0.5)
+    maps = sum(row["maps"] for row in solve_major_minor(cfg).search_trace)
+    assert 0 < calls["push_forward"] < maps
+    assert 0 < calls["dp_backward"] < maps
 
 
 def test_induced_flows_rejects_policy_off_the_layer():
