@@ -32,7 +32,7 @@ from .config import canonical_echo, config_hash, load_config
 from .engine import TimeGrid, simulate
 from .errors import AmmGameError, ConfigError, NotConverged
 from .harness import convergence_study
-from .lvr import run_lvr_experiment
+from .lvr import path_streams, run_lvr_experiment
 from .solver import solve_major_minor, solve_mfg
 
 SUBCOMMANDS = (
@@ -98,7 +98,7 @@ def _run_simulate(cfg, out_dir):
         step_vals = (
             (traj.mean_control_path[t], traj.lvr_rate_path[t])
             if t < steps
-            else (float("nan"), float("nan"))
+            else ("", "")
         )
         rows.append(
             (
@@ -184,8 +184,9 @@ def _run_lvr_check(cfg, out_dir):
     columns = ["dt", "n_paths", "mean_abs_residual", "mean_residual", "stderr_residual"]
     rows = []
     accounts = []
+    streams = path_streams(cfg)  # seeded once, rewound by each dt's run
     for dt in cfg.lvr_dt_values:
-        acct = run_lvr_experiment(cfg, dt=dt)
+        acct = run_lvr_experiment(cfg, dt, streams)
         accounts.append(acct)
         rows.append(
             (dt, acct.n_paths, acct.mean_abs_residual, acct.mean_residual, acct.stderr_residual)

@@ -33,7 +33,10 @@ lowest atom index.
 The LVR accumulator loops over time and is vectorized over paths: each call
 advances every path over one block of noise rows, carrying the (price, hedge,
 drain) state across calls, so the caller streams the noise block by block
-and memory does not grow with the number of steps.
+and memory does not grow with the number of steps. Within a call every step
+writes into four (paths,) buffers made once per call, with ``out=`` and
+in-place ufuncs in the order the plain expressions would round, so a step
+allocates nothing and the numbers match the expressions bit for bit.
 """
 
 import numpy as np
@@ -141,15 +144,30 @@ def lvr_paths(z, state, sigma, dt, k):
     ``state`` is a (3, paths) array of price, hedge gain and accrued drain,
     advanced in place. Each step accrues the drain at the left-point price,
     moves the price by its exact log-normal increment and books the gain of
-    holding the replicating sqrt(k/P) units over it.
+    holding the replicating sqrt(k/P) units over it. Every step writes into
+    the same four (paths,) buffers, each operation rounding as the plain
+    expression ``drain += rate(sqrt(k*p)) * dt``,
+    ``p_next = p * exp(drift + vol*z)``,
+    ``hedge += (sqrt(k*p) / p) * (p_next - p)`` would.
     """
     drift = (-0.5 * sigma * sigma) * dt
     vol = sigma * np.sqrt(dt)
+    rate = _drain_rate(1.0, sigma)  # per unit root: the same bits as the rate's factor
     p, hedge, drain = state
+    root, gain, move, p_next = np.empty((4, len(p)))
     for zt in z:
-        root = np.sqrt(k * p)
-        drain += _drain_rate(root, sigma) * dt
-        p_next = p * np.exp(drift + vol * zt)
-        hedge += (root / p) * (p_next - p)
-        p = p_next
+        np.multiply(p, k, out=root)
+        np.sqrt(root, out=root)
+        np.multiply(root, rate, out=gain)
+        gain *= dt
+        drain += gain
+        np.multiply(zt, vol, out=p_next)
+        p_next += drift
+        np.exp(p_next, out=p_next)
+        p_next *= p
+        np.divide(root, p, out=gain)
+        np.subtract(p_next, p, out=move)
+        gain *= move
+        hedge += gain
+        p, p_next = p_next, p
     state[0] = p

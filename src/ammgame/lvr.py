@@ -22,8 +22,13 @@ All paths advance together, one block of up to 256 steps at a time: every
 stream draws its next block into a small (128 paths, block) tile, the tiles
 are copied into one (block, paths) buffer, and ``kernels.lvr_paths`` steps
 every path over that buffer's rows. Since consecutive draws from a generator
-equal one long draw, no number depends on the block or tile size. Memory is
-bounded by the buffer, block * paths * 8 bytes (20 MB at 10^4 paths),
+equal one long draw, no number depends on the block or tile size.
+
+A dt ladder seeds its streams once (``path_streams``) and each experiment
+rewinds them to their opening states before it draws, so every dt sees the
+same draws as streams seeded afresh. Memory is the buffer, block * paths * 8
+bytes (20 MB at 10^4 paths), plus the generators, about 1.3 kB a path
+(SeedSequence 743 B, PCG64 348 B, Generator 236 B: 13 MB at 10^4 paths),
 whatever dt is.
 """
 
@@ -41,6 +46,8 @@ from .errors import InvalidParameter
 _BLOCK = 256
 # paths per transpose tile: a (tile, block) row buffer stays in cache
 _TILE = 128
+# low 64 bits of a 128-bit PCG64 word
+_WORD = (1 << 64) - 1
 
 
 def _check_args(p, k, sigma=0.0):
@@ -93,24 +100,69 @@ class LvrAccount:
     stderr_residual: float
 
 
-def _fill(streams, z, tile):
+@dataclass
+class PathStreams:
+    """One generator per path, seeded once and rewound for each experiment.
+
+    ``starts`` packs every generator's opening PCG64 state into four uint64
+    words, (state high, state low, increment high, increment low), so the
+    openings cost 32 bytes a path beside the generators themselves.
+    """
+
+    seed: int
+    generators: list
+    starts: np.ndarray
+
+    def rewind(self):
+        """Put every generator back on its first draw."""
+        for g, words in zip(self.generators, self.starts):
+            state_hi, state_lo, inc_hi, inc_lo = words.tolist()
+            g.bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+
+
+def path_streams(config):
+    """Seed path i's generator from (config.seed, i), for each of lvr.paths paths."""
+    seed = config.seed
+    generators = [
+        np.random.default_rng(np.random.SeedSequence((seed, i))) for i in range(config.lvr_paths)
+    ]
+    starts = np.empty((len(generators), 4), dtype=np.uint64)
+    for words, g in zip(starts, generators):
+        opening = g.bit_generator.state["state"]
+        words[:] = (opening["state"] >> 64, opening["state"] & _WORD,
+                    opening["inc"] >> 64, opening["inc"] & _WORD)
+    return PathStreams(seed, generators, starts)
+
+
+def _fill(generators, z, tile):
     """Draw the next len(z) normals of every path's stream into z (steps, paths).
 
     Each path draws one contiguous row of ``tile``; a full tile is then copied
-    into its columns of z.
+    into its columns of z. The row views are made once per block and serve
+    every tile.
     """
-    for first in range(0, len(streams), _TILE):
-        rows = tile[: min(_TILE, len(streams) - first), : len(z)]
-        for g, row in zip(streams[first : first + _TILE], rows):
+    block = tile[:, : len(z)]
+    rows = list(block)
+    for first in range(0, len(generators), _TILE):
+        width = min(_TILE, len(generators) - first)
+        for g, row in zip(generators[first : first + width], rows):
             g.standard_normal(out=row)
-        z[:, first : first + len(rows)] = rows.T
+        z[:, first : first + width] = block[:width].T
 
 
-def run_lvr_experiment(config, dt):
+def run_lvr_experiment(config, dt, streams=None):
     """Simulate the drain identity on GBM external prices.
 
     Pool parameters, volatility, horizon, path count and seed come from the
-    config; ``dt`` must cut the horizon into whole steps.
+    config; ``dt`` must cut the horizon into whole steps. ``streams`` are
+    ``path_streams`` of a config with the same path count and seed, seeded
+    here when not given. Given streams are rewound before they draw, so a dt
+    ladder seeds them once and passes them to every step size.
     """
     sigma = config.external_sigma
     horizon = config.grid_horizon
@@ -124,7 +176,17 @@ def run_lvr_experiment(config, dt):
             f"dt = {dt} does not cut grid.horizon = {horizon} into whole steps"
         )
 
-    streams = [np.random.default_rng(np.random.SeedSequence((seed, i))) for i in range(n_paths)]
+    if streams is None:
+        streams = path_streams(config)
+    elif len(streams.generators) != n_paths:
+        raise InvalidParameter(
+            f"streams hold {len(streams.generators)} paths, but lvr.paths = {n_paths}"
+        )
+    elif streams.seed != seed:
+        raise InvalidParameter(f"streams were seeded from seed = {streams.seed}, not {seed}")
+    else:
+        streams.rewind()
+
     block = min(_BLOCK, n_steps)
     # An anonymous mapping of its own, so freeing z unmaps it. A buffer this
     # size from malloc is mmapped the first time, but freeing it raises
@@ -137,7 +199,7 @@ def run_lvr_experiment(config, dt):
     state[0] = p0
     for start in range(0, n_steps, block):
         rows = z[: min(block, n_steps - start)]
-        _fill(streams, rows, tile)
+        _fill(streams.generators, rows, tile)
         kernels.lvr_paths(rows, state, sigma, dt, k)
 
     pool_t = pool_value(state[0], k)

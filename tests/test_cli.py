@@ -153,7 +153,7 @@ def test_simulate_writes_trajectory_and_summary(tmp_path, cfg_file):
     assert lines[2] == "# seed = 31"
     assert lines[3].startswith("t,price,x_adj,")
     assert len(lines) == 4 + 11  # header block + column row + steps+1 state rows
-    assert lines[-1].split(",")[-1] == "nan"  # per-step fields blank on terminal row
+    assert lines[-1].split(",")[-1] == ""  # per-step fields blank on terminal row
 
 
 def test_simulate_reruns_byte_identical(tmp_path, cfg_file):

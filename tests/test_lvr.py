@@ -1,4 +1,5 @@
-"""Pool value, the drain rate, the path kernel and the drain-vs-replication identity."""
+"""Pool value, the drain rate, the path kernel, the path streams and the
+drain-vs-replication identity."""
 
 import math
 from fractions import Fraction as F
@@ -10,7 +11,9 @@ import pytest
 from ammgame import kernels
 from ammgame.config import default_config
 from ammgame.errors import InvalidParameter
-from ammgame.lvr import _BLOCK, _TILE, instantaneous_lvr, pool_value, run_lvr_experiment
+from ammgame.lvr import (
+    _BLOCK, _TILE, instantaneous_lvr, path_streams, pool_value, run_lvr_experiment,
+)
 
 
 def one_step(p0, k, sigma=0.2, dt=0.01, z=0.7):
@@ -160,3 +163,71 @@ def test_experiment_rejects_bad_arguments():
     for dt in (-0.1, 0.0, 5.0, 0.3):
         with pytest.raises(InvalidParameter, match="dt = "):
             run_lvr_experiment(cfg, dt=dt)
+
+
+def allocating_lvr_paths(z, state, sigma, dt, k):
+    """The path kernel as plain expressions, each step allocating its temporaries."""
+    drift = (-0.5 * sigma * sigma) * dt
+    vol = sigma * np.sqrt(dt)
+    p, hedge, drain = state
+    for zt in z:
+        root = np.sqrt(k * p)
+        drain += kernels._drain_rate(root, sigma) * dt
+        p_next = p * np.exp(drift + vol * zt)
+        hedge += (root / p) * (p_next - p)
+        p = p_next
+    state[0] = p
+
+
+@pytest.mark.parametrize(
+    "n_steps, n_paths, sigma, dt",
+    [
+        (1, 1, 0.2, 0.01),
+        (0, 4, 0.2, 0.01),  # an empty block leaves the state as it is
+        (37, 3, 0.9, 0.05),
+        (_BLOCK, _TILE + 3, 0.3, 1e-4),
+    ],
+)
+def test_kernel_matches_allocating_loop(n_steps, n_paths, sigma, dt):
+    """The buffered kernel equals the plain loop bit for bit, with the state
+    carried over several calls, and leaves its noise untouched."""
+    rng = np.random.default_rng(1000 * n_steps + n_paths)
+    k = 31415.0
+    state = np.zeros((3, n_paths))
+    state[0] = rng.uniform(0.5, 2.0, n_paths)
+    expected = state.copy()
+    for _ in range(4):
+        # a leading slice of a larger buffer, as the experiment passes its last block
+        z = rng.standard_normal((n_steps + 5, n_paths))[:n_steps]
+        drawn = z.copy()
+        kernels.lvr_paths(z, state, sigma, dt, k)
+        np.testing.assert_array_equal(z, drawn)
+        allocating_lvr_paths(z, expected, sigma, dt, k)
+        np.testing.assert_array_equal(state, expected)
+    assert n_steps == 0 or np.all(state[2] > 0.0)
+
+
+def test_streams_rewind_for_every_dt():
+    """One set of streams serves a whole ladder, in either order: every run
+    equals a run on streams seeded afresh."""
+    cfg = default_config(lvr_paths=7, seed=11, lvr_dt_values=(0.01, 0.005, 0.002))
+    fresh = {dt: run_lvr_experiment(cfg, dt) for dt in cfg.lvr_dt_values}
+    for ladder in (cfg.lvr_dt_values, cfg.lvr_dt_values[::-1]):
+        streams = path_streams(cfg)
+        for dt in ladder:
+            acct = run_lvr_experiment(cfg, dt, streams)
+            for name in ("terminal_arb", "terminal_lvr", "terminal_replication",
+                         "terminal_pool_value"):
+                np.testing.assert_array_equal(getattr(acct, name), getattr(fresh[dt], name))
+
+
+@pytest.mark.parametrize(
+    "built_for, key",
+    [(dict(lvr_paths=5, seed=3), "lvr.paths"), (dict(lvr_paths=4, seed=4), "seed")],
+)
+def test_experiment_rejects_streams_of_another_config(built_for, key):
+    """Streams seeded for another path count or seed are refused, not drawn."""
+    cfg = default_config(lvr_paths=4, seed=3)
+    streams = path_streams(default_config(**built_for))
+    with pytest.raises(InvalidParameter, match=key):
+        run_lvr_experiment(cfg, 0.01, streams)
