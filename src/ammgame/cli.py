@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .arbitrage import best_arbitrage, brute_force_arbitrage
 from .config import canonical_echo, config_hash, load_config
-from .engine import TimeGrid, simulate
+from .engine import simulate
 from .errors import AmmGameError, ConfigError, NotConverged
 from .harness import convergence_study
 from .lvr import path_streams, run_lvr_experiment
@@ -84,10 +84,9 @@ def _write_summary(out_dir, status, objective, final_residual, runtime):
 
 
 def _run_simulate(cfg, out_dir):
-    steps = TimeGrid(cfg.grid_horizon, cfg.grid_steps).steps
-    lp_path = np.zeros(steps)
-    sol = solve_mfg(cfg, lp_path)
-    traj = simulate(cfg, sol.policy.as_policy(), lp_path, cfg.seed)
+    sol = solve_mfg(cfg)
+    traj = simulate(cfg, sol.policy.as_policy(), sol.env.lp_control_path, cfg.seed)
+    steps = traj.grid.steps
     times = traj.grid.times()
     columns = [
         "t", "price", "x_adj", "y_adj", "delta", "reserve", "invariant",
@@ -207,8 +206,8 @@ def _run_nash_test(cfg, out_dir):
     report = convergence_study(cfg)
     columns = ["n_players", "gap", "stderr", "replications", "clipped"]
     rows = [
-        (n, g, s, report.replications, bool(c))
-        for n, g, s, c in zip(report.n_values, report.gaps, report.stderrs, report.clipped)
+        (e.n_players, e.gap, e.stderr, len(e.paired_gaps), bool(c))
+        for e, c in zip(report.estimates, report.clipped)
     ]
     _write_csv(out_dir / "nash_report.csv", cfg, columns, rows)
     floor = report.gaps + 3.0 * report.stderrs

@@ -50,7 +50,6 @@ class NoiseBundle:
     common: np.ndarray        # (steps,) price noise W0
     idiosyncratic: np.ndarray  # (n_traders, steps)
     lp: np.ndarray             # (3, steps) for the LP's X, Y, Z legs
-    dt: float
 
 
 def make_noise(seed, grid: TimeGrid, n_traders):
@@ -64,7 +63,7 @@ def make_noise(seed, grid: TimeGrid, n_traders):
     for i in range(n_traders):
         idio[i] = _stream(seed, 2, i, grid.steps)
     idio *= root
-    return NoiseBundle(common=common, idiosyncratic=idio, lp=lp, dt=grid.dt)
+    return NoiseBundle(common=common, idiosyncratic=idio, lp=lp)
 
 
 def _stream(seed, kind, index, n):
@@ -80,28 +79,33 @@ def initial_trader_states(config, n_traders, seed):
     return config.trader_init_mean + config.trader_init_sd * rng.standard_normal(n_traders)
 
 
-def simulate(config, trader_policy, lp_control_path, seed, noise=None, n_traders=None):
+def simulate(config, trader_policy, lp_control_path, seed, noise=None):
     """Run the coupled system forward as one recorded lane of the market step.
 
     ``trader_policy`` maps (step index, inventory vector) to a control vector;
     ``lp_control_path`` is a per-step rate vector. A prebuilt ``noise`` bundle
-    enables common-random-number comparisons; by default one is derived from
-    ``seed``.
+    enables common-random-number comparisons and sets the population, one
+    trader per idiosyncratic row; by default one is derived from ``seed`` for
+    ``engine.traders`` traders.
     """
     grid = TimeGrid(config.grid_horizon, config.grid_steps)
-    m = int(config.engine_traders if n_traders is None else n_traders)
     lp_control_path = np.asarray(lp_control_path, dtype=float)
     if lp_control_path.shape != (grid.steps,):
         raise InvalidParameter(
             f"lp_control_path must have shape ({grid.steps},), got {lp_control_path.shape}"
         )
     if noise is None:
-        noise = make_noise(seed, grid, m)
-    if noise.idiosyncratic.shape[0] < m or noise.common.shape[0] != grid.steps:
-        raise InvalidParameter("noise bundle does not cover this run")
+        noise = make_noise(seed, grid, config.engine_traders)
+    m = noise.idiosyncratic.shape[0]
+    shapes = (noise.common.shape, noise.lp.shape, noise.idiosyncratic.shape)
+    if shapes != ((grid.steps,), (3, grid.steps), (m, grid.steps)):
+        raise InvalidParameter(
+            f"noise bundle shapes (common, lp, idiosyncratic) {shapes} do not fit "
+            f"{grid.steps} steps"
+        )
 
     # the lane's scalar noise as Python floats, like the LP rates in ``record``
-    common, lp, idio = noise.common.tolist(), noise.lp.T.tolist(), noise.idiosyncratic[:m]
+    common, lp, idio = noise.common.tolist(), noise.lp.T.tolist(), noise.idiosyncratic
 
     def act(t, s):
         alpha = np.asarray(trader_policy(t, s.trader_x), dtype=float)

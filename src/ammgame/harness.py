@@ -17,8 +17,9 @@ N players. The deviation benchmark is built in two stages:
    (common random numbers), so the pairwise difference isolates the
    deviator's edge plus the O(1/N) feedback of their control on the market.
    All R replications run as one batch of 2R lanes of the market step
-   (baseline and deviation lane per replication), which keeps only (lanes,
-   N) stocks and player 0's per-step reward.
+   (baseline and deviation lane per replication). The batch starts from the
+   pilot's opening inventories and runs on the pilot's market and LP path,
+   and it keeps only (lanes, N) stocks and player 0's per-step reward.
 
 The reported gap for each N is the mean paired difference in player 0's
 realized objective; the convergence study fits a log-log slope across N.
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import market
-from .engine import initial_trader_states, make_noise, simulate
+from .engine import make_noise, simulate
 from .errors import InvalidParameter
 from .solver import TraderLayer, best_response, solve_mfg
 
@@ -43,7 +44,6 @@ class DeviationEstimate:
     n_players: int
     gap: float
     stderr: float
-    replications: int
     paired_gaps: np.ndarray
 
 
@@ -54,7 +54,6 @@ class NashReport:
     n_values: list
     gaps: np.ndarray
     stderrs: np.ndarray
-    replications: int
     slope: float
     clipped: np.ndarray  # per N: gap raised to GAP_FLOOR before the fit
     estimates: list
@@ -68,22 +67,20 @@ def _derived_seed(*entropy):
     return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])
 
 
-def _paired_gaps(config, policy, deviation, lp_control_path, seed, noise, own):
+def _paired_gaps(config, pilot, policy, deviation, noise, own):
     """Player 0's objective gap, deviation minus baseline, for every replication.
 
-    All replications run as one lane batch of the market step: lanes [0, R)
+    All replications run as one lane batch of the market step from the
+    ``pilot``'s opening inventories, on its market and LP path: lanes [0, R)
     play ``policy``, lanes [R, 2R) let player 0 play ``deviation``. Lanes r
     and R + r share every stream: the pilot ``noise`` for the common price,
     the LP and players 1..N-1, and ``own[r]`` for player 0. Only (lanes, N)
     stocks and player 0's per-step reward are kept.
     """
     reps, steps = own.shape
-    m = noise.idiosyncratic.shape[0]
-    mk = market.Market.from_config(config)
-    s = market.opening_state(
-        config, np.tile(initial_trader_states(config, m, seed), (2 * reps, 1))
-    )
-    dw = np.empty((2 * reps, m))
+    mk, lp_control_path = pilot.market, pilot.lp_control_path
+    s = market.opening_state(config, np.tile(pilot.trader_x[:, 0], (2 * reps, 1)))
+    dw = np.empty((2 * reps, pilot.trader_x.shape[0]))
     reward0 = np.empty((2 * reps, steps))
     for t in range(steps):
         alpha = policy(t, s.trader_x)
@@ -99,12 +96,12 @@ def _paired_gaps(config, policy, deviation, lp_control_path, seed, noise, own):
     return objective[reps:] - objective[:reps]
 
 
-def epsilon_nash_gap(config, n_players, solution, seed, lp_control_path, layer):
+def epsilon_nash_gap(config, n_players, solution, seed, layer):
     """Best-deviation gain for one player among ``n_players`` on the MFG
     ``solution``'s policy, from ``harness.replications`` paired replications.
 
-    ``solution`` is the equilibrium against ``lp_control_path`` and ``layer``
-    the config's ``TraderLayer``.
+    The pilot runs on the LP path the ``solution`` was solved against;
+    ``layer`` is the config's ``TraderLayer``.
     """
     grid = layer.grid
     replications = config.harness_replications
@@ -114,15 +111,11 @@ def epsilon_nash_gap(config, n_players, solution, seed, lp_control_path, layer):
 
     pilot_seed = _derived_seed(seed, 0, n_players)
     pilot_noise = make_noise(pilot_seed, grid, n_players)
-    pilot = simulate(
-        config, policy, lp_control_path, pilot_seed, noise=pilot_noise, n_traders=n_players
-    )
+    pilot = simulate(config, policy, solution.env.lp_control_path, pilot_seed, noise=pilot_noise)
     # freeze the other players' pilot contribution to the empirical mean and
     # let the deviator's own control enter it with weight 1/N, mirroring how
     # the engine pays a finite-N player
-    alpha0 = np.array(
-        [policy(t, pilot.trader_x[0:1, t])[0] for t in range(grid.steps)]
-    )
+    alpha0 = policy(np.arange(grid.steps), pilot.trader_x[0, :-1])
     qbar_others = pilot.mean_control_path - alpha0 / n_players
     qslot = qbar_others[:, None] + (1.0 / n_players) * layer.atoms[None, :]
     # the pilot's recorded market is the environment the deviation answers
@@ -137,8 +130,7 @@ def epsilon_nash_gap(config, n_players, solution, seed, lp_control_path, layer):
         ).standard_normal(grid.steps)
         for r in range(replications)
     ]) * np.sqrt(grid.dt)
-    gaps = _paired_gaps(config, policy, deviation, pilot.lp_control_path, pilot_seed,
-                        pilot_noise, own)
+    gaps = _paired_gaps(config, pilot, policy, deviation, pilot_noise, own)
 
     gap = float(gaps.mean())
     stderr = float(gaps.std(ddof=1) / np.sqrt(replications))
@@ -146,7 +138,6 @@ def epsilon_nash_gap(config, n_players, solution, seed, lp_control_path, layer):
         n_players=n_players,
         gap=gap,
         stderr=stderr,
-        replications=replications,
         paired_gaps=gaps,
     )
 
@@ -158,12 +149,8 @@ def convergence_study(config, seed=None):
     seed = config.seed if seed is None else seed
 
     layer = TraderLayer.from_config(config)
-    lp_control_path = np.zeros(config.grid_steps)
-    solution = solve_mfg(config, lp_control_path, layer=layer)
-
-    estimates = [
-        epsilon_nash_gap(config, n, solution, seed, lp_control_path, layer) for n in n_values
-    ]
+    solution = solve_mfg(config, layer=layer)
+    estimates = [epsilon_nash_gap(config, n, solution, seed, layer) for n in n_values]
     gaps = np.array([e.gap for e in estimates])
     stderrs = np.array([e.stderr for e in estimates])
 
@@ -174,7 +161,6 @@ def convergence_study(config, seed=None):
         n_values=n_values,
         gaps=gaps,
         stderrs=stderrs,
-        replications=estimates[0].replications,
         slope=float(slope),
         clipped=clipped,
         estimates=estimates,

@@ -28,8 +28,8 @@ Three nested problems:
    search took whenever its cold solve ends on the same exact point, as
    every candidate of the default search does. Inner non-convergence marks
    the candidate infeasible instead of aborting the search. The search
-   caches each candidate's cost and status, not its solution: a cached cost
-   never beats the incumbent, so only the incumbent's solution is ever read.
+   caches each candidate's cost alone, not its solution: a cached cost never
+   beats the incumbent, so only the incumbent's solution is ever read.
 
 Everything the trader layer derives from the config alone, and that no LP
 candidate or Picard iterate changes, lives in one frozen ``TraderLayer``: the
@@ -224,8 +224,7 @@ def wasserstein_grid(u, v, spacing):
     The weights run along the last axis; a pair of 1-d vectors gives a float.
     """
     diff = np.cumsum(np.subtract(u, v), axis=-1)
-    w1 = spacing * np.abs(diff[..., :-1]).sum(axis=-1)
-    return float(w1) if w1.ndim == 0 else w1
+    return spacing * np.abs(diff[..., :-1]).sum(axis=-1)
 
 
 def forward_environment(config, lp_control_path, qbar, layer=None):
@@ -525,33 +524,31 @@ def solve_major_minor(config):
     def evaluate(u, respect_budget=True):
         key = u.tobytes()
         if key in cache:
-            return cache[key]
+            return cache[key], None  # a cached cost never beats the incumbent
         if respect_budget and len(trace) >= budget:
-            return (math.inf, None, "budget")  # not cached: never actually evaluated
+            return math.inf, None  # not cached: never actually evaluated
         start = None if best_sol is None else best_sol.flows
+        cost, sol = math.inf, None
         try:
             cost, sol = lp_objective(config, u, start=start, layer=layer)
-            result = (cost, sol, "ok")
-            maps, exact = sol.diagnostics["maps"], sol.diagnostics["exact"]
+            status, maps, exact = "ok", sol.diagnostics["maps"], sol.diagnostics["exact"]
         except NotConverged as exc:
-            result = (math.inf, None, "inner_not_converged")
-            maps, exact = exc.maps, False
+            status, maps, exact = "inner_not_converged", exc.maps, False
         except DegenerateReserves as exc:
-            result = (math.inf, None, "degenerate")
-            maps, exact = exc.maps, False
+            status, maps, exact = "degenerate", exc.maps, False
         trace.append(
             {
                 "eval": len(trace),
                 "step": step,
                 "segments": u.tolist(),
-                "objective": result[0],
-                "status": result[2],
+                "objective": cost,
+                "status": status,
                 "maps": maps,
                 "exact": exact,
             }
         )
-        cache[key] = (result[0], None, result[2])  # a cached cost never beats the incumbent
-        return result
+        cache[key] = cost
+        return cost, sol
 
     def poll(u, step):
         """The 2K coordinate neighbours of ``u`` in polling order, with feasibility."""
@@ -562,11 +559,11 @@ def solve_major_minor(config):
                 yield cand, lo <= cand[i] <= hi
 
     u = np.clip(np.zeros(k), lo, hi)
-    best_cost, best_sol, _ = evaluate(u)
+    best_cost, best_sol = evaluate(u)
     while step >= step_tol and len(trace) < budget:
         for cand, feasible in poll(u, step):
             if feasible:
-                cost, sol, _ = evaluate(cand)
+                cost, sol = evaluate(cand)
                 if cost < best_cost:
                     u, best_cost, best_sol = cand, cost, sol
                     break

@@ -5,6 +5,8 @@ x0 = y0 = 100, tau = 0.003, dt = 0.02, trader rate 0.4, LP rate 0.25, all
 noise off, arbitrage on (drain rate 1 at the initial state) and frozen here.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -201,7 +203,9 @@ def test_price_path_first_order_in_dt():
 def test_invariant_monotone_under_one_sided_flow():
     """With no traders the drain keeps delta rising, so k_t rises too."""
     cfg = default_config(external_sigma0=0.0)
-    traj = simulate(cfg, constant_policy(0.0), np.zeros(cfg.grid_steps), seed=4, n_traders=0)
+    grid = TimeGrid(cfg.grid_horizon, cfg.grid_steps)
+    traj = simulate(cfg, constant_policy(0.0), np.zeros(cfg.grid_steps), seed=4,
+                    noise=make_noise(4, grid, 0))
     assert np.all(np.diff(traj.delta_path) > 0)
     assert np.all(np.diff(traj.invariant_path) > 0)
 
@@ -222,5 +226,29 @@ def test_lp_control_path_shape_validated():
     with pytest.raises(InvalidParameter):
         simulate(
             cfg, constant_policy(0.0), np.zeros(cfg.grid_steps), seed=1,
-            noise=make_noise(1, TimeGrid(cfg.grid_horizon, cfg.grid_steps), 2),
+            noise=make_noise(1, TimeGrid(cfg.grid_horizon, cfg.grid_steps + 1), 2),
         )
+
+
+def test_noise_bundle_short_in_steps_rejected():
+    """Every stream of a given bundle must span the grid, not only the common one."""
+    cfg = default_config()
+    noise = make_noise(1, TimeGrid(cfg.grid_horizon, cfg.grid_steps), 4)
+    for short in (replace(noise, idiosyncratic=np.zeros((4, 10))),
+                  replace(noise, lp=np.zeros((3, 10)))):
+        with pytest.raises(InvalidParameter):
+            simulate(cfg, constant_policy(0.0), np.zeros(cfg.grid_steps), seed=1, noise=short)
+
+
+def test_noise_bundle_sets_population():
+    """A bundle's idiosyncratic rows, not ``engine.traders``, count the traders."""
+    cfg = default_config()
+    assert cfg.engine_traders == 256
+    grid = TimeGrid(cfg.grid_horizon, cfg.grid_steps)
+    pol, lp = constant_policy(0.1), np.zeros(grid.steps)
+    traj = simulate(cfg, pol, lp, seed=5, noise=make_noise(5, grid, 8))
+    assert traj.trader_x.shape == (8, grid.steps + 1)
+    assert traj.trader_objectives.shape == (8,)
+    eight = simulate(default_config(engine_traders=8), pol, lp, seed=5)
+    np.testing.assert_array_equal(traj.trader_x, eight.trader_x)
+    np.testing.assert_array_equal(traj.price_path, eight.price_path)

@@ -43,13 +43,14 @@ def test_paired_lanes_match_engine_runs():
     lp_path = np.linspace(0.5, -0.5, grid.steps)
     noise = make_noise(5, grid, 8)
     own = np.random.default_rng(1).standard_normal((3, grid.steps)) * np.sqrt(grid.dt)
-    gaps = harness._paired_gaps(cfg, policy, deviation, lp_path, 5, noise, own)
+    pilot = simulate(cfg, policy, lp_path, 5, noise=noise)
+    gaps = harness._paired_gaps(cfg, pilot, policy, deviation, noise, own)
     for r in range(3):
         idio = noise.idiosyncratic.copy()
         idio[0] = own[r]
         bundle = replace(noise, idiosyncratic=idio)
-        base = simulate(cfg, policy, lp_path, 5, noise=bundle, n_traders=8)
-        dev = simulate(cfg, deviant, lp_path, 5, noise=bundle, n_traders=8)
+        base = simulate(cfg, policy, lp_path, 5, noise=bundle)
+        dev = simulate(cfg, deviant, lp_path, 5, noise=bundle)
         assert gaps[r] == dev.trader_objectives[0] - base.trader_objectives[0]
     assert np.any(gaps != 0.0)
 
@@ -60,14 +61,14 @@ def test_simulate_n_players_rejects_nonpositive():
     sol = solve_mfg(cfg)
     with pytest.raises(InvalidParameter):
         epsilon_nash_gap(cfg, n_players=0, seed=1, solution=sol,
-                         lp_control_path=np.zeros(cfg.grid_steps),
                          layer=TraderLayer.from_config(cfg))
 
 
 def test_pilot_environment_reproduces_deterministic_env(monkeypatch):
     """On a noise-free pilot the deviation answers the solver's environment exactly."""
     cfg = quick_cfg(trader_sigma=0.0, external_sigma0=0.0, harness_replications=2)
-    sol = solve_mfg(cfg)
+    lp_path = np.full(cfg.grid_steps, 0.2)
+    sol = solve_mfg(cfg, lp_path)
     seen = []
 
     def spy(config, env, **kw):
@@ -75,9 +76,7 @@ def test_pilot_environment_reproduces_deterministic_env(monkeypatch):
         return best_response(config, env, **kw)
 
     monkeypatch.setattr(harness, "best_response", spy)
-    lp_path = np.full(cfg.grid_steps, 0.2)
-    epsilon_nash_gap(cfg, n_players=4, seed=3, solution=sol, lp_control_path=lp_path,
-                     layer=TraderLayer.from_config(cfg))
+    epsilon_nash_gap(cfg, n_players=4, seed=3, solution=sol, layer=TraderLayer.from_config(cfg))
     (env_real,) = seen
     env_det = forward_environment(cfg, lp_path, env_real.mean_control_path)
     for f in fields(env_det):
@@ -88,18 +87,15 @@ def test_pilot_environment_reproduces_deterministic_env(monkeypatch):
 def test_epsilon_nash_gap_fields_and_determinism():
     cfg = quick_cfg(harness_replications=6)
     sol = solve_mfg(cfg)
-    idle, layer = np.zeros(cfg.grid_steps), TraderLayer.from_config(cfg)
-    est = epsilon_nash_gap(cfg, n_players=8, seed=21, solution=sol, lp_control_path=idle,
-                           layer=layer)
+    layer = TraderLayer.from_config(cfg)
+    est = epsilon_nash_gap(cfg, n_players=8, seed=21, solution=sol, layer=layer)
     assert isinstance(est, DeviationEstimate)
     assert est.n_players == 8
-    assert est.replications == 6
     assert est.paired_gaps.shape == (6,)
     assert est.gap == pytest.approx(float(np.mean(est.paired_gaps)), rel=1e-15)
     expected_se = float(np.std(est.paired_gaps, ddof=1) / np.sqrt(6))
     assert est.stderr == pytest.approx(expected_se, rel=1e-12)
-    again = epsilon_nash_gap(cfg, n_players=8, seed=21, solution=sol, lp_control_path=idle,
-                             layer=layer)
+    again = epsilon_nash_gap(cfg, n_players=8, seed=21, solution=sol, layer=layer)
     np.testing.assert_array_equal(again.paired_gaps, est.paired_gaps)
 
 
@@ -108,11 +104,11 @@ def test_epsilon_nash_gap_common_noise_pairing():
     cfg = quick_cfg(harness_replications=8)
     sol = solve_mfg(cfg)
     est = epsilon_nash_gap(cfg, n_players=8, seed=2, solution=sol,
-                           lp_control_path=np.zeros(cfg.grid_steps),
                            layer=TraderLayer.from_config(cfg))
-    pol = sol.policy.as_policy()
+    pol, grid = sol.policy.as_policy(), TimeGrid(cfg.grid_horizon, cfg.grid_steps)
     baselines = [
-        simulate(cfg, pol, sol.env.lp_control_path, seed=s, n_traders=8).trader_objectives[0]
+        simulate(cfg, pol, sol.env.lp_control_path, seed=s,
+                 noise=make_noise(s, grid, 8)).trader_objectives[0]
         for s in range(40, 48)
     ]
     assert np.std(est.paired_gaps) < 0.2 * np.std(baselines)
