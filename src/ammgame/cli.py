@@ -32,7 +32,7 @@ from .config import canonical_echo, config_hash, load_config
 from .engine import simulate
 from .errors import AmmGameError, ConfigError, NotConverged
 from .harness import convergence_study
-from .lvr import path_streams, run_lvr_experiment
+from .lvr import run_lvr_experiment
 from .solver import solve_major_minor, solve_mfg
 
 SUBCOMMANDS = (
@@ -183,9 +183,8 @@ def _run_lvr_check(cfg, out_dir):
     columns = ["dt", "n_paths", "mean_abs_residual", "mean_residual", "stderr_residual"]
     rows = []
     accounts = []
-    streams = path_streams(cfg)  # seeded once, rewound by each dt's run
     for dt in cfg.lvr_dt_values:
-        acct = run_lvr_experiment(cfg, dt, streams)
+        acct = run_lvr_experiment(cfg, dt)
         accounts.append(acct)
         rows.append(
             (dt, acct.n_paths, acct.mean_abs_residual, acct.mean_residual, acct.stderr_residual)

@@ -18,18 +18,20 @@ evaluation of the integrand; each path owns a stream seeded by
 (master seed, path index) and the reduction order is fixed, so results are
 bit-reproducible.
 
-All paths advance together, one block of up to 256 steps at a time: every
-stream draws its next block into a small (128 paths, block) tile, the tiles
-are copied into one (block, paths) buffer, and ``kernels.lvr_paths`` steps
-every path over that buffer's rows. Since consecutive draws from a generator
-equal one long draw, no number depends on the block or tile size.
+Paths run in groups of up to 5,000. A group's streams open where numpy's
+``SeedSequence((seed, i))`` would open them; their opening words are computed
+for the whole group in one vectorized pass, and no SeedSequence is built.
+The group's paths advance together, one block of up to 256 steps at a time:
+every stream draws its next block into a small (128 paths, block) tile, the
+tiles are copied into one (block, group) buffer, and ``kernels.lvr_paths``
+steps every path over that buffer's rows. Since consecutive draws from a
+generator equal one long draw and the kernel treats each path alone, no
+number depends on the block, tile or group size.
 
-A dt ladder seeds its streams once (``path_streams``) and each experiment
-rewinds them to their opening states before it draws, so every dt sees the
-same draws as streams seeded afresh. Memory is the buffer, block * paths * 8
-bytes (20 MB at 10^4 paths), plus the generators, about 1.3 kB a path
-(SeedSequence 743 B, PCG64 348 B, Generator 236 B: 13 MB at 10^4 paths),
-whatever dt is.
+Every experiment seeds its streams afresh. Memory is one group's buffer,
+block * group * 8 bytes (10 MB), plus one group's generators, about 0.6 kB a
+path (PCG64 348 B, Generator 236 B: 3 MB), whatever lvr.paths and dt are;
+beside them only the per-path results grow with lvr.paths.
 """
 
 import math
@@ -46,8 +48,16 @@ from .errors import InvalidParameter
 _BLOCK = 256
 # paths per transpose tile: a (tile, block) row buffer stays in cache
 _TILE = 128
-# low 64 bits of a 128-bit PCG64 word
-_WORD = (1 << 64) - 1
+# paths per group: one group's generators and (block, group) buffer are live
+# at a time, 10 MB of buffer at most
+_GROUP = 5000
+
+# SeedSequence's hash (numpy/random/bit_generator.pyx): a pool of four words
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
 def _check_args(p, k, sigma=0.0):
@@ -100,43 +110,81 @@ class LvrAccount:
     stderr_residual: float
 
 
-@dataclass
-class PathStreams:
-    """One generator per path, seeded once and rewound for each experiment.
+def _hasher(const, mult):
+    """SeedSequence's running hash on uint32 columns, its constant advanced
+    by ``mult`` at every call as numpy advances it."""
 
-    ``starts`` packs every generator's opening PCG64 state into four uint64
-    words, (state high, state low, increment high, increment low), so the
-    openings cost 32 bytes a path beside the generators themselves.
+    def hash_(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> 16
+
+    return hash_
+
+
+def _mix(x, y):
+    """SeedSequence's mix of pool word x with hashed word y."""
+    result = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return result ^ result >> 16
+
+
+def _opening_words(seed, paths):
+    """Row i is ``SeedSequence((seed, paths[i])).generate_state(4, np.uint64)``.
+
+    The entropy of (seed, i) is seed's little-endian 32-bit words (0 as one
+    word) followed by i's, one word for i below 2^32. Its length is the same
+    for every path, and SeedSequence's hash constants do not depend on the
+    entropy, so every path takes the same steps, each on its own uint32 lane.
     """
+    entropy = []
+    while True:
+        entropy.append(np.full(len(paths), seed & _MASK32, dtype=np.uint32))
+        seed >>= 32
+        if not seed:
+            break
+    entropy.append(np.asarray(paths, dtype=np.uint32))
 
-    seed: int
-    generators: list
-    starts: np.ndarray
+    hashmix = _hasher(_INIT_A, _MULT_A)  # SeedSequence.mix_entropy
+    padded = entropy + [np.zeros_like(entropy[0])] * (_POOL - len(entropy))
+    pool = [hashmix(word) for word in padded[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(word))
 
-    def rewind(self):
-        """Put every generator back on its first draw."""
-        for g, words in zip(self.generators, self.starts):
-            state_hi, state_lo, inc_hi, inc_lo = words.tolist()
-            g.bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
+    hash_out = _hasher(_INIT_B, _MULT_B)  # SeedSequence.generate_state
+    halves = [hash_out(pool[i % _POOL]).astype(np.uint64) for i in range(8)]
+    words = np.empty((len(paths), 4), dtype=np.uint64)
+    for j in range(4):
+        words[:, j] = halves[2 * j] | halves[2 * j + 1] << 32
+    return words
 
 
-def path_streams(config):
-    """Seed path i's generator from (config.seed, i), for each of lvr.paths paths."""
-    seed = config.seed
-    generators = [
-        np.random.default_rng(np.random.SeedSequence((seed, i))) for i in range(config.lvr_paths)
-    ]
-    starts = np.empty((len(generators), 4), dtype=np.uint64)
-    for words, g in zip(starts, generators):
-        opening = g.bit_generator.state["state"]
-        words[:] = (opening["state"] >> 64, opening["state"] & _WORD,
-                    opening["inc"] >> 64, opening["inc"] & _WORD)
-    return PathStreams(seed, generators, starts)
+def _generators(words):
+    """One generator per row of ``words``, each seeded as a SeedSequence whose
+    ``generate_state(4, np.uint64)`` is that row would seed it.
+
+    PCG64 asks its ``ISeedSequence`` for those words once, when it is built,
+    so one shared object hands out the rows in turn and no path keeps a
+    SeedSequence. numpy.random is imported here, not with the module, to keep
+    it out of import time.
+    """
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    opening = iter(words)
+
+    class Rows(ISeedSequence):
+        def generate_state(self, n_words, dtype):
+            return next(opening)
+
+    rows = Rows()
+    return [Generator(PCG64(rows)) for _ in range(len(words))]
 
 
 def _fill(generators, z, tile):
@@ -155,14 +203,11 @@ def _fill(generators, z, tile):
         z[:, first : first + width] = block[:width].T
 
 
-def run_lvr_experiment(config, dt, streams=None):
+def run_lvr_experiment(config, dt):
     """Simulate the drain identity on GBM external prices.
 
     Pool parameters, volatility, horizon, path count and seed come from the
-    config; ``dt`` must cut the horizon into whole steps. ``streams`` are
-    ``path_streams`` of a config with the same path count and seed, seeded
-    here when not given. Given streams are rewound before they draw, so a dt
-    ladder seeds them once and passes them to every step size.
+    config; ``dt`` must cut the horizon into whole steps.
     """
     sigma = config.external_sigma
     horizon = config.grid_horizon
@@ -176,31 +221,26 @@ def run_lvr_experiment(config, dt, streams=None):
             f"dt = {dt} does not cut grid.horizon = {horizon} into whole steps"
         )
 
-    if streams is None:
-        streams = path_streams(config)
-    elif len(streams.generators) != n_paths:
-        raise InvalidParameter(
-            f"streams hold {len(streams.generators)} paths, but lvr.paths = {n_paths}"
-        )
-    elif streams.seed != seed:
-        raise InvalidParameter(f"streams were seeded from seed = {streams.seed}, not {seed}")
-    else:
-        streams.rewind()
-
     block = min(_BLOCK, n_steps)
-    # An anonymous mapping of its own, so freeing z unmaps it. A buffer this
+    group = min(_GROUP, n_paths)
+    # An anonymous mapping of its own, so freeing it unmaps it. A buffer this
     # size from malloc is mmapped the first time, but freeing it raises
     # glibc's mmap threshold; the next call's buffer then comes from the brk
     # heap, which small allocations landing in its freed hole can grow by
     # several MB, making peak memory depend on allocation timing.
-    z = np.frombuffer(mmap.mmap(-1, block * n_paths * 8), dtype=float).reshape(block, n_paths)
-    tile = np.empty((min(_TILE, n_paths), block))
+    buffer = np.frombuffer(mmap.mmap(-1, block * group * 8), dtype=float)
+    tile = np.empty((min(_TILE, group), block))
     state = np.zeros((3, n_paths))  # price, hedge gain, accrued drain
     state[0] = p0
-    for start in range(0, n_steps, block):
-        rows = z[: min(block, n_steps - start)]
-        _fill(streams.generators, rows, tile)
-        kernels.lvr_paths(rows, state, sigma, dt, k)
+    for first in range(0, n_paths, group):
+        paths = np.arange(first, min(first + group, n_paths))
+        z = buffer[: block * len(paths)].reshape(block, len(paths))
+        generators = _generators(_opening_words(seed, paths))
+        for start in range(0, n_steps, block):
+            rows = z[: min(block, n_steps - start)]
+            _fill(generators, rows, tile)
+            kernels.lvr_paths(rows, state[:, first : first + len(paths)], sigma, dt, k)
+        del generators  # freed before the next group's are built
 
     pool_t = pool_value(state[0], k)
     replication_t = pool_value(p0, k) + state[1]

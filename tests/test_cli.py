@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -217,6 +220,16 @@ def test_lvr_check_small(tmp_path, cfg_file):
     lines = (out / "residuals.csv").read_text().splitlines()
     assert lines[3] == "dt,n_paths,mean_abs_residual,mean_residual,stderr_residual"
     assert len(lines) == 4 + 2
+
+
+def test_import_leaves_numpy_random_unloaded():
+    """Importing the CLI loads no numpy.random: only the runs that draw pay
+    for it, not every start (``print-config`` and bad-input exits included)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, ammgame.cli; print('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.split() == ["False"]
 
 
 def test_nash_test_small(tmp_path, cfg_file):

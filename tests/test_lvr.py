@@ -1,5 +1,10 @@
-"""Pool value, the drain rate, the path kernel, the path streams and the
-drain-vs-replication identity."""
+"""Pool value, the drain rate, the path kernel, the seeding of the path
+streams and the drain-vs-replication identity.
+
+Each experiment seeds its streams afresh, a group of paths at a time, from
+opening words computed as SeedSequence((seed, i)) computes them; the tests
+below hold those words to numpy's and the terminals to a per-stream replay,
+whatever the group size."""
 
 import math
 from fractions import Fraction as F
@@ -8,11 +13,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from ammgame import kernels
+from ammgame import kernels, lvr
 from ammgame.config import default_config
 from ammgame.errors import InvalidParameter
 from ammgame.lvr import (
-    _BLOCK, _TILE, instantaneous_lvr, path_streams, pool_value, run_lvr_experiment,
+    _BLOCK, _TILE, _opening_words, instantaneous_lvr, pool_value, run_lvr_experiment,
 )
 
 
@@ -207,27 +212,25 @@ def test_kernel_matches_allocating_loop(n_steps, n_paths, sigma, dt):
     assert n_steps == 0 or np.all(state[2] > 0.0)
 
 
-def test_streams_rewind_for_every_dt():
-    """One set of streams serves a whole ladder, in either order: every run
-    equals a run on streams seeded afresh."""
-    cfg = default_config(lvr_paths=7, seed=11, lvr_dt_values=(0.01, 0.005, 0.002))
-    fresh = {dt: run_lvr_experiment(cfg, dt) for dt in cfg.lvr_dt_values}
-    for ladder in (cfg.lvr_dt_values, cfg.lvr_dt_values[::-1]):
-        streams = path_streams(cfg)
-        for dt in ladder:
-            acct = run_lvr_experiment(cfg, dt, streams)
-            for name in ("terminal_arb", "terminal_lvr", "terminal_replication",
-                         "terminal_pool_value"):
-                np.testing.assert_array_equal(getattr(acct, name), getattr(fresh[dt], name))
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 7])
+def test_opening_words_match_seed_sequence(seed):
+    """Every path's words are numpy's, for seeds of one to four 32-bit words
+    (with four, the entropy outgrows the pool), at the first paths and the
+    last of the default lvr.paths."""
+    n = default_config().lvr_paths
+    paths = np.array([0, 1, n - 1])
+    expected = [np.random.SeedSequence((seed, int(i))).generate_state(4, np.uint64)
+                for i in paths]
+    np.testing.assert_array_equal(_opening_words(seed, paths), expected)
 
 
-@pytest.mark.parametrize(
-    "built_for, key",
-    [(dict(lvr_paths=5, seed=3), "lvr.paths"), (dict(lvr_paths=4, seed=4), "seed")],
-)
-def test_experiment_rejects_streams_of_another_config(built_for, key):
-    """Streams seeded for another path count or seed are refused, not drawn."""
-    cfg = default_config(lvr_paths=4, seed=3)
-    streams = path_streams(default_config(**built_for))
-    with pytest.raises(InvalidParameter, match=key):
-        run_lvr_experiment(cfg, 0.01, streams)
+def test_terminals_independent_of_group_size(monkeypatch):
+    """Groups of 3 over 8 paths, the last group short, give the terminals of
+    one group of all 8, bit for bit."""
+    cfg = default_config(lvr_paths=8, seed=21)
+    whole = run_lvr_experiment(cfg, 0.01)
+    monkeypatch.setattr(lvr, "_GROUP", 3)
+    grouped = run_lvr_experiment(cfg, 0.01)
+    for name in ("terminal_arb", "terminal_lvr", "terminal_replication",
+                 "terminal_pool_value"):
+        np.testing.assert_array_equal(getattr(grouped, name), getattr(whole, name))
