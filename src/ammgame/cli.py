@@ -32,7 +32,7 @@ from .config import canonical_echo, config_hash, load_config
 from .engine import simulate
 from .errors import AmmGameError, ConfigError, NotConverged
 from .harness import convergence_study
-from .lvr import run_lvr_experiment
+from .lvr import ladder_terminals, run_lvr_experiment
 from .solver import solve_major_minor, solve_mfg
 
 SUBCOMMANDS = (
@@ -133,6 +133,13 @@ def _run_solve_major_minor(cfg, out_dir):
     )
     res_rows = [(i + 1, r) for i, r in enumerate(sol.residual_history)]
     _write_csv(out_dir / "residuals.csv", cfg, ["iteration", "residual"], res_rows)
+    if sol.diagnostics["stop_reason"] == "budget":
+        raise NotConverged(
+            f"solver.budget = {cfg.solver_budget} evaluations ran out before the search "
+            f"step fell below solver.step_tol = {cfg.solver_step_tol:g}: the returned "
+            f"control is not a certified local optimum",
+            residual_history=[sol.certificate_residual],
+        )
     return sol.lp_objective, sol.certificate_residual
 
 
@@ -183,8 +190,9 @@ def _run_lvr_check(cfg, out_dir):
     columns = ["dt", "n_paths", "mean_abs_residual", "mean_residual", "stderr_residual"]
     rows = []
     accounts = []
-    for dt in cfg.lvr_dt_values:
-        acct = run_lvr_experiment(cfg, dt)
+    terminals = ladder_terminals(cfg, cfg.lvr_dt_values)
+    for dt, terminal in zip(cfg.lvr_dt_values, terminals):
+        acct = run_lvr_experiment(cfg, dt, terminal)
         accounts.append(acct)
         rows.append(
             (dt, acct.n_paths, acct.mean_abs_residual, acct.mean_residual, acct.stderr_residual)

@@ -25,6 +25,9 @@ import math
 import numbers
 from dataclasses import make_dataclass, replace
 
+import numpy as np
+
+from . import kernels
 from .errors import ConfigError
 
 
@@ -174,6 +177,33 @@ def divides(dt, horizon):
     return n if n >= 1 and abs(n * dt - horizon) <= 1e-9 * horizon else 0
 
 
+def trader_grids(config):
+    """The trader's inventory nodes and control atoms, evenly spaced over
+    [grid.x_min, grid.x_max] and [trader.a_min, trader.a_max]."""
+    x_grid = np.linspace(config.grid_x_min, config.grid_x_max, config.grid_x_points)
+    atoms = np.linspace(config.trader_a_min, config.trader_a_max, config.grid_control_points)
+    return x_grid, atoms
+
+
+def _check_control_range(cfg):
+    """Reject a control range under which every atom's drift target leaves the
+    grid from its top node upward (naming trader.a_min) or from its bottom
+    node downward (naming trader.a_max): that node has no admissible atom.
+    """
+    x_grid, atoms = trader_grids(cfg)
+    dt = cfg.grid_horizon / cfg.grid_steps  # the solver's TimeGrid.dt
+    _, below, above = kernels.drift_targets(x_grid, atoms, dt)
+    for key, node, exits, side in (("trader.a_min", x_grid[-1], above[-1], "above grid.x_max"),
+                                   ("trader.a_max", x_grid[0], below[0], "below grid.x_min")):
+        if exits.all():
+            raise ConfigError(
+                key,
+                f"leaves inventory node x = {node} with no admissible control: every "
+                f"atom's drift target x + a*dt (dt = {dt}) lies {side} "
+                f"(got {getattr(cfg, _attr(key))})",
+            )
+
+
 def _check(cfg):
     """Every per-key check in schema order, then every cross-key check.
 
@@ -209,6 +239,7 @@ def _check(cfg):
         cross(divides(dt, cfg.grid_horizon), "lvr.dt_values",
               f"each step size must divide grid.horizon = {cfg.grid_horizon} into whole "
               f"steps (got {dt})")
+    _check_control_range(cfg)
 
 
 SimConfig = make_dataclass(

@@ -22,13 +22,15 @@ passed, because its leading signature is the one the DP-versus-enumeration
 acceptance test calls and the benchmark's DP hook reads.
 
 A control atom is admissible at a node only if the deterministic drift
-target x + a*dt stays inside the grid. A node with no admissible atom, or
-pushforward mass whose drift target exits, signals grid bounds too tight for
-the control set; callers raise on it. The DP's running part, reward * dt
-with -inf on the inadmissible atoms, changes with t but not with the value
-function, so ``dp_backward`` builds that ``base`` table once per sweep and
-each step only adds T @ V and takes the argmax. Ties in the DP break to the
-lowest atom index.
+target x + a*dt stays inside the grid (``drift_targets``, the one statement
+of that rule). The config rejects a control range under which every atom
+pushes the top node above the grid or the bottom node below it. A node with
+no admissible atom otherwise, or pushforward mass whose drift target exits,
+signals grid bounds too tight for the control set; callers raise on it. The
+DP's running part, reward * dt with -inf on the inadmissible atoms, changes
+with t but not with the value function, so ``dp_backward`` builds that
+``base`` table once per sweep and each step only adds T @ V and takes the
+argmax. Ties in the DP break to the lowest atom index.
 
 The LVR accumulator loops over time and is vectorized over paths: each call
 advances every path over one block of noise rows, carrying the (price, hedge,
@@ -61,6 +63,17 @@ def grid_cell(x, x0, h, nx):
     return i0, frac
 
 
+def drift_targets(x_grid, atoms, dt):
+    """Deterministic drift targets x_i + a_j*dt, (nx, na), and whether each
+    lies below the grid's first node or above its last.
+
+    The admissibility rule: atom j is admissible at node i when its target
+    does neither.
+    """
+    target = x_grid[:, None] + atoms[None, :] * dt
+    return target, target < x_grid[0], target > x_grid[-1]
+
+
 def transition_operator(x_grid, atoms, dt, sig_root_dt, z_nodes, z_weights):
     """One-step transition matrix T and the admissibility mask.
 
@@ -68,13 +81,13 @@ def transition_operator(x_grid, atoms, dt, sig_root_dt, z_nodes, z_weights):
     next node from node i under atom j, the quadrature samples
     x_i + a_j*dt + sig_root_dt*z_q split between their two nodes by
     ``grid_cell``. admissible[i, j] says whether the drift target x_i + a_j*dt
-    lies on the grid.
+    lies on the grid (``drift_targets``).
     """
     nx, na = len(x_grid), len(atoms)
-    x0, xn = x_grid[0], x_grid[-1]
+    x0 = x_grid[0]
     h = x_grid[1] - x_grid[0]
-    drift = x_grid[:, None] + atoms[None, :] * dt
-    admissible = (drift >= x0) & (drift <= xn)
+    drift, below, above = drift_targets(x_grid, atoms, dt)
+    admissible = ~(below | above)
     i0, frac = grid_cell(drift[:, :, None] + sig_root_dt * z_nodes[None, None, :], x0, h, nx)
     flat = (np.arange(nx * na) * nx).reshape(nx, na, 1) + i0
     T = np.bincount(

@@ -28,10 +28,18 @@ steps every path over that buffer's rows. Since consecutive draws from a
 generator equal one long draw and the kernel treats each path alone, no
 number depends on the block, tile or group size.
 
-Every experiment seeds its streams afresh. Memory is one group's buffer,
-block * group * 8 bytes (10 MB), plus one group's generators, about 0.6 kB a
-path (PCG64 348 B, Generator 236 B: 3 MB), whatever lvr.paths and dt are;
-beside them only the per-path results grow with lvr.paths.
+A ladder of step sizes shares the streams: at n_j steps, level j takes the
+first n_j normals of each path's stream, a prefix of what the finest level
+draws. ``ladder_terminals`` therefore seeds each group once per ladder,
+draws each stream once, up to the largest n_j, and advances every level's
+own (3, group) state over the leading rows of each block its steps reach
+into. The numbers are those of running each level alone.
+
+Memory is one group's buffer, block * group * 8 bytes (10 MB), plus one
+group's generators, about 0.6 kB a path (PCG64 348 B, Generator 236 B:
+3 MB), whatever lvr.paths and the step sizes are; beside them only the
+per-path states and results grow with lvr.paths, one (3, paths) state per
+step size.
 """
 
 import math
@@ -203,11 +211,15 @@ def _fill(generators, z, tile):
         z[:, first : first + width] = block[:width].T
 
 
-def run_lvr_experiment(config, dt):
-    """Simulate the drain identity on GBM external prices.
+def ladder_terminals(config, dt_values):
+    """Terminal (3, paths) state of every path at each step size in
+    ``dt_values``, in that order: price, hedge gain and accrued drain.
 
     Pool parameters, volatility, horizon, path count and seed come from the
-    config; ``dt`` must cut the horizon into whole steps.
+    config; every dt must cut the horizon into whole steps. Level j takes the
+    first n_j normals of each path's stream, so one pass over each group draws
+    the streams once, up to the largest n_j, and every block advances each
+    level whose steps reach into it over that level's leading rows.
     """
     sigma = config.external_sigma
     horizon = config.grid_horizon
@@ -215,13 +227,19 @@ def run_lvr_experiment(config, dt):
     seed = config.seed
     k = config.pool_x0 * config.pool_y0
     p0 = config.pool_y0 / config.pool_x0
-    n_steps = divides(dt, horizon)
-    if n_steps == 0:
-        raise InvalidParameter(
-            f"dt = {dt} does not cut grid.horizon = {horizon} into whole steps"
-        )
+    ladder = []
+    for dt in dt_values:
+        n_steps = divides(dt, horizon)
+        if n_steps == 0:
+            raise InvalidParameter(
+                f"dt = {dt} does not cut grid.horizon = {horizon} into whole steps"
+            )
+        state = np.zeros((3, n_paths))  # price, hedge gain, accrued drain
+        state[0] = p0
+        ladder.append((dt, n_steps, state))
+    longest = max(n_steps for _, n_steps, _ in ladder)
 
-    block = min(_BLOCK, n_steps)
+    block = min(_BLOCK, longest)
     group = min(_GROUP, n_paths)
     # An anonymous mapping of its own, so freeing it unmaps it. A buffer this
     # size from malloc is mmapped the first time, but freeing it raises
@@ -230,21 +248,36 @@ def run_lvr_experiment(config, dt):
     # several MB, making peak memory depend on allocation timing.
     buffer = np.frombuffer(mmap.mmap(-1, block * group * 8), dtype=float)
     tile = np.empty((min(_TILE, group), block))
-    state = np.zeros((3, n_paths))  # price, hedge gain, accrued drain
-    state[0] = p0
     for first in range(0, n_paths, group):
         paths = np.arange(first, min(first + group, n_paths))
         z = buffer[: block * len(paths)].reshape(block, len(paths))
         generators = _generators(_opening_words(seed, paths))
-        for start in range(0, n_steps, block):
-            rows = z[: min(block, n_steps - start)]
+        for start in range(0, longest, block):
+            rows = z[: min(block, longest - start)]
             _fill(generators, rows, tile)
-            kernels.lvr_paths(rows, state[:, first : first + len(paths)], sigma, dt, k)
+            for dt, n_steps, state in ladder:
+                if start < n_steps:
+                    kernels.lvr_paths(rows[: n_steps - start],
+                                      state[:, first : first + len(paths)], sigma, dt, k)
         del generators  # freed before the next group's are built
+    return [state for _, _, state in ladder]
 
-    pool_t = pool_value(state[0], k)
-    replication_t = pool_value(p0, k) + state[1]
-    drain_t = state[2]
+
+def run_lvr_experiment(config, dt, terminal=None):
+    """The drain identity at step size ``dt``, reduced to an LvrAccount.
+
+    ``terminal`` is this dt's state from ``ladder_terminals`` on the same
+    config; without it the one-level ladder ``(dt,)`` runs here.
+    """
+    if terminal is None:
+        (terminal,) = ladder_terminals(config, (dt,))
+    k = config.pool_x0 * config.pool_y0
+    p0 = config.pool_y0 / config.pool_x0
+    n_paths = config.lvr_paths
+
+    pool_t = pool_value(terminal[0], k)
+    replication_t = pool_value(p0, k) + terminal[1]
+    drain_t = terminal[2]
     arb_t = replication_t - pool_t
     residual = arb_t - drain_t
     mean_abs = float(np.mean(np.abs(residual)))

@@ -76,6 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, market
+from .config import trader_grids
 from .engine import TimeGrid
 from .errors import (
     DegenerateReserves,
@@ -139,12 +140,6 @@ class EquilibriumSolution:
     lp_segments: np.ndarray | None = None
     lp_objective: float | None = None
     search_trace: list | None = None
-
-
-def trader_grids(config):
-    x_grid = np.linspace(config.grid_x_min, config.grid_x_max, config.grid_x_points)
-    atoms = np.linspace(config.trader_a_min, config.trader_a_max, config.grid_control_points)
-    return x_grid, atoms
 
 
 def initial_trader_law(config, x_grid):
@@ -508,7 +503,11 @@ def solve_major_minor(config):
     the inner fixed point to tolerance, warm-started from the incumbent's
     flows. Returns the best candidate's full equilibrium with the search
     trace attached; each trace row records the response maps its inner solve
-    spent and whether it ended on an exact fixed point.
+    spent and whether it ended on an exact fixed point. ``diagnostics``
+    names the stop reason: ``step_tol`` when every poll ran in full and the
+    step fell below solver.step_tol, ``budget`` when solver.budget
+    evaluations ran out first, in which case the certificate's neighbours may
+    beat the returned point.
     """
     k = config.lp_segments
     lo, hi = config.lp_control_min, config.lp_control_max
@@ -520,12 +519,15 @@ def solve_major_minor(config):
     cache = {}
     trace = []
     best_sol = None
+    budget_cut = False  # some poll lost a candidate to the budget
 
     def evaluate(u, respect_budget=True):
+        nonlocal budget_cut
         key = u.tobytes()
         if key in cache:
             return cache[key], None  # a cached cost never beats the incumbent
         if respect_budget and len(trace) >= budget:
+            budget_cut = True
             return math.inf, None  # not cached: never actually evaluated
         start = None if best_sol is None else best_sol.flows
         cost, sol = math.inf, None
@@ -587,6 +589,7 @@ def solve_major_minor(config):
     best_sol.search_trace = trace
     best_sol.diagnostics.update(
         {
+            "stop_reason": "budget" if budget_cut or step >= step_tol else "step_tol",
             "final_step": final_step,
             "neighbor_certificate": neighbors,
             "evaluations": len(trace),

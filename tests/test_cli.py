@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from ammgame import cli
 from ammgame.cli import main
 from ammgame.config import canonical_echo, config_hash, default_config, load_config
+from ammgame.lvr import run_lvr_experiment
 
 FAST = [
     "--override", "grid.steps=10",
@@ -111,6 +112,8 @@ def test_config_error_exits_2(tmp_path, capsys):
     empty.write_text("")
     for key, raw, extra in [("lp.z0", "nan", []), ("lp.z0", "-1", []),
                             ("trader.a_max", "inf", []),
+                            ("trader.a_min", "0.5", []),
+                            ("trader.a_max", "-1e-9", []),
                             ("trader.init_mean", "5.0", []),
                             ("trader.init_mean", "60.0", ["trader.init_law=gaussian"]),
                             ("lvr.dt_values", "5", ["lvr.paths=10"]),
@@ -222,6 +225,37 @@ def test_lvr_check_small(tmp_path, cfg_file):
     assert len(lines) == 4 + 2
 
 
+def test_lvr_check_reduces_every_dt_through_run_lvr_experiment(tmp_path, monkeypatch):
+    """The benchmark reads lvr-check's accounts by wrapping
+    cli.run_lvr_experiment: it is called once per lvr.dt_values entry, in
+    config order, and residuals.csv holds what plain per-dt runs give."""
+    calls = []
+    reduce = cli.run_lvr_experiment
+
+    def recording(cfg, dt, *rest):
+        calls.append((dt, reduce(cfg, dt, *rest)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cli, "run_lvr_experiment", recording)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("seed = 3\n")
+    overrides = ["lvr.paths=200", "lvr.dt_values=0.01,0.005"]
+    out = tmp_path / "out"
+    code = main(["lvr-check", "--config", str(cfg_file), "--out", str(out),
+                 *[arg for item in overrides for arg in ("--override", item)]])
+    assert code == 0
+    cfg = load_config(cfg_file, overrides)
+    assert [dt for dt, _ in calls] == list(cfg.lvr_dt_values)
+    assert [acct.dt for _, acct in calls] == list(cfg.lvr_dt_values)
+    alone = [run_lvr_experiment(cfg, dt) for dt in cfg.lvr_dt_values]
+    expected = tmp_path / "expected.csv"
+    cli._write_csv(expected, cfg, ["dt", "n_paths", "mean_abs_residual", "mean_residual",
+                                   "stderr_residual"],
+                   [(a.dt, a.n_paths, a.mean_abs_residual, a.mean_residual, a.stderr_residual)
+                    for a in alone])
+    assert (out / "residuals.csv").read_bytes() == expected.read_bytes()
+
+
 def test_import_leaves_numpy_random_unloaded():
     """Importing the CLI loads no numpy.random: only the runs that draw pay
     for it, not every start (``print-config`` and bad-input exits included)."""
@@ -259,6 +293,26 @@ def test_solve_major_minor_small(tmp_path, cfg_file):
         assert int(maps) >= 1 and exact in ("true", "false")
     assert (out / "residuals.csv").exists()
     assert read_summary(out)["status"] == "ok"
+
+
+def test_budget_cut_search_fails_the_run(tmp_path, capsys):
+    """At solver.budget=20 the default search stops at step 1, above
+    solver.step_tol, and its own certificate beats what it returns: the run
+    writes its trace, then fails naming solver.budget."""
+    empty = tmp_path / "empty.cfg"
+    empty.write_text("")
+    out = tmp_path / "out"
+    code = main(["solve-major-minor", "--config", str(empty), "--out", str(out),
+                 "--override", "solver.budget=20"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "solver.budget = 20" in err and "solver.step_tol" in err
+    summary = read_summary(out)
+    assert summary["status"] == "failed" and summary["objective"] is None
+    rows = [line.split(",") for line in (out / "search_trace.csv").read_text().splitlines()[4:]]
+    searched = [float(row[2]) for row in rows[:20]]
+    assert {row[1] for row in rows} == {"1"}
+    assert min(float(row[2]) for row in rows[20:]) < min(searched)
 
 
 @pytest.mark.parametrize("objective, residual", [(float("nan"), 0.0), (1.0, float("inf"))])

@@ -221,6 +221,31 @@ def test_cross_check_control_bounds():
     assert err.value.key == "grid.x_max"
 
 
+@pytest.mark.parametrize("key, raw, node", [("trader.a_min", "0.5", "2.0"),
+                                             ("trader.a_max", "-1e-9", "-2.0")])
+def test_control_range_leaving_an_edge_node_dead_names_its_bound(key, raw, node):
+    """Every atom at or above a positive a_min drifts the top node above the
+    grid, every atom at or below a negative a_max the bottom node below it."""
+    with pytest.raises(ConfigError) as err:
+        build_config({key: raw})
+    assert err.value.key == key
+    assert f"x = {node}" in str(err.value)
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"trader.a_min": "0"},  # the top node's own target is x_max: on the grid
+    {"trader.a_max": "0"},
+    {"trader.a_min": "-1e-9", "trader.a_max": "0.5"},
+    # atoms that jump over a grid narrower than one move: the grid is too
+    # tight, which the solve reports (GridOverflow), not the control range
+    {"grid.x_min": "-0.001", "grid.x_max": "0.001", "grid.x_points": "3",
+     "grid.control_points": "2"},
+])
+def test_control_ranges_that_reach_both_edges_are_accepted(overrides):
+    build_config(overrides)
+
+
 def test_overrides_later_wins():
     values = apply_overrides({"pool.tau": "0.01"},
                              ["pool.tau=0.02", "seed=7", "pool.tau=0.03"])

@@ -1,10 +1,11 @@
 """Pool value, the drain rate, the path kernel, the seeding of the path
 streams and the drain-vs-replication identity.
 
-Each experiment seeds its streams afresh, a group of paths at a time, from
-opening words computed as SeedSequence((seed, i)) computes them; the tests
-below hold those words to numpy's and the terminals to a per-stream replay,
-whatever the group size."""
+A ladder of step sizes seeds its streams once, a group of paths at a time,
+from opening words computed as SeedSequence((seed, i)) computes them, and
+every level reads a prefix of each stream; the tests below hold those words
+to numpy's, the terminals to a per-stream replay, and each level of a ladder
+to that level run alone, whatever the group size."""
 
 import math
 from fractions import Fraction as F
@@ -17,7 +18,8 @@ from ammgame import kernels, lvr
 from ammgame.config import default_config
 from ammgame.errors import InvalidParameter
 from ammgame.lvr import (
-    _BLOCK, _TILE, _opening_words, instantaneous_lvr, pool_value, run_lvr_experiment,
+    _BLOCK, _TILE, _opening_words, instantaneous_lvr, ladder_terminals, pool_value,
+    run_lvr_experiment,
 )
 
 
@@ -234,3 +236,42 @@ def test_terminals_independent_of_group_size(monkeypatch):
     for name in ("terminal_arb", "terminal_lvr", "terminal_replication",
                  "terminal_pool_value"):
         np.testing.assert_array_equal(getattr(grouped, name), getattr(whole, name))
+
+
+TERMINALS = ("terminal_arb", "terminal_lvr", "terminal_replication", "terminal_pool_value")
+
+
+def assert_levels_equal(cfg, dt_values, terminals, alone):
+    for dt, terminal, acct in zip(dt_values, terminals, alone, strict=True):
+        level = run_lvr_experiment(cfg, dt, terminal)
+        for name in TERMINALS:
+            np.testing.assert_array_equal(getattr(level, name), getattr(acct, name))
+
+
+@pytest.mark.parametrize("dt_values", [
+    (0.01, 0.001, 0.0002),  # nested step counts, the last over several blocks
+    (0.0002, 0.001, 0.01),  # the same ladder reversed
+    (0.01, 0.005, 0.002),  # 100, 200 and 500 steps: levels that end mid-block
+])
+def test_ladder_levels_equal_runs_alone(dt_values):
+    """Each level of one pass over the streams equals that step size run
+    alone, bit for bit, in the order the ladder lists them."""
+    cfg = default_config(lvr_paths=5, seed=11, lvr_dt_values=dt_values)
+    alone = [run_lvr_experiment(cfg, dt) for dt in dt_values]
+    assert_levels_equal(cfg, dt_values, ladder_terminals(cfg, dt_values), alone)
+
+
+def test_ladder_seeds_each_path_once_in_short_groups(monkeypatch):
+    """Groups of 3 over 8 paths, the last short: one generator per path for
+    the whole ladder, and every level still equals its run alone."""
+    cfg = default_config(lvr_paths=8, seed=21)
+    dt_values = (0.01, 0.005, 0.002)
+    alone = [run_lvr_experiment(cfg, dt) for dt in dt_values]
+    built = []
+    generators = lvr._generators
+    monkeypatch.setattr(lvr, "_GROUP", 3)
+    monkeypatch.setattr(lvr, "_generators", lambda words: built.append(len(words))
+                        or generators(words))
+    terminals = ladder_terminals(cfg, dt_values)
+    assert built == [3, 3, 2]
+    assert_levels_equal(cfg, dt_values, terminals, alone)

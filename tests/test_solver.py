@@ -569,6 +569,18 @@ def test_solve_major_minor_local_optimum():
     assert all(row["maps"] >= 2 for row in sol.search_trace)
 
 
+def test_solve_major_minor_names_its_stop_reason():
+    """18 evaluations finish the search: its last poll, at step 0.5, runs in
+    full and the step halves below solver.step_tol. With 17 that poll loses
+    its last candidate to the budget, and the step still halves: a budget
+    stop."""
+    full = solve_major_minor(small_cfg(lp_segments=2, solver_budget=18, solver_step_tol=0.5))
+    assert full.diagnostics["stop_reason"] == "step_tol"
+    cut = solve_major_minor(small_cfg(lp_segments=2, solver_budget=17, solver_step_tol=0.5))
+    assert cut.diagnostics["stop_reason"] == "budget"
+    assert cut.search_trace[16]["step"] == 0.5 and cut.diagnostics["final_step"] == 0.5
+
+
 def test_solve_major_minor_builds_the_trader_layer_once(monkeypatch):
     """One transition matrix and one quadrature serve every response map of a search."""
     calls = {"transition_operator": 0, "gauss_hermite": 0}
