@@ -8,7 +8,6 @@ from .errors import (
     AmmGameError,
     ConfigError,
     DegenerateReserves,
-    GridOverflow,
     InvalidParameter,
     NotConverged,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "AmmGameError",
     "ConfigError",
     "DegenerateReserves",
-    "GridOverflow",
     "InvalidParameter",
     "NotConverged",
     "PoolState",

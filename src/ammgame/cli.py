@@ -135,9 +135,9 @@ def _run_solve_major_minor(cfg, out_dir):
     _write_csv(out_dir / "residuals.csv", cfg, ["iteration", "residual"], res_rows)
     if sol.diagnostics["stop_reason"] == "budget":
         raise NotConverged(
-            f"solver.budget = {cfg.solver_budget} evaluations ran out before the search "
-            f"step fell below solver.step_tol = {cfg.solver_step_tol:g}: the returned "
-            f"control is not a certified local optimum",
+            f"solver.budget = {cfg.solver_budget} evaluations ran out before a full poll "
+            f"at solver.step_tol = {cfg.solver_step_tol:g} found no improvement: the "
+            f"returned control is not a certified local optimum",
             residual_history=[sol.certificate_residual],
         )
     return sol.lp_objective, sol.certificate_residual

@@ -7,7 +7,9 @@ constructor, ``build_config``, ``default_config`` or ``dataclasses.replace``:
 each value must have its kind's type (an int where a float is declared is
 converted when exact, a list where a tuple is declared becomes a tuple), float
 values must be finite, each key must satisfy its range check (in schema
-order), then the cross-key rules must hold. A violation raises
+order), then the cross-key rules must hold, the last of them on the trader's
+grids: every inventory node keeps a control atom whose drift target stays on
+the grid, and the initial law has mass on the grid. A violation raises
 :class:`ConfigError` naming the offending key.
 
 Config files are flat ``section.key = value`` lines. ``#`` starts a comment,
@@ -185,21 +187,57 @@ def trader_grids(config):
     return x_grid, atoms
 
 
-def _check_control_range(cfg):
-    """Reject a control range under which every atom's drift target leaves the
-    grid from its top node upward (naming trader.a_min) or from its bottom
-    node downward (naming trader.a_max): that node has no admissible atom.
+def initial_trader_law(config, x_grid):
+    """Initial inventory law discretized on the grid.
+
+    A point mass splits linearly between its two bracketing nodes; a gaussian
+    law is the normalized density sampled at the nodes, and one with no mass
+    on any node is rejected naming trader.init_sd.
     """
-    x_grid, atoms = trader_grids(cfg)
+    nx = len(x_grid)
+    mu0 = np.zeros(nx)
+    if config.trader_init_law == "point":
+        h = x_grid[1] - x_grid[0]
+        i0, frac = kernels.grid_cell(config.trader_init_mean, x_grid[0], h, nx)
+        mu0[i0] = 1.0 - frac
+        mu0[i0 + 1] += frac
+    else:
+        z = (x_grid - config.trader_init_mean) / config.trader_init_sd
+        mu0 = np.exp(-0.5 * z * z)
+        mass = mu0.sum()
+        if not mass > 0:
+            raise ConfigError(
+                "trader.init_sd",
+                f"puts no mass of the gaussian initial law on any inventory node "
+                f"(got {config.trader_init_sd!r})",
+            )
+        mu0 /= mass
+    return mu0
+
+
+def _check_control_range(cfg, x_grid, atoms):
+    """Reject a grid and control range that leave some inventory node with no
+    admissible atom, one whose drift target x + a*dt stays on the grid.
+
+    Names trader.a_min when every atom leaves the top node above the grid,
+    trader.a_max when every atom leaves the bottom node below it, and
+    grid.x_max when the atoms' moves jump over the grid from some node. A
+    node all of whose targets lie above the grid has a top node like it, and
+    likewise below, so the first two cases need only the edge nodes.
+    """
     dt = cfg.grid_horizon / cfg.grid_steps  # the solver's TimeGrid.dt
     _, below, above = kernels.drift_targets(x_grid, atoms, dt)
-    for key, node, exits, side in (("trader.a_min", x_grid[-1], above[-1], "above grid.x_max"),
-                                   ("trader.a_max", x_grid[0], below[0], "below grid.x_min")):
-        if exits.all():
+    off = below | above
+    dead = int(off.all(axis=1).argmax())  # the first node without an admissible atom, else 0
+    for key, node, exits, side in (
+            ("trader.a_min", -1, above, "above grid.x_max"),
+            ("trader.a_max", 0, below, "below grid.x_min"),
+            ("grid.x_max", dead, off, "below grid.x_min or above grid.x_max")):
+        if exits[node].all():
             raise ConfigError(
                 key,
-                f"leaves inventory node x = {node} with no admissible control: every "
-                f"atom's drift target x + a*dt (dt = {dt}) lies {side} "
+                f"leaves inventory node x = {x_grid[node]} with no admissible control: "
+                f"every atom's drift target x + a*dt (dt = {dt}) lies {side} "
                 f"(got {getattr(cfg, _attr(key))})",
             )
 
@@ -239,7 +277,9 @@ def _check(cfg):
         cross(divides(dt, cfg.grid_horizon), "lvr.dt_values",
               f"each step size must divide grid.horizon = {cfg.grid_horizon} into whole "
               f"steps (got {dt})")
-    _check_control_range(cfg)
+    x_grid, atoms = trader_grids(cfg)
+    _check_control_range(cfg, x_grid, atoms)
+    initial_trader_law(cfg, x_grid)
 
 
 SimConfig = make_dataclass(

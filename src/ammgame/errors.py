@@ -24,11 +24,6 @@ class DegenerateReserves(AmmGameError):
         self.quantity = quantity
 
 
-class GridOverflow(AmmGameError):
-    """Controlled dynamics leave the state grid and no admissible control
-    remains at some node; the grid bounds are too tight for the instance."""
-
-
 class NotConverged(AmmGameError):
     """An iterative solver exhausted its iteration budget.
 

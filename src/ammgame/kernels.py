@@ -23,14 +23,13 @@ acceptance test calls and the benchmark's DP hook reads.
 
 A control atom is admissible at a node only if the deterministic drift
 target x + a*dt stays inside the grid (``drift_targets``, the one statement
-of that rule). The config rejects a control range under which every atom
-pushes the top node above the grid or the bottom node below it. A node with
-no admissible atom otherwise, or pushforward mass whose drift target exits,
-signals grid bounds too tight for the control set; callers raise on it. The
-DP's running part, reward * dt with -inf on the inadmissible atoms, changes
-with t but not with the value function, so ``dp_backward`` builds that
-``base`` table once per sweep and each step only adds T @ V and takes the
-argmax. Ties in the DP break to the lowest atom index.
+of that rule). The config rejects a grid and control range that leave any
+node without an admissible atom, so the DP's argmax always picks an
+admissible one and the pushforward never moves mass along a blocked atom.
+The DP's running part, reward * dt with -inf on the inadmissible atoms,
+changes with t but not with the value function, so ``dp_backward`` builds
+that ``base`` table once per sweep and each step only adds T @ V and takes
+the argmax. Ties in the DP break to the lowest atom index.
 
 The LVR accumulator loops over time and is vectorized over paths: each call
 advances every path over one block of noise rows, carrying the (price, hedge,
@@ -106,9 +105,9 @@ def dp_backward(reward, terminal, x_grid, atoms, dt, sig_root_dt, z_nodes, z_wei
     arguments, built here when not given. The running part of every
     candidate, ``base = reward * dt`` with -inf on the blocked atoms, is
     built once for the whole sweep, so each step only adds the expectation
-    ``T @ V`` and takes the argmax. A node with no admissible atom gets value
-    -inf, which makes every earlier candidate nan (0 * -inf in T @ V), so the
-    earlier policy and flags then say only that the grid is too tight.
+    ``T @ V`` and takes the argmax. A node with no admissible atom, which
+    the config rejects, would get value -inf and make every earlier
+    candidate nan (0 * -inf in T @ V).
     """
     n_steps, nx, na = reward.shape
     T, admissible = operator or transition_operator(
@@ -129,7 +128,7 @@ def dp_backward(reward, terminal, x_grid, atoms, dt, sig_root_dt, z_nodes, z_wei
 
 
 def push_forward(policy, mu0, operator):
-    """Forward law (steps+1, nx) under a feedback policy, and an exit flag.
+    """Forward law (steps+1, nx) under a feedback policy.
 
     ``operator`` is ``transition_operator``'s (T, admissible) on the policy's
     grid and atoms.
@@ -142,8 +141,7 @@ def push_forward(policy, mu0, operator):
     mu[0] = mu0
     for t in range(n_steps):
         mu[t + 1] = mu[t] @ T[rows[t]]
-    overflow = bool((mu[:-1][~admissible[ix, policy]] > 0.0).any())
-    return mu, overflow
+    return mu
 
 
 def _drain_rate(root, sigma):

@@ -20,10 +20,12 @@ Three nested problems:
    returned, its certificate being the residual of the map that stopped it.
 
 3. LP control: over piecewise-constant controls on K segments, a coordinate
-   pattern search with shrinking step minimizes the LP cost (negated running
-   reward plus quadratic terminal penalty), solving problem 2 at every
-   candidate, warm-started from the incumbent's flows. A warm solve is kept
-   only when it ends on an exact fixed point; otherwise it is redone cold.
+   pattern search minimizes the LP cost (negated running reward plus
+   quadratic terminal penalty), halving its step down to solver.step_tol,
+   where a full poll without improvement is the certificate. It solves
+   problem 2 at every candidate, warm-started from the incumbent's flows. A
+   warm solve is kept only when it ends on an exact fixed point; otherwise it
+   is redone cold.
    A candidate's cost and status therefore do not depend on the path the
    search took whenever its cold solve ends on the same exact point, as
    every candidate of the default search does. Inner non-convergence marks
@@ -33,11 +35,15 @@ Three nested problems:
 
 Everything the trader layer derives from the config alone, and that no LP
 candidate or Picard iterate changes, lives in one frozen ``TraderLayer``: the
-time grid, the inventory grid and control atoms, the initial law, the
-terminal reward, the quadrature, the ``Market`` and the transition matrix T
-with its admissibility mask. ``solve_major_minor``, ``solve_mfg`` and the
-Nash harness build it once per call and pass it down to every response map,
-so T is built once per solve, not twice per map. A layer that is passed must
+time grid, the inventory grid and control atoms, the initial law (the
+config's ``trader_grids`` and ``initial_trader_law``, which its checks also
+build), the terminal reward, the quadrature, the ``Market`` and the
+transition matrix T with its admissibility mask. The config guarantees every
+inventory node an admissible atom, so the best response never picks a
+blocked one and no mass leaves the grid along its drift.
+``solve_major_minor``, ``solve_mfg`` and the Nash harness build it once per
+call and pass it down to every response map, so T is built once per solve,
+not twice per map. A layer that is passed must
 come from the same config. The layer also memoizes ``induced_flows``' last
 pushforward of its own ``mu0``: the pushed law is a function of the policy,
 ``mu0`` and T alone, and most response maps of a search repeat the previous
@@ -76,17 +82,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, market
-from .config import trader_grids
+from .config import initial_trader_law, trader_grids
 from .engine import TimeGrid
-from .errors import (
-    DegenerateReserves,
-    GridOverflow,
-    InvalidParameter,
-    NotConverged,
-)
+from .errors import DegenerateReserves, InvalidParameter, NotConverged
 
 # what an inner solve raises on a hopeless instance; solve_mfg tags each with ``maps``
-_SOLVE_ERRORS = (DegenerateReserves, GridOverflow, NotConverged)
+_SOLVE_ERRORS = (DegenerateReserves, NotConverged)
 
 
 @dataclass(frozen=True)
@@ -140,32 +141,6 @@ class EquilibriumSolution:
     lp_segments: np.ndarray | None = None
     lp_objective: float | None = None
     search_trace: list | None = None
-
-
-def initial_trader_law(config, x_grid):
-    """Initial inventory law discretized on the grid.
-
-    A point mass splits linearly between its two bracketing nodes; a gaussian
-    law is the normalized density sampled at the nodes.
-    """
-    nx = len(x_grid)
-    mu0 = np.zeros(nx)
-    if config.trader_init_law == "point":
-        h = x_grid[1] - x_grid[0]
-        i0, frac = kernels.grid_cell(config.trader_init_mean, x_grid[0], h, nx)
-        mu0[i0] = 1.0 - frac
-        mu0[i0 + 1] += frac
-    else:
-        z = (x_grid - config.trader_init_mean) / config.trader_init_sd
-        mu0 = np.exp(-0.5 * z * z)
-        mass = mu0.sum()
-        if not mass > 0:
-            raise InvalidParameter(
-                f"trader.init_sd = {config.trader_init_sd!r} puts no mass of the gaussian "
-                "initial law on any inventory node"
-            )
-        mu0 /= mass
-    return mu0
 
 
 @dataclass(frozen=True)
@@ -275,20 +250,10 @@ def best_response(config, env: market.SystemTrajectory, qslot=None, layer=None):
             f"({grid.steps}, {len(atoms)}), got {qslot.shape}"
         )
     rewards = tabulate_rewards(layer, env, qslot)
-    value, policy_idx, ok = kernels.dp_backward(
+    value, policy_idx, _ = kernels.dp_backward(
         rewards, layer.terminal, x_grid, atoms, grid.dt, layer.sig_root_dt,
         layer.z_nodes, layer.z_weights, layer.operator,
     )
-    if not ok.all():
-        # a node with no admissible atom has value -inf, which turns the
-        # candidates of every earlier step into nan and their argmax into
-        # index 0, so the flags there do not locate it; the mask does
-        dead = ~layer.operator[1].any(axis=1)
-        t_bad, i_bad = (0, dead.argmax()) if dead.any() else np.argwhere(~ok)[0]
-        raise GridOverflow(
-            f"no admissible control at step {t_bad}, node x={x_grid[i_bad]}: "
-            "every drift target exits the state grid (bounds too tight)"
-        )
     return PolicyGrid(grid=grid, x_grid=x_grid, atoms=atoms, policy_idx=policy_idx, value=value)
 
 
@@ -310,13 +275,9 @@ def induced_flows(config, policy: PolicyGrid, initial_law, layer=None):
     key = policy.policy_idx.tobytes() if memo else None
     if memo and layer.pushed[0] == key:
         return layer.pushed[1]
-    mu, overflow = kernels.push_forward(
+    mu = kernels.push_forward(
         policy.policy_idx, np.asarray(initial_law, dtype=float), layer.operator
     )
-    if overflow:
-        raise GridOverflow(
-            "positive mass drifts outside the state grid (bounds too tight)"
-        )
     steps, na = policy.policy_idx.shape[0], len(policy.atoms)
     slots = np.arange(steps)[:, None] * na + policy.policy_idx
     q = np.bincount(slots.ravel(), weights=mu[:-1].ravel(), minlength=steps * na)
@@ -332,7 +293,7 @@ def induced_flows(config, policy: PolicyGrid, initial_law, layer=None):
 
 def _flow_residual(flows_a: FlowOfMeasures, flows_b: FlowOfMeasures):
     hx = flows_a.x_grid[1] - flows_a.x_grid[0]
-    ha = flows_a.atoms[1] - flows_a.atoms[0] if len(flows_a.atoms) > 1 else 1.0
+    ha = flows_a.atoms[1] - flows_a.atoms[0]
     w_mu = wasserstein_grid(flows_a.mu, flows_b.mu, hx)
     w_q = wasserstein_grid(flows_a.q, flows_b.q, ha)
     return max(float(w_mu[-1]), float((w_q + w_mu[:-1]).max()))
@@ -499,21 +460,22 @@ def lp_objective(config, segments, start=None, layer=None):
 def solve_major_minor(config):
     """Coordinate pattern search over the LP's piecewise-constant control.
 
-    Greedy first-improvement polling with step halving; every candidate runs
-    the inner fixed point to tolerance, warm-started from the incumbent's
-    flows. Returns the best candidate's full equilibrium with the search
-    trace attached; each trace row records the response maps its inner solve
-    spent and whether it ended on an exact fixed point. ``diagnostics``
-    names the stop reason: ``step_tol`` when every poll ran in full and the
-    step fell below solver.step_tol, ``budget`` when solver.budget
-    evaluations ran out first, in which case the certificate's neighbours may
-    beat the returned point.
+    Greedy first-improvement polling; a poll with no improvement halves the
+    step, never below solver.step_tol. Every candidate runs the inner fixed
+    point to tolerance, warm-started from the incumbent's flows. Returns the
+    best candidate's full equilibrium with the search trace attached; each
+    trace row records the response maps its inner solve spent and whether it
+    ended on an exact fixed point. ``diagnostics`` names the stop reason:
+    ``step_tol`` when a full poll at solver.step_tol found no improvement,
+    which makes that poll the certificate; ``budget`` when solver.budget
+    evaluations ran out first, in which case the certificate, the poll the
+    budget cut completed past the budget, may beat the returned point.
     """
     k = config.lp_segments
     lo, hi = config.lp_control_min, config.lp_control_max
     budget = config.solver_budget
-    step = config.solver_initial_step
     step_tol = config.solver_step_tol
+    step = max(config.solver_initial_step, step_tol)
 
     layer = TraderLayer.from_config(config)
     cache = {}
@@ -562,7 +524,7 @@ def solve_major_minor(config):
 
     u = np.clip(np.zeros(k), lo, hi)
     best_cost, best_sol = evaluate(u)
-    while step >= step_tol and len(trace) < budget:
+    while True:
         for cand, feasible in poll(u, step):
             if feasible:
                 cost, sol = evaluate(cand)
@@ -570,17 +532,19 @@ def solve_major_minor(config):
                     u, best_cost, best_sol = cand, cost, sol
                     break
         else:
-            step *= 0.5
+            if budget_cut or step == step_tol:
+                break
+            step = max(0.5 * step, step_tol)
 
     if best_sol is None:
         raise NotConverged(
             "no feasible LP control: every inner solve failed", residual_history=[]
         )
 
-    # local-optimality certificate at the final step size
+    # local-optimality certificate: the last poll, its costs read from the
+    # cache, with any candidate the budget cut evaluated now
     neighbors = []
-    final_step = max(step, step_tol)
-    for cand, feasible in poll(u, final_step):
+    for cand, feasible in poll(u, step):
         cost = evaluate(cand, respect_budget=False)[0] if feasible else math.inf
         neighbors.append({"segments": cand.tolist(), "objective": cost, "feasible": feasible})
 
@@ -589,8 +553,8 @@ def solve_major_minor(config):
     best_sol.search_trace = trace
     best_sol.diagnostics.update(
         {
-            "stop_reason": "budget" if budget_cut or step >= step_tol else "step_tol",
-            "final_step": final_step,
+            "stop_reason": "budget" if budget_cut else "step_tol",
+            "final_step": step,
             "neighbor_certificate": neighbors,
             "evaluations": len(trace),
         }

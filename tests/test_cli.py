@@ -117,7 +117,13 @@ def test_config_error_exits_2(tmp_path, capsys):
                             ("trader.init_mean", "5.0", []),
                             ("trader.init_mean", "60.0", ["trader.init_law=gaussian"]),
                             ("lvr.dt_values", "5", ["lvr.paths=10"]),
-                            ("lvr.dt_values", "0.3", ["lvr.paths=10"])]:
+                            ("lvr.dt_values", "0.3", ["lvr.paths=10"]),
+                            # from every node one atom jumps above the grid, the other below
+                            ("grid.x_max", "0.001", ["grid.x_min=-0.001", "grid.x_points=3",
+                                                     "grid.control_points=2"]),
+                            # between two nodes, no node density survives
+                            ("trader.init_sd", "1e-10", ["trader.init_law=gaussian",
+                                                         "trader.init_mean=0.01"])]:
         overrides = [arg for item in [f"{key}={raw}", *extra] for arg in ("--override", item)]
         for sub in ("simulate", "solve-mfg", "lvr-check"):
             code = main([sub, "--config", str(empty), "--out", str(out), *overrides])

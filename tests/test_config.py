@@ -3,9 +3,13 @@
 import pickle
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ammgame
+from ammgame import solver
 from ammgame.config import (
     SCHEMA,
     SimConfig,
@@ -237,13 +241,72 @@ def test_control_range_leaving_an_edge_node_dead_names_its_bound(key, raw, node)
     {"trader.a_min": "0"},  # the top node's own target is x_max: on the grid
     {"trader.a_max": "0"},
     {"trader.a_min": "-1e-9", "trader.a_max": "0.5"},
-    # atoms that jump over a grid narrower than one move: the grid is too
-    # tight, which the solve reports (GridOverflow), not the control range
-    {"grid.x_min": "-0.001", "grid.x_max": "0.001", "grid.x_points": "3",
-     "grid.control_points": "2"},
+    # a grid exactly one move wide: each edge node's inward move lands on the other
+    {"grid.x_min": "-0.01", "grid.x_max": "0.01", "grid.x_points": "3",
+     "grid.control_points": "2", "grid.steps": "100"},
 ])
 def test_control_ranges_that_reach_both_edges_are_accepted(overrides):
     build_config(overrides)
+
+
+@pytest.mark.parametrize("values, key", [
+    # from every node one atom jumps above the grid and the other below it
+    ({"grid.x_min": "-0.001", "grid.x_max": "0.001", "grid.x_points": "3",
+      "grid.control_points": "2"}, "grid.x_max"),
+    # between two nodes (spacing 0.04) every node density underflows to 0
+    ({"trader.init_law": "gaussian", "trader.init_sd": "1e-10", "trader.init_mean": "0.01"},
+     "trader.init_sd"),
+])
+def test_trader_grid_without_room_for_the_atoms_or_the_law_names_its_key(values, key):
+    with pytest.raises(ConfigError) as err:
+        build_config(values)
+    assert err.value.key == key
+
+
+def _every_node_keeps_an_atom(x_grid, atoms, dt):
+    """The admissibility rule, one node and one atom at a time."""
+    for x in x_grid:
+        if not any(x_grid[0] <= x + a * dt <= x_grid[-1] for a in atoms):
+            return False
+    return True
+
+
+# dyadic values, so that drift targets land exactly on the grid's edges
+_DYADIC = st.integers(min_value=-16, max_value=16).map(lambda n: n / 8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x_min=_DYADIC, width=st.integers(min_value=1, max_value=16).map(lambda n: n / 16),
+       x_points=st.integers(min_value=2, max_value=9),
+       a_min=_DYADIC, a_span=st.integers(min_value=1, max_value=24).map(lambda n: n / 8),
+       control_points=st.integers(min_value=2, max_value=5),
+       steps=st.sampled_from([1, 2, 3, 4, 8]))
+def test_config_accepts_exactly_the_grids_whose_nodes_all_keep_an_atom(
+        x_min, width, x_points, a_min, a_span, control_points, steps):
+    """build_config accepts exactly when every node keeps an admissible atom,
+    and on an accepted config the best response only picks admissible atoms
+    and its pushforward keeps all the mass."""
+    x_grid = np.linspace(x_min, x_min + width, x_points)
+    atoms = np.linspace(a_min, a_min + a_span, control_points)
+    values = {"grid.x_min": repr(x_min), "grid.x_max": repr(x_min + width),
+              "grid.x_points": str(x_points), "trader.a_min": repr(a_min),
+              "trader.a_max": repr(a_min + a_span), "grid.control_points": str(control_points),
+              "grid.steps": str(steps), "trader.init_mean": repr(x_min)}
+    dt = 1.0 / steps
+    if not _every_node_keeps_an_atom(x_grid, atoms, dt):
+        with pytest.raises(ConfigError) as err:
+            build_config(values)
+        assert err.value.key in ("trader.a_min", "trader.a_max", "grid.x_max")
+        return
+    cfg = build_config(values)
+    layer = solver.TraderLayer.from_config(cfg)
+    env = solver.forward_environment(cfg, np.zeros(steps), np.zeros(steps), layer)
+    policy = solver.best_response(cfg, env, layer=layer)
+    targets = x_grid[None, :] + atoms[policy.policy_idx] * dt
+    assert ((targets >= x_grid[0]) & (targets <= x_grid[-1])).all()
+    flows = solver.induced_flows(cfg, policy, layer.mu0, layer)
+    np.testing.assert_allclose(flows.mu.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(flows.q.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_overrides_later_wins():
