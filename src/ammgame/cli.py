@@ -34,6 +34,7 @@ from .errors import AmmGameError, ConfigError, NotConverged
 from .harness import convergence_study
 from .lvr import ladder_terminals, run_lvr_experiment
 from .solver import solve_major_minor, solve_mfg
+from .streams import generators
 
 SUBCOMMANDS = (
     "simulate",
@@ -119,18 +120,26 @@ def _run_solve_mfg(cfg, out_dir):
     return sol.diagnostics["equilibrium_value"], sol.certificate_residual
 
 
-def _run_solve_major_minor(cfg, out_dir):
-    sol = solve_major_minor(cfg)
+def _write_search_trace(cfg, out_dir, trace):
     seg_cols = [f"seg_{i}" for i in range(cfg.lp_segments)]
     rows = [
         (row["eval"], row["step"], row["objective"], row["status"], *row["segments"],
          row["maps"], row["exact"])
-        for row in sol.search_trace
+        for row in trace
     ]
     _write_csv(
         out_dir / "search_trace.csv", cfg,
         ["eval", "step", "objective", "status", *seg_cols, "maps", "exact"], rows,
     )
+
+
+def _run_solve_major_minor(cfg, out_dir):
+    try:
+        sol = solve_major_minor(cfg)
+    except NotConverged as exc:  # every candidate failed: its trace says how
+        _write_search_trace(cfg, out_dir, exc.search_trace)
+        raise
+    _write_search_trace(cfg, out_dir, sol.search_trace)
     res_rows = [(i + 1, r) for i, r in enumerate(sol.residual_history)]
     _write_csv(out_dir / "residuals.csv", cfg, ["iteration", "residual"], res_rows)
     if sol.diagnostics["stop_reason"] == "budget":
@@ -145,7 +154,7 @@ def _run_solve_major_minor(cfg, out_dir):
 
 def _run_arb_check(cfg, out_dir):
     phi = 1.0 - cfg.pool_tau
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 777)))
+    (rng,) = generators((cfg.seed,), [777])
     columns = [
         "draw", "r_alpha", "r_beta", "m_p", "direction",
         "profit_closed", "profit_oracle", "abs_discrepancy", "side_price_rel_err",

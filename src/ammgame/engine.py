@@ -6,9 +6,9 @@ advance the drain rate l(P), the price drift, the running rewards and every
 stock (traders, LP, adjusted reserves, net flow, price) at left-point
 coefficients, recorded with the traders' realized objectives. The price
 carries an optional common noise sigma0 dW0; traders carry idiosyncratic
-noise; the LP carries three own streams. Every stream is derived from (seed,
-stream kind, index), so a bundle is a pure function of (seed, grid,
-population size) and any two runs with the same inputs are bit-identical.
+noise; the LP carries three own streams. Each is stream ``index`` of the key
+(seed, stream kind) in ``streams``, so a bundle is a pure function of (seed,
+grid, population size) and two runs with the same inputs are bit-identical.
 
 Reserve or price degeneracy aborts the run with the step index and offending
 quantity attached to the exception; nothing is clamped.
@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .market import Market, opening_state, record, trader_objective
+from .streams import normals
 
 
 @dataclass(frozen=True)
@@ -57,26 +58,17 @@ def make_noise(seed, grid: TimeGrid, n_traders):
     if n_traders < 0:
         raise InvalidParameter(f"n_traders must be >= 0, got {n_traders}")
     root = np.sqrt(grid.dt)
-    common = _stream(seed, 0, 0, grid.steps) * root
-    lp = np.stack([_stream(seed, 1, j, grid.steps) for j in range(3)]) * root
-    idio = np.empty((n_traders, grid.steps))
-    for i in range(n_traders):
-        idio[i] = _stream(seed, 2, i, grid.steps)
-    idio *= root
+    common = normals((seed, 0), 1, grid.steps)[0] * root
+    lp = normals((seed, 1), 3, grid.steps) * root
+    idio = normals((seed, 2), n_traders, grid.steps) * root
     return NoiseBundle(common=common, idiosyncratic=idio, lp=lp)
-
-
-def _stream(seed, kind, index, n):
-    rng = np.random.default_rng(np.random.SeedSequence((seed, kind, index)))
-    return rng.standard_normal(n)
 
 
 def initial_trader_states(config, n_traders, seed):
     """Initial ETH inventories drawn from the configured law."""
     if config.trader_init_law == "point":
         return np.full(n_traders, config.trader_init_mean)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 3, 0)))
-    return config.trader_init_mean + config.trader_init_sd * rng.standard_normal(n_traders)
+    return config.trader_init_mean + config.trader_init_sd * normals((seed, 3), 1, n_traders)[0]
 
 
 def simulate(config, trader_policy, lp_control_path, seed, noise=None):

@@ -4,18 +4,20 @@ The equilibrium policy is computed in the infinite-population limit; here we
 measure how much a single player can gain by deviating from it in a game with
 N players. The deviation benchmark is built in two stages:
 
-1. A pilot simulation with all N players on the candidate policy records the
-   empirical market path (realized price, adjusted reserves, mean control).
-   A backward DP against that frozen record, read as the solver reads its
-   environment, gives the best deviation a single player could mount if the
-   crowd kept playing the candidate policy.
+1. A pilot simulation with all N players on the candidate policy, seeded by
+   the first opening word of stream N of the key (seed, 0) in ``streams``,
+   records the empirical market path (realized price, adjusted reserves,
+   mean control). A backward DP against that frozen record, read as the
+   solver reads its environment, gives the best deviation a single player
+   could mount if the crowd kept playing the candidate policy.
 
 2. Paired replications estimate the value of that deviation. The other
    players stay frozen at their pilot noise (they are the fixed opponents the
-   deviation answers), each replication redraws only the deviator's own
-   idiosyncratic noise, and baseline and deviation runs share the bundle
-   (common random numbers), so the pairwise difference isolates the
-   deviator's edge plus the O(1/N) feedback of their control on the market.
+   deviation answers), replication r redraws only the deviator's own
+   idiosyncratic noise, from stream r of the key (seed, 2, N), and baseline
+   and deviation runs share the bundle (common random numbers), so the
+   pairwise difference isolates the deviator's edge plus the O(1/N) feedback
+   of their control on the market.
    All R replications run as one batch of 2R lanes of the market step
    (baseline and deviation lane per replication). The batch starts from the
    pilot's opening inventories and runs on the pilot's market and LP path,
@@ -33,6 +35,7 @@ from . import market
 from .engine import make_noise, simulate
 from .errors import InvalidParameter
 from .solver import TraderLayer, best_response, solve_mfg
+from .streams import normals, opening_words
 
 GAP_FLOOR = 1e-12  # floor before taking logs in the slope fit
 
@@ -61,10 +64,6 @@ class NashReport:
     @property
     def n_clipped(self):
         return int(self.clipped.sum())
-
-
-def _derived_seed(*entropy):
-    return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])
 
 
 def _paired_gaps(config, pilot, policy, deviation, noise, own):
@@ -109,7 +108,7 @@ def epsilon_nash_gap(config, n_players, solution, seed, layer):
         raise InvalidParameter(f"need at least one player, got {n_players}")
     policy = solution.policy.as_policy()
 
-    pilot_seed = _derived_seed(seed, 0, n_players)
+    pilot_seed = int(opening_words((seed, 0), [n_players])[0, 0])
     pilot_noise = make_noise(pilot_seed, grid, n_players)
     pilot = simulate(config, policy, solution.env.lp_control_path, pilot_seed, noise=pilot_noise)
     # freeze the other players' pilot contribution to the empirical mean and
@@ -124,12 +123,7 @@ def epsilon_nash_gap(config, n_players, solution, seed, layer):
     # replications redraw only player 0's idiosyncratic noise; the other
     # players (and the common and LP streams) stay frozen at the pilot draw,
     # so baseline and deviation differ purely by player 0's policy
-    own = np.stack([
-        np.random.default_rng(
-            np.random.SeedSequence((seed, 2, n_players, r))
-        ).standard_normal(grid.steps)
-        for r in range(replications)
-    ]) * np.sqrt(grid.dt)
+    own = normals((seed, 2, n_players), replications, grid.steps) * np.sqrt(grid.dt)
     gaps = _paired_gaps(config, pilot, policy, deviation, pilot_noise, own)
 
     gap = float(gaps.mean())

@@ -14,19 +14,16 @@ checks ARB_T = V(P_0) + int x* dP - V(P_T) against LVR_T = int l(P) dt
 path by path.
 
 Monte Carlo paths use exact log-normal price increments and left-point (Ito)
-evaluation of the integrand; each path owns a stream seeded by
-(master seed, path index) and the reduction order is fixed, so results are
-bit-reproducible.
+evaluation of the integrand; path i owns stream i of the key (seed,) in
+``streams`` and the reduction order is fixed, so results are bit-reproducible.
 
-Paths run in groups of up to 5,000. A group's streams open where numpy's
-``SeedSequence((seed, i))`` would open them; their opening words are computed
-for the whole group in one vectorized pass, and no SeedSequence is built.
-The group's paths advance together, one block of up to 256 steps at a time:
-every stream draws its next block into a small (128 paths, block) tile, the
-tiles are copied into one (block, group) buffer, and ``kernels.lvr_paths``
-steps every path over that buffer's rows. Since consecutive draws from a
-generator equal one long draw and the kernel treats each path alone, no
-number depends on the block, tile or group size.
+Paths run in groups of up to 5,000, whose streams ``streams.generators`` opens
+in one pass. The group's paths advance together, one block of up to 256 steps
+at a time: every stream draws its next block into a small (128 paths, block)
+tile, the tiles are copied into one (block, group) buffer, and
+``kernels.lvr_paths`` steps every path over that buffer's rows. Since
+consecutive draws from a generator equal one long draw and the kernel treats
+each path alone, no number depends on the block, tile or group size.
 
 A ladder of step sizes shares the streams: at n_j steps, level j takes the
 first n_j normals of each path's stream, a prefix of what the finest level
@@ -48,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import kernels, streams
 from .config import divides
 from .errors import InvalidParameter
 
@@ -59,13 +56,6 @@ _TILE = 128
 # paths per group: one group's generators and (block, group) buffer are live
 # at a time, 10 MB of buffer at most
 _GROUP = 5000
-
-# SeedSequence's hash (numpy/random/bit_generator.pyx): a pool of four words
-_POOL = 4
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
 def _check_args(p, k, sigma=0.0):
@@ -118,83 +108,6 @@ class LvrAccount:
     stderr_residual: float
 
 
-def _hasher(const, mult):
-    """SeedSequence's running hash on uint32 columns, its constant advanced
-    by ``mult`` at every call as numpy advances it."""
-
-    def hash_(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value = value * np.uint32(const)
-        return value ^ value >> 16
-
-    return hash_
-
-
-def _mix(x, y):
-    """SeedSequence's mix of pool word x with hashed word y."""
-    result = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-    return result ^ result >> 16
-
-
-def _opening_words(seed, paths):
-    """Row i is ``SeedSequence((seed, paths[i])).generate_state(4, np.uint64)``.
-
-    The entropy of (seed, i) is seed's little-endian 32-bit words (0 as one
-    word) followed by i's, one word for i below 2^32. Its length is the same
-    for every path, and SeedSequence's hash constants do not depend on the
-    entropy, so every path takes the same steps, each on its own uint32 lane.
-    """
-    entropy = []
-    while True:
-        entropy.append(np.full(len(paths), seed & _MASK32, dtype=np.uint32))
-        seed >>= 32
-        if not seed:
-            break
-    entropy.append(np.asarray(paths, dtype=np.uint32))
-
-    hashmix = _hasher(_INIT_A, _MULT_A)  # SeedSequence.mix_entropy
-    padded = entropy + [np.zeros_like(entropy[0])] * (_POOL - len(entropy))
-    pool = [hashmix(word) for word in padded[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-
-    hash_out = _hasher(_INIT_B, _MULT_B)  # SeedSequence.generate_state
-    halves = [hash_out(pool[i % _POOL]).astype(np.uint64) for i in range(8)]
-    words = np.empty((len(paths), 4), dtype=np.uint64)
-    for j in range(4):
-        words[:, j] = halves[2 * j] | halves[2 * j + 1] << 32
-    return words
-
-
-def _generators(words):
-    """One generator per row of ``words``, each seeded as a SeedSequence whose
-    ``generate_state(4, np.uint64)`` is that row would seed it.
-
-    PCG64 asks its ``ISeedSequence`` for those words once, when it is built,
-    so one shared object hands out the rows in turn and no path keeps a
-    SeedSequence. numpy.random is imported here, not with the module, to keep
-    it out of import time.
-    """
-    from numpy.random import PCG64, Generator
-    from numpy.random.bit_generator import ISeedSequence
-
-    opening = iter(words)
-
-    class Rows(ISeedSequence):
-        def generate_state(self, n_words, dtype):
-            return next(opening)
-
-    rows = Rows()
-    return [Generator(PCG64(rows)) for _ in range(len(words))]
-
-
 def _fill(generators, z, tile):
     """Draw the next len(z) normals of every path's stream into z (steps, paths).
 
@@ -224,7 +137,6 @@ def ladder_terminals(config, dt_values):
     sigma = config.external_sigma
     horizon = config.grid_horizon
     n_paths = config.lvr_paths
-    seed = config.seed
     k = config.pool_x0 * config.pool_y0
     p0 = config.pool_y0 / config.pool_x0
     ladder = []
@@ -251,7 +163,7 @@ def ladder_terminals(config, dt_values):
     for first in range(0, n_paths, group):
         paths = np.arange(first, min(first + group, n_paths))
         z = buffer[: block * len(paths)].reshape(block, len(paths))
-        generators = _generators(_opening_words(seed, paths))
+        generators = streams.generators((config.seed,), paths)
         for start in range(0, longest, block):
             rows = z[: min(block, longest - start)]
             _fill(generators, rows, tile)

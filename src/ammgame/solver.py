@@ -43,17 +43,15 @@ inventory node an admissible atom, so the best response never picks a
 blocked one and no mass leaves the grid along its drift.
 ``solve_major_minor``, ``solve_mfg`` and the Nash harness build it once per
 call and pass it down to every response map, so T is built once per solve,
-not twice per map. A layer that is passed must
-come from the same config. The layer also memoizes ``induced_flows``' last
-pushforward of its own ``mu0``: the pushed law is a function of the policy,
+not twice per map. A layer that is passed must come from the same config.
+The layer also holds the response map's one-entry memo of its pushforward of
+``mu0``, keyed on the policy: the pushed law is a function of the policy,
 ``mu0`` and T alone, and most response maps of a search repeat the previous
-map's policy. The memo is keyed on the identity of ``mu0`` (a caller's own
-initial law never reaches it) and holds one entry, so its memory does not
-grow; it lives on the layer, not in the module, so a new solve starts
-empty. ``tabulate_rewards`` and
-``harness.epsilon_nash_gap`` require it. The functions that take an optional
-``layer`` build it from the config when none is passed, each for a caller
-outside the solve:
+map's policy, also across LP candidates. The memo lives on the layer, not in
+the module, so a new solve starts empty, and ``induced_flows`` itself is a
+pure function. ``tabulate_rewards`` and ``harness.epsilon_nash_gap`` require
+the layer. The functions that take an optional ``layer`` build it from the
+config when none is passed, each for a caller outside the solve:
 
 - ``forward_environment``, ``best_response`` and ``induced_flows``, because
   the benchmark's check of the LP search recomputes one response map from
@@ -148,9 +146,9 @@ class TraderLayer:
     """The trader layer's fixed discretization, built once from a config.
 
     ``operator`` is ``kernels.transition_operator``'s (T, admissible) on these
-    grids, quadrature and sigma * sqrt(dt). ``pushed`` is ``induced_flows``'
-    one-entry memo: the policy bytes and the read-only flows of the last
-    pushforward of ``mu0``.
+    grids, quadrature and sigma * sqrt(dt). ``pushed`` is ``solve_mfg``'s
+    one-entry memo: the policy bytes and the flows of the last pushforward
+    of ``mu0``, which later maps share.
     """
 
     grid: TimeGrid
@@ -261,9 +259,6 @@ def induced_flows(config, policy: PolicyGrid, initial_law, layer=None):
     """Push the initial law through the policy; collect the control law.
 
     The policy must live on the layer's time grid, inventory grid and atoms.
-    Pushing the layer's own ``mu0`` (the same object) goes through the
-    layer's one-entry memo: the same policy as the last such call returns
-    the same flows, whose arrays are read-only because later maps share them.
     """
     layer = layer or TraderLayer.from_config(config)
     if not (policy.grid == layer.grid and np.array_equal(policy.x_grid, layer.x_grid)
@@ -271,24 +266,15 @@ def induced_flows(config, policy: PolicyGrid, initial_law, layer=None):
         raise InvalidParameter(
             "the policy's time grid, inventory grid or control atoms differ from the config's"
         )
-    memo = initial_law is layer.mu0
-    key = policy.policy_idx.tobytes() if memo else None
-    if memo and layer.pushed[0] == key:
-        return layer.pushed[1]
     mu = kernels.push_forward(
         policy.policy_idx, np.asarray(initial_law, dtype=float), layer.operator
     )
     steps, na = policy.policy_idx.shape[0], len(policy.atoms)
     slots = np.arange(steps)[:, None] * na + policy.policy_idx
     q = np.bincount(slots.ravel(), weights=mu[:-1].ravel(), minlength=steps * na)
-    flows = FlowOfMeasures(
+    return FlowOfMeasures(
         x_grid=policy.x_grid, atoms=policy.atoms, mu=mu, q=q.reshape(steps, na)
     )
-    if memo:
-        flows.mu.setflags(write=False)
-        flows.q.setflags(write=False)
-        layer.pushed[:] = key, flows
-    return flows
 
 
 def _flow_residual(flows_a: FlowOfMeasures, flows_b: FlowOfMeasures):
@@ -396,7 +382,10 @@ def solve_mfg(config, lp_control_path=None, start=None, layer=None):
         if last is None or last[0] != key:
             env = forward_environment(config, lp_control_path, qbar, layer)
             policy = best_response(config, env, layer=layer)
-            last = key, (induced_flows(config, policy, mu0, layer), policy, env)
+            pushed = policy.policy_idx.tobytes()
+            if layer.pushed[0] != pushed:
+                layer.pushed[:] = pushed, induced_flows(config, policy, mu0, layer)
+            last = key, (layer.pushed[1], policy, env)
         return last[1]
 
     found = None
@@ -469,7 +458,8 @@ def solve_major_minor(config):
     ``step_tol`` when a full poll at solver.step_tol found no improvement,
     which makes that poll the certificate; ``budget`` when solver.budget
     evaluations ran out first, in which case the certificate, the poll the
-    budget cut completed past the budget, may beat the returned point.
+    budget cut completed past the budget, may beat the returned point. When
+    every candidate fails, the raised ``NotConverged`` carries the trace.
     """
     k = config.lp_segments
     lo, hi = config.lp_control_min, config.lp_control_max
@@ -537,9 +527,9 @@ def solve_major_minor(config):
             step = max(0.5 * step, step_tol)
 
     if best_sol is None:
-        raise NotConverged(
-            "no feasible LP control: every inner solve failed", residual_history=[]
-        )
+        exc = NotConverged("no feasible LP control: every inner solve failed", [])
+        exc.search_trace = trace
+        raise exc
 
     # local-optimality certificate: the last poll, its costs read from the
     # cache, with any candidate the budget cut evaluated now

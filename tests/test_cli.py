@@ -321,6 +321,21 @@ def test_budget_cut_search_fails_the_run(tmp_path, capsys):
     assert min(float(row[2]) for row in rows[20:]) < min(searched)
 
 
+def test_search_with_every_candidate_failed_writes_its_trace(tmp_path, cfg_file, capsys):
+    """At solver.max_iter=1 no inner solve reaches a fixed point: the run
+    fails, and its trace still shows every candidate it tried and how."""
+    out = tmp_path / "out"
+    code = main(["solve-major-minor", "--config", str(cfg_file), "--out", str(out), *FAST,
+                 "--override", "lp.segments=1", "--override", "solver.max_iter=1"])
+    assert code == 1
+    assert "every inner solve failed" in capsys.readouterr().err
+    assert read_summary(out)["status"] == "failed"
+    trace = (out / "search_trace.csv").read_text().splitlines()
+    assert trace[3] == "eval,step,objective,status,seg_0,maps,exact"
+    rows = [line.split(",") for line in trace[4:]]
+    assert rows and all(row[3] != "ok" and row[2] == "inf" for row in rows)
+
+
 @pytest.mark.parametrize("objective, residual", [(float("nan"), 0.0), (1.0, float("inf"))])
 def test_non_finite_result_fails_the_run(tmp_path, cfg_file, capsys, monkeypatch,
                                          objective, residual):

@@ -2,10 +2,10 @@
 streams and the drain-vs-replication identity.
 
 A ladder of step sizes seeds its streams once, a group of paths at a time,
-from opening words computed as SeedSequence((seed, i)) computes them, and
-every level reads a prefix of each stream; the tests below hold those words
-to numpy's, the terminals to a per-stream replay, and each level of a ladder
-to that level run alone, whatever the group size."""
+from opening words ``streams`` computes as SeedSequence((*key, i)) computes
+them, and every level reads a prefix of each stream; the tests below hold
+those words to numpy's, the terminals to a per-stream replay, and each level
+of a ladder to that level run alone, whatever the group size."""
 
 import math
 from fractions import Fraction as F
@@ -14,13 +14,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from ammgame import kernels, lvr
+from ammgame import kernels, lvr, streams
 from ammgame.config import default_config
 from ammgame.errors import InvalidParameter
 from ammgame.lvr import (
-    _BLOCK, _TILE, _opening_words, instantaneous_lvr, ladder_terminals, pool_value,
-    run_lvr_experiment,
+    _BLOCK, _TILE, instantaneous_lvr, ladder_terminals, pool_value, run_lvr_experiment,
 )
+from ammgame.streams import opening_words
 
 
 def one_step(p0, k, sigma=0.2, dt=0.01, z=0.7):
@@ -216,14 +216,17 @@ def test_kernel_matches_allocating_loop(n_steps, n_paths, sigma, dt):
 
 @pytest.mark.parametrize("seed", [0, 1, 12345, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 7])
 def test_opening_words_match_seed_sequence(seed):
-    """Every path's words are numpy's, for seeds of one to four 32-bit words
-    (with four, the entropy outgrows the pool), at the first paths and the
-    last of the default lvr.paths."""
+    """Every stream's words are numpy's, for keys of one to three parts led
+    by seeds of one to four 32-bit words (past four words of entropy, the
+    entropy outgrows the pool), and for keys led by a 64-bit pilot seed, at
+    the first indices and the last of the default lvr.paths."""
     n = default_config().lvr_paths
-    paths = np.array([0, 1, n - 1])
-    expected = [np.random.SeedSequence((seed, int(i))).generate_state(4, np.uint64)
-                for i in paths]
-    np.testing.assert_array_equal(_opening_words(seed, paths), expected)
+    indices = np.array([0, 1, n - 1])
+    pilot = int(np.random.SeedSequence((seed, 0, 64)).generate_state(1, np.uint64)[0])
+    for key in ((seed,), (seed, 0), (seed, 2, 64), (pilot, 2), (pilot, 1), (2**64 - 1, 3)):
+        expected = [np.random.SeedSequence((*key, int(i))).generate_state(4, np.uint64)
+                    for i in indices]
+        np.testing.assert_array_equal(opening_words(key, indices), expected)
 
 
 def test_terminals_independent_of_group_size(monkeypatch):
@@ -268,10 +271,10 @@ def test_ladder_seeds_each_path_once_in_short_groups(monkeypatch):
     dt_values = (0.01, 0.005, 0.002)
     alone = [run_lvr_experiment(cfg, dt) for dt in dt_values]
     built = []
-    generators = lvr._generators
+    generators = streams.generators
     monkeypatch.setattr(lvr, "_GROUP", 3)
-    monkeypatch.setattr(lvr, "_generators", lambda words: built.append(len(words))
-                        or generators(words))
+    monkeypatch.setattr(streams, "generators", lambda key, indices:
+                        built.append(len(indices)) or generators(key, indices))
     terminals = ladder_terminals(cfg, dt_values)
     assert built == [3, 3, 2]
     assert_levels_equal(cfg, dt_values, terminals, alone)

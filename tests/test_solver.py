@@ -1,6 +1,7 @@
 """Best response, measure pushforward, fixed point, and the LP search."""
 
 import itertools
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -592,8 +593,8 @@ def test_passed_trader_layer_changes_no_number():
 
 def _replay(cfg, lp_path, start=None):
     """``solve_mfg``'s fixed point with a fresh layer in every response map,
-    so neither the map's reuse of its last result nor the layer's pushforward
-    memo can serve it. Returns (flows, policy, history, exact) and the maps."""
+    so neither the map's reuse of its last result nor the pushforward memo
+    can serve it. Returns (flows, policy, history, exact) and the maps."""
     maps = 0
 
     def response_map(flows):
@@ -638,21 +639,32 @@ def test_memoized_maps_match_a_replay_without_memos():
         assert sol.diagnostics["exact"] == exact
 
 
-def test_induced_flows_memo_serves_only_the_layers_own_mu0():
+def test_induced_flows_is_pure_and_the_solve_memo_spans_solves(monkeypatch):
+    """``induced_flows`` pushes afresh on every call and leaves the layer
+    alone; the response map's memo on the layer serves a later solve on that
+    layer, so a warm start at the fixed point pushes nothing."""
     cfg = small_cfg()
     layer = TraderLayer.from_config(cfg)
     env = forward_environment(cfg, np.zeros(cfg.grid_steps), np.zeros(cfg.grid_steps), layer)
     pol = best_response(cfg, env, layer=layer)
-    memo = induced_flows(cfg, pol, layer.mu0, layer)
-    assert induced_flows(cfg, pol, layer.mu0, layer) is memo
-    with pytest.raises(ValueError):
-        memo.mu[0, 0] = 1.0  # shared with later maps, so read-only
-    # an equal law that is not the layer's own object bypasses the memo
-    own = induced_flows(cfg, pol, layer.mu0.copy(), layer)
-    assert own is not memo and own.mu.flags.writeable
-    np.testing.assert_array_equal(own.mu, memo.mu)
-    np.testing.assert_array_equal(own.q, memo.q)
-    assert layer.pushed[1] is memo
+    first = induced_flows(cfg, pol, layer.mu0, layer)
+    again = induced_flows(cfg, pol, layer.mu0, layer)
+    assert again is not first and again.mu.flags.writeable and again.q.flags.writeable
+    np.testing.assert_array_equal(again.mu, first.mu)
+    np.testing.assert_array_equal(again.q, first.q)
+    assert layer.pushed == [None, None]
+
+    pushes = []
+    push_forward = kernels.push_forward
+    monkeypatch.setattr(kernels, "push_forward",
+                        lambda *args: pushes.append(1) or push_forward(*args))
+    cold = solve_mfg(cfg, layer=layer)
+    assert cold.diagnostics["exact"] and 0 < len(pushes) < cold.diagnostics["maps"]
+    assert layer.pushed[0] == cold.policy.policy_idx.tobytes()
+    pushes.clear()
+    warm = solve_mfg(cfg, start=cold.flows, layer=layer)
+    assert pushes == [] and warm.diagnostics["exact"]
+    _same_solution(warm, solve_mfg(cfg, start=cold.flows))
 
 
 def test_solve_major_minor_reuses_sweeps_and_pushforwards(monkeypatch):
@@ -676,6 +688,30 @@ def test_induced_flows_rejects_policy_off_the_layer():
     other = small_cfg(grid_x_points=21)
     with pytest.raises(InvalidParameter):
         induced_flows(other, pol, TraderLayer.from_config(other).mu0)
+
+
+def test_lp_search_scores_failed_candidates_inf():
+    """On a small pool with the LP draining it, inner solves fail both ways:
+    no fixed point within solver.max_iter, and reserves emptied. Each failed
+    candidate is a trace row with objective inf and the maps it spent, the
+    search goes on to the best ok row, and the certificate neighbour at +0.01,
+    whose inner solve fails, scores inf."""
+    cfg = small_cfg(lp_segments=1, pool_x0=8.0, pool_y0=8.0, lp_control_min=-5.0,
+                    lp_control_max=-2.0, solver_max_iter=30)
+    sol = solve_major_minor(cfg)
+    statuses = [row["status"] for row in sol.search_trace]
+    assert statuses.count("ok") == 8 and statuses.count("degenerate") == 1
+    assert statuses.count("inner_not_converged") == 4
+    failed = [row for row in sol.search_trace if row["status"] != "ok"]
+    assert all(row["objective"] == math.inf and row["maps"] > 0 for row in failed)
+    assert sol.lp_objective == min(
+        row["objective"] for row in sol.search_trace if row["status"] == "ok"
+    )
+    assert sol.diagnostics["stop_reason"] == "step_tol"
+    assert sol.lp_segments.tolist() == [-2.28125]
+    up, down = sol.diagnostics["neighbor_certificate"]
+    assert up["segments"] == [-2.28125 + 0.01] and up["objective"] == math.inf
+    assert sol.lp_objective < down["objective"] < math.inf
 
 
 def test_solve_major_minor_k1_is_constant_path():
