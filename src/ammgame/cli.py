@@ -33,7 +33,7 @@ from .engine import simulate
 from .errors import AmmGameError, ConfigError, NotConverged
 from .harness import convergence_study
 from .lvr import ladder_terminals, run_lvr_experiment
-from .solver import solve_major_minor, solve_mfg
+from .solver import check_lp_segments, solve_major_minor, solve_mfg
 from .streams import generators
 
 SUBCOMMANDS = (
@@ -220,9 +220,10 @@ def _run_lvr_check(cfg, out_dir):
 
 def _run_nash_test(cfg, out_dir):
     report = convergence_study(cfg)
-    columns = ["n_players", "gap", "stderr", "replications", "clipped"]
+    columns = ["n_players", "gap", "stderr", "replications", "clipped", "z"]
     rows = [
-        (e.n_players, e.gap, e.stderr, len(e.paired_gaps), bool(c))
+        (e.n_players, e.gap, e.stderr, len(e.paired_gaps), bool(c),
+         e.gap / e.stderr if e.stderr else "")  # every paired gap equal: no z
         for e, c in zip(report.estimates, report.clipped)
     ]
     _write_csv(out_dir / "nash_report.csv", cfg, columns, rows)
@@ -279,6 +280,8 @@ def main(argv=None):
         overrides.append(f"seed={args.seed}")
     try:
         cfg = load_config(args.config, overrides)
+        if args.subcommand == "solve-major-minor":
+            check_lp_segments(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

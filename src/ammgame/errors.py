@@ -43,3 +43,8 @@ class ConfigError(AmmGameError):
         super().__init__(f"{key}: {reason}" if key else reason)
         self.key = key
         self.reason = reason
+
+
+class ShareFailed(AmmGameError):
+    """A forked process running one share of a batch of independent paths
+    ended with a nonzero exit status, so its part of the result is missing."""

@@ -32,22 +32,35 @@ draws each stream once, up to the largest n_j, and advances every level's
 own (3, group) state over the leading rows of each block its steps reach
 into. The numbers are those of running each level alone.
 
-Memory is one group's buffer, block * group * 8 bytes (10 MB), plus one
-group's generators, about 0.6 kB a path (PCG64 348 B, Generator 236 B:
-3 MB), whatever lvr.paths and the step sizes are; beside them only the
-per-path states and results grow with lvr.paths, one (3, paths) state per
-step size.
+The paths run in shares, one per CPU this process may run on (at most one
+per path): contiguous ranges of path indices, each advanced by the group loop
+above in its own process. The caller's process forks one child per share
+after the first, runs the first share itself and reaps every child before it
+returns; no child outlives the call. Every level's (3, paths) state lives in
+one shared anonymous mapping, of which each share writes only its own
+columns. Where the platform cannot fork, one share runs the same loop without
+a fork. A path's numbers depend only on its stream and the kernel, which
+treats each path alone, so no number depends on the share count either.
+
+Memory per process is one group's buffer, block * group * 8 bytes (10 MB),
+plus one group's generators, about 0.6 kB a path (PCG64 348 B, Generator
+236 B: 3 MB), whatever lvr.paths and the step sizes are; beside them only the
+shared per-path states and the results grow with lvr.paths, one (3, paths)
+state per step size. A child starts as a copy-on-write image of its parent,
+so each share adds its own buffer and generators to what the parent holds.
 """
 
 import math
 import mmap
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels, streams
 from .config import divides
-from .errors import InvalidParameter
+from .errors import InvalidParameter, ShareFailed
 
 # steps per noise block: the (steps, paths) buffer is 2 MB per 1,000 paths
 _BLOCK = 256
@@ -124,6 +137,45 @@ def _fill(generators, z, tile):
         z[:, first : first + width] = block[:width].T
 
 
+def _advance(config, ladder, state, first, stop):
+    """Advance paths first..stop-1 of every level's (3, paths) row of ``state``
+    over the ladder's (dt, n_steps) levels, a group of paths at a time."""
+    sigma = config.external_sigma
+    k = config.pool_x0 * config.pool_y0
+    longest = max(n_steps for _, n_steps in ladder)
+    block = min(_BLOCK, longest)
+    group = min(_GROUP, stop - first)
+    # An anonymous mapping of its own, so freeing it unmaps it. A buffer this
+    # size from malloc is mmapped the first time, but freeing it raises
+    # glibc's mmap threshold; the next call's buffer then comes from the brk
+    # heap, which small allocations landing in its freed hole can grow by
+    # several MB, making peak memory depend on allocation timing. It is mapped
+    # after the fork, so each share's buffer is its own.
+    buffer = np.frombuffer(mmap.mmap(-1, block * group * 8), dtype=float)
+    tile = np.empty((min(_TILE, group), block))
+    for lo in range(first, stop, group):
+        paths = np.arange(lo, min(lo + group, stop))
+        z = buffer[: block * len(paths)].reshape(block, len(paths))
+        generators = streams.generators((config.seed,), paths)
+        for start in range(0, longest, block):
+            rows = z[: min(block, longest - start)]
+            _fill(generators, rows, tile)
+            for (dt, n_steps), level in zip(ladder, state):
+                if start < n_steps:
+                    kernels.lvr_paths(rows[: n_steps - start],
+                                      level[:, lo : lo + len(paths)], sigma, dt, k)
+        del generators  # freed before the next group's are built
+
+
+def _shares(n_paths):
+    """How many processes run the paths: one per CPU this process may run on,
+    at most one per path, and one where the platform cannot fork or cannot
+    say which CPUs it may use."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_paths)
+
+
 def ladder_terminals(config, dt_values):
     """Terminal (3, paths) state of every path at each step size in
     ``dt_values``, in that order: price, hedge gain and accrued drain.
@@ -133,11 +185,16 @@ def ladder_terminals(config, dt_values):
     first n_j normals of each path's stream, so one pass over each group draws
     the streams once, up to the largest n_j, and every block advances each
     level whose steps reach into it over that level's leading rows.
+
+    The paths split into ``_shares(paths)`` contiguous ranges. This process
+    forks one child per range after the first, runs the first itself, then
+    reaps every child; a child writes its columns of the shared state and
+    leaves through ``os._exit``. If this process's own range raises, the
+    children are killed before they are reaped; a child that exits other than
+    with status 0 raises ``ShareFailed``.
     """
-    sigma = config.external_sigma
     horizon = config.grid_horizon
     n_paths = config.lvr_paths
-    k = config.pool_x0 * config.pool_y0
     p0 = config.pool_y0 / config.pool_x0
     ladder = []
     for dt in dt_values:
@@ -146,33 +203,46 @@ def ladder_terminals(config, dt_values):
             raise InvalidParameter(
                 f"dt = {dt} does not cut grid.horizon = {horizon} into whole steps"
             )
-        state = np.zeros((3, n_paths))  # price, hedge gain, accrued drain
-        state[0] = p0
-        ladder.append((dt, n_steps, state))
-    longest = max(n_steps for _, n_steps, _ in ladder)
+        ladder.append((dt, n_steps))
+    # price, hedge gain and accrued drain of every level, in a MAP_SHARED
+    # mapping (mmap's default), so what a forked share writes is seen here
+    state = np.frombuffer(mmap.mmap(-1, len(ladder) * 3 * n_paths * 8), dtype=float)
+    state = state.reshape(len(ladder), 3, n_paths)
+    state[:, 0] = p0
 
-    block = min(_BLOCK, longest)
-    group = min(_GROUP, n_paths)
-    # An anonymous mapping of its own, so freeing it unmaps it. A buffer this
-    # size from malloc is mmapped the first time, but freeing it raises
-    # glibc's mmap threshold; the next call's buffer then comes from the brk
-    # heap, which small allocations landing in its freed hole can grow by
-    # several MB, making peak memory depend on allocation timing.
-    buffer = np.frombuffer(mmap.mmap(-1, block * group * 8), dtype=float)
-    tile = np.empty((min(_TILE, group), block))
-    for first in range(0, n_paths, group):
-        paths = np.arange(first, min(first + group, n_paths))
-        z = buffer[: block * len(paths)].reshape(block, len(paths))
-        generators = streams.generators((config.seed,), paths)
-        for start in range(0, longest, block):
-            rows = z[: min(block, longest - start)]
-            _fill(generators, rows, tile)
-            for dt, n_steps, state in ladder:
-                if start < n_steps:
-                    kernels.lvr_paths(rows[: n_steps - start],
-                                      state[:, first : first + len(paths)], sigma, dt, k)
-        del generators  # freed before the next group's are built
-    return [state for _, _, state in ladder]
+    shares = _shares(n_paths)
+    bounds = [n_paths * share // shares for share in range(shares + 1)]
+    children = []
+    try:
+        for share in range(1, shares):
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    _advance(config, ladder, state, bounds[share], bounds[share + 1])
+                    status = 0
+                except BaseException:  # the child never returns to its caller
+                    sys.excepthook(*sys.exc_info())
+                    sys.stderr.flush()
+                finally:
+                    os._exit(status)
+            children.append(pid)
+        _advance(config, ladder, state, bounds[0], bounds[1])
+    except BaseException:
+        import signal  # kept out of import time: only a failure here needs it
+
+        for pid in children:
+            os.kill(pid, signal.SIGTERM)
+        raise
+    finally:
+        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children]
+    for share, status in enumerate(statuses, 1):
+        if status != 0:
+            raise ShareFailed(
+                f"the lvr paths {bounds[share]}..{bounds[share + 1] - 1} (share {share} "
+                f"of {shares}) ended with exit status {status}"
+            )
+    return list(state)
 
 
 def run_lvr_experiment(config, dt, terminal=None):

@@ -82,7 +82,7 @@ import numpy as np
 from . import kernels, market
 from .config import initial_trader_law, trader_grids
 from .engine import TimeGrid
-from .errors import DegenerateReserves, InvalidParameter, NotConverged
+from .errors import ConfigError, DegenerateReserves, InvalidParameter, NotConverged
 
 # what an inner solve raises on a hopeless instance; solve_mfg tags each with ``maps``
 _SOLVE_ERRORS = (DegenerateReserves, NotConverged)
@@ -446,6 +446,20 @@ def lp_objective(config, segments, start=None, layer=None):
     return cost, solution
 
 
+def check_lp_segments(config):
+    """Raise ConfigError naming lp.segments unless every segment controls a
+    step. ``lp_path_from_segments`` gives step t segment (t * K) // steps,
+    which reaches every segment exactly when K <= steps; a segment that
+    controls no step would still be polled, at the incumbent's cost."""
+    if config.lp_segments > config.grid_steps:
+        raise ConfigError(
+            "lp.segments",
+            f"{config.lp_segments} segments on grid.steps = {config.grid_steps} leave "
+            f"{config.lp_segments - config.grid_steps} controlling no step; the LP "
+            f"search needs lp.segments <= grid.steps",
+        )
+
+
 def solve_major_minor(config):
     """Coordinate pattern search over the LP's piecewise-constant control.
 
@@ -460,7 +474,10 @@ def solve_major_minor(config):
     evaluations ran out first, in which case the certificate, the poll the
     budget cut completed past the budget, may beat the returned point. When
     every candidate fails, the raised ``NotConverged`` carries the trace.
+    A config whose segments do not all control a step is rejected first
+    (``check_lp_segments``).
     """
+    check_lp_segments(config)
     k = config.lp_segments
     lo, hi = config.lp_control_min, config.lp_control_max
     budget = config.solver_budget

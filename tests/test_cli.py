@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, artifacts, byte-stable outputs."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -16,7 +17,9 @@ from hypothesis import strategies as st
 from ammgame import cli
 from ammgame.cli import main
 from ammgame.config import canonical_echo, config_hash, default_config, load_config
+from ammgame.errors import ConfigError
 from ammgame.lvr import run_lvr_experiment
+from ammgame.solver import check_lp_segments, solve_major_minor
 
 FAST = [
     "--override", "grid.steps=10",
@@ -221,11 +224,15 @@ def test_arb_check_small_draw_count(tmp_path, cfg_file):
     assert read_summary(out)["status"] == "ok"
 
 
-def test_lvr_check_small(tmp_path, cfg_file):
+def test_lvr_check_small(tmp_path, cfg_file, monkeypatch):
+    """Two shares of the paths, one forked: the run leaves no child behind."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     out = tmp_path / "out"
     code = main(["lvr-check", "--config", str(cfg_file), "--out", str(out),
                  "--override", "lvr.paths=200", "--override", "lvr.dt_values=0.01,0.005"])
     assert code == 0
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
     lines = (out / "residuals.csv").read_text().splitlines()
     assert lines[3] == "dt,n_paths,mean_abs_residual,mean_residual,stderr_residual"
     assert len(lines) == 4 + 2
@@ -279,11 +286,46 @@ def test_nash_test_small(tmp_path, cfg_file):
                  "--override", "harness.replications=4"])
     assert code == 0
     lines = (out / "nash_report.csv").read_text().splitlines()
-    assert lines[3] == "n_players,gap,stderr,replications,clipped"
+    assert lines[3] == "n_players,gap,stderr,replications,clipped,z"
     assert len(lines) == 4 + 2
     for line in lines[4:]:
         gap, clipped = float(line.split(",")[1]), line.split(",")[4]
         assert clipped == ("true" if gap < 1e-12 else "false")
+
+
+def test_nash_report_z_is_empty_where_every_paired_gap_is_zero(tmp_path):
+    """At seed 1 all 100 paired gaps at N=32 are 0: its stderr is 0 and its z
+    cell is empty. Every other N's z is its gap over its stderr."""
+    empty = tmp_path / "empty.cfg"
+    empty.write_text("")
+    out = tmp_path / "out"
+    assert main(["nash-test", "--config", str(empty), "--out", str(out), "--seed", "1"]) == 0
+    rows = list(csv.DictReader((out / "nash_report.csv").read_text().splitlines()[3:]))
+    assert [row["n_players"] for row in rows] == ["8", "16", "32", "64"]
+    for row in rows:
+        if row["n_players"] == "32":
+            assert (row["gap"], row["stderr"], row["z"]) == ("0", "0", "")
+        else:
+            assert float(row["stderr"]) > 0
+            assert row["z"] == "%.17g" % (float(row["gap"]) / float(row["stderr"]))
+
+
+def test_search_over_segments_that_control_no_step_exits_2(tmp_path, cfg_file, capsys):
+    """20 segments on 10 steps leave 10 that control no step: solve-major-minor
+    exits 2 naming lp.segments before evaluating anything, while simulate
+    runs on the same config."""
+    out = tmp_path / "out"
+    overrides = [*FAST, "--override", "lp.segments=20", "--override", "solver.budget=30"]
+    code = main(["solve-major-minor", "--config", str(cfg_file), "--out", str(out), *overrides])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "lp.segments" in err and "grid.steps = 10" in err
+    assert not out.exists()
+    # the boundary: 10 segments on 10 steps each control one step
+    check_lp_segments(load_config(cfg_file, ["lp.segments=10", "grid.steps=10"]))
+    with pytest.raises(ConfigError, match="lp.segments"):
+        solve_major_minor(load_config(cfg_file, ["lp.segments=11", "grid.steps=10"]))
+    assert main(["simulate", "--config", str(cfg_file), "--out", str(out), *overrides]) == 0
 
 
 def test_solve_major_minor_small(tmp_path, cfg_file):

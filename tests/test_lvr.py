@@ -5,9 +5,13 @@ A ladder of step sizes seeds its streams once, a group of paths at a time,
 from opening words ``streams`` computes as SeedSequence((*key, i)) computes
 them, and every level reads a prefix of each stream; the tests below hold
 those words to numpy's, the terminals to a per-stream replay, and each level
-of a ladder to that level run alone, whatever the group size."""
+of a ladder to that level run alone, whatever the group size. The paths split
+into one share per CPU, each forked share writing its own columns; the share
+count is set in the tests by the CPUs ``os.sched_getaffinity`` reports."""
 
 import math
+import os
+import time
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -16,7 +20,7 @@ import pytest
 
 from ammgame import kernels, lvr, streams
 from ammgame.config import default_config
-from ammgame.errors import InvalidParameter
+from ammgame.errors import InvalidParameter, ShareFailed
 from ammgame.lvr import (
     _BLOCK, _TILE, instantaneous_lvr, ladder_terminals, pool_value, run_lvr_experiment,
 )
@@ -272,9 +276,89 @@ def test_ladder_seeds_each_path_once_in_short_groups(monkeypatch):
     alone = [run_lvr_experiment(cfg, dt) for dt in dt_values]
     built = []
     generators = streams.generators
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one share, no fork
     monkeypatch.setattr(lvr, "_GROUP", 3)
     monkeypatch.setattr(streams, "generators", lambda key, indices:
                         built.append(len(indices)) or generators(key, indices))
     terminals = ladder_terminals(cfg, dt_values)
     assert built == [3, 3, 2]
     assert_levels_equal(cfg, dt_values, terminals, alone)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.mark.parametrize("n_paths, dt_values, widths", [
+    # 203 paths cut unevenly: this process steps the first 203, 101 or 67
+    (203, (0.01, 0.005), {1: 203, 2: 101, 3: 67}),
+    # fewer paths than CPUs: one share per path
+    (2, (0.01, 0.002), {1: 2, 2: 1, 3: 1}),
+])
+def test_terminals_byte_identical_for_any_share_count(monkeypatch, n_paths, dt_values, widths):
+    """One, two and three shares give the same bytes; this process steps only
+    its own share's paths, and no child outlives the call."""
+    cfg = default_config(lvr_paths=n_paths, seed=13, lvr_dt_values=dt_values)
+    parent = os.getpid()
+    kernel = kernels.lvr_paths
+    stepped = set()
+
+    def recording(z, state, sigma, dt, k):
+        if os.getpid() == parent:
+            stepped.add(state.shape[1])
+        kernel(z, state, sigma, dt, k)
+
+    monkeypatch.setattr(kernels, "lvr_paths", recording)
+    results = {}
+    for count, width in widths.items():
+        cpus(monkeypatch, count)
+        stepped.clear()
+        results[count] = [level.tobytes() for level in ladder_terminals(cfg, dt_values)]
+        assert stepped == {width}
+        assert_no_child_left()
+    assert results[2] == results[1] and results[3] == results[1]
+
+
+def test_a_failed_share_raises_share_failed(monkeypatch, capfd):
+    """A child whose kernel raises ends with status 1 after printing its
+    traceback; the call names the first failed share's paths."""
+    cfg = default_config(lvr_paths=203, seed=13)
+    parent = os.getpid()
+    kernel = kernels.lvr_paths
+
+    def failing_in_children(z, state, sigma, dt, k):
+        if os.getpid() != parent:
+            raise FloatingPointError("kernel fault in a child")
+        kernel(z, state, sigma, dt, k)
+
+    cpus(monkeypatch, 3)
+    monkeypatch.setattr(kernels, "lvr_paths", failing_in_children)
+    with pytest.raises(ShareFailed, match=r"paths 67\.\.134 \(share 1 of 3\).*status 1"):
+        ladder_terminals(cfg, (0.01,))
+    assert_no_child_left()
+    assert capfd.readouterr().err.count("FloatingPointError: kernel fault in a child") == 2
+
+
+def test_a_failure_in_the_first_share_kills_and_reaps_the_children(monkeypatch):
+    """The children stall; this process's own share raises. The call raises
+    that error at once, with every child killed and reaped."""
+    cfg = default_config(lvr_paths=203, seed=13)
+    parent = os.getpid()
+
+    def stalling(z, state, sigma, dt, k):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise FloatingPointError("kernel fault in the first share")
+
+    cpus(monkeypatch, 3)
+    monkeypatch.setattr(kernels, "lvr_paths", stalling)
+    start = time.monotonic()
+    with pytest.raises(FloatingPointError, match="first share"):
+        ladder_terminals(cfg, (0.01,))
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
