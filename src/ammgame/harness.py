@@ -34,7 +34,7 @@ import numpy as np
 from . import market
 from .engine import make_noise, simulate
 from .errors import InvalidParameter
-from .solver import TraderLayer, best_response, solve_mfg
+from .solver import best_response, solve_mfg
 from .streams import normals, opening_words
 
 GAP_FLOOR = 1e-12  # floor before taking logs in the slope fit
@@ -95,14 +95,13 @@ def _paired_gaps(config, pilot, policy, deviation, noise, own):
     return objective[reps:] - objective[:reps]
 
 
-def epsilon_nash_gap(config, n_players, solution, seed, layer):
+def epsilon_nash_gap(config, n_players, solution, seed):
     """Best-deviation gain for one player among ``n_players`` on the MFG
     ``solution``'s policy, from ``harness.replications`` paired replications.
 
-    The pilot runs on the LP path the ``solution`` was solved against;
-    ``layer`` is the config's ``TraderLayer``.
+    The pilot runs on the LP path the ``solution`` was solved against.
     """
-    grid = layer.grid
+    grid, atoms = solution.policy.grid, solution.policy.atoms
     replications = config.harness_replications
     if n_players < 1:
         raise InvalidParameter(f"need at least one player, got {n_players}")
@@ -116,9 +115,9 @@ def epsilon_nash_gap(config, n_players, solution, seed, layer):
     # the engine pays a finite-N player
     alpha0 = policy(np.arange(grid.steps), pilot.trader_x[0, :-1])
     qbar_others = pilot.mean_control_path - alpha0 / n_players
-    qslot = qbar_others[:, None] + (1.0 / n_players) * layer.atoms[None, :]
+    qslot = qbar_others[:, None] + (1.0 / n_players) * atoms[None, :]
     # the pilot's recorded market is the environment the deviation answers
-    deviation = best_response(config, pilot, qslot=qslot, layer=layer).as_policy()
+    deviation = best_response(config, pilot, qslot=qslot).as_policy()
 
     # replications redraw only player 0's idiosyncratic noise; the other
     # players (and the common and LP streams) stay frozen at the pilot draw,
@@ -142,9 +141,8 @@ def convergence_study(config, seed=None):
     n_values = list(config.harness_n_values)
     seed = config.seed if seed is None else seed
 
-    layer = TraderLayer.from_config(config)
-    solution = solve_mfg(config, layer=layer)
-    estimates = [epsilon_nash_gap(config, n, solution, seed, layer) for n in n_values]
+    solution = solve_mfg(config)
+    estimates = [epsilon_nash_gap(config, n, solution, seed) for n in n_values]
     gaps = np.array([e.gap for e in estimates])
     stderrs = np.array([e.stderr for e in estimates])
 

@@ -15,7 +15,7 @@ unbounded diffusion onto a bounded grid). Row x*na + a of T is that law, so
 the DP's expectation is T @ V and the pushforward takes mu @ T on the rows
 the policy selects: the pushforward is the transpose of the DP's expectation.
 T depends on neither time nor the environment, so the solver builds it once
-per solve (its trader layer) and passes it to every sweep and pushforward as
+per config (its trader layer) and passes it to every sweep and pushforward as
 ``operator``. ``push_forward`` takes only the operator; ``dp_backward`` keeps
 the grid, quadrature and noise arguments and builds its own T when none is
 passed, because its leading signature is the one the DP-versus-enumeration

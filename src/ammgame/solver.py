@@ -41,26 +41,15 @@ build), the terminal reward, the quadrature, the ``Market`` and the
 transition matrix T with its admissibility mask. The config guarantees every
 inventory node an admissible atom, so the best response never picks a
 blocked one and no mass leaves the grid along its drift.
-``solve_major_minor``, ``solve_mfg`` and the Nash harness build it once per
-call and pass it down to every response map, so T is built once per solve,
-not twice per map. A layer that is passed must come from the same config.
-The layer also holds the response map's one-entry memo of its pushforward of
+No function takes a layer: each that needs one reads it through
+``trader_layer(config)``, which keeps the layer of the last config object it
+was asked for, so T is built once per config, not once per map, and a solve,
+an LP search or a check that recomputes one response map all share it. The
+layer also holds the response map's one-entry memo of its pushforward of
 ``mu0``, keyed on the policy: the pushed law is a function of the policy,
 ``mu0`` and T alone, and most response maps of a search repeat the previous
-map's policy, also across LP candidates. The memo lives on the layer, not in
-the module, so a new solve starts empty, and ``induced_flows`` itself is a
-pure function. ``tabulate_rewards`` and ``harness.epsilon_nash_gap`` require
-the layer. The functions that take an optional ``layer`` build it from the
-config when none is passed, each for a caller outside the solve:
-
-- ``forward_environment``, ``best_response`` and ``induced_flows``, because
-  the benchmark's check of the LP search recomputes one response map from
-  the config alone;
-- ``lp_objective``, because the LP-search acceptance test re-scores the
-  certificate's neighbours from the config alone;
-- ``solve_mfg`` (with its idle-LP path and cold start) and
-  ``harness.convergence_study``, because the CLI calls them with a config.
-
+map's policy, also across LP candidates and across solves on the same
+config. ``induced_flows`` itself is a pure function.
 ``kernels.push_forward`` takes the layer's (T, admissible) and nothing else;
 ``kernels.dp_backward`` is passed it too, but still builds its own T when
 called without one, as the DP-versus-enumeration acceptance test calls it.
@@ -143,7 +132,7 @@ class EquilibriumSolution:
 
 @dataclass(frozen=True)
 class TraderLayer:
-    """The trader layer's fixed discretization, built once from a config.
+    """The trader layer's fixed discretization, built by ``trader_layer``.
 
     ``operator`` is ``kernels.transition_operator``'s (T, admissible) on these
     grids, quadrature and sigma * sqrt(dt). ``pushed`` is ``solve_mfg``'s
@@ -163,13 +152,24 @@ class TraderLayer:
     operator: tuple
     pushed: list
 
-    @classmethod
-    def from_config(cls, config):
+
+_cached_layer = [None, None]  # (config, TraderLayer) of the last trader_layer call
+
+
+def trader_layer(config):
+    """The config's ``TraderLayer``, kept until another config object asks.
+
+    The one entry is keyed on the config object's identity. The layer it
+    holds is dropped before the next one is built, so two transition
+    matrices are never alive at once on its account.
+    """
+    if _cached_layer[0] is not config:
+        _cached_layer[:] = None, None
         grid = TimeGrid(config.grid_horizon, config.grid_steps)
         x_grid, atoms = trader_grids(config)
         nodes, weights = kernels.gauss_hermite(config.grid_quad_points)
         sig_root_dt = config.trader_sigma * math.sqrt(grid.dt)
-        return cls(
+        _cached_layer[:] = config, TraderLayer(
             grid=grid,
             x_grid=x_grid,
             atoms=atoms,
@@ -184,6 +184,7 @@ class TraderLayer:
             ),
             pushed=[None, None],
         )
+    return _cached_layer[1]
 
 
 def wasserstein_grid(u, v, spacing):
@@ -195,12 +196,12 @@ def wasserstein_grid(u, v, spacing):
     return spacing * np.abs(diff[..., :-1]).sum(axis=-1)
 
 
-def forward_environment(config, lp_control_path, qbar, layer=None):
+def forward_environment(config, lp_control_path, qbar):
     """The deterministic market path: one noise-free lane of the market step,
     with no traders and the mean control ``qbar`` given, recorded by
     ``market.record``. Its trader fields are None.
     """
-    layer = layer or TraderLayer.from_config(config)
+    layer = trader_layer(config)
     n = layer.grid.steps
     lp_control_path = np.asarray(lp_control_path, dtype=float)
     qbar = np.asarray(qbar, dtype=float)
@@ -211,7 +212,7 @@ def forward_environment(config, lp_control_path, qbar, layer=None):
                          lp_control_path, lambda t, s: (None, q[t], 0, 0, (0, 0, 0)))
 
 
-def tabulate_rewards(layer, env: market.SystemTrajectory, qslot):
+def tabulate_rewards(config, env: market.SystemTrajectory, qslot):
     """Running reward table R[t, ix, ja] for the representative trader.
 
     ``qslot`` fills the mean-control slot of the price drift, per step and
@@ -224,6 +225,7 @@ def tabulate_rewards(layer, env: market.SystemTrajectory, qslot):
     drift and the reward are the market step's, evaluated at the path's left
     points, so the table pays what the engine pays.
     """
+    layer = trader_layer(config)
     mk, atoms = layer.market, layer.atoms
     xa = env.x_adj_path[:-1, None]
     dl = env.delta_path[:-1, None]
@@ -233,13 +235,13 @@ def tabulate_rewards(layer, env: market.SystemTrajectory, qslot):
     )
 
 
-def best_response(config, env: market.SystemTrajectory, qslot=None, layer=None):
+def best_response(config, env: market.SystemTrajectory, qslot=None):
     """Backward DP against a frozen environment.
 
     ``qslot`` is as in ``tabulate_rewards``; None means
     ``env.mean_control_path[:, None]``.
     """
-    layer = layer or TraderLayer.from_config(config)
+    layer = trader_layer(config)
     grid, x_grid, atoms = layer.grid, layer.x_grid, layer.atoms
     qslot = env.mean_control_path[:, None] if qslot is None else np.asarray(qslot, dtype=float)
     if qslot.shape not in ((grid.steps, 1), (grid.steps, len(atoms))):
@@ -247,7 +249,7 @@ def best_response(config, env: market.SystemTrajectory, qslot=None, layer=None):
             f"mean-control slot must have shape ({grid.steps}, 1) or "
             f"({grid.steps}, {len(atoms)}), got {qslot.shape}"
         )
-    rewards = tabulate_rewards(layer, env, qslot)
+    rewards = tabulate_rewards(config, env, qslot)
     value, policy_idx, _ = kernels.dp_backward(
         rewards, layer.terminal, x_grid, atoms, grid.dt, layer.sig_root_dt,
         layer.z_nodes, layer.z_weights, layer.operator,
@@ -255,12 +257,12 @@ def best_response(config, env: market.SystemTrajectory, qslot=None, layer=None):
     return PolicyGrid(grid=grid, x_grid=x_grid, atoms=atoms, policy_idx=policy_idx, value=value)
 
 
-def induced_flows(config, policy: PolicyGrid, initial_law, layer=None):
+def induced_flows(config, policy: PolicyGrid, initial_law):
     """Push the initial law through the policy; collect the control law.
 
-    The policy must live on the layer's time grid, inventory grid and atoms.
+    The policy must live on the config's time grid, inventory grid and atoms.
     """
-    layer = layer or TraderLayer.from_config(config)
+    layer = trader_layer(config)
     if not (policy.grid == layer.grid and np.array_equal(policy.x_grid, layer.x_grid)
             and np.array_equal(policy.atoms, layer.atoms)):
         raise InvalidParameter(
@@ -331,7 +333,7 @@ def _picard(config, response_map, flows):
     )
 
 
-def solve_mfg(config, lp_control_path=None, start=None, layer=None):
+def solve_mfg(config, lp_control_path=None, start=None):
     """Damped Picard iteration to the consistency fixed point, with the
     config's ``solver.damping``, ``solver.tol`` and ``solver.max_iter``.
 
@@ -353,7 +355,7 @@ def solve_mfg(config, lp_control_path=None, start=None, layer=None):
     warm attempt included) and ``exact``; an error raised here carries
     ``maps`` as well.
     """
-    layer = layer or TraderLayer.from_config(config)
+    layer = trader_layer(config)
     grid, x_grid, atoms, mu0 = layer.grid, layer.x_grid, layer.atoms, layer.mu0
     if lp_control_path is None:
         lp_control_path = np.zeros(grid.steps)
@@ -380,11 +382,11 @@ def solve_mfg(config, lp_control_path=None, start=None, layer=None):
         qbar = flows.mean_controls()
         key = qbar.tobytes()
         if last is None or last[0] != key:
-            env = forward_environment(config, lp_control_path, qbar, layer)
-            policy = best_response(config, env, layer=layer)
+            env = forward_environment(config, lp_control_path, qbar)
+            policy = best_response(config, env)
             pushed = policy.policy_idx.tobytes()
             if layer.pushed[0] != pushed:
-                layer.pushed[:] = pushed, induced_flows(config, policy, mu0, layer)
+                layer.pushed[:] = pushed, induced_flows(config, policy, mu0)
             last = key, (layer.pushed[1], policy, env)
         return last[1]
 
@@ -427,7 +429,7 @@ def lp_path_from_segments(segments, steps):
     return segments[(np.arange(steps) * k) // steps]
 
 
-def lp_objective(config, segments, start=None, layer=None):
+def lp_objective(config, segments, start=None):
     """LP cost of a segment vector: negated running reward plus terminal penalty.
 
     Deterministic-flow evaluation: solves the inner fixed point, warm-started
@@ -435,12 +437,10 @@ def lp_objective(config, segments, start=None, layer=None):
     market step recorded along the solution's environment. Returns
     (cost, solution).
     """
-    layer = layer or TraderLayer.from_config(config)
-    solution = solve_mfg(
-        config, lp_path_from_segments(segments, layer.grid.steps), start=start, layer=layer
-    )
+    grid = trader_layer(config).grid
+    solution = solve_mfg(config, lp_path_from_segments(segments, grid.steps), start=start)
     env = solution.env
-    running = float(np.sum(env.lp_reward_path) * layer.grid.dt)
+    running = float(np.sum(env.lp_reward_path) * grid.dt)
     c = config.lp_terminal_weight
     cost = -running + c * (env.lp_x_path[-1] ** 2 + env.lp_z_path[-1] ** 2)
     return cost, solution
@@ -484,7 +484,6 @@ def solve_major_minor(config):
     step_tol = config.solver_step_tol
     step = max(config.solver_initial_step, step_tol)
 
-    layer = TraderLayer.from_config(config)
     cache = {}
     trace = []
     best_sol = None
@@ -501,7 +500,7 @@ def solve_major_minor(config):
         start = None if best_sol is None else best_sol.flows
         cost, sol = math.inf, None
         try:
-            cost, sol = lp_objective(config, u, start=start, layer=layer)
+            cost, sol = lp_objective(config, u, start=start)
             status, maps, exact = "ok", sol.diagnostics["maps"], sol.diagnostics["exact"]
         except NotConverged as exc:
             status, maps, exact = "inner_not_converged", exc.maps, False

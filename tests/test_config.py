@@ -299,12 +299,11 @@ def test_config_accepts_exactly_the_grids_whose_nodes_all_keep_an_atom(
         assert err.value.key in ("trader.a_min", "trader.a_max", "grid.x_max")
         return
     cfg = build_config(values)
-    layer = solver.TraderLayer.from_config(cfg)
-    env = solver.forward_environment(cfg, np.zeros(steps), np.zeros(steps), layer)
-    policy = solver.best_response(cfg, env, layer=layer)
+    env = solver.forward_environment(cfg, np.zeros(steps), np.zeros(steps))
+    policy = solver.best_response(cfg, env)
     targets = x_grid[None, :] + atoms[policy.policy_idx] * dt
     assert ((targets >= x_grid[0]) & (targets <= x_grid[-1])).all()
-    flows = solver.induced_flows(cfg, policy, layer.mu0, layer)
+    flows = solver.induced_flows(cfg, policy, solver.trader_layer(cfg).mu0)
     np.testing.assert_allclose(flows.mu.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     np.testing.assert_allclose(flows.q.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 

@@ -15,7 +15,7 @@ from ammgame.harness import (
     convergence_study,
     epsilon_nash_gap,
 )
-from ammgame.solver import TraderLayer, best_response, forward_environment, solve_mfg
+from ammgame.solver import best_response, forward_environment, solve_mfg
 
 
 def quick_cfg(**kw):
@@ -60,8 +60,7 @@ def test_simulate_n_players_rejects_nonpositive():
     cfg = quick_cfg()
     sol = solve_mfg(cfg)
     with pytest.raises(InvalidParameter):
-        epsilon_nash_gap(cfg, n_players=0, seed=1, solution=sol,
-                         layer=TraderLayer.from_config(cfg))
+        epsilon_nash_gap(cfg, n_players=0, seed=1, solution=sol)
 
 
 def test_pilot_environment_reproduces_deterministic_env(monkeypatch):
@@ -76,7 +75,7 @@ def test_pilot_environment_reproduces_deterministic_env(monkeypatch):
         return best_response(config, env, **kw)
 
     monkeypatch.setattr(harness, "best_response", spy)
-    epsilon_nash_gap(cfg, n_players=4, seed=3, solution=sol, layer=TraderLayer.from_config(cfg))
+    epsilon_nash_gap(cfg, n_players=4, seed=3, solution=sol)
     (env_real,) = seen
     env_det = forward_environment(cfg, lp_path, env_real.mean_control_path)
     for f in fields(env_det):
@@ -87,15 +86,14 @@ def test_pilot_environment_reproduces_deterministic_env(monkeypatch):
 def test_epsilon_nash_gap_fields_and_determinism():
     cfg = quick_cfg(harness_replications=6)
     sol = solve_mfg(cfg)
-    layer = TraderLayer.from_config(cfg)
-    est = epsilon_nash_gap(cfg, n_players=8, seed=21, solution=sol, layer=layer)
+    est = epsilon_nash_gap(cfg, n_players=8, seed=21, solution=sol)
     assert isinstance(est, DeviationEstimate)
     assert est.n_players == 8
     assert est.paired_gaps.shape == (6,)
     assert est.gap == pytest.approx(float(np.mean(est.paired_gaps)), rel=1e-15)
     expected_se = float(np.std(est.paired_gaps, ddof=1) / np.sqrt(6))
     assert est.stderr == pytest.approx(expected_se, rel=1e-12)
-    again = epsilon_nash_gap(cfg, n_players=8, seed=21, solution=sol, layer=layer)
+    again = epsilon_nash_gap(cfg, n_players=8, seed=21, solution=sol)
     np.testing.assert_array_equal(again.paired_gaps, est.paired_gaps)
 
 
@@ -103,8 +101,7 @@ def test_epsilon_nash_gap_common_noise_pairing():
     """Pairing cancels shared randomness: gap spread is far below objective spread."""
     cfg = quick_cfg(harness_replications=8)
     sol = solve_mfg(cfg)
-    est = epsilon_nash_gap(cfg, n_players=8, seed=2, solution=sol,
-                           layer=TraderLayer.from_config(cfg))
+    est = epsilon_nash_gap(cfg, n_players=8, seed=2, solution=sol)
     pol, grid = sol.policy.as_policy(), TimeGrid(cfg.grid_horizon, cfg.grid_steps)
     baselines = [
         simulate(cfg, pol, sol.env.lp_control_path, seed=s,

@@ -1,8 +1,11 @@
 """Best response, measure pushforward, fixed point, and the LP search."""
 
+import ast
 import itertools
 import math
-from dataclasses import fields
+import weakref
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +17,6 @@ from ammgame.errors import DegenerateReserves, InvalidParameter, NotConverged
 from ammgame.solver import (
     FlowOfMeasures,
     PolicyGrid,
-    TraderLayer,
     best_response,
     forward_environment,
     induced_flows,
@@ -25,6 +27,7 @@ from ammgame.solver import (
     solve_mfg,
     tabulate_rewards,
     trader_grids,
+    trader_layer,
     wasserstein_grid,
 )
 from ammgame.engine import TimeGrid
@@ -140,7 +143,7 @@ def test_tabulate_rewards_matches_agent_formula():
     steps = cfg.grid_steps
     env = forward_environment(cfg, np.full(steps, 0.3), np.full(steps, 0.2))
     x_grid, atoms = trader_grids(cfg)
-    table = tabulate_rewards(TraderLayer.from_config(cfg), env, env.mean_control_path[:, None])
+    table = tabulate_rewards(cfg, env, env.mean_control_path[:, None])
     assert table.shape == (steps, len(x_grid), len(atoms))
     mk = market.Market.from_config(cfg)
     for t, ix, ja in ((0, 0, 0), (3, 20, 2), (9, 40, 4)):
@@ -159,10 +162,10 @@ def test_tabulate_rewards_own_weight_continuity():
     cfg = small_cfg()
     steps = cfg.grid_steps
     env = forward_environment(cfg, np.zeros(steps), np.full(steps, 0.2))
-    layer = TraderLayer.from_config(cfg)
     qbar = env.mean_control_path
-    base = tabulate_rewards(layer, env, qbar[:, None])
-    perturbed = tabulate_rewards(layer, env, qbar[:, None] + 1e-12 * layer.atoms[None, :])
+    atoms = trader_layer(cfg).atoms
+    base = tabulate_rewards(cfg, env, qbar[:, None])
+    perturbed = tabulate_rewards(cfg, env, qbar[:, None] + 1e-12 * atoms[None, :])
     np.testing.assert_allclose(perturbed, base, rtol=1e-9, atol=1e-12)
 
 
@@ -175,7 +178,7 @@ def test_best_response_rejects_misshapen_slot():
     for slot in (qbar, np.zeros((steps, 3)), np.zeros((steps - 1, 1)), np.float64(0.5)):
         with pytest.raises(InvalidParameter, match="mean-control slot"):
             best_response(cfg, env, slot)
-    full = qbar[:, None] + 0.0 * TraderLayer.from_config(cfg).atoms[None, :]
+    full = qbar[:, None] + 0.0 * trader_layer(cfg).atoms[None, :]
     np.testing.assert_array_equal(best_response(cfg, env, full).policy_idx,
                                   best_response(cfg, env).policy_idx)
 
@@ -192,7 +195,7 @@ def test_best_response_bellman_residual():
     env = forward_environment(cfg, np.zeros(steps), np.full(steps, 0.1))
     pol = best_response(cfg, env)
     x_grid, atoms = trader_grids(cfg)
-    rewards = tabulate_rewards(TraderLayer.from_config(cfg), env, env.mean_control_path[:, None])
+    rewards = tabulate_rewards(cfg, env, env.mean_control_path[:, None])
     nodes, weights = kernels.gauss_hermite(cfg.grid_quad_points)
     grid = TimeGrid(cfg.grid_horizon, cfg.grid_steps)
     sig = cfg.trader_sigma * np.sqrt(grid.dt)
@@ -215,7 +218,7 @@ def test_best_response_no_better_single_deviation():
     env = forward_environment(cfg, np.zeros(steps), np.full(steps, 0.1))
     pol = best_response(cfg, env)
     x_grid, atoms = trader_grids(cfg)
-    rewards = tabulate_rewards(TraderLayer.from_config(cfg), env, env.mean_control_path[:, None])
+    rewards = tabulate_rewards(cfg, env, env.mean_control_path[:, None])
     grid = TimeGrid(cfg.grid_horizon, cfg.grid_steps)
     nodes, weights = kernels.gauss_hermite(cfg.grid_quad_points)
     sig = cfg.trader_sigma * np.sqrt(grid.dt)
@@ -570,40 +573,66 @@ def test_solve_major_minor_builds_the_trader_layer_once(monkeypatch):
     assert calls == {"transition_operator": 1, "gauss_hermite": 1}
 
 
-def test_passed_trader_layer_changes_no_number():
-    """A prebuilt layer gives the arrays the config-built one gives, bit for bit."""
+def test_trader_layer_lives_until_another_config_asks(monkeypatch):
+    """Repeated calls on one config object share one layer. An equal copy of
+    the config gets its own, built only after the previous layer is dropped,
+    so the two transition matrices are never alive together."""
+    layers = []  # weak references to the layers built so far
+    alive = []  # per transition_operator call: which of them still live
+    build = kernels.transition_operator
+
+    def counted(*args):
+        alive.append([ref() is not None for ref in layers])
+        return build(*args)
+
+    monkeypatch.setattr(kernels, "transition_operator", counted)
     cfg = small_cfg()
-    layer = TraderLayer.from_config(cfg)
-    lp_path = np.full(cfg.grid_steps, 0.25)
-    qbar = np.full(cfg.grid_steps, 0.1)
-    env = forward_environment(cfg, lp_path, qbar)
-    env_l = forward_environment(cfg, lp_path, qbar, layer)
-    for f in fields(env):
-        np.testing.assert_array_equal(getattr(env_l, f.name), getattr(env, f.name))
-    pol = best_response(cfg, env)
-    pol_l = best_response(cfg, env, layer=layer)
-    np.testing.assert_array_equal(pol_l.policy_idx, pol.policy_idx)
-    np.testing.assert_array_equal(pol_l.value, pol.value)
-    flows = induced_flows(cfg, pol, layer.mu0)
-    flows_l = induced_flows(cfg, pol, layer.mu0, layer)
-    np.testing.assert_array_equal(flows_l.mu, flows.mu)
-    np.testing.assert_array_equal(flows_l.q, flows.q)
-    _same_solution(solve_mfg(cfg, lp_path, layer=layer), solve_mfg(cfg, lp_path))
+    sol = solve_mfg(cfg)
+    solve_mfg(cfg)
+    best_response(cfg, sol.env)
+    assert len(alive) == 1
+    layers.append(weakref.ref(trader_layer(cfg)))
+    copy = replace(cfg)
+    assert copy == cfg and copy is not cfg
+    fresh = trader_layer(copy)
+    assert alive == [[], [False]]
+    assert trader_layer(copy) is fresh
+
+
+def test_no_function_takes_a_layer():
+    """The config is the trader solver's one input: no function of the
+    package has a ``layer`` parameter, and only ``trader_layer`` builds a
+    ``TraderLayer``."""
+    builders = []
+    for path in sorted(Path(solver.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                assert "layer" not in [p.arg for p in params if p], (path.name, node.lineno)
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and "TraderLayer"
+                        in (getattr(node.func, "id", None), getattr(node.func, "attr", None))):
+                    builders.append((path.name, getattr(top, "name", "<module>")))
+    assert builders == [("solver.py", "trader_layer")]
 
 
 def _replay(cfg, lp_path, start=None):
     """``solve_mfg``'s fixed point with a fresh layer in every response map,
-    so neither the map's reuse of its last result nor the pushforward memo
-    can serve it. Returns (flows, policy, history, exact) and the maps."""
+    read from a fresh copy of ``cfg``, so neither the map's reuse of its last
+    result nor the pushforward memo can serve it. Returns (flows, policy,
+    history, exact) and the maps."""
     maps = 0
 
     def response_map(flows):
         nonlocal maps
         maps += 1
-        layer = TraderLayer.from_config(cfg)
-        env = forward_environment(cfg, lp_path, flows.mean_controls(), layer)
-        policy = best_response(cfg, env, layer=layer)
-        return induced_flows(cfg, policy, layer.mu0, layer), policy, env
+        copy = replace(cfg)
+        env = forward_environment(copy, lp_path, flows.mean_controls())
+        policy = best_response(copy, env)
+        return induced_flows(copy, policy, trader_layer(copy).mu0), policy, env
 
     if start is not None:
         flows, policy, _, history, _, exact = solver._picard(cfg, response_map, start)
@@ -620,15 +649,14 @@ def _replay(cfg, lp_path, start=None):
 
 
 def test_memoized_maps_match_a_replay_without_memos():
-    """One shared layer across a cold solve and two warm ones, where both
-    memos serve maps, gives what fresh layers give, bit for bit."""
+    """One config's layer shared by a cold solve and two warm ones, where
+    both memos serve maps, gives what fresh layers give, bit for bit."""
     cfg = small_cfg()
-    layer = TraderLayer.from_config(cfg)
     idle, busy = np.zeros(cfg.grid_steps), np.full(cfg.grid_steps, 0.5)
-    cold = solve_mfg(cfg, idle, layer=layer)
+    cold = solve_mfg(cfg, idle)
     runs = [(cold, idle, None),
-            (solve_mfg(cfg, idle, start=cold.flows, layer=layer), idle, cold.flows),
-            (solve_mfg(cfg, busy, start=cold.flows, layer=layer), busy, cold.flows)]
+            (solve_mfg(cfg, idle, start=cold.flows), idle, cold.flows),
+            (solve_mfg(cfg, busy, start=cold.flows), busy, cold.flows)]
     for sol, lp_path, start in runs:
         (flows, policy, history, exact), maps = _replay(cfg, lp_path, start)
         np.testing.assert_array_equal(sol.policy.policy_idx, policy.policy_idx)
@@ -641,14 +669,14 @@ def test_memoized_maps_match_a_replay_without_memos():
 
 def test_induced_flows_is_pure_and_the_solve_memo_spans_solves(monkeypatch):
     """``induced_flows`` pushes afresh on every call and leaves the layer
-    alone; the response map's memo on the layer serves a later solve on that
-    layer, so a warm start at the fixed point pushes nothing."""
+    alone; the response map's memo on the layer serves a later solve on the
+    same config object, so a warm start at the fixed point pushes nothing."""
     cfg = small_cfg()
-    layer = TraderLayer.from_config(cfg)
-    env = forward_environment(cfg, np.zeros(cfg.grid_steps), np.zeros(cfg.grid_steps), layer)
-    pol = best_response(cfg, env, layer=layer)
-    first = induced_flows(cfg, pol, layer.mu0, layer)
-    again = induced_flows(cfg, pol, layer.mu0, layer)
+    layer = trader_layer(cfg)
+    env = forward_environment(cfg, np.zeros(cfg.grid_steps), np.zeros(cfg.grid_steps))
+    pol = best_response(cfg, env)
+    first = induced_flows(cfg, pol, layer.mu0)
+    again = induced_flows(cfg, pol, layer.mu0)
     assert again is not first and again.mu.flags.writeable and again.q.flags.writeable
     np.testing.assert_array_equal(again.mu, first.mu)
     np.testing.assert_array_equal(again.q, first.q)
@@ -658,13 +686,13 @@ def test_induced_flows_is_pure_and_the_solve_memo_spans_solves(monkeypatch):
     push_forward = kernels.push_forward
     monkeypatch.setattr(kernels, "push_forward",
                         lambda *args: pushes.append(1) or push_forward(*args))
-    cold = solve_mfg(cfg, layer=layer)
+    cold = solve_mfg(cfg)
     assert cold.diagnostics["exact"] and 0 < len(pushes) < cold.diagnostics["maps"]
     assert layer.pushed[0] == cold.policy.policy_idx.tobytes()
     pushes.clear()
-    warm = solve_mfg(cfg, start=cold.flows, layer=layer)
+    warm = solve_mfg(cfg, start=cold.flows)
     assert pushes == [] and warm.diagnostics["exact"]
-    _same_solution(warm, solve_mfg(cfg, start=cold.flows))
+    _same_solution(warm, solve_mfg(replace(cfg), start=cold.flows))
 
 
 def test_solve_major_minor_reuses_sweeps_and_pushforwards(monkeypatch):
@@ -687,7 +715,7 @@ def test_induced_flows_rejects_policy_off_the_layer():
     pol = best_response(cfg, env)
     other = small_cfg(grid_x_points=21)
     with pytest.raises(InvalidParameter):
-        induced_flows(other, pol, TraderLayer.from_config(other).mu0)
+        induced_flows(other, pol, trader_layer(other).mu0)
 
 
 def test_lp_search_scores_failed_candidates_inf():

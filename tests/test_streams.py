@@ -11,7 +11,7 @@ from ammgame import harness, streams
 from ammgame.cli import main
 from ammgame.config import default_config
 from ammgame.engine import TimeGrid, initial_trader_states, make_noise
-from ammgame.solver import TraderLayer, solve_mfg
+from ammgame.solver import solve_mfg, trader_layer
 
 
 def numpy_normals(entropy, n):
@@ -56,7 +56,6 @@ def test_harness_streams_match_numpy(monkeypatch):
     generates, and replication r redraws player 0 from (seed, 2, N, r)."""
     cfg = default_config(grid_steps=10, grid_x_points=41, grid_control_points=5,
                          harness_replications=3)
-    layer = TraderLayer.from_config(cfg)
     seen = {}
 
     def pilot_noise(seed, grid, n):
@@ -71,11 +70,11 @@ def test_harness_streams_match_numpy(monkeypatch):
     monkeypatch.setattr(harness, "make_noise", pilot_noise)
     monkeypatch.setattr(harness, "_paired_gaps", paired_gaps)
     seed = 2**33 + 1
-    harness.epsilon_nash_gap(cfg, 8, solve_mfg(cfg, layer=layer), seed, layer)
+    harness.epsilon_nash_gap(cfg, 8, solve_mfg(cfg), seed)
     words = np.random.SeedSequence((seed, 0, 8)).generate_state(1, np.uint64)
     assert seen["pilot"] == int(words[0])
     own = np.stack([numpy_normals((seed, 2, 8, r), cfg.grid_steps) for r in range(3)])
-    np.testing.assert_array_equal(seen["own"], own * np.sqrt(layer.grid.dt))
+    np.testing.assert_array_equal(seen["own"], own * np.sqrt(trader_layer(cfg).grid.dt))
 
 
 def test_arb_check_stream_matches_numpy(tmp_path):
