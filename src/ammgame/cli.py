@@ -13,8 +13,10 @@ Output discipline:
     is wall-clock and is the one field that varies between identical reruns.
 
 Exit codes: 0 success, 1 experiment failure (diagnostics still written; a
-run whose objective or final residual is not finite counts as failed),
-2 configuration error.
+run whose objective or final residual is not finite counts as failed, and so
+does a run that wrote a NaN into any CSV cell, or an infinity into any cell
+other than the objective of a row whose status is not ``ok``), 2
+configuration error.
 """
 
 import argparse
@@ -29,7 +31,7 @@ import numpy as np
 from . import __version__
 from .arbitrage import best_arbitrage, brute_force_arbitrage
 from .config import canonical_echo, config_hash, load_config
-from .engine import simulate
+from .engine import TimeGrid, simulate
 from .errors import AmmGameError, ConfigError, NotConverged
 from .harness import convergence_study
 from .lvr import ladder_terminals, run_lvr_experiment
@@ -65,11 +67,33 @@ def _header_block(cfg):
     )
 
 
+# where the first failing cell of each CSV the running subcommand wrote sits;
+# ``main`` empties it before the run and fails the run unless it stays empty
+_nonfinite_cells = []
+
+
+def _first_nonfinite(path, columns, rows):
+    """The first cell that fails the run, or None: a NaN anywhere, or an
+    infinity anywhere but in the objective of a row whose status is not ok
+    (a failed LP candidate scores inf)."""
+    status = columns.index("status") if "status" in columns else None
+    for i, row in enumerate(rows, 1):
+        for name, v in zip(columns, row):
+            if (isinstance(v, (float, np.floating)) and not math.isfinite(v)
+                    and (math.isnan(v) or name != "objective" or status is None
+                         or row[status] == "ok")):
+                return f"{path.name} row {i}, column {name}: {_fmt_cell(v)}"
+    return None
+
+
 def _write_csv(path, cfg, columns, rows):
     body = "\n".join(",".join(_fmt_cell(v) for v in row) for row in rows)
     text = _header_block(cfg) + ",".join(columns) + "\n" + (body + "\n" if body else "")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+    bad = _first_nonfinite(path, columns, rows)
+    if bad:
+        _nonfinite_cells.append(bad)
 
 
 def _write_summary(out_dir, status, objective, final_residual, runtime):
@@ -87,8 +111,8 @@ def _write_summary(out_dir, status, objective, final_residual, runtime):
 def _run_simulate(cfg, out_dir):
     sol = solve_mfg(cfg)
     traj = simulate(cfg, sol.policy.as_policy(), sol.env.lp_control_path, cfg.seed)
-    steps = traj.grid.steps
-    times = traj.grid.times()
+    steps = cfg.grid_steps
+    times = TimeGrid(cfg.grid_horizon, steps).times()
     columns = [
         "t", "price", "x_adj", "y_adj", "delta", "reserve", "invariant",
         "lvr_cum", "lp_x", "lp_y", "lp_z", "lp_s", "mean_control", "lvr_rate",
@@ -300,6 +324,7 @@ def main(argv=None):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
+    _nonfinite_cells.clear()
     try:
         objective, final_residual = _RUNNERS[args.subcommand](cfg, out_dir)
     except AmmGameError as exc:
@@ -317,10 +342,11 @@ def main(argv=None):
         name for name, value in (("objective", objective), ("final_residual", final_residual))
         if not math.isfinite(value)
     ]
-    if nonfinite:
+    reasons = [f"non-finite {' and '.join(nonfinite)}"] if nonfinite else []
+    reasons += [f"non-finite cell in {cell}" for cell in _nonfinite_cells]
+    if reasons:
         _write_summary(out_dir, "failed", None, None, time.perf_counter() - start)
-        print(f"{args.subcommand} failed: non-finite {' and '.join(nonfinite)}",
-              file=sys.stderr)
+        print(f"{args.subcommand} failed: {'; '.join(reasons)}", file=sys.stderr)
         return 1
     _write_summary(out_dir, "ok", objective, final_residual, time.perf_counter() - start)
     return 0

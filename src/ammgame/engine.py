@@ -104,7 +104,7 @@ def simulate(config, trader_policy, lp_control_path, seed, noise=None):
         qbar = float(alpha.mean()) if m > 0 else 0.0
         return alpha, qbar, common[t], idio[:, t], lp[t]
 
-    traj = record(Market.from_config(config), grid,
+    traj = record(Market.from_config(config),
                   opening_state(config, initial_trader_states(config, m, seed)),
                   lp_control_path, act)
     traj.trader_objectives = trader_objective(

@@ -34,7 +34,7 @@ import numpy as np
 from . import market
 from .engine import make_noise, simulate
 from .errors import InvalidParameter
-from .solver import best_response, solve_mfg
+from .solver import best_response, check_on_layer, solve_mfg
 from .streams import normals, opening_words
 
 GAP_FLOOR = 1e-12  # floor before taking logs in the slope fit
@@ -99,9 +99,12 @@ def epsilon_nash_gap(config, n_players, solution, seed):
     """Best-deviation gain for one player among ``n_players`` on the MFG
     ``solution``'s policy, from ``harness.replications`` paired replications.
 
-    The pilot runs on the LP path the ``solution`` was solved against.
+    The pilot runs on the LP path the ``solution`` was solved against. The
+    time grid and the atoms are those of ``trader_layer(config)``; a
+    ``solution`` whose policy is not on that layer raises ``InvalidParameter``.
     """
-    grid, atoms = solution.policy.grid, solution.policy.atoms
+    layer = check_on_layer(config, solution.policy)
+    grid, atoms = layer.grid, layer.atoms
     replications = config.harness_replications
     if n_players < 1:
         raise InvalidParameter(f"need at least one player, got {n_players}")

@@ -106,16 +106,16 @@ def instantaneous_lvr(p, sigma, k):
 class LvrAccount:
     """Result of one drain-vs-replication experiment.
 
-    The ``terminal_*`` arrays hold per-path terminal quantities for all paths;
-    the residual is ARB_T - LVR_T.
+    ``terminal_arb`` and ``terminal_lvr`` hold every path's ARB_T and LVR_T;
+    the residual is ARB_T - LVR_T. The pool value and the replicating
+    portfolio behind ARB_T are derived from the ``ladder_terminals`` state
+    and not kept.
     """
 
     dt: float
     n_paths: int
     terminal_arb: np.ndarray
     terminal_lvr: np.ndarray
-    terminal_replication: np.ndarray
-    terminal_pool_value: np.ndarray
     mean_abs_residual: float
     mean_residual: float
     stderr_residual: float
@@ -271,8 +271,6 @@ def run_lvr_experiment(config, dt, terminal=None):
         n_paths=int(n_paths),
         terminal_arb=arb_t,
         terminal_lvr=drain_t,
-        terminal_replication=replication_t,
-        terminal_pool_value=pool_t,
         mean_abs_residual=mean_abs,
         mean_residual=mean_res,
         stderr_residual=stderr,

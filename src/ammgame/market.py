@@ -26,8 +26,10 @@ floats, on numpy arrays and on ``fractions.Fraction`` inputs, which is how the
 exact oracles check the algebra. Nothing is clamped: a state below a reserve
 floor raises ``DegenerateReserves`` with the step index attached.
 
-``record`` keeps one lane of ``step`` over the grid as a ``SystemTrajectory``,
-the one record of a market path, which the solver and the engine both return.
+``record`` steps one lane, given the market and the LP path, and keeps it as a
+``SystemTrajectory``, the one record of a market path, which the solver and
+the engine both return. A record holds no time grid of its own: its step is
+the market's ``dt`` and its step count the length of its LP path.
 """
 
 from dataclasses import dataclass, field
@@ -245,13 +247,13 @@ def step(mk: Market, s: MarketState, t, alpha, qbar, a_lp, dw0, dw_traders, dw_l
 
 @dataclass
 class SystemTrajectory:
-    """One lane of the market on the grid: stocks at steps+1 times, rates per step.
+    """One lane of the market: stocks at steps+1 times, rates per step.
 
+    The step is ``market.dt`` and the step count ``len(lp_control_path)``.
     Trader fields hold a row per trader, None without traders; ``engine.simulate``
     sets ``trader_objectives``, as it knows the terminal weight.
     """
 
-    grid: object  # engine.TimeGrid
     market: Market
     price_path: np.ndarray
     x_adj_path: np.ndarray
@@ -281,7 +283,7 @@ class SystemTrajectory:
     @property
     def lvr_cum_path(self):
         """Accrued arbitrage drain, left-point sum of l(P) dt."""
-        return np.concatenate(([0.0], np.cumsum(self.lvr_rate_path * self.grid.dt)))
+        return np.concatenate(([0.0], np.cumsum(self.lvr_rate_path * self.market.dt)))
 
 
 def _along(values):
@@ -289,8 +291,9 @@ def _along(values):
     return None if values[0] is None else np.ascontiguousarray(np.array(values).T)
 
 
-def record(mk: Market, grid, s: MarketState, lp_control_path, act):
-    """Step one lane from ``s`` at the LP rates ``lp_control_path`` and record it.
+def record(mk: Market, s: MarketState, lp_control_path, act):
+    """Step one lane from ``s`` at the LP rates ``lp_control_path`` and record it,
+    one step of ``mk.dt`` per rate.
 
     ``act(t, s)`` returns step t's (alpha, qbar, dw0, dw_traders, dw_lp). The LP
     rates enter as Python floats, which step faster than numpy scalars, bit for bit.
@@ -307,7 +310,6 @@ def record(mk: Market, grid, s: MarketState, lp_control_path, act):
         return _along([getattr(state, name) for state in states])
 
     return SystemTrajectory(
-        grid=grid,
         market=mk,
         price_path=path("price"),
         x_adj_path=path("x_adj"),

@@ -79,9 +79,12 @@ _SOLVE_ERRORS = (DegenerateReserves, NotConverged)
 
 @dataclass(frozen=True)
 class PolicyGrid:
-    """Feedback policy and value function tabulated on (time, inventory)."""
+    """Feedback policy and value function tabulated on (time, inventory).
 
-    grid: TimeGrid
+    Its time grid, inventory grid and atoms are those of the trader layer it
+    was solved on; ``check_on_layer`` holds a policy to a config's layer.
+    """
+
     x_grid: np.ndarray
     atoms: np.ndarray
     policy_idx: np.ndarray  # (steps, nx) indices into atoms
@@ -208,8 +211,8 @@ def forward_environment(config, lp_control_path, qbar):
     if lp_control_path.shape != (n,) or qbar.shape != (n,):
         raise InvalidParameter("lp control and mean-control paths must cover every step")
     q = qbar.tolist()
-    return market.record(layer.market, layer.grid, market.opening_state(config),
-                         lp_control_path, lambda t, s: (None, q[t], 0, 0, (0, 0, 0)))
+    return market.record(layer.market, market.opening_state(config), lp_control_path,
+                         lambda t, s: (None, q[t], 0, 0, (0, 0, 0)))
 
 
 def tabulate_rewards(config, env: market.SystemTrajectory, qslot):
@@ -254,20 +257,41 @@ def best_response(config, env: market.SystemTrajectory, qslot=None):
         rewards, layer.terminal, x_grid, atoms, grid.dt, layer.sig_root_dt,
         layer.z_nodes, layer.z_weights, layer.operator,
     )
-    return PolicyGrid(grid=grid, x_grid=x_grid, atoms=atoms, policy_idx=policy_idx, value=value)
+    return PolicyGrid(x_grid=x_grid, atoms=atoms, policy_idx=policy_idx, value=value)
+
+
+def check_on_layer(config, policy: PolicyGrid):
+    """The config's ``TraderLayer``, once ``policy`` is found to live on it.
+
+    The policy's step count, inventory grid and control atoms must be the
+    layer's; otherwise ``InvalidParameter`` names each part that differs.
+    """
+    layer = trader_layer(config)
+
+    def span(v):
+        return f"{len(v)} points on [{v[0]:g}, {v[-1]:g}]"
+
+    steps = policy.policy_idx.shape[0]
+    differ = [] if steps == layer.grid.steps else [
+        f"step count {steps}, the config's {layer.grid.steps}"
+    ]
+    for name, own, layer_own in (("inventory grid", policy.x_grid, layer.x_grid),
+                                 ("control atoms", policy.atoms, layer.atoms)):
+        if not np.array_equal(own, layer_own):
+            differ.append(f"{name} of {span(own)}, the config's of {span(layer_own)}")
+    if differ:
+        raise InvalidParameter(
+            "the policy is not on the config's trader layer: " + "; ".join(differ)
+        )
+    return layer
 
 
 def induced_flows(config, policy: PolicyGrid, initial_law):
     """Push the initial law through the policy; collect the control law.
 
-    The policy must live on the config's time grid, inventory grid and atoms.
+    The policy must live on the config's trader layer (``check_on_layer``).
     """
-    layer = trader_layer(config)
-    if not (policy.grid == layer.grid and np.array_equal(policy.x_grid, layer.x_grid)
-            and np.array_equal(policy.atoms, layer.atoms)):
-        raise InvalidParameter(
-            "the policy's time grid, inventory grid or control atoms differ from the config's"
-        )
+    layer = check_on_layer(config, policy)
     mu = kernels.push_forward(
         policy.policy_idx, np.asarray(initial_law, dtype=float), layer.operator
     )

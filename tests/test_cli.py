@@ -389,3 +389,39 @@ def test_non_finite_result_fails_the_run(tmp_path, cfg_file, capsys, monkeypatch
     summary = read_summary(out)
     assert summary["status"] == "failed"
     assert summary["objective"] is None and summary["final_residual"] is None
+
+
+def test_nan_csv_cell_fails_the_run(tmp_path, cfg_file, capsys, monkeypatch):
+    """A NaN in a written CSV fails the run, naming its file, row and column;
+    the CSV is still written."""
+    solve = cli.solve_mfg
+
+    def nan_residual(cfg):
+        sol = solve(cfg)
+        sol.residual_history[0] = float("nan")
+        return sol
+
+    monkeypatch.setattr(cli, "solve_mfg", nan_residual)
+    out = tmp_path / "out"
+    assert main(["solve-mfg", "--config", str(cfg_file), "--out", str(out), *FAST]) == 1
+    assert ("non-finite cell in residuals.csv row 1, column residual: nan"
+            in capsys.readouterr().err)
+    assert read_summary(out)["status"] == "failed"
+    lines = (out / "residuals.csv").read_text().splitlines()
+    assert lines[3] == "iteration,residual" and lines[4] == "1,nan"
+
+
+def test_failed_candidates_inf_objective_keeps_the_run_ok(tmp_path, cfg_file):
+    """An inf objective on a row whose status is not ok is how a failed LP
+    candidate scores: the run still succeeds."""
+    out = tmp_path / "out"
+    overrides = ["lp.segments=1", "pool.x0=8", "pool.y0=8", "lp.control_min=-5",
+                 "lp.control_max=-2", "solver.max_iter=30"]
+    code = main(["solve-major-minor", "--config", str(cfg_file), "--out", str(out), *FAST,
+                 *(arg for o in overrides for arg in ("--override", o))])
+    assert code == 0
+    summary = read_summary(out)
+    assert summary["status"] == "ok" and summary["objective"] == 569.0814994347733
+    rows = [line.split(",") for line in (out / "search_trace.csv").read_text().splitlines()[4:]]
+    failed = [row for row in rows if row[3] != "ok"]
+    assert len(failed) == 5 and all(row[2] == "inf" for row in failed)

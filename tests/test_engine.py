@@ -148,7 +148,7 @@ def test_step_zero_wealth_drift_identity():
     alpha = 0.4
     traj = simulate(cfg, constant_policy(alpha), [0.0], seed=1)
     p0 = traj.price_path[0]
-    pd = (traj.price_path[1] - p0) / traj.grid.dt
+    pd = (traj.price_path[1] - p0) / traj.market.dt
     phi = 1.0 - cfg.pool_tau
     wedge = (1 + phi * phi) / (2 * phi)
     slip = alpha / 100.0
@@ -172,7 +172,7 @@ def test_cumulative_wealth_reconciliation():
     alpha = 0.3
     lp = np.zeros(cfg.grid_steps)
     traj = simulate(cfg, constant_policy(alpha), lp, seed=2)
-    dt = traj.grid.dt
+    dt = traj.market.dt
     wealth = traj.trader_y[0] + traj.trader_x[0] * traj.price_path
     slip = alpha / traj.reserve_path[:-1]
     offsets = alpha * (1.0 - slip) * traj.price_path[:-1]

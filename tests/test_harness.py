@@ -63,6 +63,19 @@ def test_simulate_n_players_rejects_nonpositive():
         epsilon_nash_gap(cfg, n_players=0, seed=1, solution=sol)
 
 
+def test_epsilon_nash_gap_rejects_solution_off_the_config_layer():
+    """A solution on another inventory grid is refused, not paired with a
+    deviation on the config's grid."""
+    cfg = default_config(grid_steps=10, grid_control_points=5, harness_replications=4)
+    sol = solve_mfg(default_config(grid_steps=10, grid_control_points=5, grid_x_points=21,
+                                   harness_replications=4))
+    with pytest.raises(InvalidParameter, match="inventory grid of 21 points.*101 points"):
+        epsilon_nash_gap(cfg, 4, sol, 1)
+    other_steps = solve_mfg(quick_cfg(grid_steps=20))
+    with pytest.raises(InvalidParameter, match="step count 20, the config's 10"):
+        epsilon_nash_gap(quick_cfg(), 4, other_steps, 1)
+
+
 def test_pilot_environment_reproduces_deterministic_env(monkeypatch):
     """On a noise-free pilot the deviation answers the solver's environment exactly."""
     cfg = quick_cfg(trader_sigma=0.0, external_sigma0=0.0, harness_replications=2)

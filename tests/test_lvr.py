@@ -125,7 +125,8 @@ def test_experiment_path_count_independent_of_chunking():
 
 
 def scalar_replay(seed, index, n_steps, p0, sigma, dt, k):
-    """Terminal (V, R, LVR) of one stream from a plain ``math`` loop over its draws."""
+    """Terminal (price, hedge gain, drain) of one stream from a plain ``math``
+    loop over its draws."""
     z = np.random.default_rng(np.random.SeedSequence((seed, index))).standard_normal(n_steps)
     p, hedge, drain = p0, 0.0, 0.0
     for zt in z.tolist():
@@ -133,7 +134,7 @@ def scalar_replay(seed, index, n_steps, p0, sigma, dt, k):
         p_next = p * math.exp(-0.5 * sigma * sigma * dt + sigma * math.sqrt(dt) * zt)
         hedge += math.sqrt(k / p) * (p_next - p)
         p = p_next
-    return 2.0 * math.sqrt(k * p), 2.0 * math.sqrt(k * p0) + hedge, drain
+    return p, hedge, drain
 
 
 @pytest.mark.parametrize(
@@ -149,23 +150,28 @@ def test_kernel_matches_scalar_replay(n_steps, n_paths):
 
     The kernel steps all paths over blocks of shared rows; the replay draws
     each stream in one call and steps it alone, with sqrt(k/P) as the hedge.
-    Tolerance: a few roundings of the pool value per step, over n_steps steps
-    (seen: at most 0.04 of that).
+    The price is compared through the pool value 2*sqrt(k*P), and ARB_T is
+    the replay's V(P_0) + hedge - V(P_T). Tolerance: a few roundings of the
+    pool value per step, over n_steps steps (seen: at most 0.04 of that).
     """
     seed, sigma = 77, 0.3
     cfg = default_config(lvr_paths=n_paths, external_sigma=sigma, seed=seed)
     dt = cfg.grid_horizon / n_steps
     k = cfg.pool_x0 * cfg.pool_y0
     p0 = cfg.pool_y0 / cfg.pool_x0
-    acct = run_lvr_experiment(cfg, dt=dt)
-    assert len(acct.terminal_arb) == n_paths
+    (state,) = ladder_terminals(cfg, (dt,))
+    acct = run_lvr_experiment(cfg, dt, state)
+    assert state.shape == (3, n_paths) and len(acct.terminal_arb) == n_paths
+    np.testing.assert_array_equal(acct.terminal_lvr, state[2])
     tol = dict(rtol=0, atol=4 * np.finfo(float).eps * n_steps * 2.0 * math.sqrt(k * p0))
     for i in range(n_paths):
-        v, r, lvr = scalar_replay(seed, i, n_steps, p0, sigma, dt, k)
-        np.testing.assert_allclose(acct.terminal_pool_value[i], v, **tol)
-        np.testing.assert_allclose(acct.terminal_replication[i], r, **tol)
-        np.testing.assert_allclose(acct.terminal_lvr[i], lvr, **tol)
-        np.testing.assert_allclose(acct.terminal_arb[i], r - v, **tol)
+        p, hedge, drain = scalar_replay(seed, i, n_steps, p0, sigma, dt, k)
+        v = 2.0 * math.sqrt(k * p)
+        np.testing.assert_allclose(2.0 * math.sqrt(k * state[0, i]), v, **tol)
+        np.testing.assert_allclose(state[1, i], hedge, **tol)
+        np.testing.assert_allclose(state[2, i], drain, **tol)
+        np.testing.assert_allclose(acct.terminal_arb[i], 2.0 * math.sqrt(k * p0) + hedge - v,
+                                   **tol)
 
 
 def test_experiment_rejects_bad_arguments():
@@ -237,19 +243,27 @@ def test_terminals_independent_of_group_size(monkeypatch):
     """Groups of 3 over 8 paths, the last group short, give the terminals of
     one group of all 8, bit for bit."""
     cfg = default_config(lvr_paths=8, seed=21)
+    (whole_state,) = ladder_terminals(cfg, (0.01,))
     whole = run_lvr_experiment(cfg, 0.01)
     monkeypatch.setattr(lvr, "_GROUP", 3)
+    (grouped_state,) = ladder_terminals(cfg, (0.01,))
     grouped = run_lvr_experiment(cfg, 0.01)
-    for name in ("terminal_arb", "terminal_lvr", "terminal_replication",
-                 "terminal_pool_value"):
+    np.testing.assert_array_equal(grouped_state, whole_state)
+    for name in TERMINALS:
         np.testing.assert_array_equal(getattr(grouped, name), getattr(whole, name))
 
 
-TERMINALS = ("terminal_arb", "terminal_lvr", "terminal_replication", "terminal_pool_value")
+TERMINALS = ("terminal_arb", "terminal_lvr")
+
+
+def run_alone(cfg, dt_values):
+    """Each step size's (ladder state, account), run as a one-level ladder."""
+    return [(ladder_terminals(cfg, (dt,))[0], run_lvr_experiment(cfg, dt)) for dt in dt_values]
 
 
 def assert_levels_equal(cfg, dt_values, terminals, alone):
-    for dt, terminal, acct in zip(dt_values, terminals, alone, strict=True):
+    for dt, terminal, (state, acct) in zip(dt_values, terminals, alone, strict=True):
+        np.testing.assert_array_equal(terminal, state)
         level = run_lvr_experiment(cfg, dt, terminal)
         for name in TERMINALS:
             np.testing.assert_array_equal(getattr(level, name), getattr(acct, name))
@@ -264,7 +278,7 @@ def test_ladder_levels_equal_runs_alone(dt_values):
     """Each level of one pass over the streams equals that step size run
     alone, bit for bit, in the order the ladder lists them."""
     cfg = default_config(lvr_paths=5, seed=11, lvr_dt_values=dt_values)
-    alone = [run_lvr_experiment(cfg, dt) for dt in dt_values]
+    alone = run_alone(cfg, dt_values)
     assert_levels_equal(cfg, dt_values, ladder_terminals(cfg, dt_values), alone)
 
 
@@ -273,7 +287,7 @@ def test_ladder_seeds_each_path_once_in_short_groups(monkeypatch):
     the whole ladder, and every level still equals its run alone."""
     cfg = default_config(lvr_paths=8, seed=21)
     dt_values = (0.01, 0.005, 0.002)
-    alone = [run_lvr_experiment(cfg, dt) for dt in dt_values]
+    alone = run_alone(cfg, dt_values)
     built = []
     generators = streams.generators
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one share, no fork

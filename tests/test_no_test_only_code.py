@@ -48,15 +48,6 @@ def test_every_definition_is_used_outside_tests():
     assert not unused, "defined but used only by tests: " + ", ".join(unused)
 
 
-# fields kept although only tests read them, with the reason
-FIELDS_READ_BY_TESTS_ONLY = {
-    # test_lvr::test_kernel_matches_scalar_replay checks each terminal against
-    # a scalar replay of the path, which is how the lane-wide kernel is tested
-    "LvrAccount.terminal_replication",
-    "LvrAccount.terminal_pool_value",
-}
-
-
 def test_every_result_field_is_read_outside_tests():
     """Every annotated class field in the package is read as an attribute
     (``obj.name`` in load context) somewhere in the corpus.
@@ -80,7 +71,7 @@ def test_every_result_field_is_read_outside_tests():
                 if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
                     continue
                 name = f"{cls.name}.{stmt.target.id}"
-                if stmt.target.id not in reads and name not in FIELDS_READ_BY_TESTS_ONLY:
+                if stmt.target.id not in reads:
                     unread.append(f"{path.name}:{stmt.lineno} {name}")
     assert not unread, "fields read only by tests: " + ", ".join(unread)
 
