@@ -32,6 +32,9 @@ import numpy as np
 from .errors import InvalidParameter
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_TOL = 1e-12  # relative bracket width at which golden section stops
+_GOLDEN_MAX_ITER = 200
+_GRID_POINTS = 10001  # grid of the brute-force oracle before refinement
 
 
 @dataclass(frozen=True)
@@ -97,14 +100,14 @@ def best_arbitrage(r_alpha, r_beta, k, m_p, phi):
     return buy
 
 
-def _golden_max(f, lo, hi, tol=1e-12, max_iter=200):
+def _golden_max(f, lo, hi):
     """Golden-section maximization of a unimodal f on [lo, hi]."""
     a, b = lo, hi
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if b - a <= tol * (1.0 + abs(a) + abs(b)):
+    for _ in range(_GOLDEN_MAX_ITER):
+        if b - a <= _GOLDEN_TOL * (1.0 + abs(a) + abs(b)):
             break
         if fc >= fd:
             b, d, fd = d, c, fc
@@ -118,27 +121,26 @@ def _golden_max(f, lo, hi, tol=1e-12, max_iter=200):
     return x, f(x)
 
 
-def brute_force_arbitrage(r_alpha, r_beta, k, m_p, phi, grid_points=10001):
+def brute_force_arbitrage(r_alpha, r_beta, k, m_p, phi):
     """Grid + golden-section oracle for the ETH-out direction.
 
     Maximizes m_p*d - (1/phi)*(k/(r_alpha - d) - r_beta) over d in
-    [0, r_alpha); the objective is strictly concave, so the grid bracket plus
-    golden-section refinement is within O(1/grid_points^2) of the optimum.
+    [0, r_alpha); the objective is strictly concave, so the grid bracket
+    (``_GRID_POINTS`` points) plus golden-section refinement is within
+    O(1/_GRID_POINTS^2) of the optimum.
     """
     _check_positive(r_alpha=r_alpha, r_beta=r_beta, k=k, m_p=m_p)
     if not (0 < phi <= 1):
         raise InvalidParameter(f"phi must lie in (0, 1], got {phi}")
-    if grid_points < 3:
-        raise InvalidParameter(f"need at least 3 grid points, got {grid_points}")
 
     hi = r_alpha * (1.0 - 1e-9)
 
     def objective(d):
         return m_p * d - (k / (r_alpha - d) - r_beta) / phi
 
-    grid = np.linspace(0.0, hi, grid_points)
+    grid = np.linspace(0.0, hi, _GRID_POINTS)
     best_i = int(np.argmax(objective(grid)))
-    step = hi / (grid_points - 1)
+    step = hi / (_GRID_POINTS - 1)
     lo = max(0.0, (best_i - 1) * step)
     up = min(hi, (best_i + 1) * step)
     d_star, v_star = _golden_max(objective, lo, up)

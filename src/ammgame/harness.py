@@ -101,9 +101,15 @@ def epsilon_nash_gap(config, n_players, solution, seed):
 
     The pilot runs on the LP path the ``solution`` was solved against. The
     time grid and the atoms are those of ``trader_layer(config)``; a
-    ``solution`` whose policy is not on that layer raises ``InvalidParameter``.
+    ``solution`` whose policy is not on that layer, or whose environment's
+    time step is not the layer's, raises ``InvalidParameter``.
     """
     layer = check_on_layer(config, solution.policy)
+    if solution.env.market.dt != layer.market.dt:
+        raise InvalidParameter(
+            f"the solution's time step {solution.env.market.dt:g} is not the "
+            f"config's {layer.market.dt:g}"
+        )
     grid, atoms = layer.grid, layer.atoms
     replications = config.harness_replications
     if n_players < 1:

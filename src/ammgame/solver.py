@@ -21,11 +21,13 @@ Three nested problems:
 
 3. LP control: over piecewise-constant controls on K segments, a coordinate
    pattern search minimizes the LP cost (negated running reward plus
-   quadratic terminal penalty), halving its step down to solver.step_tol,
-   where a full poll without improvement is the certificate. It solves
-   problem 2 at every candidate, warm-started from the incumbent's flows. A
-   warm solve is kept only when it ends on an exact fixed point; otherwise it
-   is redone cold.
+   quadratic terminal penalty), halving its step down to solver.step_tol.
+   The poll that ended the search is the certificate: a full poll without
+   improvement at solver.step_tol, or the poll in which solver.budget ran
+   out, whose candidates past the budget are evaluated but never accepted.
+   It solves problem 2 at every candidate, warm-started from the
+   incumbent's flows. A warm solve is kept only when it ends on an exact
+   fixed point; otherwise it is redone cold.
    A candidate's cost and status therefore do not depend on the path the
    search took whenever its cold solve ends on the same exact point, as
    every candidate of the default search does. Inner non-convergence marks
@@ -63,6 +65,7 @@ rewards are tabulated on exactly the path a noise-free simulation realizes.
 """
 
 import contextlib
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -492,35 +495,30 @@ def solve_major_minor(config):
     point to tolerance, warm-started from the incumbent's flows. Returns the
     best candidate's full equilibrium with the search trace attached; each
     trace row records the response maps its inner solve spent and whether it
-    ended on an exact fixed point. ``diagnostics`` names the stop reason:
-    ``step_tol`` when a full poll at solver.step_tol found no improvement,
-    which makes that poll the certificate; ``budget`` when solver.budget
-    evaluations ran out first, in which case the certificate, the poll the
-    budget cut completed past the budget, may beat the returned point. When
-    every candidate fails, the raised ``NotConverged`` carries the trace.
-    A config whose segments do not all control a step is rejected first
+    ended on an exact fixed point. The poll that ended the search is the
+    certificate, ``diagnostics["neighbor_certificate"]``: one ``{"segments",
+    "objective", "feasible"}`` entry per neighbour, in polling order. Past
+    solver.budget evaluations a candidate is still evaluated if an incumbent
+    exists to certify, but never accepted, so that poll ends the search.
+    ``stop_reason`` is ``budget`` exactly when the trace holds more than
+    solver.budget rows, and a certificate neighbour may then beat the
+    returned point; else ``step_tol``, a full poll at solver.step_tol having
+    found no improvement. When every candidate fails, the raised
+    ``NotConverged`` carries the trace, at most solver.budget rows. A config
+    whose segments do not all control a step is rejected first
     (``check_lp_segments``).
     """
     check_lp_segments(config)
     k = config.lp_segments
     lo, hi = config.lp_control_min, config.lp_control_max
-    budget = config.solver_budget
-    step_tol = config.solver_step_tol
+    budget, step_tol = config.solver_budget, config.solver_step_tol
     step = max(config.solver_initial_step, step_tol)
+    cache, trace, best_sol = {}, [], None
 
-    cache = {}
-    trace = []
-    best_sol = None
-    budget_cut = False  # some poll lost a candidate to the budget
-
-    def evaluate(u, respect_budget=True):
-        nonlocal budget_cut
+    def evaluate(u):
         key = u.tobytes()
         if key in cache:
             return cache[key], None  # a cached cost never beats the incumbent
-        if respect_budget and len(trace) >= budget:
-            budget_cut = True
-            return math.inf, None  # not cached: never actually evaluated
         start = None if best_sol is None else best_sol.flows
         cost, sol = math.inf, None
         try:
@@ -530,39 +528,29 @@ def solve_major_minor(config):
             status, maps, exact = "inner_not_converged", exc.maps, False
         except DegenerateReserves as exc:
             status, maps, exact = "degenerate", exc.maps, False
-        trace.append(
-            {
-                "eval": len(trace),
-                "step": step,
-                "segments": u.tolist(),
-                "objective": cost,
-                "status": status,
-                "maps": maps,
-                "exact": exact,
-            }
-        )
+        trace.append({"eval": len(trace), "step": step, "segments": u.tolist(),
+                      "objective": cost, "status": status, "maps": maps, "exact": exact})
         cache[key] = cost
         return cost, sol
-
-    def poll(u, step):
-        """The 2K coordinate neighbours of ``u`` in polling order, with feasibility."""
-        for i in range(k):
-            for direction in (1.0, -1.0):
-                cand = u.copy()
-                cand[i] += direction * step
-                yield cand, lo <= cand[i] <= hi
 
     u = np.clip(np.zeros(k), lo, hi)
     best_cost, best_sol = evaluate(u)
     while True:
-        for cand, feasible in poll(u, step):
-            if feasible:
+        neighbors = []  # this poll, in polling order
+        for i, direction in itertools.product(range(k), (1.0, -1.0)):
+            cand = u.copy()
+            cand[i] += direction * step
+            feasible = lo <= cand[i] <= hi
+            cost, sol = math.inf, None
+            # past the budget only to certify an incumbent
+            if feasible and (len(trace) < budget or best_sol is not None):
                 cost, sol = evaluate(cand)
-                if cost < best_cost:
-                    u, best_cost, best_sol = cand, cost, sol
-                    break
+            neighbors.append({"segments": cand.tolist(), "objective": cost, "feasible": feasible})
+            if cost < best_cost and len(trace) <= budget:
+                u, best_cost, best_sol = cand, cost, sol
+                break
         else:
-            if budget_cut or step == step_tol:
+            if len(trace) > budget or step == step_tol:
                 break
             step = max(0.5 * step, step_tol)
 
@@ -570,23 +558,11 @@ def solve_major_minor(config):
         exc = NotConverged("no feasible LP control: every inner solve failed", [])
         exc.search_trace = trace
         raise exc
-
-    # local-optimality certificate: the last poll, its costs read from the
-    # cache, with any candidate the budget cut evaluated now
-    neighbors = []
-    for cand, feasible in poll(u, step):
-        cost = evaluate(cand, respect_budget=False)[0] if feasible else math.inf
-        neighbors.append({"segments": cand.tolist(), "objective": cost, "feasible": feasible})
-
     best_sol.lp_segments = u
     best_sol.lp_objective = best_cost
     best_sol.search_trace = trace
     best_sol.diagnostics.update(
-        {
-            "stop_reason": "budget" if budget_cut else "step_tol",
-            "final_step": step,
-            "neighbor_certificate": neighbors,
-            "evaluations": len(trace),
-        }
+        stop_reason="budget" if len(trace) > budget else "step_tol",
+        final_step=step, neighbor_certificate=neighbors, evaluations=len(trace),
     )
     return best_sol

@@ -89,8 +89,8 @@ def test_closed_form_beats_or_matches_oracle(r_alpha, r_beta, mult, tau):
     k = r_alpha * r_beta
     m_p = (r_beta / r_alpha) * mult
     sol = best_arbitrage(r_alpha, r_beta, k, m_p, phi)
-    buy = brute_force_arbitrage(r_alpha, r_beta, k, m_p, phi, grid_points=4001)
-    sell = brute_force_arbitrage(r_beta, r_alpha, k, 1.0 / m_p, phi, grid_points=4001)
+    buy = brute_force_arbitrage(r_alpha, r_beta, k, m_p, phi)
+    sell = brute_force_arbitrage(r_beta, r_alpha, k, 1.0 / m_p, phi)
     oracle = max(0.0, buy.profit, sell.profit * m_p)
     assert abs(sol.profit - oracle) <= 1e-6 * (1.0 + abs(oracle))
 
@@ -146,8 +146,6 @@ def test_best_arbitrage_leaves_spot_in_no_trade_band(r_alpha, r_beta, ratio, tau
 def test_brute_force_rejects_bad_inputs():
     with pytest.raises(InvalidParameter):
         brute_force_arbitrage(-1.0, 1.0, 1.0, 1.0, 1.0)
-    with pytest.raises(InvalidParameter):
-        brute_force_arbitrage(1.0, 1.0, 1.0, 1.0, 1.0, grid_points=2)
     with pytest.raises(InvalidParameter):
         optimal_arbitrage(1.0, 1.0, 1.0, math.inf, 1.0)
     with pytest.raises(InvalidParameter):

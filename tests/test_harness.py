@@ -64,8 +64,8 @@ def test_simulate_n_players_rejects_nonpositive():
 
 
 def test_epsilon_nash_gap_rejects_solution_off_the_config_layer():
-    """A solution on another inventory grid is refused, not paired with a
-    deviation on the config's grid."""
+    """A solution on another inventory grid, step count or time step is
+    refused, not paired with a deviation on the config's layer."""
     cfg = default_config(grid_steps=10, grid_control_points=5, harness_replications=4)
     sol = solve_mfg(default_config(grid_steps=10, grid_control_points=5, grid_x_points=21,
                                    harness_replications=4))
@@ -74,6 +74,10 @@ def test_epsilon_nash_gap_rejects_solution_off_the_config_layer():
     other_steps = solve_mfg(quick_cfg(grid_steps=20))
     with pytest.raises(InvalidParameter, match="step count 20, the config's 10"):
         epsilon_nash_gap(quick_cfg(), 4, other_steps, 1)
+    # same step count on a longer horizon: every policy array matches, the dt does not
+    other_horizon = solve_mfg(quick_cfg(grid_horizon=2.0, harness_replications=4))
+    with pytest.raises(InvalidParameter, match="time step 0.2 is not the config's 0.1"):
+        epsilon_nash_gap(quick_cfg(harness_replications=4), 4, other_horizon, 1)
 
 
 def test_pilot_environment_reproduces_deterministic_env(monkeypatch):

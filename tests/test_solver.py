@@ -532,14 +532,36 @@ def test_solve_major_minor_local_optimum():
 
 def test_solve_major_minor_names_its_stop_reason():
     """18 evaluations finish the search: its last poll, at step 0.5, runs in
-    full and the step halves below solver.step_tol. With 17 that poll loses
-    its last candidate to the budget, and the step still halves: a budget
-    stop."""
+    full within the budget, and the step is solver.step_tol. With 17 that
+    poll's last candidate is evaluated past the budget, only to certify the
+    incumbent: a budget stop, at the same step 0.5."""
     full = solve_major_minor(small_cfg(lp_segments=2, solver_budget=18, solver_step_tol=0.5))
     assert full.diagnostics["stop_reason"] == "step_tol"
     cut = solve_major_minor(small_cfg(lp_segments=2, solver_budget=17, solver_step_tol=0.5))
     assert cut.diagnostics["stop_reason"] == "budget"
     assert cut.search_trace[16]["step"] == 0.5 and cut.diagnostics["final_step"] == 0.5
+
+
+def test_budget_stop_is_a_trace_past_the_budget():
+    """The search certifies with the poll that ended it. Over solver.budget
+    1..44 a budget stop is exactly a trace longer than the budget, no row
+    past the budget is accepted, and each feasible certificate entry scores
+    what its segment vector's trace row does. When every candidate fails,
+    nothing is evaluated past the budget: there is no incumbent to
+    certify."""
+    for budget in range(1, 45):
+        sol = solve_major_minor(small_cfg(lp_segments=2, solver_step_tol=0.5,
+                                          solver_budget=budget))
+        trace = sol.search_trace
+        assert (sol.diagnostics["stop_reason"] == "budget") == (len(trace) > budget)
+        assert sol.lp_objective == min(row["objective"] for row in trace[:budget])
+        scored = {tuple(row["segments"]): row["objective"] for row in trace}
+        for n in sol.diagnostics["neighbor_certificate"]:
+            if n["feasible"]:
+                assert n["objective"] == scored[tuple(n["segments"])]
+    with pytest.raises(NotConverged) as info:
+        solve_major_minor(small_cfg(lp_segments=1, solver_max_iter=1, solver_budget=5))
+    assert len(info.value.search_trace) == 5
 
 
 def test_solve_major_minor_certifies_an_interior_optimum():
