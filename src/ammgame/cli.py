@@ -30,8 +30,8 @@ import numpy as np
 
 from . import __version__
 from .arbitrage import best_arbitrage, brute_force_arbitrage
-from .config import canonical_echo, config_hash, load_config
-from .engine import TimeGrid, simulate
+from .config import canonical_echo, config_hash, format_value, load_config, time_grid
+from .engine import simulate
 from .errors import AmmGameError, ConfigError, NotConverged
 from .harness import convergence_study
 from .lvr import ladder_terminals, run_lvr_experiment
@@ -47,16 +47,6 @@ SUBCOMMANDS = (
     "nash-test",
     "print-config",
 )
-
-
-def _fmt_cell(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return "%d" % v
-    if isinstance(v, (float, np.floating)):
-        return "%.17g" % v
-    return str(v)
 
 
 def _header_block(cfg):
@@ -82,12 +72,12 @@ def _first_nonfinite(path, columns, rows):
             if (isinstance(v, (float, np.floating)) and not math.isfinite(v)
                     and (math.isnan(v) or name != "objective" or status is None
                          or row[status] == "ok")):
-                return f"{path.name} row {i}, column {name}: {_fmt_cell(v)}"
+                return f"{path.name} row {i}, column {name}: {format_value(v)}"
     return None
 
 
 def _write_csv(path, cfg, columns, rows):
-    body = "\n".join(",".join(_fmt_cell(v) for v in row) for row in rows)
+    body = "\n".join(",".join(format_value(v) for v in row) for row in rows)
     text = _header_block(cfg) + ",".join(columns) + "\n" + (body + "\n" if body else "")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -112,7 +102,7 @@ def _run_simulate(cfg, out_dir):
     sol = solve_mfg(cfg)
     traj = simulate(cfg, sol.policy.as_policy(), sol.env.lp_control_path, cfg.seed)
     steps = cfg.grid_steps
-    times = TimeGrid(cfg.grid_horizon, steps).times()
+    times = time_grid(cfg).times()
     columns = [
         "t", "price", "x_adj", "y_adj", "delta", "reserve", "invariant",
         "lvr_cum", "lp_x", "lp_y", "lp_z", "lp_s", "mean_control", "lvr_rate",

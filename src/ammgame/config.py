@@ -18,23 +18,27 @@ once and parse to its declared type; ``--override key=value`` pairs are read
 by the same rule. Unset keys take their schema defaults.
 
 The canonical echo renders the resolved configuration in schema order with
-floats at 17 significant digits, so byte-identical echoes mean identical
-configurations; its SHA-256 is the config hash stamped into output files.
+``format_value``, floats at 17 significant digits, so byte-identical echoes
+mean identical configurations; its SHA-256 is the config hash stamped into
+output files. The CLI prints every CSV cell with the same function.
+
+The config also owns the game's grids, the one place each is derived from
+the keys: ``time_grid`` cuts grid.horizon into grid.steps equal steps for
+the market, the solver and the simulator, and ``trader_grids`` and
+``initial_trader_law`` give the trader's inventory nodes, control atoms and
+initial law. They live here because the checks build them too, and this
+module imports no layer that reads a config.
 """
 
 import hashlib
 import math
 import numbers
-from dataclasses import make_dataclass, replace
+from dataclasses import dataclass, make_dataclass, replace
 
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError
-
-
-def _fmt_float(v):
-    return "%.17g" % float(v)
+from .errors import ConfigError, InvalidParameter
 
 
 def _parse_bool(raw):
@@ -81,19 +85,17 @@ def _tuple_of(item, what):
     return convert
 
 
-# kind -> (parser of the raw text, formatter for the echo, field type, typer
-# that returns a built value as the field type or raises TypeError naming the
-# type); int() and float() reject the empty item of a stray comma
+# kind -> (parser of the raw text, field type, typer that returns a built
+# value as the field type or raises TypeError naming the type); int() and
+# float() reject the empty item of a stray comma
 _KINDS = {
-    "float": (float, _fmt_float, float, _as_float),
-    "int": (lambda raw: int(raw, 10), lambda v: "%d" % v, int, _as_int),
-    "bool": (_parse_bool, lambda v: "true" if v else "false", bool, _as(bool, "true or false")),
-    "str": (str, str, str, _as(str, "a string")),
-    "int_list": (lambda raw: tuple(int(s, 10) for s in raw.split(",")),
-                 lambda v: ",".join("%d" % x for x in v), tuple,
+    "float": (float, float, _as_float),
+    "int": (lambda raw: int(raw, 10), int, _as_int),
+    "bool": (_parse_bool, bool, _as(bool, "true or false")),
+    "str": (str, str, _as(str, "a string")),
+    "int_list": (lambda raw: tuple(int(s, 10) for s in raw.split(",")), tuple,
                  _tuple_of(_as_int, "a tuple of integers")),
-    "float_list": (lambda raw: tuple(float(s) for s in raw.split(",")),
-                   lambda v: ",".join(map(_fmt_float, v)), tuple,
+    "float_list": (lambda raw: tuple(float(s) for s in raw.split(",")), tuple,
                    _tuple_of(_as_float, "a tuple of floats")),
 }
 
@@ -179,6 +181,32 @@ def divides(dt, horizon):
     return n if n >= 1 and abs(n * dt - horizon) <= 1e-9 * horizon else 0
 
 
+@dataclass(frozen=True)
+class TimeGrid:
+    """Uniform grid on [0, horizon] with ``steps`` intervals."""
+
+    horizon: float
+    steps: int
+
+    def __post_init__(self):
+        if self.steps < 1:
+            raise InvalidParameter(f"steps must be >= 1, got {self.steps}")
+        if not self.horizon > 0:
+            raise InvalidParameter(f"horizon must be positive, got {self.horizon}")
+
+    @property
+    def dt(self):
+        return self.horizon / self.steps
+
+    def times(self):
+        return np.linspace(0.0, self.horizon, self.steps + 1)
+
+
+def time_grid(config):
+    """The one time grid of the game: grid.horizon cut into grid.steps equal steps."""
+    return TimeGrid(config.grid_horizon, config.grid_steps)
+
+
 def trader_grids(config):
     """The trader's inventory nodes and control atoms, evenly spaced over
     [grid.x_min, grid.x_max] and [trader.a_min, trader.a_max]."""
@@ -225,7 +253,7 @@ def _check_control_range(cfg, x_grid, atoms):
     node all of whose targets lie above the grid has a top node like it, and
     likewise below, so the first two cases need only the edge nodes.
     """
-    dt = cfg.grid_horizon / cfg.grid_steps  # the solver's TimeGrid.dt
+    dt = time_grid(cfg).dt
     _, below, above = kernels.drift_targets(x_grid, atoms, dt)
     off = below | above
     dead = int(off.all(axis=1).argmax())  # the first node without an admissible atom, else 0
@@ -250,7 +278,7 @@ def _check(cfg):
     for key, (kind, _default, check, requirement) in SCHEMA.items():
         value = getattr(cfg, _attr(key))
         try:
-            value = _KINDS[kind][3](value)
+            value = _KINDS[kind][2](value)
         except TypeError as exc:
             raise ConfigError(key, f"must be {exc} (got {value!r})") from None
         object.__setattr__(cfg, _attr(key), value)
@@ -284,7 +312,7 @@ def _check(cfg):
 
 SimConfig = make_dataclass(
     "SimConfig",
-    [(_attr(key), _KINDS[kind][2]) for key, (kind, *_rest) in SCHEMA.items()],
+    [(_attr(key), _KINDS[kind][1]) for key, (kind, *_rest) in SCHEMA.items()],
     namespace={
         "__doc__": "Resolved configuration: one field per SCHEMA key, checked when built.",
         "__post_init__": _check,
@@ -358,12 +386,24 @@ def load_config(path, overrides=()):
     return build_config(values)
 
 
+def format_value(v):
+    """A value as the echo and every CSV cell print it: ``true``/``false``,
+    integers in ``%d``, floats at 17 significant digits, a tuple as the comma
+    join of its items, anything else as ``str``."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return "%d" % v
+    if isinstance(v, (float, np.floating)):
+        return "%.17g" % v
+    if isinstance(v, tuple):
+        return ",".join(map(format_value, v))
+    return str(v)
+
+
 def canonical_echo(config: SimConfig):
     """Schema-ordered ``key = value`` rendering of the resolved configuration."""
-    lines = [
-        f"{key} = {_KINDS[kind][1](getattr(config, _attr(key)))}"
-        for key, (kind, *_rest) in SCHEMA.items()
-    ]
+    lines = [f"{key} = {format_value(getattr(config, _attr(key)))}" for key in SCHEMA]
     return "\n".join(lines) + "\n"
 
 

@@ -9,6 +9,8 @@ carries an optional common noise sigma0 dW0; traders carry idiosyncratic
 noise; the LP carries three own streams. Each is stream ``index`` of the key
 (seed, stream kind) in ``streams``, so a bundle is a pure function of (seed,
 grid, population size) and two runs with the same inputs are bit-identical.
+The grid is the config's ``time_grid``; ``TimeGrid`` is re-exported from
+``config``.
 
 Reserve or price degeneracy aborts the run with the step index and offending
 quantity attached to the exception; nothing is clamped.
@@ -18,30 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import TimeGrid, time_grid
 from .errors import InvalidParameter
 from .market import Market, opening_state, record, trader_objective
 from .streams import normals
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform grid on [0, horizon] with ``steps`` intervals."""
-
-    horizon: float
-    steps: int
-
-    def __post_init__(self):
-        if self.steps < 1:
-            raise InvalidParameter(f"steps must be >= 1, got {self.steps}")
-        if not self.horizon > 0:
-            raise InvalidParameter(f"horizon must be positive, got {self.horizon}")
-
-    @property
-    def dt(self):
-        return self.horizon / self.steps
-
-    def times(self):
-        return np.linspace(0.0, self.horizon, self.steps + 1)
 
 
 @dataclass(frozen=True)
@@ -80,7 +62,7 @@ def simulate(config, trader_policy, lp_control_path, seed, noise=None):
     trader per idiosyncratic row; by default one is derived from ``seed`` for
     ``engine.traders`` traders.
     """
-    grid = TimeGrid(config.grid_horizon, config.grid_steps)
+    grid = time_grid(config)
     lp_control_path = np.asarray(lp_control_path, dtype=float)
     if lp_control_path.shape != (grid.steps,):
         raise InvalidParameter(

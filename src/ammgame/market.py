@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import time_grid
 from .errors import DegenerateReserves, InvalidParameter
 from .lvr import instantaneous_lvr
 from .pool import EPS_RESERVE_FACTOR, invariant_after
@@ -75,7 +76,7 @@ class Market:
             x0=config.pool_x0,
             y0=config.pool_y0,
             phi=1.0 - config.pool_tau,
-            dt=config.grid_horizon / config.grid_steps,
+            dt=time_grid(config).dt,
             sign=1.0 if config.model_flow_convention == "definition" else -1.0,
             sigma=config.external_sigma,
             arbitrage=config.arbitrage_enabled,

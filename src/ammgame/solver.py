@@ -38,8 +38,8 @@ Three nested problems:
 Everything the trader layer derives from the config alone, and that no LP
 candidate or Picard iterate changes, lives in one frozen ``TraderLayer``: the
 time grid, the inventory grid and control atoms, the initial law (the
-config's ``trader_grids`` and ``initial_trader_law``, which its checks also
-build), the terminal reward, the quadrature, the ``Market`` and the
+config's ``time_grid``, ``trader_grids`` and ``initial_trader_law``, which
+its checks also build), the terminal reward, the quadrature, the ``Market`` and the
 transition matrix T with its admissibility mask. The config guarantees every
 inventory node an admissible atom, so the best response never picks a
 blocked one and no mass leaves the grid along its drift.
@@ -62,6 +62,8 @@ quadrature. The environment is a noise-free lane without traders recorded by
 ``market.record``, the recorder ``engine.simulate`` runs, and the reward table
 and the LP cost read the drift, G and the LP's stocks from its step, so DP
 rewards are tabulated on exactly the path a noise-free simulation realizes.
+The solver imports nothing from the engine: the two are siblings on
+``market`` and read one time grid from the config.
 """
 
 import contextlib
@@ -72,8 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, market
-from .config import initial_trader_law, trader_grids
-from .engine import TimeGrid
+from .config import TimeGrid, initial_trader_law, time_grid, trader_grids
 from .errors import ConfigError, DegenerateReserves, InvalidParameter, NotConverged
 
 # what an inner solve raises on a hopeless instance; solve_mfg tags each with ``maps``
@@ -171,7 +172,7 @@ def trader_layer(config):
     """
     if _cached_layer[0] is not config:
         _cached_layer[:] = None, None
-        grid = TimeGrid(config.grid_horizon, config.grid_steps)
+        grid = time_grid(config)
         x_grid, atoms = trader_grids(config)
         nodes, weights = kernels.gauss_hermite(config.grid_quad_points)
         sig_root_dt = config.trader_sigma * math.sqrt(grid.dt)
@@ -563,6 +564,6 @@ def solve_major_minor(config):
     best_sol.search_trace = trace
     best_sol.diagnostics.update(
         stop_reason="budget" if len(trace) > budget else "step_tol",
-        final_step=step, neighbor_certificate=neighbors, evaluations=len(trace),
+        final_step=step, neighbor_certificate=neighbors,
     )
     return best_sol

@@ -1,7 +1,9 @@
 """Config parsing, validation, overrides, and the canonical echo."""
 
+import ast
 import pickle
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from ammgame.config import (
     canonical_echo,
     config_hash,
     default_config,
+    format_value,
     load_config,
     parse_config_text,
 )
@@ -352,3 +355,51 @@ def test_float_echo_preserves_exact_value():
     cfg = build_config({"pool.tau": "0.30000000000000004"})
     again = build_config(parse_config_text(canonical_echo(cfg)))
     assert again.pool_tau == cfg.pool_tau
+
+
+def test_format_value_renders_each_kind():
+    assert [format_value(v) for v in (True, False)] == ["true", "false"]
+    assert format_value(7) == format_value(np.int64(7)) == "7"
+    assert format_value(0.1) == format_value(np.float64(0.1)) == "0.10000000000000001"
+    assert format_value((8, 16)) == "8,16"
+    assert format_value((0.5, 1e-4)) == "0.5,0.0001"
+    assert format_value("point") == "point"
+
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ammgame"
+
+
+def _imported_modules(path):
+    """The package modules ``path`` imports, by their bare names."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.level and node.module:
+                names.add(node.module.split(".")[0])
+            elif node.level:
+                names.update(alias.name for alias in node.names)
+            elif node.module and node.module.startswith("ammgame."):
+                names.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("ammgame."))
+    return names
+
+
+def test_layering_config_below_market_below_solver_and_engine():
+    """The solver and the market never reach up into the simulator, the
+    harness or the CLI, and the config reaches into none of the layers that
+    read it; the time grid is derived in the config alone."""
+    for module, banned in (("solver", {"engine", "harness", "cli"}),
+                           ("market", {"engine", "harness", "cli"}),
+                           ("config", {"market", "engine", "solver", "harness"})):
+        assert not _imported_modules(PACKAGE / f"{module}.py") & banned, module
+
+    divisions = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "config.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+        and isinstance(node.left, ast.Attribute) and node.left.attr == "grid_horizon"
+    ]
+    assert not divisions, "grid.horizon divided outside config: " + ", ".join(divisions)

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ammgame.config import default_config
+from ammgame.config import default_config, time_grid
 from ammgame.engine import (
     TimeGrid,
     initial_trader_states,
@@ -126,7 +126,7 @@ def test_same_seed_bitwise_reproducible():
 
 def test_explicit_noise_bundle_matches_seed_default():
     cfg = default_config(engine_traders=4)
-    grid = TimeGrid(cfg.grid_horizon, cfg.grid_steps)
+    grid = time_grid(cfg)
     noise = make_noise(31, grid, 4)
     pol = constant_policy(-0.2)
     lp = np.zeros(grid.steps)
@@ -203,7 +203,7 @@ def test_price_path_first_order_in_dt():
 def test_invariant_monotone_under_one_sided_flow():
     """With no traders the drain keeps delta rising, so k_t rises too."""
     cfg = default_config(external_sigma0=0.0)
-    grid = TimeGrid(cfg.grid_horizon, cfg.grid_steps)
+    grid = time_grid(cfg)
     traj = simulate(cfg, constant_policy(0.0), np.zeros(cfg.grid_steps), seed=4,
                     noise=make_noise(4, grid, 0))
     assert np.all(np.diff(traj.delta_path) > 0)
@@ -233,7 +233,7 @@ def test_lp_control_path_shape_validated():
 def test_noise_bundle_short_in_steps_rejected():
     """Every stream of a given bundle must span the grid, not only the common one."""
     cfg = default_config()
-    noise = make_noise(1, TimeGrid(cfg.grid_horizon, cfg.grid_steps), 4)
+    noise = make_noise(1, time_grid(cfg), 4)
     for short in (replace(noise, idiosyncratic=np.zeros((4, 10))),
                   replace(noise, lp=np.zeros((3, 10)))):
         with pytest.raises(InvalidParameter):
@@ -244,7 +244,7 @@ def test_noise_bundle_sets_population():
     """A bundle's idiosyncratic rows, not ``engine.traders``, count the traders."""
     cfg = default_config()
     assert cfg.engine_traders == 256
-    grid = TimeGrid(cfg.grid_horizon, cfg.grid_steps)
+    grid = time_grid(cfg)
     pol, lp = constant_policy(0.1), np.zeros(grid.steps)
     traj = simulate(cfg, pol, lp, seed=5, noise=make_noise(5, grid, 8))
     assert traj.trader_x.shape == (8, grid.steps + 1)

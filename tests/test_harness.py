@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from ammgame import harness
-from ammgame.config import default_config
-from ammgame.engine import TimeGrid, make_noise, simulate
+from ammgame.config import default_config, time_grid
+from ammgame.engine import make_noise, simulate
 from ammgame.errors import InvalidParameter
 from ammgame.harness import (
     DeviationEstimate,
@@ -39,7 +39,7 @@ def test_paired_lanes_match_engine_runs():
         alpha[0] = deviation(t, x[0:1])[0]
         return alpha
 
-    grid = TimeGrid(cfg.grid_horizon, cfg.grid_steps)
+    grid = time_grid(cfg)
     lp_path = np.linspace(0.5, -0.5, grid.steps)
     noise = make_noise(5, grid, 8)
     own = np.random.default_rng(1).standard_normal((3, grid.steps)) * np.sqrt(grid.dt)
@@ -119,7 +119,7 @@ def test_epsilon_nash_gap_common_noise_pairing():
     cfg = quick_cfg(harness_replications=8)
     sol = solve_mfg(cfg)
     est = epsilon_nash_gap(cfg, n_players=8, seed=2, solution=sol)
-    pol, grid = sol.policy.as_policy(), TimeGrid(cfg.grid_horizon, cfg.grid_steps)
+    pol, grid = sol.policy.as_policy(), time_grid(cfg)
     baselines = [
         simulate(cfg, pol, sol.env.lp_control_path, seed=s,
                  noise=make_noise(s, grid, 8)).trader_objectives[0]
