@@ -5,21 +5,26 @@ the rebalancing/drain accumulator over LVR paths are the only loops in the
 package that are hot enough to matter. Each is written once, in vectorized
 numpy.
 
-The DP and the pushforward are two sides of one transition matrix T, built
-by ``transition_operator``. From node x under control atom a, the next state
+The DP and the pushforward are two sides of one transition law, built by
+``transition_operator``. From node x under control atom a, the next state
 is sampled at x + a*dt + sigma*sqrt(dt)*z_q for the quadrature nodes z_q, and
 each sample is split linearly between the two grid nodes around it
 (``grid_cell``, the one interpolation rule). Samples outside the grid clamp
 to the edge node (constant extrapolation, the usual truncation of an
-unbounded diffusion onto a bounded grid). Row x*na + a of T is that law, so
-the DP's expectation is T @ V and the pushforward takes mu @ T on the rows
-the policy selects: the pushforward is the transpose of the DP's expectation.
-T depends on neither time nor the environment, so the solver builds it once
-per config (its trader layer) and passes it to every sweep and pushforward as
-``operator``. ``push_forward`` takes only the operator; ``dp_backward`` keeps
-the grid, quadrature and noise arguments and builds its own T when none is
-passed, because its leading signature is the one the DP-versus-enumeration
-acceptance test calls and the benchmark's DP hook reads.
+unbounded diffusion onto a bounded grid). One Euler step moves mass only a
+few nodes, so the law is stored as its band: band[i, k, j] is the probability
+of moving from node i under atom j to node i + lo + k, with lo and the width
+w read off the law's support (w = 9 of 101 nodes at the default config). The
+DP's expectation reads V through a strided window of w nodes per row and
+multiplies it by the band; the pushforward multiplies mu by the band rows the
+policy selects and sums them shifted into place, so the pushforward is the
+transpose of the DP's expectation. The law depends on neither time nor the
+environment, so the solver builds it once per config (its trader layer) and
+passes it to every sweep and pushforward as ``operator``. ``push_forward``
+takes only the operator; ``dp_backward`` keeps the grid, quadrature and noise
+arguments and builds its own operator when none is passed, because its
+leading signature is the one the DP-versus-enumeration acceptance test calls
+and the benchmark's DP hook reads.
 
 A control atom is admissible at a node only if the deterministic drift
 target x + a*dt stays inside the grid (``drift_targets``, the one statement
@@ -28,8 +33,8 @@ node without an admissible atom, so the DP's argmax always picks an
 admissible one and the pushforward never moves mass along a blocked atom.
 The DP's running part, reward * dt with -inf on the inadmissible atoms,
 changes with t but not with the value function, so ``dp_backward`` builds
-that ``base`` table once per sweep and each step only adds T @ V and takes
-the argmax. Ties in the DP break to the lowest atom index.
+that ``base`` table once per sweep and each step only adds the expectation
+and takes the argmax. Ties in the DP break to the lowest atom index.
 
 The LVR accumulator loops over time and is vectorized over paths: each call
 advances every path over one block of noise rows, carrying the (price, hedge,
@@ -74,73 +79,97 @@ def drift_targets(x_grid, atoms, dt):
 
 
 def transition_operator(x_grid, atoms, dt, sig_root_dt, z_nodes, z_weights):
-    """One-step transition matrix T and the admissibility mask.
+    """One-step transition law as its band, (band, lo, admissible).
 
-    T is dense, (nx*na, nx) and row-stochastic: row i*na + j is the law of the
-    next node from node i under atom j, the quadrature samples
-    x_i + a_j*dt + sig_root_dt*z_q split between their two nodes by
-    ``grid_cell``. admissible[i, j] says whether the drift target x_i + a_j*dt
-    lies on the grid (``drift_targets``).
+    band[i, k, j] is the probability of moving from node i under atom j to
+    node i + lo + k: the quadrature samples x_i + a_j*dt + sig_root_dt*z_q,
+    each split between its two nodes by ``grid_cell``. The band is (nx, w,
+    na), with lo and w the narrowest offsets that hold every nonzero mass of
+    this law, so no law leaves the grid through its band (w <= 2*nx - 1).
+    Each entry sums the same masses in the same order as the dense
+    (nx*na, nx) matrix would. admissible[i, j] says whether the drift target
+    x_i + a_j*dt lies on the grid (``drift_targets``).
     """
     nx, na = len(x_grid), len(atoms)
-    x0 = x_grid[0]
-    h = x_grid[1] - x_grid[0]
     drift, below, above = drift_targets(x_grid, atoms, dt)
-    admissible = ~(below | above)
-    i0, frac = grid_cell(drift[:, :, None] + sig_root_dt * z_nodes[None, None, :], x0, h, nx)
-    flat = (np.arange(nx * na) * nx).reshape(nx, na, 1) + i0
-    T = np.bincount(
-        np.concatenate([flat.ravel(), flat.ravel() + 1]),
-        weights=np.concatenate([(z_weights * (1.0 - frac)).ravel(), (z_weights * frac).ravel()]),
-        minlength=nx * na * nx,
-    )
-    return T.reshape(nx * na, nx), admissible
+    i0, frac = grid_cell(drift[:, :, None] + sig_root_dt * z_nodes[None, None, :],
+                         x_grid[0], x_grid[1] - x_grid[0], nx)
+    # per (i, j): each sample's lower node, then each sample's upper node
+    ix = np.arange(nx)[:, None, None]
+    offset = np.concatenate([i0, i0 + 1], axis=2) - ix
+    mass = np.concatenate([1.0 - frac, frac], axis=2) * np.tile(z_weights, 2)
+    held = mass != 0.0
+    lo = int(offset[held].min())
+    w = int(offset[held].max()) - lo + 1
+    slot = (ix * w + offset - lo) * na + np.arange(na)[:, None]
+    band = np.bincount(slot[held], weights=mass[held], minlength=nx * w * na)
+    return band.reshape(nx, w, na), lo, ~(below | above)
 
 
 def dp_backward(reward, terminal, x_grid, atoms, dt, sig_root_dt, z_nodes, z_weights,
                 operator=None):
     """Backward sweep: value (steps+1, nx), argmax policy and admissibility flags.
 
-    ``operator`` is ``transition_operator``'s (T, admissible) for these
+    ``operator`` is ``transition_operator``'s (band, lo, admissible) for these
     arguments, built here when not given. The running part of every
     candidate, ``base = reward * dt`` with -inf on the blocked atoms, is
-    built once for the whole sweep, so each step only adds the expectation
-    ``T @ V`` and takes the argmax. A node with no admissible atom, which
-    the config rejects, would get value -inf and make every earlier
-    candidate nan (0 * -inf in T @ V).
+    built once for the whole sweep. Each step copies V into a zero-padded
+    buffer, reads it through a strided (nx, 1, w) window, row i holding V at
+    nodes i + lo ... i + lo + w - 1, and takes one batched matmul of that
+    window with the band into an (nx, 1, na) buffer: the expectation of V
+    under every (node, atom) law. It then adds ``base[t]`` in place and takes
+    the argmax. A node with no admissible atom, which the config rejects,
+    would get value -inf and make the candidates whose band covers it -inf
+    or nan (0 * -inf).
     """
     n_steps, nx, na = reward.shape
-    T, admissible = operator or transition_operator(
+    band, lo, admissible = operator or transition_operator(
         x_grid, atoms, dt, sig_root_dt, z_nodes, z_weights
     )
     base = reward * dt
     base[:, ~admissible] = -np.inf
+    w = band.shape[1]
     ix = np.arange(nx)
+    rows = ix * na  # cand's flat index of each node's atom 0
+    padded = np.zeros(nx + w - 1)
+    window = np.lib.stride_tricks.sliding_window_view(padded, w)[:, None, :]
+    expect = np.empty((nx, 1, na))
+    cand = expect.reshape(nx, na)
 
     value = np.empty((n_steps + 1, nx))
     policy = np.empty((n_steps, nx), dtype=np.int64)
     value[n_steps] = terminal
     for t in range(n_steps - 1, -1, -1):
-        cand = base[t] + (T @ value[t + 1]).reshape(nx, na)
-        policy[t] = np.argmax(cand, axis=1)
-        value[t] = cand[ix, policy[t]]
+        padded[-lo:nx - lo] = value[t + 1]
+        np.matmul(window, band, out=expect)
+        cand += base[t]
+        np.argmax(cand, axis=1, out=policy[t])
+        np.take(cand, rows + policy[t], out=value[t])
     return value, policy, admissible[ix, policy]
 
 
 def push_forward(policy, mu0, operator):
     """Forward law (steps+1, nx) under a feedback policy.
 
-    ``operator`` is ``transition_operator``'s (T, admissible) on the policy's
-    grid and atoms.
+    ``operator`` is ``transition_operator``'s (band, lo, admissible) on the
+    policy's grid and atoms. The band rows every step's policy picks are
+    gathered at once, (steps, w, nx). Each step multiplies them by mu[t] into
+    the rows of a zero (w, nx + w) buffer, row k shifted right by k so that
+    column m holds the mass bound for node m + lo, and sums the rows into
+    mu[t+1].
     """
     n_steps, nx = policy.shape
-    T, admissible = operator
-    ix = np.arange(nx)
-    rows = ix * admissible.shape[1] + policy
+    band, lo, _ = operator
+    w = band.shape[1]
+    picked = band[np.arange(nx), :, policy].transpose(0, 2, 1)
+    flat = np.zeros(w * (nx + w + 1))
+    shifted = flat.reshape(w, nx + w + 1)[:, :nx]  # row k starts k places further right
+    spread = flat[:w * (nx + w)].reshape(w, nx + w)[:, -lo:nx - lo]
     mu = np.empty((n_steps + 1, nx))
     mu[0] = mu0
     for t in range(n_steps):
-        mu[t + 1] = mu[t] @ T[rows[t]]
+        np.multiply(picked[t], mu[t], out=shifted)
+        np.add.reduce(spread, axis=0, out=mu[t + 1])
     return mu
 
 

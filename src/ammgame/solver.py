@@ -39,21 +39,22 @@ Everything the trader layer derives from the config alone, and that no LP
 candidate or Picard iterate changes, lives in one frozen ``TraderLayer``: the
 time grid, the inventory grid and control atoms, the initial law (the
 config's ``time_grid``, ``trader_grids`` and ``initial_trader_law``, which
-its checks also build), the terminal reward, the quadrature, the ``Market`` and the
-transition matrix T with its admissibility mask. The config guarantees every
+its checks also build), the terminal reward, the quadrature, the ``Market``
+and the one-step transition law, stored as its band, with its admissibility
+mask (``kernels.transition_operator``). The config guarantees every
 inventory node an admissible atom, so the best response never picks a
 blocked one and no mass leaves the grid along its drift.
 No function takes a layer: each that needs one reads it through
 ``trader_layer(config)``, which keeps the layer of the last config object it
-was asked for, so T is built once per config, not once per map, and a solve,
-an LP search or a check that recomputes one response map all share it. The
-layer also holds the response map's one-entry memo of its pushforward of
-``mu0``, keyed on the policy: the pushed law is a function of the policy,
-``mu0`` and T alone, and most response maps of a search repeat the previous
-map's policy, also across LP candidates and across solves on the same
-config. ``induced_flows`` itself is a pure function.
-``kernels.push_forward`` takes the layer's (T, admissible) and nothing else;
-``kernels.dp_backward`` is passed it too, but still builds its own T when
+was asked for, so the band is built once per config, not once per map, and
+a solve, an LP search or a check that recomputes one response map all share
+it. The layer also holds the response map's one-entry memo of its
+pushforward of ``mu0``, keyed on the policy: the pushed law is a function of
+the policy, ``mu0`` and the band alone, and most response maps of a search
+repeat the previous map's policy, also across LP candidates and across
+solves on the same config. ``induced_flows`` itself is a pure function.
+``kernels.push_forward`` takes the layer's (band, lo, admissible) and nothing
+else; ``kernels.dp_backward`` is passed it too, but still builds its own when
 called without one, as the DP-versus-enumeration acceptance test calls it.
 
 The solver runs in deterministic-flow mode: no common price noise enters the
@@ -79,6 +80,8 @@ from .errors import ConfigError, DegenerateReserves, InvalidParameter, NotConver
 
 # what an inner solve raises on a hopeless instance; solve_mfg tags each with ``maps``
 _SOLVE_ERRORS = (DegenerateReserves, NotConverged)
+# maps whose policies a failed Picard iteration counts, to tell a cycle from a drift
+_TAIL_MAPS = 50
 
 
 @dataclass(frozen=True)
@@ -141,10 +144,11 @@ class EquilibriumSolution:
 class TraderLayer:
     """The trader layer's fixed discretization, built by ``trader_layer``.
 
-    ``operator`` is ``kernels.transition_operator``'s (T, admissible) on these
-    grids, quadrature and sigma * sqrt(dt). ``pushed`` is ``solve_mfg``'s
-    one-entry memo: the policy bytes and the flows of the last pushforward
-    of ``mu0``, which later maps share.
+    ``operator`` is ``kernels.transition_operator``'s (band, lo, admissible) on
+    these grids, quadrature and sigma * sqrt(dt): an (nx, w, na) band, w = 9
+    at the default config, never the dense (nx*na, nx) matrix. ``pushed`` is
+    ``solve_mfg``'s one-entry memo: the policy bytes and the flows of the last
+    pushforward of ``mu0``, which later maps share.
     """
 
     grid: TimeGrid
@@ -168,7 +172,7 @@ def trader_layer(config):
 
     The one entry is keyed on the config object's identity. The layer it
     holds is dropped before the next one is built, so two transition
-    matrices are never alive at once on its account.
+    bands are never alive at once on its account.
     """
     if _cached_layer[0] is not config:
         _cached_layer[:] = None, None
@@ -328,21 +332,32 @@ def _picard(config, response_map, flows):
     included, is one entry of the residual history and counts toward
     ``max_iter``, so a probe that fails at the stop is the last entry.
 
-    Returns (flows, policy, env, history, certificate, exact).
+    Returns (flows, policy, env, history, certificate, exact). ``NotConverged``
+    says whether the iteration cycles: its message gives the lowest residual
+    and how many distinct best-response policies the last ``_TAIL_MAPS`` maps
+    produced, which are kept only once the budget is that close to its end.
     """
     lam, tol, max_iter = config.solver_damping, config.solver_tol, config.solver_max_iter
     history = []
     probed = set()
     previous = None
-    while len(history) < max_iter:
+    tail = []  # the policy bytes of the last _TAIL_MAPS maps before max_iter
+
+    def mapped(flows):
         image, policy, env = response_map(flows)
+        if len(history) >= max_iter - _TAIL_MAPS:
+            tail.append(policy.policy_idx.tobytes())
+        return image, policy, env
+
+    while len(history) < max_iter:
+        image, policy, env = mapped(flows)
         residual = _flow_residual(image, flows)
         history.append(residual)
         key = policy.policy_idx.tobytes()
         if ((residual <= tol or key == previous) and key not in probed
                 and len(history) < max_iter):
             probed.add(key)
-            again, probe_policy, probe_env = response_map(image)
+            again, probe_policy, probe_env = mapped(image)
             history.append(_flow_residual(again, image))
             if np.array_equal(again.mu, image.mu) and np.array_equal(again.q, image.q):
                 return image, probe_policy, probe_env, history, history[-1], True
@@ -356,7 +371,9 @@ def _picard(config, response_map, flows):
             q=lam * image.q + (1.0 - lam) * flows.q,
         )
     raise NotConverged(
-        f"no fixed point within {max_iter} iterations (last residual {history[-1]:.3e})",
+        f"no fixed point within {max_iter} iterations (last residual {history[-1]:.3e}, "
+        f"lowest {min(history):.3e}; {len(set(tail))} distinct best-response policies "
+        f"in the last {len(tail)} maps)",
         history,
     )
 

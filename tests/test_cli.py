@@ -279,6 +279,33 @@ def test_import_leaves_numpy_random_unloaded():
     assert proc.stdout.split() == ["False"]
 
 
+def test_solve_mfg_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The benchmark pins BLAS to one thread; a plain CLI run on two cores may
+    use two. At the default config both write the same bytes, apart from the
+    summary's ``runtime_seconds``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("# default configuration\n")
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        blas = {var: threads for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                         "MKL_NUM_THREADS")}
+        subprocess.run([sys.executable, "-m", "ammgame.cli", "solve-mfg", "--config",
+                        str(cfg_path), "--out", str(out)], capture_output=True, check=True,
+                       env={**os.environ, "PYTHONPATH": src, **blas})
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert names == ["residuals.csv", "summary.json"]
+    summaries = [read_summary(out) for out in outs]
+    for summary in summaries:
+        assert summary.pop("runtime_seconds") >= 0.0
+    assert summaries[0] == summaries[1]
+    for name in set(names) - {"summary.json"}:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_nash_test_small(tmp_path, cfg_file):
     out = tmp_path / "out"
     code = main(["nash-test", "--config", str(cfg_file), "--out", str(out), *FAST,

@@ -1,9 +1,66 @@
-"""Quadrature, the one-step transition matrix, and DP/pushforward duality."""
+"""Quadrature, the one-step transition band, and DP/pushforward duality."""
 
 import numpy as np
 import pytest
 
-from ammgame import kernels
+from ammgame import kernels, solver
+from ammgame.config import default_config
+
+EPS = np.finfo(float).eps
+
+
+def _dense(operator):
+    """The band as the dense (nx*na, nx) matrix: row i*na + j is the law of
+    the next node from node i under atom j. Asserts that the band puts no
+    mass off the grid."""
+    band, lo, _ = operator
+    nx, w, na = band.shape
+    T = np.zeros((nx, na, nx))
+    for i in range(nx):
+        for k in range(w):
+            if 0 <= i + lo + k < nx:
+                T[i, :, i + lo + k] = band[i, k]
+            else:
+                assert (band[i, k] == 0.0).all()
+    return T.reshape(nx * na, nx)
+
+
+def _dense_oracle(x_grid, atoms, dt, sig_root_dt, nodes, weights):
+    """The dense transition matrix built sample by sample from ``grid_cell``."""
+    nx, na = len(x_grid), len(atoms)
+    T = np.zeros((nx * na, nx))
+    for i in range(nx):
+        for j in range(na):
+            for z, p in zip(nodes, weights):
+                i0, frac = kernels.grid_cell(x_grid[i] + atoms[j] * dt + sig_root_dt * z,
+                                             x_grid[0], x_grid[1] - x_grid[0], nx)
+                T[i * na + j, i0] += p * (1.0 - frac)
+                T[i * na + j, i0 + 1] += p * frac
+    return T
+
+
+def _dense_dp(reward, terminal, T, admissible, dt):
+    """The backward sweep on a dense T: T @ V, masked, argmax, lowest index."""
+    n_steps, nx, na = reward.shape
+    ix = np.arange(nx)
+    value = np.empty((n_steps + 1, nx))
+    policy = np.empty((n_steps, nx), dtype=np.int64)
+    value[n_steps] = terminal
+    for t in range(n_steps - 1, -1, -1):
+        cand = reward[t] * dt + (T @ value[t + 1]).reshape(nx, na)
+        cand[~admissible] = -np.inf
+        policy[t] = np.argmax(cand, axis=1)
+        value[t] = cand[ix, policy[t]]
+    return value, policy
+
+
+def _dense_push(policy, mu0, T, na):
+    n_steps, nx = policy.shape
+    mu = np.empty((n_steps + 1, nx))
+    mu[0] = mu0
+    for t in range(n_steps):
+        mu[t + 1] = mu[t] @ T[np.arange(nx) * na + policy[t]]
+    return mu
 
 
 def test_gauss_hermite_is_a_probability_rule():
@@ -34,30 +91,41 @@ def test_interpolation_clamps_at_edges():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_transition_rows_are_probability_laws(seed):
+    """Every (node, atom) law in the band is nonnegative, sums to 1, stays on
+    the grid, and the band is no wider than its support."""
     rng = np.random.default_rng(seed)
     nx = int(rng.integers(2, 60))
     x_grid = np.linspace(-1.0, rng.uniform(-0.5, 2.0), nx)
     atoms = np.sort(rng.uniform(-3.0, 3.0, size=int(rng.integers(1, 8))))
     nodes, weights = kernels.gauss_hermite(int(rng.integers(1, 10)))
-    T, admissible = kernels.transition_operator(
+    operator = kernels.transition_operator(
         x_grid, atoms, rng.uniform(0.01, 0.5), rng.uniform(0.0, 1.0), nodes, weights
     )
-    assert T.shape == (nx * len(atoms), nx)
+    band, lo, admissible = operator
+    w = band.shape[1]
+    assert band.shape == (nx, w, len(atoms)) and 1 <= w <= 2 * nx - 1
     assert admissible.shape == (nx, len(atoms))
-    assert (T >= 0.0).all()
-    np.testing.assert_allclose(T.sum(axis=1), 1.0, rtol=0, atol=8 * np.finfo(float).eps)
+    assert (band >= 0.0).all()
+    np.testing.assert_allclose(band.sum(axis=1), 1.0, rtol=0, atol=8 * EPS)
+    assert band[:, 0].any() and band[:, -1].any()  # lo and w come from the support
+    T = _dense(operator)  # asserts that no mass leaves the grid
+    np.testing.assert_allclose(T.sum(axis=1), 1.0, rtol=0, atol=8 * EPS)
 
 
 def test_transition_clamps_off_grid_samples_to_the_edge_nodes():
-    """Samples far beyond either end of the grid land on the edge node."""
+    """Samples far beyond either end of the grid land on the edge node. Mass
+    then moves across the whole grid, so the band takes its widest form."""
     x_grid = np.linspace(0.0, 1.0, 5)
     atoms = np.array([-1.0, 0.0, 4.0])
     dt = 0.25
     nodes, weights = kernels.gauss_hermite(3)  # nodes -sqrt(3), 0, sqrt(3)
-    T, admissible = kernels.transition_operator(x_grid, atoms, dt, 10.0, nodes, weights)
+    operator = kernels.transition_operator(x_grid, atoms, dt, 10.0, nodes, weights)
+    band, lo, admissible = operator
+    assert band.shape == (5, 2 * 5 - 1, 3) and lo == -4
     drift = x_grid[:, None] + atoms[None, :] * dt
     np.testing.assert_array_equal(admissible, (drift >= 0.0) & (drift <= 1.0))
     assert not admissible.all() and admissible.any()
+    T = _dense(operator)
     for i in range(5):
         for j in range(3):
             expected = np.zeros(5)
@@ -69,13 +137,62 @@ def test_transition_clamps_off_grid_samples_to_the_edge_nodes():
             np.testing.assert_allclose(T[i * 3 + j], expected, rtol=0, atol=1e-15)
 
 
+def _oracle_case(rng):
+    """A random small grid whose nodes each admit some atom, with rewards."""
+    nx = int(rng.integers(3, 40))
+    x_grid = np.linspace(-1.0, rng.uniform(-0.5, 2.0), nx)
+    dt = rng.uniform(0.05, 0.3)
+    atoms = np.sort(np.concatenate(([0.0], rng.uniform(-4.0, 4.0, size=int(rng.integers(1, 6))))))
+    nodes, weights = kernels.gauss_hermite(int(rng.integers(1, 10)))
+    sig = rng.uniform(0.0, 1.0)
+    steps = int(rng.integers(1, 12))
+    reward = rng.normal(size=(steps, nx, len(atoms)))
+    return reward, rng.normal(size=nx), x_grid, atoms, dt, sig, nodes, weights
+
+
+def _default_case():
+    """The default config's trader layer, with the rewards of its first map."""
+    cfg = default_config()
+    layer = solver.trader_layer(cfg)
+    zeros = np.zeros(layer.grid.steps)
+    env = solver.forward_environment(cfg, zeros, zeros)
+    reward = solver.tabulate_rewards(cfg, env, env.mean_control_path[:, None])
+    return (reward, layer.terminal, layer.x_grid, layer.atoms, layer.grid.dt,
+            layer.sig_root_dt, layer.z_nodes, layer.z_weights)
+
+
+@pytest.mark.parametrize("case", ["default", 0, 1, 2, 3, 4, 5])
+def test_band_dp_and_push_forward_match_a_dense_oracle(case):
+    """The band's DP and pushforward are the dense T @ V and mu @ T, with T
+    built sample by sample from ``grid_cell``: the same policy, values to
+    1e-13 and laws to 1e-15."""
+    args = _default_case() if case == "default" else _oracle_case(np.random.default_rng(case))
+    reward, terminal, x_grid, atoms, dt, sig, nodes, weights = args
+    operator = kernels.transition_operator(x_grid, atoms, dt, sig, nodes, weights)
+    T = _dense_oracle(x_grid, atoms, dt, sig, nodes, weights)
+    np.testing.assert_allclose(_dense(operator), T, rtol=0, atol=2 * EPS)
+    value, policy, _ = kernels.dp_backward(reward, terminal, *args[2:], operator)
+    drift = x_grid[:, None] + atoms[None, :] * dt
+    admissible = (drift >= x_grid[0]) & (drift <= x_grid[-1])
+    np.testing.assert_array_equal(operator[2], admissible)
+    dense_value, dense_policy = _dense_dp(reward, terminal, T, admissible, dt)
+    np.testing.assert_array_equal(policy, dense_policy)
+    np.testing.assert_allclose(value, dense_value, rtol=0, atol=1e-13)
+    rng = np.random.default_rng(7)
+    for mu0 in (np.full(len(x_grid), 1.0 / len(x_grid)), rng.dirichlet(np.ones(len(x_grid)))):
+        mu = kernels.push_forward(policy, mu0, operator)
+        np.testing.assert_allclose(mu, _dense_push(policy, mu0, T, len(atoms)), rtol=0,
+                                   atol=1e-15)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_dp_and_push_forward_share_one_transition(seed):
     """The DP's value of mu0 is the reward its policy collects along the pushed law.
 
-    The DP takes T @ V and the pushforward mu @ T on the rows the policy
-    picks, so mu0 @ value[0] equals the chosen rewards summed along the
-    pushed laws plus mu_T @ terminal, up to summation order.
+    The DP takes the band's expectation of V and the pushforward spreads mu
+    along the band rows the policy picks, so mu0 @ value[0] equals the chosen
+    rewards summed along the pushed laws plus mu_T @ terminal, up to
+    summation order.
     """
     rng = np.random.default_rng(seed)
     nx = 31
@@ -117,15 +234,19 @@ def test_dp_and_push_forward_share_one_transition(seed):
 
 
 def _dp_per_step_mask(reward, terminal, operator, dt):
-    """The sweep with the running reward scaled and masked inside every step."""
-    T, admissible = operator
+    """The sweep with the running reward scaled and masked inside every step,
+    the expectation taken by a fresh window and matmul on the band."""
+    band, lo, admissible = operator
     n_steps, nx, na = reward.shape
+    w = band.shape[1]
     ix = np.arange(nx)
     value = np.empty((n_steps + 1, nx))
     policy = np.empty((n_steps, nx), dtype=np.int64)
     value[n_steps] = terminal
     for t in range(n_steps - 1, -1, -1):
-        cand = reward[t] * dt + (T @ value[t + 1]).reshape(nx, na)
+        padded = np.concatenate([np.zeros(-lo), value[t + 1], np.zeros(w - 1 + lo)])
+        window = np.lib.stride_tricks.sliding_window_view(padded, w)[:, None, :]
+        cand = reward[t] * dt + np.matmul(window, band)[:, 0, :]
         cand[~admissible] = -np.inf
         policy[t] = np.argmax(cand, axis=1)
         value[t] = cand[ix, policy[t]]
@@ -144,7 +265,7 @@ def test_dp_matches_a_per_step_masked_sweep(seed):
     nodes, weights = kernels.gauss_hermite(int(rng.integers(1, 8)))
     sig = rng.uniform(0.0, 0.5)
     operator = kernels.transition_operator(x_grid, atoms, dt, sig, nodes, weights)
-    admissible = operator[1]
+    admissible = operator[2]
     assert not admissible.all() and admissible.any(axis=1).all()
     steps = int(rng.integers(1, 8))
     reward = rng.normal(size=(steps, nx, len(atoms)))

@@ -382,6 +382,24 @@ def test_solve_mfg_not_converged_carries_history():
     assert err.value.maps == 1
 
 
+def test_solve_mfg_not_converged_says_that_it_cycles():
+    """Strong trader impact on a small pool: damped Picard chatters between a
+    few best responses, and the error says so with the lowest residual."""
+    cfg = small_cfg(pool_x0=100.0, pool_y0=100.0, lp_x0=1.0, lp_y0=1.0, lp_z0=200.0,
+                    solver_max_iter=200)
+    with pytest.raises(NotConverged) as err:
+        solve_mfg(cfg)
+    history = err.value.residual_history
+    assert len(history) == err.value.maps == 200
+    assert history[-1] == pytest.approx(0.389, abs=5e-4)
+    assert min(history) == pytest.approx(0.153, abs=5e-4)
+    assert str(err.value) == (
+        f"no fixed point within 200 iterations (last residual {history[-1]:.3e}, "
+        f"lowest {min(history):.3e}; 9 distinct best-response policies in the last "
+        f"50 maps)"
+    )
+
+
 def _same_solution(a, b):
     np.testing.assert_array_equal(a.flows.mu, b.flows.mu)
     np.testing.assert_array_equal(a.flows.q, b.flows.q)
@@ -580,7 +598,7 @@ def test_solve_major_minor_certifies_an_interior_optimum():
 
 
 def test_solve_major_minor_builds_the_trader_layer_once(monkeypatch):
-    """One transition matrix and one quadrature serve every response map of a search."""
+    """One transition band and one quadrature serve every response map of a search."""
     calls = {"transition_operator": 0, "gauss_hermite": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(kernels, name)):
@@ -596,7 +614,7 @@ def test_solve_major_minor_builds_the_trader_layer_once(monkeypatch):
 def test_trader_layer_lives_until_another_config_asks(monkeypatch):
     """Repeated calls on one config object share one layer. An equal copy of
     the config gets its own, built only after the previous layer is dropped,
-    so the two transition matrices are never alive together."""
+    so the two transition bands are never alive together."""
     layers = []  # weak references to the layers built so far
     alive = []  # per transition_operator call: which of them still live
     build = kernels.transition_operator
@@ -617,6 +635,17 @@ def test_trader_layer_lives_until_another_config_asks(monkeypatch):
     fresh = trader_layer(copy)
     assert alive == [[], [False]]
     assert trader_layer(copy) is fresh
+
+
+def test_trader_layer_stores_the_transition_law_as_its_band():
+    """At the default config the layer's operator is the (nx, w, na) band with
+    w = 9, about 80 KB: nx * w * na floats, not the dense (nx*na, nx) matrix."""
+    cfg = default_config()
+    band, lo, admissible = trader_layer(cfg).operator
+    nx, na = cfg.grid_x_points, cfg.grid_control_points
+    assert band.shape == (nx, 9, na) and lo == -4
+    assert band.size == nx * 9 * na and band.nbytes < 81_000
+    assert admissible.shape == (nx, na)
 
 
 def test_no_function_takes_a_layer():
