@@ -1,8 +1,11 @@
 """Command-line entry point: experiment orchestration with bit-exact outputs.
 
 Subcommands: simulate, solve-mfg, solve-major-minor, arb-check, lvr-check,
-nash-test, print-config. Every run loads a config file, applies ``--override``
-pairs and an optional ``--seed``, then writes its artifacts under ``--out``.
+nash-test (the keys of ``_RUNNERS``), and print-config. Every run loads a
+config file, applies ``--override`` pairs and an optional ``--seed``, then
+writes its artifacts under ``--out``. The directory is created, parents
+included, before anything is written; a path that cannot be one (an existing
+file, or a path under one) is a configuration error naming ``--out``.
 
 Output discipline:
   * CSV files open with a comment header (tool version, config hash, seed),
@@ -38,16 +41,6 @@ from .lvr import ladder_terminals, run_lvr_experiment
 from .solver import check_lp_segments, solve_major_minor, solve_mfg
 from .streams import generators
 
-SUBCOMMANDS = (
-    "simulate",
-    "solve-mfg",
-    "solve-major-minor",
-    "arb-check",
-    "lvr-check",
-    "nash-test",
-    "print-config",
-)
-
 
 def _header_block(cfg):
     return (
@@ -57,15 +50,15 @@ def _header_block(cfg):
     )
 
 
-# where the first failing cell of each CSV the running subcommand wrote sits;
-# ``main`` empties it before the run and fails the run unless it stays empty
-_nonfinite_cells = []
-
-
-def _first_nonfinite(path, columns, rows):
-    """The first cell that fails the run, or None: a NaN anywhere, or an
-    infinity anywhere but in the objective of a row whose status is not ok
-    (a failed LP candidate scores inf)."""
+def _write_csv(path, cfg, columns, rows):
+    """Write one CSV artifact and return the first cell that fails the run, or
+    None: a NaN anywhere, or an infinity anywhere but in the objective of a row
+    whose status is not ok (a failed LP candidate scores inf). ``rows`` is read
+    twice, so it is a sequence, not an iterator."""
+    body = "\n".join(",".join(format_value(v) for v in row) for row in rows)
+    text = _header_block(cfg) + ",".join(columns) + "\n" + (body + "\n" if body else "")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
     status = columns.index("status") if "status" in columns else None
     for i, row in enumerate(rows, 1):
         for name, v in zip(columns, row):
@@ -74,16 +67,6 @@ def _first_nonfinite(path, columns, rows):
                          or row[status] == "ok")):
                 return f"{path.name} row {i}, column {name}: {format_value(v)}"
     return None
-
-
-def _write_csv(path, cfg, columns, rows):
-    body = "\n".join(",".join(format_value(v) for v in row) for row in rows)
-    text = _header_block(cfg) + ",".join(columns) + "\n" + (body + "\n" if body else "")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    bad = _first_nonfinite(path, columns, rows)
-    if bad:
-        _nonfinite_cells.append(bad)
 
 
 def _write_summary(out_dir, status, objective, final_residual, runtime):
@@ -98,64 +81,51 @@ def _write_summary(out_dir, status, objective, final_residual, runtime):
         fh.write("\n")
 
 
-def _run_simulate(cfg, out_dir):
+def _run_simulate(cfg, write):
     sol = solve_mfg(cfg)
     traj = simulate(cfg, sol.policy.as_policy(), sol.env.lp_control_path, cfg.seed)
-    steps = cfg.grid_steps
-    times = time_grid(cfg).times()
     columns = [
         "t", "price", "x_adj", "y_adj", "delta", "reserve", "invariant",
         "lvr_cum", "lp_x", "lp_y", "lp_z", "lp_s", "mean_control", "lvr_rate",
     ]
-    rows = []
-    for t in range(steps + 1):
-        step_vals = (
-            (traj.mean_control_path[t], traj.lvr_rate_path[t])
-            if t < steps
-            else ("", "")
-        )
-        rows.append(
-            (
-                times[t], traj.price_path[t], traj.x_adj_path[t], traj.y_adj_path[t],
-                traj.delta_path[t], traj.reserve_path[t], traj.invariant_path[t],
-                traj.lvr_cum_path[t], traj.lp_x_path[t], traj.lp_y_path[t],
-                traj.lp_z_path[t], traj.lp_s_path[t], *step_vals,
-            )
-        )
-    _write_csv(out_dir / "trajectory.csv", cfg, columns, rows)
-    objective = float(np.mean(traj.trader_objectives))
-    return objective, sol.certificate_residual
+    # per-step fields stay blank on the terminal row
+    write("trajectory.csv", columns, list(zip(
+        time_grid(cfg).times(), traj.price_path, traj.x_adj_path, traj.y_adj_path,
+        traj.delta_path, traj.reserve_path, traj.invariant_path, traj.lvr_cum_path,
+        traj.lp_x_path, traj.lp_y_path, traj.lp_z_path, traj.lp_s_path,
+        [*traj.mean_control_path, ""], [*traj.lvr_rate_path, ""],
+    )))
+    return float(np.mean(traj.trader_objectives)), sol.certificate_residual
 
 
-def _run_solve_mfg(cfg, out_dir):
+def _write_residuals(write, history):
+    write("residuals.csv", ["iteration", "residual"], list(enumerate(history, 1)))
+
+
+def _run_solve_mfg(cfg, write):
     sol = solve_mfg(cfg)
-    rows = [(i + 1, r) for i, r in enumerate(sol.residual_history)]
-    _write_csv(out_dir / "residuals.csv", cfg, ["iteration", "residual"], rows)
+    _write_residuals(write, sol.residual_history)
     return sol.diagnostics["equilibrium_value"], sol.certificate_residual
 
 
-def _write_search_trace(cfg, out_dir, trace):
+def _write_search_trace(cfg, write, trace):
     seg_cols = [f"seg_{i}" for i in range(cfg.lp_segments)]
-    rows = [
+    columns = ["eval", "step", "objective", "status", *seg_cols, "maps", "exact"]
+    write("search_trace.csv", columns, [
         (row["eval"], row["step"], row["objective"], row["status"], *row["segments"],
          row["maps"], row["exact"])
         for row in trace
-    ]
-    _write_csv(
-        out_dir / "search_trace.csv", cfg,
-        ["eval", "step", "objective", "status", *seg_cols, "maps", "exact"], rows,
-    )
+    ])
 
 
-def _run_solve_major_minor(cfg, out_dir):
+def _run_solve_major_minor(cfg, write):
     try:
         sol = solve_major_minor(cfg)
     except NotConverged as exc:  # every candidate failed: its trace says how
-        _write_search_trace(cfg, out_dir, exc.search_trace)
+        _write_search_trace(cfg, write, exc.search_trace)
         raise
-    _write_search_trace(cfg, out_dir, sol.search_trace)
-    res_rows = [(i + 1, r) for i, r in enumerate(sol.residual_history)]
-    _write_csv(out_dir / "residuals.csv", cfg, ["iteration", "residual"], res_rows)
+    _write_search_trace(cfg, write, sol.search_trace)
+    _write_residuals(write, sol.residual_history)
     if sol.diagnostics["stop_reason"] == "budget":
         raise NotConverged(
             f"solver.budget = {cfg.solver_budget} evaluations ran out before a full poll "
@@ -166,7 +136,7 @@ def _run_solve_major_minor(cfg, out_dir):
     return sol.lp_objective, sol.certificate_residual
 
 
-def _run_arb_check(cfg, out_dir):
+def _run_arb_check(cfg, write):
     phi = 1.0 - cfg.pool_tau
     (rng,) = generators((cfg.seed,), [777])
     columns = [
@@ -198,7 +168,7 @@ def _run_arb_check(cfg, out_dir):
         rows.append(
             (i, r_alpha, r_beta, m_p, sol.direction, sol.profit, profit_oracle, gap, side_err)
         )
-    _write_csv(out_dir / "arb_check.csv", cfg, columns, rows)
+    write("arb_check.csv", columns, rows)
     ok = worst_gap <= 1e-6 and worst_side <= 1e-8
     if not ok:
         raise NotConverged(
@@ -209,7 +179,7 @@ def _run_arb_check(cfg, out_dir):
     return worst_gap, worst_side
 
 
-def _run_lvr_check(cfg, out_dir):
+def _run_lvr_check(cfg, write):
     columns = ["dt", "n_paths", "mean_abs_residual", "mean_residual", "stderr_residual"]
     rows = []
     accounts = []
@@ -220,7 +190,7 @@ def _run_lvr_check(cfg, out_dir):
         rows.append(
             (dt, acct.n_paths, acct.mean_abs_residual, acct.mean_residual, acct.stderr_residual)
         )
-    _write_csv(out_dir / "residuals.csv", cfg, columns, rows)
+    write("residuals.csv", columns, rows)
     finest = min(accounts, key=lambda a: a.dt)
     z = abs(finest.mean_residual) / finest.stderr_residual if finest.stderr_residual else 0.0
     if z > 5.0:
@@ -232,7 +202,7 @@ def _run_lvr_check(cfg, out_dir):
     return finest.mean_abs_residual, z
 
 
-def _run_nash_test(cfg, out_dir):
+def _run_nash_test(cfg, write):
     report = convergence_study(cfg)
     columns = ["n_players", "gap", "stderr", "replications", "clipped", "z"]
     rows = [
@@ -240,7 +210,7 @@ def _run_nash_test(cfg, out_dir):
          e.gap / e.stderr if e.stderr else "")  # every paired gap equal: no z
         for e, c in zip(report.estimates, report.clipped)
     ]
-    _write_csv(out_dir / "nash_report.csv", cfg, columns, rows)
+    write("nash_report.csv", columns, rows)
     floor = report.gaps + 3.0 * report.stderrs
     if np.any(floor < 0.0):
         worst = int(np.argmin(floor))
@@ -252,6 +222,9 @@ def _run_nash_test(cfg, out_dir):
     return report.slope, float(report.gaps[-1])
 
 
+# A runner takes the config and ``write(name, columns, rows)``, ``main``'s
+# per-run writer of one CSV artifact, and returns the run's objective and
+# final residual.
 _RUNNERS = {
     "simulate": _run_simulate,
     "solve-mfg": _run_solve_mfg,
@@ -268,7 +241,7 @@ def build_parser():
         description="Constant-product market game: simulation, equilibria, diagnostics.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name in (*_RUNNERS, "print-config"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a key=value config file")
         p.add_argument(
@@ -296,6 +269,12 @@ def main(argv=None):
         cfg = load_config(args.config, overrides)
         if args.subcommand == "solve-major-minor":
             check_lp_segments(cfg)
+        if args.out is not None:
+            out_dir = Path(args.out)
+            try:
+                out_dir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError("--out", f"cannot create directory {args.out}: {exc.strerror}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -304,40 +283,38 @@ def main(argv=None):
         echo = canonical_echo(cfg)
         sys.stdout.write(echo)
         if args.out:
-            out_dir = Path(args.out)
-            out_dir.mkdir(parents=True, exist_ok=True)
             with open(out_dir / "config_echo.txt", "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(_header_block(cfg))
-                fh.write(echo)
+                fh.write(_header_block(cfg) + echo)
         return 0
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    _nonfinite_cells.clear()
+    failing_cells = []
+
+    def write(name, columns, rows):
+        cell = _write_csv(out_dir / name, cfg, columns, rows)
+        if cell:
+            failing_cells.append(cell)
+
+    def fail(reason, final_residual=None):
+        _write_summary(out_dir, "failed", None, final_residual, time.perf_counter() - start)
+        print(f"{args.subcommand} failed{reason}", file=sys.stderr)
+        return 1
+
     try:
-        objective, final_residual = _RUNNERS[args.subcommand](cfg, out_dir)
+        objective, final_residual = _RUNNERS[args.subcommand](cfg, write)
     except AmmGameError as exc:
-        residual = None
-        if isinstance(exc, NotConverged) and exc.residual_history:
-            residual = exc.residual_history[-1]
-        _write_summary(out_dir, "failed", None, residual, time.perf_counter() - start)
-        print(f"{args.subcommand} failed: {exc}", file=sys.stderr)
-        return 1
+        history = exc.residual_history if isinstance(exc, NotConverged) else None
+        return fail(f": {exc}", history[-1] if history else None)
     except Exception as exc:  # contract pins exit codes to {0, 1, 2}
-        _write_summary(out_dir, "failed", None, None, time.perf_counter() - start)
-        print(f"{args.subcommand} failed unexpectedly: {exc}", file=sys.stderr)
-        return 1
+        return fail(f" unexpectedly: {exc}")
     nonfinite = [
         name for name, value in (("objective", objective), ("final_residual", final_residual))
         if not math.isfinite(value)
     ]
     reasons = [f"non-finite {' and '.join(nonfinite)}"] if nonfinite else []
-    reasons += [f"non-finite cell in {cell}" for cell in _nonfinite_cells]
+    reasons += [f"non-finite cell in {cell}" for cell in failing_cells]
     if reasons:
-        _write_summary(out_dir, "failed", None, None, time.perf_counter() - start)
-        print(f"{args.subcommand} failed: {'; '.join(reasons)}", file=sys.stderr)
-        return 1
+        return fail(f": {'; '.join(reasons)}")
     _write_summary(out_dir, "ok", objective, final_residual, time.perf_counter() - start)
     return 0
 

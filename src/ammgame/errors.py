@@ -25,10 +25,16 @@ class DegenerateReserves(AmmGameError):
 
 
 class NotConverged(AmmGameError):
-    """An iterative solver exhausted its iteration budget.
+    """An iterative solver exhausted its iteration budget, or a check failed
+    its gate.
 
     Carries the full residual history so callers can report diagnostics
-    instead of a bare failure.
+    instead of a bare failure; the CLI writes its last entry as the failed
+    run's ``final_residual``. A CLI gate passes its gate statistic as a
+    one-element history: arb-check's worst oracle profit gap, lvr-check's z
+    of the finest step's mean residual (the gate is 5), nash-test's depth of
+    the worst gap's -3 SE floor below zero, and, when the LP search stops at
+    ``solver.budget``, the certificate residual.
     """
 
     def __init__(self, message, residual_history):

@@ -452,3 +452,42 @@ def test_failed_candidates_inf_objective_keeps_the_run_ok(tmp_path, cfg_file):
     rows = [line.split(",") for line in (out / "search_trace.csv").read_text().splitlines()[4:]]
     failed = [row for row in rows if row[3] != "ok"]
     assert len(failed) == 5 and all(row[2] == "inf" for row in failed)
+
+
+def test_unusable_out_exits_2_naming_out(tmp_path, cfg_file, capsys):
+    """An --out that names an existing file, or a path under one, is a
+    config error: exit 2 naming --out, before any output (no echo either)."""
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    for argv in (["solve-mfg", "--config", str(cfg_file), "--out", str(taken)],
+                 ["print-config", "--config", str(cfg_file), "--out", str(taken / "sub")]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: --out: ")
+        assert "Traceback" not in captured.err
+    assert taken.read_text() == "not a directory\n"
+
+
+def test_nan_cell_in_one_artifact_of_two_fails_the_run(tmp_path, cfg_file, capsys, monkeypatch):
+    """solve-major-minor writes two CSVs: a NaN in the second fails the run,
+    naming that file, and both are still written."""
+    solve = cli.solve_major_minor
+
+    def nan_residual(cfg):
+        sol = solve(cfg)
+        sol.residual_history[0] = float("nan")
+        return sol
+
+    monkeypatch.setattr(cli, "solve_major_minor", nan_residual)
+    out = tmp_path / "out"
+    code = main(["solve-major-minor", "--config", str(cfg_file), "--out", str(out), *FAST,
+                 "--override", "lp.segments=1", "--override", "solver.budget=25",
+                 "--override", "solver.step_tol=0.5"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "non-finite cell in residuals.csv row 1, column residual: nan" in err
+    assert "search_trace.csv" not in err
+    assert read_summary(out)["status"] == "failed"
+    assert (out / "search_trace.csv").read_text().splitlines()[3].startswith("eval,")
+    assert (out / "residuals.csv").read_text().splitlines()[4] == "1,nan"
