@@ -254,7 +254,7 @@ def _check_control_range(cfg, x_grid, atoms):
     likewise below, so the first two cases need only the edge nodes.
     """
     dt = time_grid(cfg).dt
-    _, below, above = kernels.drift_targets(x_grid, atoms, dt)
+    below, above = kernels.drift_targets(x_grid, atoms, dt)
     off = below | above
     dead = int(off.all(axis=1).argmax())  # the first node without an admissible atom, else 0
     for key, node, exits, side in (

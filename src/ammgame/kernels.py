@@ -8,23 +8,25 @@ numpy.
 The DP and the pushforward are two sides of one transition law, built by
 ``transition_operator``. From node x under control atom a, the next state
 is sampled at x + a*dt + sigma*sqrt(dt)*z_q for the quadrature nodes z_q, and
-each sample is split linearly between the two grid nodes around it
-(``grid_cell``, the one interpolation rule). Samples outside the grid clamp
-to the edge node (constant extrapolation, the usual truncation of an
-unbounded diffusion onto a bounded grid). One Euler step moves mass only a
-few nodes, so the law is stored as its band: band[i, k, j] is the probability
-of moving from node i under atom j to node i + lo + k, with lo and the width
-w read off the law's support (w = 9 of 101 nodes at the default config). The
-DP's expectation reads V through a strided window of w nodes per row and
-multiplies it by the band; the pushforward multiplies mu by the band rows the
-policy selects and sums them shifted into place, so the pushforward is the
-transpose of the DP's expectation. The law depends on neither time nor the
-environment, so the solver builds it once per config (its trader layer) and
-passes it to every sweep and pushforward as ``operator``. ``push_forward``
-takes only the operator; ``dp_backward`` keeps the grid, quadrature and noise
+each sample is split linearly between the two grid nodes around it. On the
+uniform grid a sample's move in cells, (a*dt + sigma*sqrt(dt)*z_q) / h, and
+so its split, is the same at every node: the law is stored as one stencil
+per atom, stencil[k, j] the probability of moving lo + k nodes under atom j
+(w = 9 offsets, 99 floats at the default config). Samples outside the grid
+clamp to the edge node (constant extrapolation, the usual truncation of an
+unbounded diffusion onto a bounded grid). For the DP that is V's constant
+extension: the expectation reads V, extended by its edge values, through a
+strided window of w nodes per row, and one matmul of that (nx, w) window
+with the stencil gives every (node, atom) expectation at once. The
+pushforward is its transpose: it spreads mu along the stencil columns the
+policy picks, shifted into place, and the mass bound off the grid folds
+onto the edge node. The law depends on neither time nor the environment, so
+the solver builds it once per config (its trader layer) and passes it to
+every sweep and pushforward as ``operator``. ``push_forward`` takes only
+the operator; ``dp_backward`` keeps the grid, quadrature and noise
 arguments and builds its own operator when none is passed, because its
-leading signature is the one the DP-versus-enumeration acceptance test calls
-and the benchmark's DP hook reads.
+leading signature is the one the DP-versus-enumeration acceptance test
+calls and the benchmark's DP hook reads.
 
 A control atom is admissible at a node only if the deterministic drift
 target x + a*dt stays inside the grid (``drift_targets``, the one statement
@@ -68,107 +70,127 @@ def grid_cell(x, x0, h, nx):
 
 
 def drift_targets(x_grid, atoms, dt):
-    """Deterministic drift targets x_i + a_j*dt, (nx, na), and whether each
-    lies below the grid's first node or above its last.
+    """Whether each deterministic drift target x_i + a_j*dt lies below the
+    grid's first node, and whether it lies above its last: two (nx, na) masks.
 
     The admissibility rule: atom j is admissible at node i when its target
     does neither.
     """
     target = x_grid[:, None] + atoms[None, :] * dt
-    return target, target < x_grid[0], target > x_grid[-1]
+    return target < x_grid[0], target > x_grid[-1]
 
 
 def transition_operator(x_grid, atoms, dt, sig_root_dt, z_nodes, z_weights):
-    """One-step transition law as its band, (band, lo, admissible).
+    """One-step transition law as one stencil per atom, (stencil, lo, admissible).
 
-    band[i, k, j] is the probability of moving from node i under atom j to
-    node i + lo + k: the quadrature samples x_i + a_j*dt + sig_root_dt*z_q,
-    each split between its two nodes by ``grid_cell``. The band is (nx, w,
-    na), with lo and w the narrowest offsets that hold every nonzero mass of
-    this law, so no law leaves the grid through its band (w <= 2*nx - 1).
-    Each entry sums the same masses in the same order as the dense
-    (nx*na, nx) matrix would. admissible[i, j] says whether the drift target
-    x_i + a_j*dt lies on the grid (``drift_targets``).
+    stencil[k, j] is the probability of moving lo + k nodes under atom j: the
+    quadrature samples move a_j*dt + sig_root_dt*z_q, in cells of the grid's
+    step h, each split linearly between the whole moves around it. The law
+    is the same at every node; a move that leaves the grid from a node is
+    clamped to the edge node when it is applied (``dp_backward`` extends V by
+    its edge values, ``push_forward`` folds the spill onto the edge node). A
+    move past the whole grid lands on the edge node from every node, so moves
+    are folded onto [-(nx-1), nx-1] first. The stencil is (w, na), with lo
+    and w the narrowest offsets that hold every nonzero mass and the offset 0
+    (w <= 2*nx - 1): every node's window of w nodes then holds the node
+    itself, so a window that leaves the grid holds the edge node its spill
+    folds onto. admissible[i, j] says whether the drift target x_i + a_j*dt
+    lies on the grid (``drift_targets``).
     """
     nx, na = len(x_grid), len(atoms)
-    drift, below, above = drift_targets(x_grid, atoms, dt)
-    i0, frac = grid_cell(drift[:, :, None] + sig_root_dt * z_nodes[None, None, :],
-                         x_grid[0], x_grid[1] - x_grid[0], nx)
-    # per (i, j): each sample's lower node, then each sample's upper node
-    ix = np.arange(nx)[:, None, None]
-    offset = np.concatenate([i0, i0 + 1], axis=2) - ix
-    mass = np.concatenate([1.0 - frac, frac], axis=2) * np.tile(z_weights, 2)
+    below, above = drift_targets(x_grid, atoms, dt)
+    move = (atoms[:, None] * dt + sig_root_dt * z_nodes[None, :]) / (x_grid[1] - x_grid[0])
+    move = np.clip(move, 1 - nx, nx - 1)
+    whole = np.floor(move)
+    frac = move - whole
+    # per atom: each sample's lower move, then each sample's upper move
+    offset = np.concatenate([whole, whole + 1.0], axis=1).astype(np.int64)
+    mass = np.concatenate([1.0 - frac, frac], axis=1) * np.tile(z_weights, 2)
     held = mass != 0.0
-    lo = int(offset[held].min())
-    w = int(offset[held].max()) - lo + 1
-    slot = (ix * w + offset - lo) * na + np.arange(na)[:, None]
-    band = np.bincount(slot[held], weights=mass[held], minlength=nx * w * na)
-    return band.reshape(nx, w, na), lo, ~(below | above)
+    lo = min(int(offset[held].min()), 0)
+    w = max(int(offset[held].max()), 0) - lo + 1
+    slot = (offset - lo) * na + np.arange(na)[:, None]
+    stencil = np.bincount(slot[held], weights=mass[held], minlength=w * na)
+    return stencil.reshape(w, na), lo, ~(below | above)
 
 
 def dp_backward(reward, terminal, x_grid, atoms, dt, sig_root_dt, z_nodes, z_weights,
                 operator=None):
     """Backward sweep: value (steps+1, nx), argmax policy and admissibility flags.
 
-    ``operator`` is ``transition_operator``'s (band, lo, admissible) for these
-    arguments, built here when not given. The running part of every
+    ``operator`` is ``transition_operator``'s (stencil, lo, admissible) for
+    these arguments, built here when not given. The running part of every
     candidate, ``base = reward * dt`` with -inf on the blocked atoms, is
-    built once for the whole sweep. Each step copies V into a zero-padded
-    buffer, reads it through a strided (nx, 1, w) window, row i holding V at
-    nodes i + lo ... i + lo + w - 1, and takes one batched matmul of that
-    window with the band into an (nx, 1, na) buffer: the expectation of V
-    under every (node, atom) law. It then adds ``base[t]`` in place and takes
-    the argmax. A node with no admissible atom, which the config rejects,
-    would get value -inf and make the candidates whose band covers it -inf
-    or nan (0 * -inf).
+    built once for the whole sweep. Each step copies V, extended by its edge
+    values, into a buffer, reads it through a strided (nx, w) window, row i
+    holding V at nodes i + lo ... i + lo + w - 1 clamped to the grid, and
+    takes one matmul of that window with the stencil into an (nx, na)
+    buffer: the expectation of V under every (node, atom) law. It then adds
+    ``base[t]`` in place and takes the argmax. A node with no admissible
+    atom, which the config rejects, would get value -inf and make the
+    candidates whose window covers it -inf or nan (0 * -inf).
     """
     n_steps, nx, na = reward.shape
-    band, lo, admissible = operator or transition_operator(
+    stencil, lo, admissible = operator or transition_operator(
         x_grid, atoms, dt, sig_root_dt, z_nodes, z_weights
     )
     base = reward * dt
     base[:, ~admissible] = -np.inf
-    w = band.shape[1]
-    ix = np.arange(nx)
-    rows = ix * na  # cand's flat index of each node's atom 0
-    padded = np.zeros(nx + w - 1)
-    window = np.lib.stride_tricks.sliding_window_view(padded, w)[:, None, :]
-    expect = np.empty((nx, 1, na))
-    cand = expect.reshape(nx, na)
+    w = len(stencil)
+    extend = np.clip(np.arange(lo, lo + nx + w - 1), 0, nx - 1)
+    padded = np.empty(nx + w - 1)
+    window = np.lib.stride_tricks.sliding_window_view(padded, w)
+    cand = np.empty((nx, na))
+    rows = np.arange(nx) * na  # cand's flat index of each node's atom 0
+    chosen = np.empty(nx, dtype=np.int64)
 
     value = np.empty((n_steps + 1, nx))
     policy = np.empty((n_steps, nx), dtype=np.int64)
     value[n_steps] = terminal
     for t in range(n_steps - 1, -1, -1):
-        padded[-lo:nx - lo] = value[t + 1]
-        np.matmul(window, band, out=expect)
+        value[t + 1].take(extend, out=padded)
+        np.matmul(window, stencil, out=cand)
         cand += base[t]
-        np.argmax(cand, axis=1, out=policy[t])
-        np.take(cand, rows + policy[t], out=value[t])
-    return value, policy, admissible[ix, policy]
+        cand.argmax(axis=1, out=policy[t])
+        np.add(rows, policy[t], out=chosen)
+        cand.take(chosen, out=value[t])
+    return value, policy, admissible[np.arange(nx), policy]
 
 
 def push_forward(policy, mu0, operator):
-    """Forward law (steps+1, nx) under a feedback policy.
+    """Forward law (steps+1, nx) under a feedback policy: the transpose of
+    the DP's expectation.
 
-    ``operator`` is ``transition_operator``'s (band, lo, admissible) on the
-    policy's grid and atoms. The band rows every step's policy picks are
-    gathered at once, (steps, w, nx). Each step multiplies them by mu[t] into
-    the rows of a zero (w, nx + w) buffer, row k shifted right by k so that
-    column m holds the mass bound for node m + lo, and sums the rows into
-    mu[t+1].
+    ``operator`` is ``transition_operator``'s (stencil, lo, admissible) on
+    the policy's grid and atoms. Row k of a node's law is bound for node
+    i + lo + k. At a node whose window leaves the grid, the rows bound off
+    the grid are folded onto the row bound for the edge node, so each such
+    node picks from its own folded copy of the stencil. The rows every
+    step's policy picks are gathered at once, (steps, nx, w). Each step
+    multiplies them by mu[t] into the rows of a zero (w, nx + w) buffer, row
+    k shifted right by k so that column m holds the mass bound for node
+    m + lo, and sums the rows into mu[t+1].
     """
     n_steps, nx = policy.shape
-    band, lo, _ = operator
-    w = band.shape[1]
-    picked = band[np.arange(nx), :, policy].transpose(0, 2, 1)
+    stencil, lo, _ = operator
+    w, na = stencil.shape
+    node = np.arange(nx)
+    edge = node[(node + lo < 0) | (node + lo + w > nx)]
+    # the row that row k's mass ends in at each edge node: the edge node's row past the grid
+    ends = np.clip(np.arange(w), -lo - edge[:, None], nx - 1 - lo - edge[:, None])
+    folded = np.matmul(stencil.T, np.eye(w)[ends])  # (edges, na, w)
+    # row first[i] + j of the table is node i's law under atom j
+    table = np.concatenate([stencil.T, folded.reshape(-1, w)])
+    first = np.zeros(nx, dtype=np.int64)
+    first[edge] = na * np.arange(1, len(edge) + 1)
+    picked = np.take(table, policy + first, axis=0)
     flat = np.zeros(w * (nx + w + 1))
     shifted = flat.reshape(w, nx + w + 1)[:, :nx]  # row k starts k places further right
     spread = flat[:w * (nx + w)].reshape(w, nx + w)[:, -lo:nx - lo]
     mu = np.empty((n_steps + 1, nx))
     mu[0] = mu0
     for t in range(n_steps):
-        np.multiply(picked[t], mu[t], out=shifted)
+        np.multiply(picked[t].T, mu[t], out=shifted)
         np.add.reduce(spread, axis=0, out=mu[t + 1])
     return mu
 

@@ -40,22 +40,23 @@ candidate or Picard iterate changes, lives in one frozen ``TraderLayer``: the
 time grid, the inventory grid and control atoms, the initial law (the
 config's ``time_grid``, ``trader_grids`` and ``initial_trader_law``, which
 its checks also build), the terminal reward, the quadrature, the ``Market``
-and the one-step transition law, stored as its band, with its admissibility
-mask (``kernels.transition_operator``). The config guarantees every
-inventory node an admissible atom, so the best response never picks a
+and the one-step transition law, stored as one stencil per atom, with its
+admissibility mask (``kernels.transition_operator``). The config guarantees
+every inventory node an admissible atom, so the best response never picks a
 blocked one and no mass leaves the grid along its drift.
 No function takes a layer: each that needs one reads it through
 ``trader_layer(config)``, which keeps the layer of the last config object it
-was asked for, so the band is built once per config, not once per map, and
-a solve, an LP search or a check that recomputes one response map all share
-it. The layer also holds the response map's one-entry memo of its
+was asked for, so the stencil is built once per config, not once per map,
+and a solve, an LP search or a check that recomputes one response map all
+share it. The layer also holds the response map's one-entry memo of its
 pushforward of ``mu0``, keyed on the policy: the pushed law is a function of
-the policy, ``mu0`` and the band alone, and most response maps of a search
-repeat the previous map's policy, also across LP candidates and across
-solves on the same config. ``induced_flows`` itself is a pure function.
-``kernels.push_forward`` takes the layer's (band, lo, admissible) and nothing
-else; ``kernels.dp_backward`` is passed it too, but still builds its own when
-called without one, as the DP-versus-enumeration acceptance test calls it.
+the policy, ``mu0`` and the stencil alone, and most response maps of a
+search repeat the previous map's policy, also across LP candidates and
+across solves on the same config. ``induced_flows`` itself is a pure
+function. ``kernels.push_forward`` takes the layer's (stencil, lo,
+admissible) and nothing else; ``kernels.dp_backward`` is passed it too, but
+still builds its own when called without one, as the DP-versus-enumeration
+acceptance test calls it.
 
 The solver runs in deterministic-flow mode: no common price noise enters the
 fixed point; idiosyncratic trader noise is integrated exactly through the
@@ -144,9 +145,10 @@ class EquilibriumSolution:
 class TraderLayer:
     """The trader layer's fixed discretization, built by ``trader_layer``.
 
-    ``operator`` is ``kernels.transition_operator``'s (band, lo, admissible) on
-    these grids, quadrature and sigma * sqrt(dt): an (nx, w, na) band, w = 9
-    at the default config, never the dense (nx*na, nx) matrix. ``pushed`` is
+    ``operator`` is ``kernels.transition_operator``'s (stencil, lo,
+    admissible) on these grids, quadrature and sigma * sqrt(dt): one (w, na)
+    stencil, w = 9 at the default config, the same law at every node, never
+    a per-node band or the dense (nx*na, nx) matrix. ``pushed`` is
     ``solve_mfg``'s one-entry memo: the policy bytes and the flows of the last
     pushforward of ``mu0``, which later maps share.
     """
@@ -172,7 +174,7 @@ def trader_layer(config):
 
     The one entry is keyed on the config object's identity. The layer it
     holds is dropped before the next one is built, so two transition
-    bands are never alive at once on its account.
+    laws are never alive at once on its account.
     """
     if _cached_layer[0] is not config:
         _cached_layer[:] = None, None

@@ -448,7 +448,7 @@ def test_failed_candidates_inf_objective_keeps_the_run_ok(tmp_path, cfg_file):
                  *(arg for o in overrides for arg in ("--override", o))])
     assert code == 0
     summary = read_summary(out)
-    assert summary["status"] == "ok" and summary["objective"] == 569.0814994347733
+    assert summary["status"] == "ok" and summary["objective"] == 569.081499434773
     rows = [line.split(",") for line in (out / "search_trace.csv").read_text().splitlines()[4:]]
     failed = [row for row in rows if row[3] != "ok"]
     assert len(failed) == 5 and all(row[2] == "inf" for row in failed)

@@ -1,4 +1,7 @@
-"""Quadrature, the one-step transition band, and DP/pushforward duality."""
+"""Quadrature, the one-step transition stencil, and DP/pushforward duality."""
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,24 +12,40 @@ from ammgame.config import default_config
 EPS = np.finfo(float).eps
 
 
-def _dense(operator):
-    """The band as the dense (nx*na, nx) matrix: row i*na + j is the law of
-    the next node from node i under atom j. Asserts that the band puts no
-    mass off the grid."""
-    band, lo, _ = operator
-    nx, w, na = band.shape
+def _dense(operator, nx):
+    """The stencil as the dense (nx*na, nx) matrix the kernels apply: row
+    i*na + j is the law of the next node from node i under atom j, each move
+    lo + k clamped to the edge node."""
+    stencil, lo, _ = operator
+    w, na = stencil.shape
     T = np.zeros((nx, na, nx))
     for i in range(nx):
         for k in range(w):
-            if 0 <= i + lo + k < nx:
-                T[i, :, i + lo + k] = band[i, k]
-            else:
-                assert (band[i, k] == 0.0).all()
+            T[i, :, min(max(i + lo + k, 0), nx - 1)] += stencil[k]
     return T.reshape(nx * na, nx)
 
 
 def _dense_oracle(x_grid, atoms, dt, sig_root_dt, nodes, weights):
-    """The dense transition matrix built sample by sample from ``grid_cell``."""
+    """The dense transition matrix built sample by sample: each sample sits at
+    node i plus its move in cells, split between the whole moves around it,
+    and each part is clamped to the edge nodes."""
+    nx, na = len(x_grid), len(atoms)
+    h = x_grid[1] - x_grid[0]
+    T = np.zeros((nx * na, nx))
+    for i in range(nx):
+        for j in range(na):
+            for z, p in zip(nodes, weights):
+                move = (atoms[j] * dt + sig_root_dt * z) / h
+                whole = math.floor(move)
+                frac = move - whole
+                for node, mass in ((i + whole, p * (1.0 - frac)), (i + whole + 1, p * frac)):
+                    T[i * na + j, min(max(node, 0), nx - 1)] += mass
+    return T
+
+
+def _absolute_law(x_grid, atoms, dt, sig_root_dt, nodes, weights):
+    """The law placed by absolute position: each sample x_i + a_j*dt +
+    sig_root_dt*z_q split between its two nodes by ``grid_cell``."""
     nx, na = len(x_grid), len(atoms)
     T = np.zeros((nx * na, nx))
     for i in range(nx):
@@ -91,8 +110,9 @@ def test_interpolation_clamps_at_edges():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_transition_rows_are_probability_laws(seed):
-    """Every (node, atom) law in the band is nonnegative, sums to 1, stays on
-    the grid, and the band is no wider than its support."""
+    """Every atom's stencil is nonnegative and sums to 1, every (node, atom)
+    law it gives sums to 1, and the stencil is no wider than its support
+    and the offset 0."""
     rng = np.random.default_rng(seed)
     nx = int(rng.integers(2, 60))
     x_grid = np.linspace(-1.0, rng.uniform(-0.5, 2.0), nx)
@@ -101,31 +121,35 @@ def test_transition_rows_are_probability_laws(seed):
     operator = kernels.transition_operator(
         x_grid, atoms, rng.uniform(0.01, 0.5), rng.uniform(0.0, 1.0), nodes, weights
     )
-    band, lo, admissible = operator
-    w = band.shape[1]
-    assert band.shape == (nx, w, len(atoms)) and 1 <= w <= 2 * nx - 1
+    stencil, lo, admissible = operator
+    w = len(stencil)
+    assert stencil.shape == (w, len(atoms)) and 1 <= w <= 2 * nx - 1
+    assert 1 - nx <= lo <= 0 <= lo + w - 1 <= nx - 1
     assert admissible.shape == (nx, len(atoms))
-    assert (band >= 0.0).all()
-    np.testing.assert_allclose(band.sum(axis=1), 1.0, rtol=0, atol=8 * EPS)
-    assert band[:, 0].any() and band[:, -1].any()  # lo and w come from the support
-    T = _dense(operator)  # asserts that no mass leaves the grid
+    assert (stencil >= 0.0).all()
+    np.testing.assert_allclose(stencil.sum(axis=0), 1.0, rtol=0, atol=8 * EPS)
+    # lo and w come from the support, widened only to hold the offset 0
+    assert stencil[0].any() or lo == 0
+    assert stencil[-1].any() or lo + w - 1 == 0
+    T = _dense(operator, nx)
     np.testing.assert_allclose(T.sum(axis=1), 1.0, rtol=0, atol=8 * EPS)
 
 
 def test_transition_clamps_off_grid_samples_to_the_edge_nodes():
-    """Samples far beyond either end of the grid land on the edge node. Mass
-    then moves across the whole grid, so the band takes its widest form."""
+    """Samples far beyond either end of the grid land on the edge node. Their
+    moves fold onto the whole grid's width, so the stencil takes its widest
+    form, 2*nx - 1 offsets, and no wider."""
     x_grid = np.linspace(0.0, 1.0, 5)
     atoms = np.array([-1.0, 0.0, 4.0])
     dt = 0.25
     nodes, weights = kernels.gauss_hermite(3)  # nodes -sqrt(3), 0, sqrt(3)
     operator = kernels.transition_operator(x_grid, atoms, dt, 10.0, nodes, weights)
-    band, lo, admissible = operator
-    assert band.shape == (5, 2 * 5 - 1, 3) and lo == -4
+    stencil, lo, admissible = operator
+    assert stencil.shape == (2 * 5 - 1, 3) and lo == -4
     drift = x_grid[:, None] + atoms[None, :] * dt
     np.testing.assert_array_equal(admissible, (drift >= 0.0) & (drift <= 1.0))
     assert not admissible.all() and admissible.any()
-    T = _dense(operator)
+    T = _dense(operator, 5)
     for i in range(5):
         for j in range(3):
             expected = np.zeros(5)
@@ -135,6 +159,18 @@ def test_transition_clamps_off_grid_samples_to_the_edge_nodes():
             expected[i0 + 1] += weights[1] * frac
             expected[4] += weights[2]
             np.testing.assert_allclose(T[i * 3 + j], expected, rtol=0, atol=1e-15)
+    # every node's window reaches past both edges; the DP and the pushforward
+    # still apply exactly this dense law
+    rng = np.random.default_rng(0)
+    reward, terminal = np.zeros((1, 5, 3)), rng.normal(size=5)
+    value, policy, _ = kernels.dp_backward(reward, terminal, x_grid, atoms, dt, 10.0, nodes,
+                                           weights, operator)
+    dense_value, dense_policy = _dense_dp(reward, terminal, T, admissible, dt)
+    np.testing.assert_array_equal(policy, dense_policy)
+    np.testing.assert_allclose(value, dense_value, rtol=0, atol=1e-15)
+    policy, mu0 = rng.integers(0, 3, size=(3, 5)), rng.dirichlet(np.ones(5))
+    np.testing.assert_allclose(kernels.push_forward(policy, mu0, operator),
+                               _dense_push(policy, mu0, T, 3), rtol=0, atol=1e-15)
 
 
 def _oracle_case(rng):
@@ -163,14 +199,14 @@ def _default_case():
 
 @pytest.mark.parametrize("case", ["default", 0, 1, 2, 3, 4, 5])
 def test_band_dp_and_push_forward_match_a_dense_oracle(case):
-    """The band's DP and pushforward are the dense T @ V and mu @ T, with T
-    built sample by sample from ``grid_cell``: the same policy, values to
-    1e-13 and laws to 1e-15."""
+    """The stencil's DP and pushforward are the dense T @ V and mu @ T, with
+    T built sample by sample: the same policy, values to 1e-13 and laws to
+    1e-15."""
     args = _default_case() if case == "default" else _oracle_case(np.random.default_rng(case))
     reward, terminal, x_grid, atoms, dt, sig, nodes, weights = args
     operator = kernels.transition_operator(x_grid, atoms, dt, sig, nodes, weights)
     T = _dense_oracle(x_grid, atoms, dt, sig, nodes, weights)
-    np.testing.assert_allclose(_dense(operator), T, rtol=0, atol=2 * EPS)
+    np.testing.assert_allclose(_dense(operator, len(x_grid)), T, rtol=0, atol=2 * EPS)
     value, policy, _ = kernels.dp_backward(reward, terminal, *args[2:], operator)
     drift = x_grid[:, None] + atoms[None, :] * dt
     admissible = (drift >= x_grid[0]) & (drift <= x_grid[-1])
@@ -185,13 +221,69 @@ def test_band_dp_and_push_forward_match_a_dense_oracle(case):
                                    atol=1e-15)
 
 
+@pytest.mark.parametrize("case", ["default", 0, 1, 2])
+def test_dp_expectation_is_exactly_translation_invariant(case):
+    """One atom's expectation of V shifted by one node is the shifted
+    expectation, bit for bit, on every row whose window touches no edge:
+    each row takes the same products in the same order."""
+    if case == "default":
+        _, terminal, x_grid, atoms, dt, sig, nodes, weights = _default_case()
+    else:
+        rng = np.random.default_rng(case)
+        x_grid = np.linspace(-1.0, 1.0, 41)
+        atoms = rng.uniform(-1.0, 1.0, size=3)
+        dt, sig = 0.1, rng.uniform(0.05, 0.5)
+        nodes, weights = kernels.gauss_hermite(int(rng.integers(1, 10)))
+        terminal = rng.normal(size=41)
+    nx = len(x_grid)
+    stencil, lo, _ = kernels.transition_operator(x_grid, atoms, dt, sig, nodes, weights)
+    hi = lo + len(stencil) - 1
+    rows = np.arange(max(0, -lo), nx - 1 - hi)  # row and row + 1 both see only interior nodes
+    assert len(rows)
+    shifted = np.append(terminal[1:], terminal[-1])
+    for j in range(len(atoms)):
+        one = (stencil[:, j:j + 1], lo, np.ones((nx, 1), dtype=bool))
+        expect = [kernels.dp_backward(np.zeros((1, nx, 1)), v, x_grid, atoms[j:j + 1], dt, sig,
+                                      nodes, weights, one)[0][0] for v in (terminal, shifted)]
+        np.testing.assert_array_equal(expect[1][rows], expect[0][rows + 1])
+
+
+@pytest.mark.parametrize("case", ["default", 0, 1, 2, 3, 4, 5])
+def test_stencil_law_is_the_absolute_position_law_to_rounding(case):
+    """The stencil places each sample at node i plus its move in cells; the
+    absolute-position law places it at (x_i + a_j*dt + sig*z_q - x_0) / h.
+
+    Each entry of a law is a 1-Lipschitz hat function of the sample's
+    position, summed with weights that sum to 1, so two laws differ per
+    entry by at most the largest gap between the two positions of a sample.
+    In exact arithmetic on the float grid the gap is the grid's own
+    deviation D = max_i |x_i - x_0 - i*h| / h. Rounding adds at most
+    9*u*M/h + u*nx + 8u, with u = eps/2 and M = max|x| + max|a|*dt +
+    sig*max|z|: five roundings on operands of size <= M in the absolute
+    position and its division, four in the move, the split, and the
+    position's own size of at most nx cells (first order in u).
+    """
+    args = _default_case() if case == "default" else _oracle_case(np.random.default_rng(case))
+    _, _, x_grid, atoms, dt, sig, nodes, weights = args
+    nx = len(x_grid)
+    h = x_grid[1] - x_grid[0]
+    grid_gap = max(abs(Fraction(x) - Fraction(x_grid[0]) - i * Fraction(h)) for i, x in
+                   enumerate(x_grid)) / Fraction(h)
+    size = (np.abs(x_grid).max() + np.abs(atoms).max() * dt + sig * np.abs(nodes).max()) / h
+    bound = float(grid_gap) + (9 * size + nx + 8) * EPS / 2
+    operator = kernels.transition_operator(x_grid, atoms, dt, sig, nodes, weights)
+    gap = np.abs(_dense(operator, nx) - _absolute_law(x_grid, atoms, dt, sig, nodes, weights))
+    assert gap.max() <= bound
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_dp_and_push_forward_share_one_transition(seed):
     """The DP's value of mu0 is the reward its policy collects along the pushed law.
 
-    The DP takes the band's expectation of V and the pushforward spreads mu
-    along the band rows the policy picks, so mu0 @ value[0] equals the chosen
-    rewards summed along the pushed laws plus mu_T @ terminal, up to
+    The DP takes the stencil's expectation of V extended by its edge values
+    and the pushforward spreads mu along the stencil columns the policy picks,
+    folding the spill onto the edge nodes, so mu0 @ value[0] equals the
+    chosen rewards summed along the pushed laws plus mu_T @ terminal, up to
     summation order.
     """
     rng = np.random.default_rng(seed)
@@ -235,18 +327,19 @@ def test_dp_and_push_forward_share_one_transition(seed):
 
 def _dp_per_step_mask(reward, terminal, operator, dt):
     """The sweep with the running reward scaled and masked inside every step,
-    the expectation taken by a fresh window and matmul on the band."""
-    band, lo, admissible = operator
+    the expectation taken by a fresh window on V extended by its edge values
+    and a matmul with the stencil."""
+    stencil, lo, admissible = operator
     n_steps, nx, na = reward.shape
-    w = band.shape[1]
+    w = len(stencil)
     ix = np.arange(nx)
     value = np.empty((n_steps + 1, nx))
     policy = np.empty((n_steps, nx), dtype=np.int64)
     value[n_steps] = terminal
     for t in range(n_steps - 1, -1, -1):
-        padded = np.concatenate([np.zeros(-lo), value[t + 1], np.zeros(w - 1 + lo)])
-        window = np.lib.stride_tricks.sliding_window_view(padded, w)[:, None, :]
-        cand = reward[t] * dt + np.matmul(window, band)[:, 0, :]
+        padded = value[t + 1][np.clip(np.arange(lo, lo + nx + w - 1), 0, nx - 1)]
+        window = np.lib.stride_tricks.sliding_window_view(padded, w)
+        cand = reward[t] * dt + np.matmul(window, stencil)
         cand[~admissible] = -np.inf
         policy[t] = np.argmax(cand, axis=1)
         value[t] = cand[ix, policy[t]]

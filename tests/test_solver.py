@@ -598,7 +598,7 @@ def test_solve_major_minor_certifies_an_interior_optimum():
 
 
 def test_solve_major_minor_builds_the_trader_layer_once(monkeypatch):
-    """One transition band and one quadrature serve every response map of a search."""
+    """One transition stencil and one quadrature serve every response map of a search."""
     calls = {"transition_operator": 0, "gauss_hermite": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(kernels, name)):
@@ -614,7 +614,7 @@ def test_solve_major_minor_builds_the_trader_layer_once(monkeypatch):
 def test_trader_layer_lives_until_another_config_asks(monkeypatch):
     """Repeated calls on one config object share one layer. An equal copy of
     the config gets its own, built only after the previous layer is dropped,
-    so the two transition bands are never alive together."""
+    so the two transition laws are never alive together."""
     layers = []  # weak references to the layers built so far
     alive = []  # per transition_operator call: which of them still live
     build = kernels.transition_operator
@@ -638,13 +638,14 @@ def test_trader_layer_lives_until_another_config_asks(monkeypatch):
 
 
 def test_trader_layer_stores_the_transition_law_as_its_band():
-    """At the default config the layer's operator is the (nx, w, na) band with
-    w = 9, about 80 KB: nx * w * na floats, not the dense (nx*na, nx) matrix."""
+    """At the default config the layer's operator is one (w, na) stencil with
+    w = 9 and lo = -4, under 1 KB: one law per atom, the same at every node,
+    neither a per-node band nor the dense (nx*na, nx) matrix."""
     cfg = default_config()
-    band, lo, admissible = trader_layer(cfg).operator
+    stencil, lo, admissible = trader_layer(cfg).operator
     nx, na = cfg.grid_x_points, cfg.grid_control_points
-    assert band.shape == (nx, 9, na) and lo == -4
-    assert band.size == nx * 9 * na and band.nbytes < 81_000
+    assert stencil.shape == (9, na) and lo == -4
+    assert stencil.nbytes < 1_000
     assert admissible.shape == (nx, na)
 
 
