@@ -7,9 +7,10 @@ constructor, ``build_config``, ``default_config`` or ``dataclasses.replace``:
 each value must have its kind's type (an int where a float is declared is
 converted when exact, a list where a tuple is declared becomes a tuple), float
 values must be finite, each key must satisfy its range check (in schema
-order), then the cross-key rules must hold, the last of them on the trader's
-grids: every inventory node keeps a control atom whose drift target stays on
-the grid, and the initial law has mass on the grid. A violation raises
+order; grid.quad_points needs finite Gauss-Hermite nodes and weights), then
+the cross-key rules must hold, the last of them on the trader's grids: every
+inventory node keeps a control atom whose drift target stays on the grid,
+and the initial law has mass on the grid. A violation raises
 :class:`ConfigError` naming the offending key.
 
 Config files are flat ``section.key = value`` lines. ``#`` starts a comment,
@@ -108,6 +109,15 @@ def _nonnegative(v):
     return v >= 0
 
 
+def _finite_quadrature(v):
+    """Positive, with a finite Gauss-Hermite rule (numpy's overflows at high
+    orders); built with floating-point warnings off, so a bad order only fails."""
+    if v < 1:
+        return False
+    with np.errstate(all="ignore"):
+        return bool(np.isfinite(kernels.gauss_hermite(v)).all())
+
+
 # key -> (kind, default, per-key check or None, requirement text)
 # default None means resolved after parsing (documented per key).
 SCHEMA = {
@@ -146,7 +156,8 @@ SCHEMA = {
     "grid.x_max": ("float", 2.0, None, ""),
     "grid.x_points": ("int", 101, lambda v: v >= 2, "needs at least 2 points"),
     "grid.control_points": ("int", 11, lambda v: v >= 2, "needs at least 2 points"),
-    "grid.quad_points": ("int", 7, _positive, "must be positive"),
+    "grid.quad_points": ("int", 7, _finite_quadrature,
+                         "must be positive with finite Gauss-Hermite nodes and weights"),
     "solver.damping": ("float", 0.5, lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
     "solver.tol": ("float", 1e-6, _positive, "must be positive"),
     "solver.max_iter": ("int", 500, _positive, "must be positive"),

@@ -14,19 +14,18 @@ so its split, is the same at every node: the law is stored as one stencil
 per atom, stencil[k, j] the probability of moving lo + k nodes under atom j
 (w = 9 offsets, 99 floats at the default config). Samples outside the grid
 clamp to the edge node (constant extrapolation, the usual truncation of an
-unbounded diffusion onto a bounded grid). For the DP that is V's constant
-extension: the expectation reads V, extended by its edge values, through a
-strided window of w nodes per row, and one matmul of that (nx, w) window
-with the stencil gives every (node, atom) expectation at once. The
-pushforward is its transpose: it spreads mu along the stencil columns the
-policy picks, shifted into place, and the mass bound off the grid folds
-onto the edge node. The law depends on neither time nor the environment, so
-the solver builds it once per config (its trader layer) and passes it to
-every sweep and pushforward as ``operator``. ``push_forward`` takes only
-the operator; ``dp_backward`` keeps the grid, quadrature and noise
-arguments and builds its own operator when none is passed, because its
-leading signature is the one the DP-versus-enumeration acceptance test
-calls and the benchmark's DP hook reads.
+unbounded diffusion onto a bounded grid): node i's window is the nodes
+i + lo ... i + lo + w - 1 clamped to the grid, and ``_extension`` is the one
+statement of that clamp. The DP reads V at the window nodes, V extended by
+its edge values, through a strided (nx, w) window, and one matmul of it with
+the stencil gives every (node, atom) expectation at once. The pushforward
+is its transpose: it scatters mu times the stencil columns the policy picks
+onto the same window nodes. The law depends on neither time nor the
+environment, so the solver builds it once per config (its trader layer) and
+passes it to every sweep and pushforward as ``operator``. ``dp_backward``
+builds its own when none is passed: the DP-versus-enumeration acceptance
+test calls it with the grids and quadrature, and the benchmark's hook reads
+those arguments.
 
 A control atom is admissible at a node only if the deterministic drift
 target x + a*dt stays inside the grid (``drift_targets``, the one statement
@@ -86,16 +85,12 @@ def transition_operator(x_grid, atoms, dt, sig_root_dt, z_nodes, z_weights):
     stencil[k, j] is the probability of moving lo + k nodes under atom j: the
     quadrature samples move a_j*dt + sig_root_dt*z_q, in cells of the grid's
     step h, each split linearly between the whole moves around it. The law
-    is the same at every node; a move that leaves the grid from a node is
-    clamped to the edge node when it is applied (``dp_backward`` extends V by
-    its edge values, ``push_forward`` folds the spill onto the edge node). A
-    move past the whole grid lands on the edge node from every node, so moves
-    are folded onto [-(nx-1), nx-1] first. The stencil is (w, na), with lo
-    and w the narrowest offsets that hold every nonzero mass and the offset 0
-    (w <= 2*nx - 1): every node's window of w nodes then holds the node
-    itself, so a window that leaves the grid holds the edge node its spill
-    folds onto. admissible[i, j] says whether the drift target x_i + a_j*dt
-    lies on the grid (``drift_targets``).
+    is the same at every node; a move that leaves the grid from a node lands
+    on the edge node (``_extension``). A move past the whole grid lands on
+    the edge node from every node, so moves are cut to [-(nx-1), nx-1]
+    first. The stencil is (w, na), with lo and w the narrowest offsets that
+    hold every nonzero mass (w <= 2*nx - 1). admissible[i, j] says whether
+    the drift target x_i + a_j*dt lies on the grid (``drift_targets``).
     """
     nx, na = len(x_grid), len(atoms)
     below, above = drift_targets(x_grid, atoms, dt)
@@ -107,11 +102,17 @@ def transition_operator(x_grid, atoms, dt, sig_root_dt, z_nodes, z_weights):
     offset = np.concatenate([whole, whole + 1.0], axis=1).astype(np.int64)
     mass = np.concatenate([1.0 - frac, frac], axis=1) * np.tile(z_weights, 2)
     held = mass != 0.0
-    lo = min(int(offset[held].min()), 0)
-    w = max(int(offset[held].max()), 0) - lo + 1
+    lo = int(offset[held].min())
+    w = int(offset[held].max()) - lo + 1
     slot = (offset - lo) * na + np.arange(na)[:, None]
     stencil = np.bincount(slot[held], weights=mass[held], minlength=w * na)
     return stencil.reshape(w, na), lo, ~(below | above)
+
+
+def _extension(nx, lo, w):
+    """Node i's window is entries i ... i + w - 1 of this array: the nodes
+    i + lo + k clamped to the grid. The one statement of the edge clamp."""
+    return np.clip(np.arange(lo, lo + nx + w - 1), 0, nx - 1)
 
 
 def dp_backward(reward, terminal, x_grid, atoms, dt, sig_root_dt, z_nodes, z_weights,
@@ -121,11 +122,10 @@ def dp_backward(reward, terminal, x_grid, atoms, dt, sig_root_dt, z_nodes, z_wei
     ``operator`` is ``transition_operator``'s (stencil, lo, admissible) for
     these arguments, built here when not given. The running part of every
     candidate, ``base = reward * dt`` with -inf on the blocked atoms, is
-    built once for the whole sweep. Each step copies V, extended by its edge
-    values, into a buffer, reads it through a strided (nx, w) window, row i
-    holding V at nodes i + lo ... i + lo + w - 1 clamped to the grid, and
-    takes one matmul of that window with the stencil into an (nx, na)
-    buffer: the expectation of V under every (node, atom) law. It then adds
+    built once for the whole sweep. Each step gathers V at the window nodes
+    (``_extension``) into a buffer, reads it through a strided (nx, w)
+    window and takes one matmul with the stencil into an (nx, na) buffer:
+    the expectation of V under every (node, atom) law. It then adds
     ``base[t]`` in place and takes the argmax. A node with no admissible
     atom, which the config rejects, would get value -inf and make the
     candidates whose window covers it -inf or nan (0 * -inf).
@@ -137,7 +137,7 @@ def dp_backward(reward, terminal, x_grid, atoms, dt, sig_root_dt, z_nodes, z_wei
     base = reward * dt
     base[:, ~admissible] = -np.inf
     w = len(stencil)
-    extend = np.clip(np.arange(lo, lo + nx + w - 1), 0, nx - 1)
+    extend = _extension(nx, lo, w)
     padded = np.empty(nx + w - 1)
     window = np.lib.stride_tricks.sliding_window_view(padded, w)
     cand = np.empty((nx, na))
@@ -162,36 +162,22 @@ def push_forward(policy, mu0, operator):
     the DP's expectation.
 
     ``operator`` is ``transition_operator``'s (stencil, lo, admissible) on
-    the policy's grid and atoms. Row k of a node's law is bound for node
-    i + lo + k. At a node whose window leaves the grid, the rows bound off
-    the grid are folded onto the row bound for the edge node, so each such
-    node picks from its own folded copy of the stencil. The rows every
-    step's policy picks are gathered at once, (steps, nx, w). Each step
-    multiplies them by mu[t] into the rows of a zero (w, nx + w) buffer, row
-    k shifted right by k so that column m holds the mass bound for node
-    m + lo, and sums the rows into mu[t+1].
+    the policy's grid and atoms. Node i sends stencil[k, policy] of its mass
+    to its window node k (``_extension``), the node the DP reads for that
+    move: each step scales the picked stencil columns by mu[t] and sums them
+    onto the window nodes with one bincount.
     """
     n_steps, nx = policy.shape
     stencil, lo, _ = operator
-    w, na = stencil.shape
-    node = np.arange(nx)
-    edge = node[(node + lo < 0) | (node + lo + w > nx)]
-    # the row that row k's mass ends in at each edge node: the edge node's row past the grid
-    ends = np.clip(np.arange(w), -lo - edge[:, None], nx - 1 - lo - edge[:, None])
-    folded = np.matmul(stencil.T, np.eye(w)[ends])  # (edges, na, w)
-    # row first[i] + j of the table is node i's law under atom j
-    table = np.concatenate([stencil.T, folded.reshape(-1, w)])
-    first = np.zeros(nx, dtype=np.int64)
-    first[edge] = na * np.arange(1, len(edge) + 1)
-    picked = np.take(table, policy + first, axis=0)
-    flat = np.zeros(w * (nx + w + 1))
-    shifted = flat.reshape(w, nx + w + 1)[:, :nx]  # row k starts k places further right
-    spread = flat[:w * (nx + w)].reshape(w, nx + w)[:, -lo:nx - lo]
+    w = len(stencil)
+    nodes = np.lib.stride_tricks.sliding_window_view(_extension(nx, lo, w), w).ravel()
+    picked = np.take(stencil.T, policy, axis=0)
+    sent = np.empty((nx, w))  # sent[i, k]: node i's mass bound for its window node k
     mu = np.empty((n_steps + 1, nx))
     mu[0] = mu0
     for t in range(n_steps):
-        np.multiply(picked[t].T, mu[t], out=shifted)
-        np.add.reduce(spread, axis=0, out=mu[t + 1])
+        np.multiply(picked[t], mu[t, :, None], out=sent)
+        mu[t + 1] = np.bincount(nodes, sent.ravel(), minlength=nx)
     return mu
 
 

@@ -147,8 +147,9 @@ class TraderLayer:
 
     ``operator`` is ``kernels.transition_operator``'s (stencil, lo,
     admissible) on these grids, quadrature and sigma * sqrt(dt): one (w, na)
-    stencil, w = 9 at the default config, the same law at every node, never
-    a per-node band or the dense (nx*na, nx) matrix. ``pushed`` is
+    stencil over the moves lo ... lo + w - 1 that hold mass (w = 9, lo = -4
+    at the default config), applied at every node through the same clamped
+    window nodes by the DP and the pushforward. ``pushed`` is
     ``solve_mfg``'s one-entry memo: the policy bytes and the flows of the last
     pushforward of ``mu0``, which later maps share.
     """

@@ -121,6 +121,8 @@ def test_config_error_exits_2(tmp_path, capsys):
                             ("trader.init_mean", "60.0", ["trader.init_law=gaussian"]),
                             ("lvr.dt_values", "5", ["lvr.paths=10"]),
                             ("lvr.dt_values", "0.3", ["lvr.paths=10"]),
+                            # a quadrature rule with non-finite weights
+                            ("grid.quad_points", "400", []),
                             # from every node one atom jumps above the grid, the other below
                             ("grid.x_max", "0.001", ["grid.x_min=-0.001", "grid.x_points=3",
                                                      "grid.control_points=2"]),

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ammgame
-from ammgame import solver
+from ammgame import kernels, solver
 from ammgame.config import (
     SCHEMA,
     SimConfig,
@@ -127,6 +127,15 @@ def test_range_violations_name_the_key():
             build_config({key: raw})
         assert err.value.key == key
         assert "finite" in err.value.reason
+    # numpy's Gauss-Hermite rule overflows at high orders: at 400 nodes its weights are not finite
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(kernels.gauss_hermite(400)[1]).all()
+    for raw in ("400", "0"):
+        with pytest.raises(ConfigError) as err:
+            build_config({"grid.quad_points": raw})
+        assert err.value.key == "grid.quad_points"
+        assert "finite Gauss-Hermite nodes and weights" in err.value.reason
+    assert build_config({"grid.quad_points": "60"}).grid_quad_points == 60
     for values in ({"trader.init_mean": "5.0"},
                    {"trader.init_law": "gaussian", "trader.init_mean": "60.0"},
                    {"grid.x_min": "0.5", "grid.x_max": "2"}):
@@ -288,7 +297,9 @@ def test_config_accepts_exactly_the_grids_whose_nodes_all_keep_an_atom(
         x_min, width, x_points, a_min, a_span, control_points, steps):
     """build_config accepts exactly when every node keeps an admissible atom,
     and on an accepted config the best response only picks admissible atoms
-    and its pushforward keeps all the mass."""
+    and its pushforward keeps all the mass. The transition stencil of an
+    accepted config spans the offset 0: the top node keeps an atom a <= 0
+    and the bottom node one a >= 0, and each moves some mass that way."""
     x_grid = np.linspace(x_min, x_min + width, x_points)
     atoms = np.linspace(a_min, a_min + a_span, control_points)
     values = {"grid.x_min": repr(x_min), "grid.x_max": repr(x_min + width),
@@ -302,6 +313,8 @@ def test_config_accepts_exactly_the_grids_whose_nodes_all_keep_an_atom(
         assert err.value.key in ("trader.a_min", "trader.a_max", "grid.x_max")
         return
     cfg = build_config(values)
+    stencil, lo, _ = solver.trader_layer(cfg).operator
+    assert lo <= 0 <= lo + len(stencil) - 1
     env = solver.forward_environment(cfg, np.zeros(steps), np.zeros(steps))
     policy = solver.best_response(cfg, env)
     targets = x_grid[None, :] + atoms[policy.policy_idx] * dt

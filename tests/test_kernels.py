@@ -111,8 +111,8 @@ def test_interpolation_clamps_at_edges():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_transition_rows_are_probability_laws(seed):
     """Every atom's stencil is nonnegative and sums to 1, every (node, atom)
-    law it gives sums to 1, and the stencil is no wider than its support
-    and the offset 0."""
+    law it gives sums to 1, and the stencil is exactly its support: both end
+    rows hold mass."""
     rng = np.random.default_rng(seed)
     nx = int(rng.integers(2, 60))
     x_grid = np.linspace(-1.0, rng.uniform(-0.5, 2.0), nx)
@@ -124,21 +124,20 @@ def test_transition_rows_are_probability_laws(seed):
     stencil, lo, admissible = operator
     w = len(stencil)
     assert stencil.shape == (w, len(atoms)) and 1 <= w <= 2 * nx - 1
-    assert 1 - nx <= lo <= 0 <= lo + w - 1 <= nx - 1
+    assert 1 - nx <= lo <= lo + w - 1 <= nx - 1
     assert admissible.shape == (nx, len(atoms))
     assert (stencil >= 0.0).all()
     np.testing.assert_allclose(stencil.sum(axis=0), 1.0, rtol=0, atol=8 * EPS)
-    # lo and w come from the support, widened only to hold the offset 0
-    assert stencil[0].any() or lo == 0
-    assert stencil[-1].any() or lo + w - 1 == 0
+    assert stencil[0].any() and stencil[-1].any()
     T = _dense(operator, nx)
     np.testing.assert_allclose(T.sum(axis=1), 1.0, rtol=0, atol=8 * EPS)
 
 
 def test_transition_clamps_off_grid_samples_to_the_edge_nodes():
-    """Samples far beyond either end of the grid land on the edge node. Their
-    moves fold onto the whole grid's width, so the stencil takes its widest
-    form, 2*nx - 1 offsets, and no wider."""
+    """Samples far beyond either end of the grid land on the edge node. A move
+    past the whole grid lands there from every node, so moves are cut to the
+    grid's width and the stencil takes its widest form, 2*nx - 1 offsets, and
+    no wider."""
     x_grid = np.linspace(0.0, 1.0, 5)
     atoms = np.array([-1.0, 0.0, 4.0])
     dt = 0.25
@@ -198,7 +197,7 @@ def _default_case():
 
 
 @pytest.mark.parametrize("case", ["default", 0, 1, 2, 3, 4, 5])
-def test_band_dp_and_push_forward_match_a_dense_oracle(case):
+def test_stencil_dp_and_push_forward_match_a_dense_oracle(case):
     """The stencil's DP and pushforward are the dense T @ V and mu @ T, with
     T built sample by sample: the same policy, values to 1e-13 and laws to
     1e-15."""
@@ -219,6 +218,79 @@ def test_band_dp_and_push_forward_match_a_dense_oracle(case):
         mu = kernels.push_forward(policy, mu0, operator)
         np.testing.assert_allclose(mu, _dense_push(policy, mu0, T, len(atoms)), rtol=0,
                                    atol=1e-15)
+
+
+def _exact_push_step(stencil, lo, policy_t, mu_t):
+    """One pushforward step in exact arithmetic on the float stencil and mu:
+    node i sends stencil[k, policy_t[i]] * mu_t[i] to node i + lo + k,
+    clamped to the grid."""
+    nx = len(mu_t)
+    out = [Fraction(0)] * nx
+    for i in range(nx):
+        for k in range(len(stencil)):
+            node = min(max(i + lo + k, 0), nx - 1)
+            out[node] += Fraction(stencil[k, policy_t[i]]) * Fraction(mu_t[i])
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_push_forward_is_the_exact_scatter_to_rounding(seed):
+    """Each step of the pushforward is the exact sum, over the windows, of
+    the float stencil times the float mu, to within the rounding of a sum of
+    products.
+
+    Node m of mu[t+1] sums n_m nonnegative products, n_m the number of
+    window entries clamped onto m. Each product rounds once and the sum
+    n_m - 1 times, so the float result is within gamma(n_m) = n_m*u / (1 -
+    n_m*u) of the exact sum, relative, with u = eps/2 (the standard bound
+    for a dot product; it holds in any summation order).
+    """
+    rng = np.random.default_rng(seed)
+    nx = int(rng.integers(4, 16))
+    x_grid = np.linspace(-1.0, 1.0, nx)
+    atoms = np.array([-2.0, rng.uniform(-1.0, 1.0), 2.0])
+    nodes, weights = kernels.gauss_hermite(int(rng.integers(3, 9)))
+    operator = kernels.transition_operator(x_grid, atoms, 0.5, rng.uniform(0.3, 2.0),
+                                           nodes, weights)
+    stencil, lo, _ = operator
+    w = len(stencil)
+    assert lo < 0 < lo + w - 1  # windows leave the grid at both ends
+    policy = rng.integers(0, 3, size=(4, nx))
+    mu = kernels.push_forward(policy, rng.dirichlet(np.ones(nx)), operator)
+    clamped = np.clip(np.arange(nx)[:, None] + lo + np.arange(w), 0, nx - 1)
+    n_terms = np.bincount(clamped.ravel(), minlength=nx)
+    u = Fraction(EPS) / 2
+    for t in range(len(policy)):
+        exact = _exact_push_step(stencil, lo, policy[t], mu[t])
+        for m in range(nx):
+            gamma = n_terms[m] * u / (1 - n_terms[m] * u)
+            assert abs(Fraction(mu[t + 1, m]) - exact[m]) <= gamma * exact[m]
+
+
+def test_dp_and_push_forward_with_every_move_one_way():
+    """Atoms and noise that only move up give a stencil with lo > 0: every
+    window starts above its node. The DP and the pushforward still apply
+    the dense law built sample by sample."""
+    x_grid = np.linspace(0.0, 1.0, 21)
+    atoms = np.array([1.0, 2.0, 3.0])
+    dt = 0.1
+    nodes, weights = kernels.gauss_hermite(5)
+    operator = kernels.transition_operator(x_grid, atoms, dt, 0.01, nodes, weights)
+    stencil, lo, _ = operator
+    assert lo > 0
+    T = _dense_oracle(x_grid, atoms, dt, 0.01, nodes, weights)
+    np.testing.assert_allclose(_dense(operator, 21), T, rtol=0, atol=2 * EPS)
+    rng = np.random.default_rng(3)
+    everywhere = np.ones((21, 3), dtype=bool)
+    reward, terminal = rng.normal(size=(4, 21, 3)), rng.normal(size=21)
+    value, policy, _ = kernels.dp_backward(reward, terminal, x_grid, atoms, dt, 0.01, nodes,
+                                           weights, (stencil, lo, everywhere))
+    dense_value, dense_policy = _dense_dp(reward, terminal, T, everywhere, dt)
+    np.testing.assert_array_equal(policy, dense_policy)
+    np.testing.assert_allclose(value, dense_value, rtol=0, atol=1e-13)
+    mu0 = rng.dirichlet(np.ones(21))
+    np.testing.assert_allclose(kernels.push_forward(policy, mu0, operator),
+                               _dense_push(policy, mu0, T, 3), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("case", ["default", 0, 1, 2])
@@ -280,11 +352,11 @@ def test_stencil_law_is_the_absolute_position_law_to_rounding(case):
 def test_dp_and_push_forward_share_one_transition(seed):
     """The DP's value of mu0 is the reward its policy collects along the pushed law.
 
-    The DP takes the stencil's expectation of V extended by its edge values
-    and the pushforward spreads mu along the stencil columns the policy picks,
-    folding the spill onto the edge nodes, so mu0 @ value[0] equals the
-    chosen rewards summed along the pushed laws plus mu_T @ terminal, up to
-    summation order.
+    The DP takes the stencil's expectation of V at each node's window nodes,
+    clamped to the grid, and the pushforward sends mu along the stencil
+    columns the policy picks to the same window nodes, so mu0 @ value[0]
+    equals the chosen rewards summed along the pushed laws plus
+    mu_T @ terminal, up to summation order.
     """
     rng = np.random.default_rng(seed)
     nx = 31

@@ -598,14 +598,15 @@ def test_solve_major_minor_certifies_an_interior_optimum():
 
 
 def test_solve_major_minor_builds_the_trader_layer_once(monkeypatch):
-    """One transition stencil and one quadrature serve every response map of a search."""
+    """One transition stencil and one quadrature serve every response map of a
+    search. The config is built first: its check builds the quadrature too."""
+    cfg = small_cfg(lp_segments=1, solver_budget=6, solver_step_tol=0.5)
     calls = {"transition_operator": 0, "gauss_hermite": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(kernels, name)):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(kernels, name, counted)
-    cfg = small_cfg(lp_segments=1, solver_budget=6, solver_step_tol=0.5)
     sol = solve_major_minor(cfg)
     assert sum(row["maps"] for row in sol.search_trace) > 2
     assert calls == {"transition_operator": 1, "gauss_hermite": 1}
@@ -637,7 +638,7 @@ def test_trader_layer_lives_until_another_config_asks(monkeypatch):
     assert trader_layer(copy) is fresh
 
 
-def test_trader_layer_stores_the_transition_law_as_its_band():
+def test_trader_layer_stores_the_transition_law_as_one_stencil():
     """At the default config the layer's operator is one (w, na) stencil with
     w = 9 and lo = -4, under 1 KB: one law per atom, the same at every node,
     neither a per-node band nor the dense (nx*na, nx) matrix."""
