@@ -7,10 +7,11 @@ constructor, ``build_config``, ``default_config`` or ``dataclasses.replace``:
 each value must have its kind's type (an int where a float is declared is
 converted when exact, a list where a tuple is declared becomes a tuple), float
 values must be finite, each key must satisfy its range check (in schema
-order; grid.quad_points needs finite Gauss-Hermite nodes and weights), then
-the cross-key rules must hold, the last of them on the trader's grids: every
-inventory node keeps a control atom whose drift target stays on the grid,
-and the initial law has mass on the grid. A violation raises
+order; grid.quad_points needs finite Gauss-Hermite nodes and weights, which
+every order up to a tested bound has, so only a higher order builds the
+rule), then the cross-key rules must hold, the last of them on the trader's
+grids: every inventory node keeps a control atom whose drift target stays on
+the grid, and the initial law has mass on the grid. A violation raises
 :class:`ConfigError` naming the offending key.
 
 Config files are flat ``section.key = value`` lines. ``#`` starts a comment,
@@ -109,11 +110,18 @@ def _nonnegative(v):
     return v >= 0
 
 
+# every order up to this one gives a finite Gauss-Hermite rule (a test builds them all)
+_FINITE_QUAD_ORDER = 200
+
+
 def _finite_quadrature(v):
     """Positive, with a finite Gauss-Hermite rule (numpy's overflows at high
-    orders); built with floating-point warnings off, so a bad order only fails."""
+    orders). The rule is built only above ``_FINITE_QUAD_ORDER``, with
+    floating-point warnings off, so a bad order only fails."""
     if v < 1:
         return False
+    if v <= _FINITE_QUAD_ORDER:
+        return True
     with np.errstate(all="ignore"):
         return bool(np.isfinite(kernels.gauss_hermite(v)).all())
 

@@ -185,15 +185,23 @@ def _all(cond):
 
 
 def check_state(mk: Market, s: MarketState, t):
-    """Raise ``DegenerateReserves`` when a lane's state sits on a floor."""
-    floor_x = EPS_RESERVE_FACTOR * mk.x0
+    """Raise ``DegenerateReserves`` when a lane's state sits on a floor.
+
+    The six floors are tested in one pass (NaN fails them); the failing floor
+    and lane are looked for only then, to name them.
+    """
+    floor_x, floor_y = EPS_RESERVE_FACTOR * mk.x0, EPS_RESERVE_FACTOR * mk.y0
+    total, fee_leg, pool_x = s.x_adj + s.delta, s.x_adj + mk.phi * s.delta, mk.x0 + s.lp_s
+    if _all((s.price > 0) & (s.x_adj > floor_x) & (s.y_adj > floor_y) & (total > floor_x)
+            & (fee_leg > floor_x) & (pool_x > floor_x)):
+        return
     for what, value, floor in (
         ("price nonpositive", s.price, 0),
         ("adjusted ETH reserve exhausted", s.x_adj, floor_x),
-        ("adjusted USDT reserve exhausted", s.y_adj, EPS_RESERVE_FACTOR * mk.y0),
-        ("total ETH reserve exhausted", s.x_adj + s.delta, floor_x),
-        ("fee-leg reserve exhausted", s.x_adj + mk.phi * s.delta, floor_x),
-        ("LP withdrawals empty the pool (x0 + S)", mk.x0 + s.lp_s, floor_x),
+        ("adjusted USDT reserve exhausted", s.y_adj, floor_y),
+        ("total ETH reserve exhausted", total, floor_x),
+        ("fee-leg reserve exhausted", fee_leg, floor_x),
+        ("LP withdrawals empty the pool (x0 + S)", pool_x, floor_x),
     ):
         above = value > floor  # False for NaN
         if not _all(above):

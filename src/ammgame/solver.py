@@ -15,9 +15,11 @@ Three nested problems:
    tolerance) the iteration probes the undamped image: the image of one
    policy is a fixed point exactly when mapping it again reproduces it bit
    for bit, and then that image is returned with residual 0.0, the probe
-   itself being the from-scratch certificate. Each policy is probed at most
-   once; without an exact hit the damped iterate within tolerance is
-   returned, its certificate being the residual of the map that stopped it.
+   itself being the from-scratch certificate. A warm-started iteration
+   probes the image of its first map at once, as a start near the answer
+   usually maps straight onto it. Each policy is probed at most once;
+   without an exact hit the damped iterate within tolerance is returned,
+   its certificate being the residual of the map that stopped it.
 
 3. LP control: over piecewise-constant controls on K segments, a coordinate
    pattern search minimizes the LP cost (negated running reward plus
@@ -26,8 +28,10 @@ Three nested problems:
    improvement at solver.step_tol, or the poll in which solver.budget ran
    out, whose candidates past the budget are evaluated but never accepted.
    It solves problem 2 at every candidate, warm-started from the
-   incumbent's flows. A warm solve is kept only when it ends on an exact
-   fixed point; otherwise it is redone cold.
+   incumbent's flows, so a candidate whose first image is exact costs two
+   response maps: the map of the incumbent's flows and its probe. A warm
+   solve is kept only when it ends on an exact fixed point; otherwise it is
+   redone cold.
    A candidate's cost and status therefore do not depend on the path the
    search took whenever its cold solve ends on the same exact point, as
    every candidate of the default search does. Inner non-convergence marks
@@ -322,17 +326,18 @@ def _flow_residual(flows_a: FlowOfMeasures, flows_b: FlowOfMeasures):
     return max(float(w_mu[-1]), float((w_q + w_mu[:-1]).max()))
 
 
-def _picard(config, response_map, flows):
+def _picard(config, response_map, flows, warm=False):
     """Damped Picard iteration from ``flows``, probing the undamped image.
 
     When a response map repeats the previous map's policy, or its residual is
-    within ``tol``, the image itself is mapped once more (at most once per
-    distinct policy). If that probe reproduces the image bit for bit, the
-    image is an exact fixed point and is returned with residual 0.0 from the
-    probe as its certificate. Otherwise the damped iterates, and the stop at
-    ``residual <= tol``, are those of the plain iteration; the certificate is
-    then the residual of the map that stopped it. Every map, probes
-    included, is one entry of the residual history and counts toward
+    within ``tol``, or it is the first map of a ``warm`` iteration (one that
+    starts near its answer), the image itself is mapped once more (at most
+    once per distinct policy). If that probe reproduces the image bit for
+    bit, the image is an exact fixed point and is returned with residual 0.0
+    from the probe as its certificate. Otherwise the damped iterates, and the
+    stop at ``residual <= tol``, are those of the plain iteration; the
+    certificate is then the residual of the map that stopped it. Every map,
+    probes included, is one entry of the residual history and counts toward
     ``max_iter``, so a probe that fails at the stop is the last entry.
 
     Returns (flows, policy, env, history, certificate, exact). ``NotConverged``
@@ -357,8 +362,8 @@ def _picard(config, response_map, flows):
         residual = _flow_residual(image, flows)
         history.append(residual)
         key = policy.policy_idx.tobytes()
-        if ((residual <= tol or key == previous) and key not in probed
-                and len(history) < max_iter):
+        if ((residual <= tol or key == previous or (warm and len(history) == 1))
+                and key not in probed and len(history) < max_iter):
             probed.add(key)
             again, probe_policy, probe_env = mapped(image)
             history.append(_flow_residual(again, image))
@@ -397,11 +402,13 @@ def solve_mfg(config, lp_control_path=None, start=None):
     input's is such a map.
 
     ``start`` (a FlowOfMeasures on the solver grids) replaces the cold initial
-    flows. A warm solve that raises, or ends without an exact fixed point, is
-    redone cold, so the result is an exact fixed point or exactly what a cold
-    call returns. ``diagnostics`` records ``maps`` (response maps spent, a
-    warm attempt included) and ``exact``; an error raised here carries
-    ``maps`` as well.
+    flows, and the warm iteration probes its first image at once; the cold
+    one waits for a repeated policy or a residual within tolerance. A warm
+    solve that raises, or ends without an exact fixed point, is redone cold,
+    so the result is an exact fixed point or exactly what a cold call
+    returns. ``diagnostics`` records ``maps`` (response maps spent, a warm
+    attempt included) and ``exact``; an error raised here carries ``maps``
+    as well.
     """
     layer = trader_layer(config)
     grid, x_grid, atoms, mu0 = layer.grid, layer.x_grid, layer.atoms, layer.mu0
@@ -442,7 +449,7 @@ def solve_mfg(config, lp_control_path=None, start=None):
     try:
         if start is not None:
             with contextlib.suppress(*_SOLVE_ERRORS):
-                found = _picard(config, response_map, start)
+                found = _picard(config, response_map, start, warm=True)
         if found is None or not found[-1]:  # a warm solve is kept only when exact
             found = _picard(config, response_map, cold)
     except _SOLVE_ERRORS as exc:
@@ -513,7 +520,8 @@ def solve_major_minor(config):
 
     Greedy first-improvement polling; a poll with no improvement halves the
     step, never below solver.step_tol. Every candidate runs the inner fixed
-    point to tolerance, warm-started from the incumbent's flows. Returns the
+    point to tolerance, warm-started from the incumbent's flows, whose first
+    image is probed at once (two maps when it is exact). Returns the
     best candidate's full equilibrium with the search trace attached; each
     trace row records the response maps its inner solve spent and whether it
     ended on an exact fixed point. The poll that ended the search is the

@@ -21,6 +21,7 @@ from ammgame.market import (
     price_drift,
     step,
 )
+from ammgame.pool import EPS_RESERVE_FACTOR
 from ammgame.solver import FlowOfMeasures, forward_environment
 
 # dw0, dw_traders, dw_lp of a noise-free step; integer zeros keep Fractions exact
@@ -96,6 +97,61 @@ def test_g_factor_matches_denominators():
     with pytest.raises(DegenerateReserves):
         check_state(bare_market(x0=1.0, y0=1.0, phi=1.0, dt=1.0),
                     state(x_adj=1.0, delta=-2.0), 0)
+
+
+def _floor_by_floor(mk, s, t):
+    """``check_state`` as one comparison and one raise per floor, in its order."""
+    floor_x = EPS_RESERVE_FACTOR * mk.x0
+    for what, value, floor in (
+        ("price nonpositive", s.price, 0),
+        ("adjusted ETH reserve exhausted", s.x_adj, floor_x),
+        ("adjusted USDT reserve exhausted", s.y_adj, EPS_RESERVE_FACTOR * mk.y0),
+        ("total ETH reserve exhausted", s.x_adj + s.delta, floor_x),
+        ("fee-leg reserve exhausted", s.x_adj + mk.phi * s.delta, floor_x),
+        ("LP withdrawals empty the pool (x0 + S)", mk.x0 + s.lp_s, floor_x),
+    ):
+        above = np.asarray(value > floor)
+        if not above.all():
+            worst = np.asarray(value)[~above].flat[0]
+            raise DegenerateReserves(f"{what} at step {t}: {worst}", step=t, quantity=worst)
+
+
+def _raised(check, mk, s):
+    try:
+        check(mk, s, 7)
+    except DegenerateReserves as exc:
+        return str(exc), exc.step, exc.quantity
+    return None
+
+
+@pytest.mark.parametrize("kind", ["float", "lanes", "fraction"])
+def test_check_state_names_the_floor_the_per_floor_loop_names(kind):
+    """Each of the six floors alone, two at once, NaN entries and a healthy
+    state: ``check_state`` raises what a per-floor loop raises, or nothing.
+    phi = 2 lets the fee leg fail while the total reserve holds."""
+    num = F if kind == "fraction" else float
+    mk = bare_market(x0=num(100), y0=num(100), phi=num(2), dt=num(1))
+    healthy = dict(price=1, x_adj=100, y_adj=100, delta=0, lp_s=0)
+    broken = [{}, {"price": 0}, {"price": -3}, {"x_adj": 0, "delta": 50},
+              {"y_adj": 0}, {"delta": -100}, {"delta": -60}, {"lp_s": -100},
+              {"y_adj": -1, "lp_s": -200}]
+    if kind != "fraction":
+        broken += [{"price": math.nan}, {"x_adj": math.nan}, {"delta": math.nan},
+                   {"lp_s": math.nan}]
+    for change in broken:
+        values = {key: num(v) for key, v in {**healthy, **change}.items()}
+        if kind == "lanes":  # the broken lane between two healthy ones
+            values = {key: np.array([float(healthy[key]), v, float(healthy[key])])
+                      for key, v in values.items()}
+        lp_s = values.pop("lp_s")
+        s = state(**values, lp=(0, 0, 0, lp_s))
+        got, want = _raised(check_state, mk, s), _raised(_floor_by_floor, mk, s)
+        assert (got is None) == (want is None) == (change == {}), change
+        if want is not None:
+            message, step_at, quantity = got
+            assert (message, step_at) == want[:2], change
+            assert quantity == want[2] or (quantity != quantity and want[2] != want[2])
+            assert type(quantity) is type(want[2]), change
 
 
 def reward_point(**kw):

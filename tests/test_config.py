@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ammgame
+from ammgame import config as config_module
 from ammgame import kernels, solver
 from ammgame.config import (
     SCHEMA,
@@ -163,6 +164,23 @@ def test_range_violations_name_the_key():
     assert err.value.key == "pool.y0"
     assert build_config({"lp.z0": "0"}).lp_z0 == 0.0
     assert build_config({"pool.y0": "7"}).lp_z0 == 14.0
+
+
+def test_quadrature_orders_up_to_the_bound_are_accepted_unbuilt_and_are_finite(monkeypatch):
+    """The config accepts grid.quad_points up to ``_FINITE_QUAD_ORDER`` without
+    building the rule; every one of those orders gives finite nodes and weights."""
+    bound = config_module._FINITE_QUAD_ORDER
+    with np.errstate(all="ignore"):
+        for order in range(1, bound + 1):
+            nodes, weights = kernels.gauss_hermite(order)
+            assert np.isfinite(nodes).all() and np.isfinite(weights).all(), order
+    built = []
+    gauss_hermite = kernels.gauss_hermite
+    monkeypatch.setattr(kernels, "gauss_hermite", lambda n: built.append(n) or gauss_hermite(n))
+    assert build_config({"grid.quad_points": str(bound)}).grid_quad_points == bound
+    assert built == []
+    assert build_config({"grid.quad_points": str(bound + 1)}).grid_quad_points == bound + 1
+    assert built == [bound + 1]
 
 
 def test_default_config_runs_the_schema_checks():

@@ -425,6 +425,33 @@ def test_solve_mfg_warm_start_matches_cold():
     assert cost_warm == cost_cold
 
 
+def test_warm_solve_probes_its_first_image():
+    """A warm solve maps its start, then probes that image at once: when the
+    image is exact the solve spends 2 maps, though the first residual is far
+    above tol, and returns the cold solve's point bit for bit."""
+    cfg = small_cfg(grid_x_points=81, grid_control_points=9)
+    path = np.full(cfg.grid_steps, 1.0)
+    idle = solve_mfg(cfg)
+    warm = solve_mfg(cfg, path, start=idle.flows)
+    assert warm.diagnostics["maps"] == 2 and warm.diagnostics["exact"]
+    assert warm.residual_history[0] > 1e4 * cfg.solver_tol
+    assert warm.residual_history[1] == warm.certificate_residual == 0.0
+    cold = solve_mfg(cfg, path)
+    assert cold.diagnostics["maps"] > 2
+    _same_solution(warm, cold)
+
+
+def test_search_trace_objectives_are_cold_objectives():
+    """At criterion 10's search config every trace row's objective, found by a
+    warm-started solve, is what a cold solve at its segments gives, bit for bit."""
+    cfg = small_cfg(seed=3, lp_segments=2, solver_budget=20, solver_step_tol=0.5)
+    trace = solve_major_minor(cfg).search_trace
+    assert len(trace) > 1 and all(row["status"] == "ok" for row in trace)
+    for row in trace:
+        cost, _ = lp_objective(replace(cfg), np.array(row["segments"]))
+        assert cost == row["objective"], row
+
+
 def test_solve_mfg_default_ends_on_exact_fixed_point():
     """The returned flows are their own image under the response map."""
     cfg = default_config()
@@ -686,7 +713,9 @@ def _replay(cfg, lp_path, start=None):
         return induced_flows(copy, policy, trader_layer(copy).mu0), policy, env
 
     if start is not None:
-        flows, policy, _, history, _, exact = solver._picard(cfg, response_map, start)
+        flows, policy, _, history, _, exact = solver._picard(
+            cfg, response_map, start, warm=True
+        )
         assert exact  # the cold fallback is not replayed
         return (flows, policy, history, exact), maps
     x_grid, atoms = trader_grids(cfg)
