@@ -92,7 +92,7 @@ def _run_simulate(cfg, write):
     write("trajectory.csv", columns, list(zip(
         time_grid(cfg).times(), traj.price_path, traj.x_adj_path, traj.y_adj_path,
         traj.delta_path, traj.reserve_path, traj.invariant_path, traj.lvr_cum_path,
-        traj.lp_x_path, traj.lp_y_path, traj.lp_z_path, traj.lp_s_path,
+        traj.lp_x_path, traj.lp_y_path, traj.lp_z_path, traj.x_adj_path - cfg.pool_x0,
         [*traj.mean_control_path, ""], [*traj.lvr_rate_path, ""],
     )))
     return float(np.mean(traj.trader_objectives)), sol.certificate_residual

@@ -15,7 +15,8 @@ class DegenerateReserves(AmmGameError):
 
     Raised instead of clamping: a silently repaired state would corrupt every
     equilibrium diagnostic downstream. Simulation code attaches ``step`` and
-    ``quantity`` when the failure happens mid-path.
+    ``quantity`` when the failure happens mid-path; ``solver.solve_mfg``
+    attaches ``maps``, the response maps it spent.
     """
 
     def __init__(self, message, step=None, quantity=None):
@@ -34,7 +35,9 @@ class NotConverged(AmmGameError):
     one-element history: arb-check's worst oracle profit gap, lvr-check's z
     of the finest step's mean residual (the gate is 5), nash-test's depth of
     the worst gap's -3 SE floor below zero, and, when the LP search stops at
-    ``solver.budget``, the certificate residual.
+    ``solver.budget``, the certificate residual. ``solver.solve_mfg`` attaches
+    ``maps``, the response maps it spent; when every LP candidate fails,
+    ``solver.solve_major_minor`` attaches its ``search_trace`` rows.
     """
 
     def __init__(self, message, residual_history):

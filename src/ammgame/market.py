@@ -6,7 +6,8 @@ Three kinds of agents act on the pool:
   slippage discount S = alpha / X_total and a fee wedge (1 + phi^2)/(2 phi)
   on the USDT leg;
 * one liquidity provider moving (X^LP, Y^LP) in and out at the pool price,
-  whose pool-share value Z^LP drains at rate 2 * alpha^LP * P;
+  whose pool-share value Z^LP drains at rate 2 * alpha^LP * P and whose
+  cumulative control is not stored: it is x_adj - x0;
 * arbitrageurs, present only through the drain rate l(P) of the lvr module.
 
 They interact through one object, the price drift. With the accumulated net
@@ -67,6 +68,8 @@ class Market:
     def __post_init__(self):
         if not self.dt > 0:
             raise InvalidParameter(f"dt must be positive, got {self.dt}")
+        if not 0 < self.phi <= 1:
+            raise InvalidParameter(f"phi must lie in (0, 1], got {self.phi}")
         object.__setattr__(self, "k0", self.x0 * self.y0)
         object.__setattr__(self, "wedge", (1 + self.phi * self.phi) / (2 * self.phi))
 
@@ -98,7 +101,6 @@ class MarketState:
     lp_x: object
     lp_y: object
     lp_z: object
-    lp_s: object  # cumulative LP control
     trader_x: object
     trader_y: object
 
@@ -122,7 +124,6 @@ def opening_state(config, trader_x=None):
         lp_x=config.lp_x0,
         lp_y=config.lp_y0,
         lp_z=config.lp_z0,
-        lp_s=0.0,
         trader_x=trader_x,
         trader_y=None if trader_x is None else np.zeros_like(trader_x),
     )
@@ -185,23 +186,21 @@ def _all(cond):
 
 
 def check_state(mk: Market, s: MarketState, t):
-    """Raise ``DegenerateReserves`` when a lane's state sits on a floor.
+    """Raise ``DegenerateReserves`` when a lane's state sits on one of four floors.
 
-    The six floors are tested in one pass (NaN fails them); the failing floor
-    and lane are looked for only then, to name them.
+    They are tested in one pass (NaN fails them); the failing one is named only
+    then. x0 plus the LP's control is ``x_adj``, and for phi in (0, 1] the fee leg
+    x_adj + phi*delta never falls below min(x_adj, total), rounding being monotone.
     """
     floor_x, floor_y = EPS_RESERVE_FACTOR * mk.x0, EPS_RESERVE_FACTOR * mk.y0
-    total, fee_leg, pool_x = s.x_adj + s.delta, s.x_adj + mk.phi * s.delta, mk.x0 + s.lp_s
-    if _all((s.price > 0) & (s.x_adj > floor_x) & (s.y_adj > floor_y) & (total > floor_x)
-            & (fee_leg > floor_x) & (pool_x > floor_x)):
+    total = s.x_adj + s.delta
+    if _all((s.price > 0) & (s.x_adj > floor_x) & (s.y_adj > floor_y) & (total > floor_x)):
         return
     for what, value, floor in (
         ("price nonpositive", s.price, 0),
         ("adjusted ETH reserve exhausted", s.x_adj, floor_x),
         ("adjusted USDT reserve exhausted", s.y_adj, floor_y),
         ("total ETH reserve exhausted", total, floor_x),
-        ("fee-leg reserve exhausted", fee_leg, floor_x),
-        ("LP withdrawals empty the pool (x0 + S)", pool_x, floor_x),
     ):
         above = value > floor  # False for NaN
         if not _all(above):
@@ -244,7 +243,6 @@ def step(mk: Market, s: MarketState, t, alpha, qbar, a_lp, dw0, dw_traders, dw_l
         lp_x=s.lp_x + a_lp * dt + vol_x * dw_lp[0],
         lp_y=s.lp_y + a_lp * p * dt + vol_y * dw_lp[1],
         lp_z=s.lp_z - 2 * a_lp * p * dt + vol_z * dw_lp[2],
-        lp_s=s.lp_s + a_lp * dt,
         trader_x=trader_x,
         trader_y=trader_y,
     )
@@ -277,7 +275,6 @@ class SystemTrajectory:
     lp_x_path: np.ndarray
     lp_y_path: np.ndarray
     lp_z_path: np.ndarray
-    lp_s_path: np.ndarray
     lp_reward_path: np.ndarray
     trader_objectives: np.ndarray | None = None
 
@@ -333,6 +330,5 @@ def record(mk: Market, s: MarketState, lp_control_path, act):
         lp_x_path=path("lp_x"),
         lp_y_path=path("lp_y"),
         lp_z_path=path("lp_z"),
-        lp_s_path=path("lp_s"),
         lp_reward_path=_along(lp_reward),
     )

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from conftest import NO_NOISE, bare_market
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,23 +25,14 @@ from ammgame.market import (
 from ammgame.pool import EPS_RESERVE_FACTOR
 from ammgame.solver import FlowOfMeasures, forward_environment
 
-# dw0, dw_traders, dw_lp of a noise-free step; integer zeros keep Fractions exact
-NO_NOISE = (0, 0, (0, 0, 0))
 
-
-def bare_market(**kw):
-    """A ``Market`` from ``kw``: unless it says otherwise, no noise, flow sign
-    +1, arbitrage and slippage on; integer zeros keep Fractions exact."""
-    plain = dict(sign=1, sigma=0, arbitrage=True, slippage=True, trader_sigma=0, sigma0=0,
-                 lp_vols=(0, 0, 0))
-    return Market(**{**plain, **kw})
-
-
-def state(price=1.0, x_adj=100.0, y_adj=100.0, delta=0.0, lp=(0.0, 0.0, 0.0, 0.0),
+def state(price=1.0, x_adj=100.0, y_adj=100.0, delta=0.0, lp=(0.0, 0.0, 0.0),
           trader_x=None, trader_y=None):
     if trader_x is not None and trader_y is None:
         trader_y = np.zeros_like(trader_x)
-    return MarketState(price, x_adj, y_adj, delta, *lp, trader_x=trader_x, trader_y=trader_y)
+    lp_x, lp_y, lp_z = lp
+    return MarketState(price=price, x_adj=x_adj, y_adj=y_adj, delta=delta, lp_x=lp_x,
+                       lp_y=lp_y, lp_z=lp_z, trader_x=trader_x, trader_y=trader_y)
 
 
 def test_trader_drift_fee_wedge():
@@ -107,8 +99,6 @@ def _floor_by_floor(mk, s, t):
         ("adjusted ETH reserve exhausted", s.x_adj, floor_x),
         ("adjusted USDT reserve exhausted", s.y_adj, EPS_RESERVE_FACTOR * mk.y0),
         ("total ETH reserve exhausted", s.x_adj + s.delta, floor_x),
-        ("fee-leg reserve exhausted", s.x_adj + mk.phi * s.delta, floor_x),
-        ("LP withdrawals empty the pool (x0 + S)", mk.x0 + s.lp_s, floor_x),
     ):
         above = np.asarray(value > floor)
         if not above.all():
@@ -126,25 +116,22 @@ def _raised(check, mk, s):
 
 @pytest.mark.parametrize("kind", ["float", "lanes", "fraction"])
 def test_check_state_names_the_floor_the_per_floor_loop_names(kind):
-    """Each of the six floors alone, two at once, NaN entries and a healthy
-    state: ``check_state`` raises what a per-floor loop raises, or nothing.
-    phi = 2 lets the fee leg fail while the total reserve holds."""
+    """Each of the four floors alone, two at once, NaN entries and a healthy
+    state: ``check_state`` raises what a per-floor loop raises, or nothing."""
     num = F if kind == "fraction" else float
-    mk = bare_market(x0=num(100), y0=num(100), phi=num(2), dt=num(1))
-    healthy = dict(price=1, x_adj=100, y_adj=100, delta=0, lp_s=0)
+    mk = bare_market(x0=num(100), y0=num(100), phi=num(1) / 2, dt=num(1))
+    healthy = dict(price=1, x_adj=100, y_adj=100, delta=0)
     broken = [{}, {"price": 0}, {"price": -3}, {"x_adj": 0, "delta": 50},
-              {"y_adj": 0}, {"delta": -100}, {"delta": -60}, {"lp_s": -100},
-              {"y_adj": -1, "lp_s": -200}]
+              {"y_adj": 0}, {"delta": -100}, {"y_adj": -1, "delta": -200}]
     if kind != "fraction":
-        broken += [{"price": math.nan}, {"x_adj": math.nan}, {"delta": math.nan},
-                   {"lp_s": math.nan}]
+        broken += [{"price": math.nan}, {"x_adj": math.nan}, {"y_adj": math.nan},
+                   {"delta": math.nan}]
     for change in broken:
         values = {key: num(v) for key, v in {**healthy, **change}.items()}
         if kind == "lanes":  # the broken lane between two healthy ones
             values = {key: np.array([float(healthy[key]), v, float(healthy[key])])
                       for key, v in values.items()}
-        lp_s = values.pop("lp_s")
-        s = state(**values, lp=(0, 0, 0, lp_s))
+        s = state(**values)
         got, want = _raised(check_state, mk, s), _raised(_floor_by_floor, mk, s)
         assert (got is None) == (want is None) == (change == {}), change
         if want is not None:
@@ -178,7 +165,7 @@ def test_lp_reward_is_position_times_price_drift():
     """Structural identity: the LP reward is its ETH stock times the price drift."""
     mk = bare_market(x0=100.0, y0=100.0, phi=0.997, dt=0.02, arbitrage=False)
     pd = price_drift(100.0, 5.0, 0.3, 0.2, 0.997, 10000.0)
-    _, flows = step(mk, state(delta=5.0, lp=(7.0, 0.0, 0.0, 0.0)), 0, None, 0.2, 0.3,
+    _, flows = step(mk, state(delta=5.0, lp=(7.0, 0.0, 0.0)), 0, None, 0.2, 0.3,
                     *NO_NOISE)
     assert flows.lp_reward == 7.0 * pd
     _, flows = step(mk, state(delta=5.0), 0, None, 0.2, 0.3, *NO_NOISE)
@@ -187,11 +174,11 @@ def test_lp_reward_is_position_times_price_drift():
 
 def test_lp_state_step_deterministic():
     mk = bare_market(x0=100.0, y0=100.0, phi=1.0, dt=0.02, arbitrage=False)
-    s, _ = step(mk, state(lp=(1.0, 2.0, 200.0, 0.0)), 0, None, 0.0, 0.25, *NO_NOISE)
+    s, _ = step(mk, state(lp=(1.0, 2.0, 200.0)), 0, None, 0.0, 0.25, *NO_NOISE)
     assert s.lp_x == pytest.approx(1.005, rel=1e-15)
     assert s.lp_y == pytest.approx(2.005, rel=1e-15)
     assert s.lp_z == pytest.approx(199.99, rel=1e-15)
-    assert s.lp_s == pytest.approx(0.005, rel=1e-15)
+    assert s.x_adj == pytest.approx(100.005, rel=1e-15)
 
 
 def test_lp_state_step_noise_and_floor():
@@ -205,6 +192,27 @@ def test_lp_state_step_noise_and_floor():
         step(mk, state(), 0, None, 0.0, -101.0, *NO_NOISE)
     with pytest.raises(InvalidParameter):
         bare_market(x0=100.0, y0=100.0, phi=1.0, dt=0.0)
+
+
+@pytest.mark.parametrize("phi", [0.0, 2.0, math.nan])
+def test_market_rejects_phi_outside_unit_interval(phi):
+    with pytest.raises(InvalidParameter, match="phi"):
+        bare_market(x0=100.0, y0=100.0, phi=phi, dt=1.0)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(x=finite, delta=finite, phi=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+       exact=st.tuples(st.fractions(), st.fractions(), st.fractions(0, 1).filter(bool)))
+@settings(max_examples=300, deadline=None)
+def test_fee_leg_never_below_the_checked_legs(x, delta, phi, exact):
+    """For phi in (0, 1] the fee leg x + phi*delta, rounded as the step rounds
+    it, is never below min(x, x + delta), so ``check_state`` needs no floor
+    for it: on floats, where rounding is monotone, and on Fractions."""
+    assert x + phi * delta >= min(x, x + delta)
+    fx, fdelta, fphi = exact
+    assert fx + fphi * fdelta >= min(fx, fx + fdelta)
 
 
 def test_cumulative_flow_impact_left_point():
@@ -228,7 +236,7 @@ def test_mean_field_aggregates_quadrature():
     np.testing.assert_array_equal(flows.mean_controls(), [1.0, 0.5])
     mk = bare_market(x0=F(100), y0=F(100), phi=F(1), dt=F(1, 10), arbitrage=False)
     s = state(price=F(1), x_adj=F(100), y_adj=F(100), delta=F(0),
-              lp=(F(1), F(0), F(0), F(0)))
+              lp=(F(1), F(0), F(0)))
     s, first = step(mk, s, 0, None, F(1), F(0), *NO_NOISE)
     assert first.lp_reward == -F(10000) * 2 * 100 / 100**4
     _, second = step(mk, s, 1, None, F(1, 2), F(0), *NO_NOISE)
@@ -260,7 +268,7 @@ def test_reward_exactness_on_fractions():
     exact = trx * pd + akg + akg * (1 - slip) * (1 - wedge)
 
     mk = bare_market(x0=F(100), y0=F(100), phi=phi, dt=dt, arbitrage=False)
-    s = state(price=p, x_adj=xa, y_adj=F(100), delta=h, lp=(F(7), F(2), F(200), F(0)),
+    s = state(price=p, x_adj=xa, y_adj=F(100), delta=h, lp=(F(7), F(2), F(200)),
               trader_x=np.array([trx], dtype=object))
     new, flows = step(mk, s, 0, np.array([alpha], dtype=object), mean_c, a_lp, *NO_NOISE)
     assert flows.trader_reward[0] == exact

@@ -107,7 +107,7 @@ def test_one_step_lp_oracle():
     assert traj.lp_x_path[1] == pytest.approx(10.005, rel=1e-15)
     assert traj.lp_y_path[1] == pytest.approx(10.005, rel=1e-15)
     assert traj.lp_z_path[1] == pytest.approx(199.99, rel=1e-15)
-    assert traj.lp_s_path[1] == pytest.approx(0.005, rel=1e-15)
+    assert traj.x_adj_path[1] == pytest.approx(100.005, rel=1e-15)
     # reward = lp ETH stock times the mean-control-slot price drift
     assert traj.lp_reward_path[0] == pytest.approx(10.0 * -0.012988, rel=1e-13)
 

@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from conftest import small_config
 
 from ammgame import harness
 from ammgame.config import default_config, time_grid
@@ -18,15 +19,9 @@ from ammgame.harness import (
 from ammgame.solver import best_response, forward_environment, solve_mfg
 
 
-def quick_cfg(**kw):
-    base = dict(grid_steps=10, grid_x_points=41, grid_control_points=5)
-    base.update(kw)
-    return default_config(**base)
-
-
 def test_paired_lanes_match_engine_runs():
     """One lane batch gives the gaps of two engine runs per replication, bit for bit."""
-    cfg = quick_cfg(trader_init_law="gaussian", lp_sigma_z=0.5, external_sigma0=0.02)
+    cfg = small_config(trader_init_law="gaussian", lp_sigma_z=0.5, external_sigma0=0.02)
     sol = solve_mfg(cfg)
     policy = sol.policy.as_policy()
 
@@ -57,7 +52,7 @@ def test_paired_lanes_match_engine_runs():
 
 def test_simulate_n_players_rejects_nonpositive():
     """An N-player deviation run needs at least one player."""
-    cfg = quick_cfg()
+    cfg = small_config()
     sol = solve_mfg(cfg)
     with pytest.raises(InvalidParameter):
         epsilon_nash_gap(cfg, n_players=0, seed=1, solution=sol)
@@ -71,18 +66,18 @@ def test_epsilon_nash_gap_rejects_solution_off_the_config_layer():
                                    harness_replications=4))
     with pytest.raises(InvalidParameter, match="inventory grid of 21 points.*101 points"):
         epsilon_nash_gap(cfg, 4, sol, 1)
-    other_steps = solve_mfg(quick_cfg(grid_steps=20))
+    other_steps = solve_mfg(small_config(grid_steps=20))
     with pytest.raises(InvalidParameter, match="step count 20, the config's 10"):
-        epsilon_nash_gap(quick_cfg(), 4, other_steps, 1)
+        epsilon_nash_gap(small_config(), 4, other_steps, 1)
     # same step count on a longer horizon: every policy array matches, the dt does not
-    other_horizon = solve_mfg(quick_cfg(grid_horizon=2.0, harness_replications=4))
+    other_horizon = solve_mfg(small_config(grid_horizon=2.0, harness_replications=4))
     with pytest.raises(InvalidParameter, match="time step 0.2 is not the config's 0.1"):
-        epsilon_nash_gap(quick_cfg(harness_replications=4), 4, other_horizon, 1)
+        epsilon_nash_gap(small_config(harness_replications=4), 4, other_horizon, 1)
 
 
 def test_pilot_environment_reproduces_deterministic_env(monkeypatch):
     """On a noise-free pilot the deviation answers the solver's environment exactly."""
-    cfg = quick_cfg(trader_sigma=0.0, external_sigma0=0.0, harness_replications=2)
+    cfg = small_config(trader_sigma=0.0, external_sigma0=0.0, harness_replications=2)
     lp_path = np.full(cfg.grid_steps, 0.2)
     sol = solve_mfg(cfg, lp_path)
     seen = []
@@ -101,7 +96,7 @@ def test_pilot_environment_reproduces_deterministic_env(monkeypatch):
 
 
 def test_epsilon_nash_gap_fields_and_determinism():
-    cfg = quick_cfg(harness_replications=6)
+    cfg = small_config(harness_replications=6)
     sol = solve_mfg(cfg)
     est = epsilon_nash_gap(cfg, n_players=8, seed=21, solution=sol)
     assert isinstance(est, DeviationEstimate)
@@ -116,7 +111,7 @@ def test_epsilon_nash_gap_fields_and_determinism():
 
 def test_epsilon_nash_gap_common_noise_pairing():
     """Pairing cancels shared randomness: gap spread is far below objective spread."""
-    cfg = quick_cfg(harness_replications=8)
+    cfg = small_config(harness_replications=8)
     sol = solve_mfg(cfg)
     est = epsilon_nash_gap(cfg, n_players=8, seed=2, solution=sol)
     pol, grid = sol.policy.as_policy(), time_grid(cfg)
@@ -129,7 +124,7 @@ def test_epsilon_nash_gap_common_noise_pairing():
 
 
 def test_convergence_study_report_shape():
-    cfg = quick_cfg(harness_n_values=(4, 8), harness_replications=5)
+    cfg = small_config(harness_n_values=(4, 8), harness_replications=5)
     report = convergence_study(cfg, seed=17)
     assert isinstance(report, NashReport)
     assert tuple(report.n_values) == (4, 8)
@@ -147,7 +142,7 @@ def test_convergence_study_report_shape():
 
 
 def test_convergence_study_deterministic():
-    cfg = quick_cfg(harness_n_values=(4, 8), harness_replications=4)
+    cfg = small_config(harness_n_values=(4, 8), harness_replications=4)
     a = convergence_study(cfg, seed=9)
     b = convergence_study(cfg, seed=9)
     np.testing.assert_array_equal(a.gaps, b.gaps)

@@ -9,7 +9,8 @@ name, as a whole word, somewhere in the corpus other than on its own
 for result fields: each annotated field of a class must be read as an
 attribute somewhere. A third does it for parameter defaults, of a ``def``
 and of a dataclass field alike: a default that only tests rely on is a
-fallback production never takes.
+fallback production never takes. A fourth requires every module-level import
+of the package and of the tests to be used in its own file.
 """
 
 import ast
@@ -24,6 +25,7 @@ CORPUS = (
     + sorted((ROOT / "perfbench").glob("*.py"))
     + [ROOT / "tests" / "test_acceptance.py"]
 )
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 WORD = re.compile(r"\w+")
 
 
@@ -191,3 +193,21 @@ def test_every_default_is_relied_on_outside_tests():
                        for n, keywords in calls[name]):
                 unrelied.append(f"{path.name}:{line} {key}")
     assert not unrelied, "defaults relied on only by tests: " + ", ".join(unrelied)
+
+
+def test_every_import_is_used_in_its_file():
+    """Each name a module-level ``import`` binds in ``src/ammgame`` (without
+    ``__init__.py``, whose imports are its re-exports) and in ``tests`` is
+    read as a name somewhere in the same file."""
+    unused = []
+    for path in [p for p in PACKAGE if p.name != "__init__.py"] + TESTS:
+        tree = ast.parse(path.read_text())
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
+            for alias in stmt.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound != "*" and bound not in names:
+                    unused.append(f"{path.name}:{stmt.lineno} {bound}")
+    assert not unused, "imported but unused: " + ", ".join(unused)

@@ -11,27 +11,17 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from conftest import NO_NOISE, bare_market
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ammgame.errors import DegenerateReserves, InvalidParameter
-from ammgame.market import Market, MarketState, check_state, g_factor, step
+from ammgame.market import MarketState, check_state, g_factor, step
 from ammgame.pool import (
     EPS_RESERVE_FACTOR,
     make_pool,
     quote_trade,
 )
-
-# dw0, dw_traders, dw_lp of a noise-free step; integer zeros keep Fractions exact
-NO_NOISE = (0, 0, (0, 0, 0))
-
-
-def bare_market(**kw):
-    """A ``Market`` from ``kw``: unless it says otherwise, no noise, flow sign
-    +1, arbitrage and slippage on; integer zeros keep Fractions exact."""
-    plain = dict(sign=1, sigma=0, arbitrage=True, slippage=True, trader_sigma=0, sigma0=0,
-                 lp_vols=(0, 0, 0))
-    return Market(**{**plain, **kw})
 
 finite_pos = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -206,7 +196,7 @@ def lp_market(x0, y0, dt):
 
 def reserves(x, y, delta=0):
     return MarketState(price=y / x, x_adj=x, y_adj=y, delta=delta,
-                       lp_x=0, lp_y=0, lp_z=0, lp_s=0, trader_x=None, trader_y=None)
+                       lp_x=0, lp_y=0, lp_z=0, trader_x=None, trader_y=None)
 
 
 def lp_reserves(mk, s, lp, prices):
@@ -255,6 +245,17 @@ def test_adjusted_reserves_exact_on_fractions():
     path = lp_reserves(lp_market(F(10), F(20), F(1, 10)), reserves(F(10), F(20)), lp, prices)
     assert path[2].x_adj == F(10) + (F(1, 2) - F(1, 4)) * F(1, 10)
     assert path[2].y_adj == F(20) + (F(1) - F(3, 4)) * F(1, 10)
+
+
+def test_adjusted_reserve_is_x0_plus_cumulative_control():
+    """x_adj - x0 is the LP's cumulative control S = sum of a_lp * dt, exactly,
+    at every time of a path that deposits and withdraws."""
+    x0, dt = F(10), F(1, 20)
+    lp = [F(3), F(-7, 2), F(1, 3), F(0), F(-5), F(9, 4)]
+    prices = [F(2), F(5, 2), F(3, 2), F(2), F(7, 4), F(9, 5)]
+    path = lp_reserves(lp_market(x0, F(20), dt), reserves(x0, F(20)), lp, prices)
+    for t, s in enumerate(path):
+        assert s.x_adj - x0 == sum(a * dt for a in lp[:t])
 
 
 def test_total_eth_reserves_decomposition():

@@ -5,10 +5,12 @@ import itertools
 import math
 import weakref
 from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import small_config
 
 from ammgame import kernels, market, solver
 from ammgame.config import default_config, time_grid
@@ -16,7 +18,6 @@ from ammgame.engine import simulate
 from ammgame.errors import DegenerateReserves, InvalidParameter, NotConverged
 from ammgame.solver import (
     FlowOfMeasures,
-    PolicyGrid,
     best_response,
     forward_environment,
     induced_flows,
@@ -32,10 +33,7 @@ from ammgame.solver import (
 )
 
 
-def small_cfg(**kw):
-    base = dict(grid_steps=10, grid_x_points=41, grid_control_points=5, engine_traders=16)
-    base.update(kw)
-    return default_config(**base)
+small_cfg = partial(small_config, engine_traders=16)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +146,7 @@ def test_tabulate_rewards_matches_agent_formula():
     for t, ix, ja in ((0, 0, 0), (3, 20, 2), (9, 40, 4)):
         state = market.MarketState(
             price=env.price_path[t], x_adj=env.x_adj_path[t], y_adj=cfg.pool_y0,
-            delta=env.delta_path[t], lp_x=0.0, lp_y=0.0, lp_z=0.0, lp_s=0.0,
+            delta=env.delta_path[t], lp_x=0.0, lp_y=0.0, lp_z=0.0,
             trader_x=np.array([x_grid[ix]]), trader_y=np.zeros(1),
         )
         _, flows = market.step(mk, state, t, np.array([atoms[ja]]), env.mean_control_path[t],
