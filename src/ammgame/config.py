@@ -2,22 +2,24 @@
 
 ``SCHEMA`` is the one list of keys: :class:`SimConfig` is built from it, one
 field per key with the dots written as underscores (``pool.tau`` is
-``pool_tau``). Every ``SimConfig`` is checked when it is built, whether by its
-constructor, ``build_config``, ``default_config`` or ``dataclasses.replace``:
-each value must have its kind's type (an int where a float is declared is
-converted when exact, a list where a tuple is declared becomes a tuple), float
-values must be finite, each key must satisfy its range check (in schema
-order; grid.quad_points needs finite Gauss-Hermite nodes and weights, which
-every order up to a tested bound has, so only a higher order builds the
-rule), then the cross-key rules must hold, the last of them on the trader's
-grids: every inventory node keeps a control atom whose drift target stays on
-the grid, and the initial law has mass on the grid. A violation raises
-:class:`ConfigError` naming the offending key.
+``pool_tau``), whose default is the key's schema default. Every ``SimConfig``
+is built and checked by its constructor, whether called directly or through
+``build_config``, ``default_config`` or ``dataclasses.replace``: an unset
+lp.z0 (``None``) becomes 2 * pool.y0, each value must have its kind's type (an
+int where a float is declared is converted when exact, a list where a tuple
+is declared becomes a tuple, and floats must be finite), each key must
+satisfy its range check (in schema order; grid.quad_points must lie in
+[1, 200], the orders a test shows to have finite Gauss-Hermite nodes and
+weights), then the cross-key rules must hold, the last of them on the
+trader's grids: every inventory node keeps a control atom whose drift target
+stays on the grid, and the initial law has mass on the grid. A violation
+raises :class:`ConfigError` naming the offending key.
 
 Config files are flat ``section.key = value`` lines. ``#`` starts a comment,
 blank lines are ignored. Every key must belong to the schema, appear at most
 once and parse to its declared type; ``--override key=value`` pairs are read
-by the same rule. Unset keys take their schema defaults.
+by the same rule, and ``build_config`` rejects a key outside the schema.
+Unset keys take their schema defaults.
 
 The canonical echo renders the resolved configuration in schema order with
 ``format_value``, floats at 17 significant digits, so byte-identical echoes
@@ -35,7 +37,7 @@ module imports no layer that reads a config.
 import hashlib
 import math
 import numbers
-from dataclasses import dataclass, make_dataclass, replace
+from dataclasses import dataclass, field, make_dataclass
 
 import numpy as np
 
@@ -63,8 +65,8 @@ def _as_int(v):
 
 def _as_float(v):
     # every int up to 2**53 is exactly a float
-    if not (isinstance(v, float) or _is_int(v) and abs(v) <= 2**53):
-        raise TypeError("a float")
+    if not (isinstance(v, float) and math.isfinite(v) or _is_int(v) and abs(v) <= 2**53):
+        raise TypeError("a finite float")
     return float(v)
 
 
@@ -98,7 +100,7 @@ _KINDS = {
     "int_list": (lambda raw: tuple(int(s, 10) for s in raw.split(",")), tuple,
                  _tuple_of(_as_int, "a tuple of integers")),
     "float_list": (lambda raw: tuple(float(s) for s in raw.split(",")), tuple,
-                   _tuple_of(_as_float, "a tuple of floats")),
+                   _tuple_of(_as_float, "a tuple of finite floats")),
 }
 
 
@@ -110,24 +112,12 @@ def _nonnegative(v):
     return v >= 0
 
 
-# every order up to this one gives a finite Gauss-Hermite rule (a test builds them all)
+# every order up to this one gives a finite Gauss-Hermite rule (a test builds
+# them all); numpy's rule overflows at high orders (400 nodes)
 _FINITE_QUAD_ORDER = 200
 
 
-def _finite_quadrature(v):
-    """Positive, with a finite Gauss-Hermite rule (numpy's overflows at high
-    orders). The rule is built only above ``_FINITE_QUAD_ORDER``, with
-    floating-point warnings off, so a bad order only fails."""
-    if v < 1:
-        return False
-    if v <= _FINITE_QUAD_ORDER:
-        return True
-    with np.errstate(all="ignore"):
-        return bool(np.isfinite(kernels.gauss_hermite(v)).all())
-
-
 # key -> (kind, default, per-key check or None, requirement text)
-# default None means resolved after parsing (documented per key).
 SCHEMA = {
     "pool.x0": ("float", 1000.0, _positive, "must be positive"),
     "pool.y0": ("float", 1000.0, _positive, "must be positive"),
@@ -164,8 +154,9 @@ SCHEMA = {
     "grid.x_max": ("float", 2.0, None, ""),
     "grid.x_points": ("int", 101, lambda v: v >= 2, "needs at least 2 points"),
     "grid.control_points": ("int", 11, lambda v: v >= 2, "needs at least 2 points"),
-    "grid.quad_points": ("int", 7, _finite_quadrature,
-                         "must be positive with finite Gauss-Hermite nodes and weights"),
+    "grid.quad_points": ("int", 7, lambda v: 1 <= v <= _FINITE_QUAD_ORDER,
+                         f"must lie in [1, {_FINITE_QUAD_ORDER}], the orders with "
+                         "finite Gauss-Hermite nodes and weights"),
     "solver.damping": ("float", 0.5, lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
     "solver.tol": ("float", 1e-6, _positive, "must be positive"),
     "solver.max_iter": ("int", 500, _positive, "must be positive"),
@@ -292,19 +283,18 @@ def _check_control_range(cfg, x_grid, atoms):
 def _check(cfg):
     """Every per-key check in schema order, then every cross-key check.
 
-    Each value is first stored as its kind's type, or rejected.
+    Each value is first stored as its kind's type, or rejected; an unset
+    lp.z0 first becomes 2 * pool.y0, which precedes it and so is checked.
     """
     for key, (kind, _default, check, requirement) in SCHEMA.items():
         value = getattr(cfg, _attr(key))
+        if value is None and key == "lp.z0":
+            value = 2.0 * cfg.pool_y0
         try:
             value = _KINDS[kind][2](value)
         except TypeError as exc:
             raise ConfigError(key, f"must be {exc} (got {value!r})") from None
         object.__setattr__(cfg, _attr(key), value)
-        if kind in ("float", "float_list"):
-            items = value if kind == "float_list" else (value,)
-            if not all(math.isfinite(x) for x in items):
-                raise ConfigError(key, f"must be finite (got {value})")
         if check is not None and not check(value):
             raise ConfigError(key, f"{requirement} (got {value})")
 
@@ -331,9 +321,11 @@ def _check(cfg):
 
 SimConfig = make_dataclass(
     "SimConfig",
-    [(_attr(key), _KINDS[kind][1]) for key, (kind, *_rest) in SCHEMA.items()],
+    [(_attr(key), _KINDS[kind][1], field(default=default))
+     for key, (kind, default, *_rest) in SCHEMA.items()],
     namespace={
-        "__doc__": "Resolved configuration: one field per SCHEMA key, checked when built.",
+        "__doc__": "Resolved configuration: one field per SCHEMA key, defaulting to the "
+                   "key's schema default, checked when built.",
         "__post_init__": _check,
     },
     frozen=True,
@@ -376,6 +368,8 @@ def apply_overrides(values, overrides):
 
 
 def _convert(key, raw):
+    if key not in SCHEMA:
+        raise ConfigError(key, "unknown key")
     kind = SCHEMA[key][0]
     try:
         return _KINDS[kind][0](raw)
@@ -384,14 +378,9 @@ def _convert(key, raw):
 
 
 def build_config(values):
-    """Typed SimConfig from raw string values; applies defaults and checks."""
-    resolved = {
-        _attr(key): _convert(key, values[key]) if key in values else default
-        for key, (_kind, default, *_rest) in SCHEMA.items()
-    }
-    if resolved["lp_z0"] is None:
-        resolved["lp_z0"] = 2.0 * resolved["pool_y0"]
-    return SimConfig(**resolved)
+    """Checked SimConfig from raw string values by schema key; unset keys take
+    their defaults, and a key outside the schema raises ConfigError."""
+    return SimConfig(**{_attr(key): _convert(key, raw) for key, raw in values.items()})
 
 
 def load_config(path, overrides=()):
@@ -431,12 +420,9 @@ def config_hash(config: SimConfig):
 
 
 def default_config(**attr_overrides):
-    """Resolved default configuration, with keyword tweaks by attribute name.
-
-    ``lp_z0`` resolves from the default ``pool_y0`` before the tweaks apply;
-    the tweaked values pass the same checks as a config file.
-    """
+    """Default configuration with keyword tweaks by attribute name, checked as
+    a config file is (an unset ``lp_z0`` is 2 * ``pool_y0``)."""
     for attr in attr_overrides:
         if attr not in SimConfig.__dataclass_fields__:
             raise ConfigError(attr, "unknown config attribute")
-    return replace(build_config({}), **attr_overrides)
+    return SimConfig(**attr_overrides)

@@ -13,6 +13,7 @@ functions run on ``fractions.Fraction`` inputs, which is how the test oracles
 verify the algebra exactly. The market step keeps that property.
 """
 
+import math
 from dataclasses import dataclass
 
 from .errors import DegenerateReserves, InvalidParameter
@@ -71,17 +72,25 @@ def quote_trade(pool: PoolState, x_adj, y_adj, delta_x):
     exact values.
 
     Returns (delta_y, new_invariant). delta_y > 0 means USDT leaves the pool.
+    Raises InvalidParameter unless x_adj and y_adj are finite and positive and
+    delta_x is finite, and DegenerateReserves when x_adj + delta_x is not above
+    the reserve floor. The fee leg x_adj + phi*delta_x needs no floor of its
+    own: for phi in (0, 1] it is never below min(x_adj, x_adj + delta_x).
     """
+    if not 0 < x_adj < math.inf:
+        raise InvalidParameter(f"x_adj must be finite and positive, got {x_adj}")
+    if not 0 < y_adj < math.inf:
+        raise InvalidParameter(f"y_adj must be finite and positive, got {y_adj}")
+    if not -math.inf < delta_x < math.inf:
+        raise InvalidParameter(f"delta_x must be finite, got {delta_x}")
     k0 = pool.invariant_k
     phi = pool.phi
-    a = x_adj + phi * delta_x
     b = x_adj + delta_x
-    floor = EPS_RESERVE_FACTOR * x_adj
-    if a <= floor or b <= floor:
+    if not b > EPS_RESERVE_FACTOR * x_adj:
         raise DegenerateReserves(
-            f"trade of {delta_x} would empty the pool (factors {a}, {b})"
+            f"trade of {delta_x} would empty the pool (x_adj + delta_x = {b})"
         )
-    delta_y = y_adj - k0 / a
+    delta_y = y_adj - k0 / (x_adj + phi * delta_x)
     return delta_y, invariant_after(k0, x_adj, delta_x, phi)
 
 

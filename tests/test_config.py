@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import ammgame
 from ammgame import config as config_module
 from ammgame import kernels, solver
+from ammgame.cli import main
 from ammgame.config import (
     SCHEMA,
     SimConfig,
@@ -40,10 +41,22 @@ def test_defaults_resolve():
 
 
 def test_lp_z0_defaults_to_twice_pool_quote():
-    cfg = build_config({"pool.y0": "250"})
-    assert cfg.lp_z0 == 500.0
+    """However the config is built."""
+    for cfg in (build_config({"pool.y0": "250"}), default_config(pool_y0=250.0),
+                SimConfig(pool_y0=250.0), replace(default_config(), pool_y0=250.0, lp_z0=None)):
+        assert cfg.lp_z0 == 500.0
     explicit = build_config({"pool.y0": "250", "lp.z0": "7"})
     assert explicit.lp_z0 == 7.0
+    assert SimConfig() == default_config() == build_config({})
+
+
+def test_default_config_builds_one_config(monkeypatch):
+    built = []
+    check = SimConfig.__post_init__
+    monkeypatch.setattr(SimConfig, "__post_init__", lambda cfg: built.append(cfg) or check(cfg))
+    default_config()
+    default_config(pool_tau=0.01)
+    assert len(built) == 2
 
 
 def test_echo_round_trip_is_identity():
@@ -88,6 +101,10 @@ def test_parse_rejects_unknown_key():
         parse_config_text("pool.fee = 0.01\n", source="f.cfg")
     assert err.value.key == "pool.fee"
     assert "f.cfg:1" in err.value.reason
+    with pytest.raises(ConfigError) as err:
+        build_config({"grid.step": "10"})
+    assert err.value.key == "grid.step"
+    assert "unknown key" in err.value.reason
 
 
 def test_parse_rejects_missing_equals_and_empty_value():
@@ -166,21 +183,32 @@ def test_range_violations_name_the_key():
     assert build_config({"pool.y0": "7"}).lp_z0 == 14.0
 
 
-def test_quadrature_orders_up_to_the_bound_are_accepted_unbuilt_and_are_finite(monkeypatch):
-    """The config accepts grid.quad_points up to ``_FINITE_QUAD_ORDER`` without
-    building the rule; every one of those orders gives finite nodes and weights."""
+def test_quadrature_orders_up_to_the_bound_are_accepted_unbuilt_and_are_finite(
+        monkeypatch, tmp_path, capsys):
+    """grid.quad_points is the range [1, ``_FINITE_QUAD_ORDER``]: every order in
+    it gives finite nodes and weights, the next one is a config error naming the
+    key, at build_config and through the CLI, and no config build builds the rule."""
     bound = config_module._FINITE_QUAD_ORDER
-    with np.errstate(all="ignore"):
-        for order in range(1, bound + 1):
-            nodes, weights = kernels.gauss_hermite(order)
-            assert np.isfinite(nodes).all() and np.isfinite(weights).all(), order
+    for order in range(1, bound + 1):
+        nodes, weights = kernels.gauss_hermite(order)
+        assert np.isfinite(nodes).all() and np.isfinite(weights).all(), order
     built = []
     gauss_hermite = kernels.gauss_hermite
     monkeypatch.setattr(kernels, "gauss_hermite", lambda n: built.append(n) or gauss_hermite(n))
     assert build_config({"grid.quad_points": str(bound)}).grid_quad_points == bound
+    with pytest.raises(ConfigError) as err:
+        build_config({"grid.quad_points": str(bound + 1)})
+    assert err.value.key == "grid.quad_points"
+    assert "finite Gauss-Hermite nodes and weights" in err.value.reason
+    empty = tmp_path / "empty.cfg"
+    empty.write_text("")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(empty), "--out", str(out),
+                 "--override", f"grid.quad_points={bound + 1}"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "grid.quad_points" in err
+    assert not out.exists()
     assert built == []
-    assert build_config({"grid.quad_points": str(bound + 1)}).grid_quad_points == bound + 1
-    assert built == [bound + 1]
 
 
 def test_default_config_runs_the_schema_checks():
@@ -199,8 +227,8 @@ def test_default_config_runs_the_schema_checks():
     with pytest.raises(ConfigError) as err:
         default_config(no_such_key=1)
     assert err.value.key == "no_such_key"
-    # lp_z0 keeps its value resolved from the default pool quote
-    assert default_config(pool_y0=250.0).lp_z0 == 2000.0
+    # an unset lp_z0 resolves from the tweaked pool quote
+    assert default_config(pool_y0=250.0).lp_z0 == 500.0
     assert default_config(pool_tau=0.01) == build_config({"pool.tau": "0.01"})
 
 

@@ -74,6 +74,20 @@ def test_quote_trade_zero_fee_keeps_invariant_bitwise():
         assert k_new == pool.invariant_k
 
 
+@pytest.mark.parametrize("x_adj, y_adj, delta_x, name", [
+    (math.nan, 100.0, 1.0, "x_adj"), (-1.0, 100.0, 1.0, "x_adj"), (0.0, 100.0, 1.0, "x_adj"),
+    (math.inf, 100.0, 1.0, "x_adj"), (F(0), F(100), F(1), "x_adj"),
+    (100.0, math.nan, 1.0, "y_adj"), (100.0, 0.0, 1.0, "y_adj"), (100.0, math.inf, 1.0, "y_adj"),
+    (100.0, 100.0, math.nan, "delta_x"), (100.0, 100.0, math.inf, "delta_x"),
+    (100.0, 100.0, -math.inf, "delta_x"),
+])
+def test_quote_trade_rejects_bad_inputs_naming_the_argument(x_adj, y_adj, delta_x, name):
+    pool = make_pool(100.0, 100.0, 0.003)
+    with pytest.raises(InvalidParameter) as err:
+        quote_trade(pool, x_adj, y_adj, delta_x)
+    assert str(err.value).startswith(name)
+
+
 def test_quote_trade_overdraw_raises():
     pool = make_pool(100.0, 100.0, 0.003)
     with pytest.raises(DegenerateReserves):

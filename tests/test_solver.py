@@ -802,8 +802,8 @@ def test_lp_search_scores_failed_candidates_inf():
     candidate is a trace row with objective inf and the maps it spent, the
     search goes on to the best ok row, and the certificate neighbour at +0.01,
     whose inner solve fails, scores inf."""
-    cfg = small_cfg(lp_segments=1, pool_x0=8.0, pool_y0=8.0, lp_control_min=-5.0,
-                    lp_control_max=-2.0, solver_max_iter=30)
+    cfg = small_cfg(lp_segments=1, pool_x0=8.0, pool_y0=8.0, lp_z0=2000.0,
+                    lp_control_min=-5.0, lp_control_max=-2.0, solver_max_iter=30)
     sol = solve_major_minor(cfg)
     statuses = [row["status"] for row in sol.search_trace]
     assert statuses.count("ok") == 8 and statuses.count("degenerate") == 1
