@@ -19,9 +19,13 @@ N players. The deviation benchmark is built in two stages:
    pairwise difference isolates the deviator's edge plus the O(1/N) feedback
    of their control on the market.
    All R replications run as one batch of 2R lanes of the market step
-   (baseline and deviation lane per replication). The batch starts from the
-   pilot's opening inventories and runs on the pilot's market and LP path,
-   and it keeps only (lanes, N) stocks and player 0's per-step reward.
+   (baseline and deviation lane per replication) on the pilot's market and
+   LP path. Every control is a feedback on the player's own inventory, so
+   players 1..N-1, frozen at their pilot noise, walk the pilot's inventory
+   path in every lane: the batch steps player 0 alone, from the pilot's
+   opening inventory, with (lanes, 1) stocks, and reads the crowd's
+   controls off the pilot's recorded inventories. It keeps player 0's
+   per-step reward.
 
 The reported gap for each N is the mean paired difference in player 0's
 realized objective; the convergence study fits a log-log slope across N.
@@ -69,24 +73,31 @@ class NashReport:
 def _paired_gaps(config, pilot, policy, deviation, noise, own):
     """Player 0's objective gap, deviation minus baseline, for every replication.
 
-    All replications run as one lane batch of the market step from the
-    ``pilot``'s opening inventories, on its market and LP path: lanes [0, R)
-    play ``policy``, lanes [R, 2R) let player 0 play ``deviation``. Lanes r
-    and R + r share every stream: the pilot ``noise`` for the common price,
-    the LP and players 1..N-1, and ``own[r]`` for player 0. Only (lanes, N)
-    stocks and player 0's per-step reward are kept.
+    All replications run as one lane batch of the market step on the
+    ``pilot``'s market and LP path: lanes [0, R) play ``policy``, lanes
+    [R, 2R) let player 0 play ``deviation``. Lanes r and R + r share every
+    stream: the pilot ``noise`` for the common price and the LP, and
+    ``own[r]`` for player 0. ``policy`` is a feedback on each player's own
+    inventory, so players 1..N-1, on their pilot noise, hold the pilot's
+    inventories in every lane; the market steps only player 0's (2R, 1)
+    stocks, from its pilot opening, and the crowd's controls at step t are
+    ``policy`` at the pilot's recorded inventories. Each lane's mean control
+    is taken over its full row of N controls. Only player 0's per-step
+    reward is kept.
     """
     reps, steps = own.shape
-    mk, lp_control_path = pilot.market, pilot.lp_control_path
-    s = market.opening_state(config, np.tile(pilot.trader_x[:, 0], (2 * reps, 1)))
-    dw = np.empty((2 * reps, pilot.trader_x.shape[0]))
+    mk, lp_control_path, crowd_x = pilot.market, pilot.lp_control_path, pilot.trader_x[1:]
+    s = market.opening_state(config, np.full((2 * reps, 1), pilot.trader_x[0, 0]))
+    alpha = np.empty((2 * reps, pilot.trader_x.shape[0]))  # column 0 is the deviator
+    dw = np.empty((2 * reps, 1))
     reward0 = np.empty((2 * reps, steps))
     for t in range(steps):
-        alpha = policy(t, s.trader_x)
-        alpha[reps:, 0] = deviation(t, s.trader_x[reps:, 0])
-        dw[:] = noise.idiosyncratic[:, t]
+        x = s.trader_x[:, 0]
+        alpha[:, 1:] = policy(t, crowd_x[:, t])
+        alpha[:reps, 0] = policy(t, x[:reps])
+        alpha[reps:, 0] = deviation(t, x[reps:])
         dw[:reps, 0] = dw[reps:, 0] = own[:, t]
-        s, flows = market.step(mk, s, t, alpha, alpha.mean(axis=1), lp_control_path[t],
+        s, flows = market.step(mk, s, t, alpha[:, :1], alpha.mean(axis=1), lp_control_path[t],
                                noise.common[t], dw, noise.lp[:, t])
         reward0[:, t] = flows.trader_reward[:, 0]
     objective = market.trader_objective(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import small_config
 
-from ammgame import harness
+from ammgame import harness, market
 from ammgame.config import default_config, time_grid
 from ammgame.engine import make_noise, simulate
 from ammgame.errors import InvalidParameter
@@ -19,14 +19,21 @@ from ammgame.harness import (
 from ammgame.solver import best_response, forward_environment, solve_mfg
 
 
-def test_paired_lanes_match_engine_runs():
-    """One lane batch gives the gaps of two engine runs per replication, bit for bit."""
+def _shifted(cfg, policy):
+    """A deviation: ``policy`` raised by 0.5, kept in the control range."""
+    def deviation(t, x):
+        return np.clip(policy(t, x) + 0.5, cfg.trader_a_min, cfg.trader_a_max)
+    return deviation
+
+
+@pytest.mark.parametrize("n_players", [1, 2, 8])
+def test_paired_lanes_match_engine_runs(n_players):
+    """One lane batch gives the gaps of two engine runs per replication, bit
+    for bit, from a lone player (no crowd) to a crowd of seven."""
     cfg = small_config(trader_init_law="gaussian", lp_sigma_z=0.5, external_sigma0=0.02)
     sol = solve_mfg(cfg)
     policy = sol.policy.as_policy()
-
-    def deviation(t, x):
-        return np.clip(policy(t, x) + 0.5, cfg.trader_a_min, cfg.trader_a_max)
+    deviation = _shifted(cfg, policy)
 
     def deviant(t, x):
         """Player 0 plays ``deviation``, the others ``policy``."""
@@ -36,7 +43,7 @@ def test_paired_lanes_match_engine_runs():
 
     grid = time_grid(cfg)
     lp_path = np.linspace(0.5, -0.5, grid.steps)
-    noise = make_noise(5, grid, 8)
+    noise = make_noise(5, grid, n_players)
     own = np.random.default_rng(1).standard_normal((3, grid.steps)) * np.sqrt(grid.dt)
     pilot = simulate(cfg, policy, lp_path, 5, noise=noise)
     gaps = harness._paired_gaps(cfg, pilot, policy, deviation, noise, own)
@@ -48,6 +55,32 @@ def test_paired_lanes_match_engine_runs():
         dev = simulate(cfg, deviant, lp_path, 5, noise=bundle)
         assert gaps[r] == dev.trader_objectives[0] - base.trader_objectives[0]
     assert np.any(gaps != 0.0)
+
+
+def test_paired_lanes_step_only_the_deviator(monkeypatch):
+    """Players 1..N-1 replay the pilot: every market step of the lane batch
+    carries player 0's (2R, 1) stocks alone, and the gaps are unchanged."""
+    cfg = small_config(trader_init_law="gaussian")
+    sol = solve_mfg(cfg)
+    policy = sol.policy.as_policy()
+    grid = time_grid(cfg)
+    noise = make_noise(5, grid, 8)
+    own = np.random.default_rng(2).standard_normal((3, grid.steps)) * np.sqrt(grid.dt)
+    pilot = simulate(cfg, policy, sol.env.lp_control_path, 5, noise=noise)
+    args = (cfg, pilot, policy, _shifted(cfg, policy), noise, own)
+    expected = harness._paired_gaps(*args)
+
+    shapes = []
+    step = market.step
+
+    def spy(mk, s, *rest):
+        shapes.append(s.trader_x.shape)
+        return step(mk, s, *rest)
+
+    monkeypatch.setattr(harness.market, "step", spy)
+    gaps = harness._paired_gaps(*args)
+    assert shapes == [(6, 1)] * grid.steps
+    np.testing.assert_array_equal(gaps, expected)
 
 
 def test_simulate_n_players_rejects_nonpositive():

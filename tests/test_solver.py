@@ -605,11 +605,12 @@ def test_budget_stop_is_a_trace_past_the_budget():
     assert len(info.value.search_trace) == 5
 
 
-def test_solve_major_minor_certifies_an_interior_optimum():
-    """With the LP's stocks near 0 the optimum is interior: the search stops
-    on a full poll at solver.step_tol, all 2K neighbours are feasible, and
-    each, re-solved cold, scores what the certificate says and no less than
-    the returned cost."""
+def test_solve_major_minor_certifies_a_pattern_optimum():
+    """With the LP's stocks near 0 the search ends on a pattern optimum: it
+    stops on a full poll at solver.step_tol, all 2K neighbours are feasible,
+    and each, re-solved cold, scores what the certificate says and no less
+    than the returned cost. That is a coordinate-poll certificate, not a
+    local minimum: cheaper points can lie off the poll's axes."""
     cfg = default_config(lp_x0=0.0, lp_z0=1.0, lp_segments=2)
     sol = solve_major_minor(cfg)
     assert sol.diagnostics["stop_reason"] == "step_tol"
