@@ -56,10 +56,12 @@ class ArbSolution:
 INACTIVE = ArbSolution(0.0, 0.0, 0.0, "none")
 
 
-def _check_positive(**kwargs):
-    for name, v in kwargs.items():
+def _check_inputs(r_alpha, r_beta, k, m_p, phi):
+    for name, v in (("r_alpha", r_alpha), ("r_beta", r_beta), ("k", k), ("m_p", m_p)):
         if not v > 0 or not math.isfinite(v):
             raise InvalidParameter(f"{name} must be positive and finite, got {v}")
+    if not (0 < phi <= 1):
+        raise InvalidParameter(f"phi must lie in (0, 1], got {phi}")
 
 
 def optimal_arbitrage(r_alpha, r_beta, k, m_p, phi):
@@ -68,9 +70,7 @@ def optimal_arbitrage(r_alpha, r_beta, k, m_p, phi):
     Returns the inactive solution when the pool already quotes ETH at or above
     phi*m_p.
     """
-    _check_positive(r_alpha=r_alpha, r_beta=r_beta, k=k, m_p=m_p)
-    if not (0 < phi <= 1):
-        raise InvalidParameter(f"phi must lie in (0, 1], got {phi}")
+    _check_inputs(r_alpha, r_beta, k, m_p, phi)
     d_alpha = r_alpha - math.sqrt(k / (phi * m_p))
     d_beta = (math.sqrt(phi * m_p * k) - r_beta) / phi
     if d_alpha <= 0 or d_beta <= 0:
@@ -129,9 +129,7 @@ def brute_force_arbitrage(r_alpha, r_beta, k, m_p, phi):
     (``_GRID_POINTS`` points) plus golden-section refinement is within
     O(1/_GRID_POINTS^2) of the optimum.
     """
-    _check_positive(r_alpha=r_alpha, r_beta=r_beta, k=k, m_p=m_p)
-    if not (0 < phi <= 1):
-        raise InvalidParameter(f"phi must lie in (0, 1], got {phi}")
+    _check_inputs(r_alpha, r_beta, k, m_p, phi)
 
     hi = r_alpha * (1.0 - 1e-9)
 

@@ -4,7 +4,7 @@
 field per key with the dots written as underscores (``pool.tau`` is
 ``pool_tau``), whose default is the key's schema default. Every ``SimConfig``
 is built and checked by its constructor, whether called directly or through
-``build_config``, ``default_config`` or ``dataclasses.replace``: an unset
+``load_config``, ``default_config`` or ``dataclasses.replace``: an unset
 lp.z0 (``None``) becomes 2 * pool.y0, each value must have its kind's type (an
 int where a float is declared is converted when exact, a list where a tuple
 is declared becomes a tuple, and floats must be finite), each key must
@@ -15,11 +15,12 @@ trader's grids: every inventory node keeps a control atom whose drift target
 stays on the grid, and the initial law has mass on the grid. A violation
 raises :class:`ConfigError` naming the offending key.
 
-Config files are flat ``section.key = value`` lines. ``#`` starts a comment,
-blank lines are ignored. Every key must belong to the schema, appear at most
-once and parse to its declared type; ``--override key=value`` pairs are read
-by the same rule, and ``build_config`` rejects a key outside the schema.
-Unset keys take their schema defaults.
+Config files are flat ``section.key = value`` lines, and ``load_config`` is
+their one reader. ``#`` starts a comment, blank lines are ignored. Every key
+must belong to the schema, appear at most once and parse to its declared
+type; ``--override key=value`` pairs are read by the same rule, a later one
+winning over the file and over earlier overrides. Unset keys take their
+schema defaults.
 
 The canonical echo renders the resolved configuration in schema order with
 ``format_value``, floats at 17 significant digits, so byte-identical echoes
@@ -347,29 +348,7 @@ def _read_pair(line, where):
     return key, raw
 
 
-def parse_config_text(text, source="config"):
-    """Raw key/value extraction with duplicate and unknown-key rejection."""
-    values = {}
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        where = f"{source}:{lineno}"
-        key, raw = _read_pair(line, where)
-        if key in values:
-            raise ConfigError(key, f"duplicate key ({where})")
-        values[key] = raw
-    return values
-
-
-def apply_overrides(values, overrides):
-    """Merge ``key=value`` override strings; later overrides win."""
-    return {**values, **dict(_read_pair(item, "override") for item in overrides)}
-
-
 def _convert(key, raw):
-    if key not in SCHEMA:
-        raise ConfigError(key, "unknown key")
     kind = SCHEMA[key][0]
     try:
         return _KINDS[kind][0](raw)
@@ -377,21 +356,28 @@ def _convert(key, raw):
         raise ConfigError(key, f"cannot parse {raw!r} as {kind}") from None
 
 
-def build_config(values):
-    """Checked SimConfig from raw string values by schema key; unset keys take
-    their defaults, and a key outside the schema raises ConfigError."""
-    return SimConfig(**{_attr(key): _convert(key, raw) for key, raw in values.items()})
-
-
 def load_config(path, overrides=()):
+    """Checked SimConfig from the ``key = value`` lines of the file at ``path``
+    and then the ``key=value`` strings of ``overrides``, a later one winning;
+    unset keys take their schema defaults."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(str(path), f"cannot read config file: {exc}") from None
-    values = parse_config_text(text, source=str(path))
-    values = apply_overrides(values, overrides)
-    return build_config(values)
+    values = {}
+    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+        line = raw_line.split("#", 1)[0].strip()
+        if line:
+            where = f"{path}:{lineno}"
+            key, raw = _read_pair(line, where)
+            if key in values:
+                raise ConfigError(key, f"duplicate key ({where})")
+            values[key] = _convert(key, raw)
+    for item in overrides:
+        key, raw = _read_pair(item, "override")
+        values[key] = _convert(key, raw)
+    return SimConfig(**{_attr(key): value for key, value in values.items()})
 
 
 def format_value(v):

@@ -74,7 +74,8 @@ def quote_trade(pool: PoolState, x_adj, y_adj, delta_x):
     Returns (delta_y, new_invariant). delta_y > 0 means USDT leaves the pool.
     Raises InvalidParameter unless x_adj and y_adj are finite and positive and
     delta_x is finite, and DegenerateReserves when x_adj + delta_x is not above
-    the reserve floor. The fee leg x_adj + phi*delta_x needs no floor of its
+    the reserve floor, ``EPS_RESERVE_FACTOR`` times the opening reserve
+    ``pool.x_reserve``. The fee leg x_adj + phi*delta_x needs no floor of its
     own: for phi in (0, 1] it is never below min(x_adj, x_adj + delta_x).
     """
     if not 0 < x_adj < math.inf:
@@ -86,7 +87,7 @@ def quote_trade(pool: PoolState, x_adj, y_adj, delta_x):
     k0 = pool.invariant_k
     phi = pool.phi
     b = x_adj + delta_x
-    if not b > EPS_RESERVE_FACTOR * x_adj:
+    if not b > EPS_RESERVE_FACTOR * pool.x_reserve:
         raise DegenerateReserves(
             f"trade of {delta_x} would empty the pool (x_adj + delta_x = {b})"
         )

@@ -75,6 +75,7 @@ The solver imports nothing from the engine: the two are siblings on
 import contextlib
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -343,29 +344,25 @@ def _picard(config, response_map, flows, warm=False):
     Returns (flows, policy, env, history, certificate, exact). ``NotConverged``
     says whether the iteration cycles: its message gives the lowest residual
     and how many distinct best-response policies the last ``_TAIL_MAPS`` maps
-    produced, which are kept only once the budget is that close to its end.
+    produced.
     """
     lam, tol, max_iter = config.solver_damping, config.solver_tol, config.solver_max_iter
     history = []
     probed = set()
     previous = None
-    tail = []  # the policy bytes of the last _TAIL_MAPS maps before max_iter
-
-    def mapped(flows):
-        image, policy, env = response_map(flows)
-        if len(history) >= max_iter - _TAIL_MAPS:
-            tail.append(policy.policy_idx.tobytes())
-        return image, policy, env
+    tail = deque(maxlen=_TAIL_MAPS)  # the policy bytes of the last _TAIL_MAPS maps
 
     while len(history) < max_iter:
-        image, policy, env = mapped(flows)
+        image, policy, env = response_map(flows)
         residual = _flow_residual(image, flows)
         history.append(residual)
         key = policy.policy_idx.tobytes()
+        tail.append(key)
         if ((residual <= tol or key == previous or (warm and len(history) == 1))
                 and key not in probed and len(history) < max_iter):
             probed.add(key)
-            again, probe_policy, probe_env = mapped(image)
+            again, probe_policy, probe_env = response_map(image)
+            tail.append(probe_policy.policy_idx.tobytes())
             history.append(_flow_residual(again, image))
             if np.array_equal(again.mu, image.mu) and np.array_equal(again.q, image.q):
                 return image, probe_policy, probe_env, history, history[-1], True

@@ -1,6 +1,7 @@
-"""Config parsing, validation, overrides, and the canonical echo."""
+"""Config reading, validation, overrides, and the canonical echo."""
 
 import ast
+import os
 import pickle
 from dataclasses import fields, replace
 from pathlib import Path
@@ -17,16 +18,25 @@ from ammgame.cli import main
 from ammgame.config import (
     SCHEMA,
     SimConfig,
-    apply_overrides,
-    build_config,
     canonical_echo,
     config_hash,
     default_config,
     format_value,
     load_config,
-    parse_config_text,
 )
 from ammgame.errors import ConfigError
+
+
+def _build(values):
+    """The config that an empty file with ``values`` as overrides loads to."""
+    return load_config(os.devnull, [f"{key}={raw}" for key, raw in values.items()])
+
+
+def _load_text(tmp_path, text, overrides=()):
+    """The config that a file holding ``text`` loads to."""
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return load_config(path, overrides)
 
 
 def test_defaults_resolve():
@@ -42,12 +52,12 @@ def test_defaults_resolve():
 
 def test_lp_z0_defaults_to_twice_pool_quote():
     """However the config is built."""
-    for cfg in (build_config({"pool.y0": "250"}), default_config(pool_y0=250.0),
+    for cfg in (_build({"pool.y0": "250"}), default_config(pool_y0=250.0),
                 SimConfig(pool_y0=250.0), replace(default_config(), pool_y0=250.0, lp_z0=None)):
         assert cfg.lp_z0 == 500.0
-    explicit = build_config({"pool.y0": "250", "lp.z0": "7"})
+    explicit = _build({"pool.y0": "250", "lp.z0": "7"})
     assert explicit.lp_z0 == 7.0
-    assert SimConfig() == default_config() == build_config({})
+    assert SimConfig() == default_config() == _build({})
 
 
 def test_default_config_builds_one_config(monkeypatch):
@@ -59,13 +69,13 @@ def test_default_config_builds_one_config(monkeypatch):
     assert len(built) == 2
 
 
-def test_echo_round_trip_is_identity():
-    """echo -> parse -> build reproduces the configuration and its hash."""
-    cfg = build_config({"pool.tau": "0.01", "grid.steps": "17", "seed": "42",
-                        "lvr.dt_values": "0.02, 0.005",
-                        "trader.init_law": "gaussian"})
+def test_echo_round_trip_is_identity(tmp_path):
+    """echo -> load reproduces the configuration and its hash."""
+    cfg = _build({"pool.tau": "0.01", "grid.steps": "17", "seed": "42",
+                  "lvr.dt_values": "0.02, 0.005",
+                  "trader.init_law": "gaussian"})
     text = canonical_echo(cfg)
-    cfg2 = build_config(parse_config_text(text))
+    cfg2 = _load_text(tmp_path, text)
     assert cfg2 == cfg
     assert config_hash(cfg2) == config_hash(cfg)
     assert canonical_echo(cfg2) == text
@@ -83,51 +93,79 @@ def test_hash_tracks_values():
     assert a == config_hash(default_config())
 
 
-def test_parse_comments_and_blank_lines():
-    text = "# leading comment\n\npool.tau = 0.01  # inline\n  grid.steps=7\n"
-    values = parse_config_text(text)
-    assert values == {"pool.tau": "0.01", "grid.steps": "7"}
+def test_parse_comments_and_blank_lines(tmp_path):
+    """Comments, inline comments and blank lines are skipped, whitespace around
+    a key and its value is dropped, and an empty file loads the defaults."""
+    text = "# leading comment\n\npool.tau = 0.01  # inline\n  grid.steps=7\n   \n# seed = 1\n"
+    assert _load_text(tmp_path, text) == default_config(pool_tau=0.01, grid_steps=7)
+    assert _load_text(tmp_path, "") == default_config()
 
 
-def test_parse_rejects_duplicate_key():
+def test_parse_rejects_duplicate_key(tmp_path):
     with pytest.raises(ConfigError) as err:
-        parse_config_text("seed = 1\nseed = 2\n")
+        _load_text(tmp_path, "seed = 1\n\nseed = 2\n")
     assert err.value.key == "seed"
     assert "duplicate" in err.value.reason
+    assert "run.cfg:3" in err.value.reason
 
 
-def test_parse_rejects_unknown_key():
+def test_parse_rejects_unknown_key(tmp_path):
+    path = tmp_path / "f.cfg"
+    path.write_text("pool.fee = 0.01\n")
     with pytest.raises(ConfigError) as err:
-        parse_config_text("pool.fee = 0.01\n", source="f.cfg")
+        load_config(path)
     assert err.value.key == "pool.fee"
-    assert "f.cfg:1" in err.value.reason
+    assert "unknown key" in err.value.reason and "f.cfg:1" in err.value.reason
     with pytest.raises(ConfigError) as err:
-        build_config({"grid.step": "10"})
+        _build({"grid.step": "10"})
     assert err.value.key == "grid.step"
-    assert "unknown key" in err.value.reason
+    assert err.value.reason == "unknown key (override)"
 
 
-def test_parse_rejects_missing_equals_and_empty_value():
+def test_parse_rejects_missing_equals_and_empty_value(tmp_path):
+    """A line without ``=`` is rejected citing its file position, an empty
+    value naming its key, in a file line and in an override alike."""
     with pytest.raises(ConfigError) as err:
-        parse_config_text("just words\n")
+        _load_text(tmp_path, "seed = 1\njust words\n")
+    assert err.value.key.endswith("run.cfg:2")
     assert "expected key = value" in err.value.reason
     with pytest.raises(ConfigError) as err:
-        parse_config_text("pool.tau =\n")
+        _load_text(tmp_path, "pool.tau =  # no value\n")
     assert err.value.key == "pool.tau"
-
-
-def test_type_errors_name_the_key():
+    assert "empty value" in err.value.reason and "run.cfg:1" in err.value.reason
     with pytest.raises(ConfigError) as err:
-        build_config({"grid.steps": "many"})
+        _build({"pool.tau": " "})
+    assert err.value.key == "pool.tau"
+    assert err.value.reason == "empty value (override)"
+
+
+def test_spaced_value_loads_alike_from_a_file_line_and_an_override(tmp_path):
+    """A value is stripped the same way wherever it is written."""
+    spaced = default_config(trader_slippage=False, harness_n_values=(2, 4))
+    assert _load_text(tmp_path, "trader.slippage =  false \nharness.n_values = 2,4\n") == spaced
+    assert load_config(os.devnull, ["trader.slippage=  false ",
+                                    " harness.n_values= 2,4"]) == spaced
+
+
+def test_type_errors_name_the_key(tmp_path):
+    """An unparseable value is rejected naming its key, in an override and in
+    a file line, even one that a later override replaces."""
+    with pytest.raises(ConfigError) as err:
+        _build({"grid.steps": "many"})
     assert err.value.key == "grid.steps"
+    assert err.value.reason == "cannot parse 'many' as int"
     with pytest.raises(ConfigError) as err:
-        build_config({"trader.slippage": "maybe"})
+        _build({"trader.slippage": "maybe"})
     assert err.value.key == "trader.slippage"
+    with pytest.raises(ConfigError) as err:
+        _load_text(tmp_path, "harness.n_values = 8,,16\n", ["harness.n_values=8,16"])
+    assert err.value.key == "harness.n_values"
+    assert err.value.reason == "cannot parse '8,,16' as int_list"
 
 
 def test_range_violations_name_the_key():
     with pytest.raises(ConfigError) as err:
-        build_config({"pool.tau": "1.2"})
+        _build({"pool.tau": "1.2"})
     assert err.value.key == "pool.tau"
     assert "[0, 1)" in err.value.reason
     # settings the solvers read only from the config
@@ -137,12 +175,12 @@ def test_range_violations_name_the_key():
                      ("harness.n_values", "8,8"), ("lvr.paths", "0"),
                      ("lvr.paths", "1")]:
         with pytest.raises(ConfigError) as err:
-            build_config({key: raw})
+            _build({key: raw})
         assert err.value.key == key
     for key, raw in [("lp.z0", "nan"), ("trader.a_max", "inf"), ("pool.x0", "-inf"),
                      ("trader.init_mean", "nan"), ("lvr.dt_values", "0.01,inf")]:
         with pytest.raises(ConfigError) as err:
-            build_config({key: raw})
+            _build({key: raw})
         assert err.value.key == key
         assert "finite" in err.value.reason
     # numpy's Gauss-Hermite rule overflows at high orders: at 400 nodes its weights are not finite
@@ -150,44 +188,44 @@ def test_range_violations_name_the_key():
         assert not np.isfinite(kernels.gauss_hermite(400)[1]).all()
     for raw in ("400", "0"):
         with pytest.raises(ConfigError) as err:
-            build_config({"grid.quad_points": raw})
+            _build({"grid.quad_points": raw})
         assert err.value.key == "grid.quad_points"
         assert "finite Gauss-Hermite nodes and weights" in err.value.reason
-    assert build_config({"grid.quad_points": "60"}).grid_quad_points == 60
+    assert _build({"grid.quad_points": "60"}).grid_quad_points == 60
     for values in ({"trader.init_mean": "5.0"},
                    {"trader.init_law": "gaussian", "trader.init_mean": "60.0"},
                    {"grid.x_min": "0.5", "grid.x_max": "2"}):
         with pytest.raises(ConfigError) as err:
-            build_config(values)
+            _build(values)
         assert err.value.key == "trader.init_mean"
         assert "grid.x_min, grid.x_max" in err.value.reason
-    assert build_config({"trader.init_mean": "2.0"}).trader_init_mean == 2.0
+    assert _build({"trader.init_mean": "2.0"}).trader_init_mean == 2.0
     # every LVR step size must cut the horizon into n >= 1 whole steps
     for values in ({"lvr.dt_values": "5"}, {"lvr.dt_values": "0.01,0.3"},
                    {"grid.horizon": "0.5", "lvr.dt_values": "0.2"}, {"lvr.dt_values": "5e-324"}):
         with pytest.raises(ConfigError) as err:
-            build_config(values)
+            _build(values)
         assert err.value.key == "lvr.dt_values"
         assert "grid.horizon" in err.value.reason
-    assert build_config({"grid.horizon": "0.5", "lvr.dt_values": "0.5,0.1"}).lvr_dt_values == (
+    assert _build({"grid.horizon": "0.5", "lvr.dt_values": "0.5,0.1"}).lvr_dt_values == (
         0.5, 0.1)
     # lp.z0 is checked once its 2 * pool.y0 default has resolved
     with pytest.raises(ConfigError) as err:
-        build_config({"lp.z0": "-1"})
+        _build({"lp.z0": "-1"})
     assert err.value.key == "lp.z0"
     assert "must be nonnegative" in err.value.reason
     with pytest.raises(ConfigError) as err:
-        build_config({"pool.y0": "-1"})
+        _build({"pool.y0": "-1"})
     assert err.value.key == "pool.y0"
-    assert build_config({"lp.z0": "0"}).lp_z0 == 0.0
-    assert build_config({"pool.y0": "7"}).lp_z0 == 14.0
+    assert _build({"lp.z0": "0"}).lp_z0 == 0.0
+    assert _build({"pool.y0": "7"}).lp_z0 == 14.0
 
 
 def test_quadrature_orders_up_to_the_bound_are_accepted_unbuilt_and_are_finite(
         monkeypatch, tmp_path, capsys):
     """grid.quad_points is the range [1, ``_FINITE_QUAD_ORDER``]: every order in
     it gives finite nodes and weights, the next one is a config error naming the
-    key, at build_config and through the CLI, and no config build builds the rule."""
+    key, at load_config and through the CLI, and no config build builds the rule."""
     bound = config_module._FINITE_QUAD_ORDER
     for order in range(1, bound + 1):
         nodes, weights = kernels.gauss_hermite(order)
@@ -195,9 +233,9 @@ def test_quadrature_orders_up_to_the_bound_are_accepted_unbuilt_and_are_finite(
     built = []
     gauss_hermite = kernels.gauss_hermite
     monkeypatch.setattr(kernels, "gauss_hermite", lambda n: built.append(n) or gauss_hermite(n))
-    assert build_config({"grid.quad_points": str(bound)}).grid_quad_points == bound
+    assert _build({"grid.quad_points": str(bound)}).grid_quad_points == bound
     with pytest.raises(ConfigError) as err:
-        build_config({"grid.quad_points": str(bound + 1)})
+        _build({"grid.quad_points": str(bound + 1)})
     assert err.value.key == "grid.quad_points"
     assert "finite Gauss-Hermite nodes and weights" in err.value.reason
     empty = tmp_path / "empty.cfg"
@@ -229,7 +267,7 @@ def test_default_config_runs_the_schema_checks():
     assert err.value.key == "no_such_key"
     # an unset lp_z0 resolves from the tweaked pool quote
     assert default_config(pool_y0=250.0).lp_z0 == 500.0
-    assert default_config(pool_tau=0.01) == build_config({"pool.tau": "0.01"})
+    assert default_config(pool_tau=0.01) == _build({"pool.tau": "0.01"})
 
 
 def test_every_build_runs_the_schema_checks():
@@ -276,10 +314,10 @@ def test_sim_config_is_a_picklable_ammgame_class():
 
 def test_cross_check_control_bounds():
     with pytest.raises(ConfigError) as err:
-        build_config({"trader.a_min": "2", "trader.a_max": "-2"})
+        _build({"trader.a_min": "2", "trader.a_max": "-2"})
     assert err.value.key == "trader.a_max"
     with pytest.raises(ConfigError) as err:
-        build_config({"grid.x_min": "1", "grid.x_max": "0"})
+        _build({"grid.x_min": "1", "grid.x_max": "0"})
     assert err.value.key == "grid.x_max"
 
 
@@ -289,7 +327,7 @@ def test_control_range_leaving_an_edge_node_dead_names_its_bound(key, raw, node)
     """Every atom at or above a positive a_min drifts the top node above the
     grid, every atom at or below a negative a_max the bottom node below it."""
     with pytest.raises(ConfigError) as err:
-        build_config({key: raw})
+        _build({key: raw})
     assert err.value.key == key
     assert f"x = {node}" in str(err.value)
 
@@ -304,7 +342,7 @@ def test_control_range_leaving_an_edge_node_dead_names_its_bound(key, raw, node)
      "grid.control_points": "2", "grid.steps": "100"},
 ])
 def test_control_ranges_that_reach_both_edges_are_accepted(overrides):
-    build_config(overrides)
+    _build(overrides)
 
 
 @pytest.mark.parametrize("values, key", [
@@ -317,7 +355,7 @@ def test_control_ranges_that_reach_both_edges_are_accepted(overrides):
 ])
 def test_trader_grid_without_room_for_the_atoms_or_the_law_names_its_key(values, key):
     with pytest.raises(ConfigError) as err:
-        build_config(values)
+        _build(values)
     assert err.value.key == key
 
 
@@ -341,7 +379,7 @@ _DYADIC = st.integers(min_value=-16, max_value=16).map(lambda n: n / 8)
        steps=st.sampled_from([1, 2, 3, 4, 8]))
 def test_config_accepts_exactly_the_grids_whose_nodes_all_keep_an_atom(
         x_min, width, x_points, a_min, a_span, control_points, steps):
-    """build_config accepts exactly when every node keeps an admissible atom,
+    """load_config accepts exactly when every node keeps an admissible atom,
     and on an accepted config the best response only picks admissible atoms
     and its pushforward keeps all the mass. The transition stencil of an
     accepted config spans the offset 0: the top node keeps an atom a <= 0
@@ -355,10 +393,10 @@ def test_config_accepts_exactly_the_grids_whose_nodes_all_keep_an_atom(
     dt = 1.0 / steps
     if not _every_node_keeps_an_atom(x_grid, atoms, dt):
         with pytest.raises(ConfigError) as err:
-            build_config(values)
+            _build(values)
         assert err.value.key in ("trader.a_min", "trader.a_max", "grid.x_max")
         return
-    cfg = build_config(values)
+    cfg = _build(values)
     stencil, lo, _ = solver.trader_layer(cfg).operator
     assert lo <= 0 <= lo + len(stencil) - 1
     env = solver.forward_environment(cfg, np.zeros(steps), np.zeros(steps))
@@ -370,21 +408,25 @@ def test_config_accepts_exactly_the_grids_whose_nodes_all_keep_an_atom(
     np.testing.assert_allclose(flows.q.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
-def test_overrides_later_wins():
-    values = apply_overrides({"pool.tau": "0.01"},
-                             ["pool.tau=0.02", "seed=7", "pool.tau=0.03"])
-    assert values["pool.tau"] == "0.03"
-    assert values["seed"] == "7"
+def test_overrides_later_wins(tmp_path):
+    """An override beats the file and every earlier override of its key."""
+    cfg = _load_text(tmp_path, "pool.tau = 0.01\n",
+                     ["pool.tau=0.02", "seed=7", "pool.tau=0.03"])
+    assert cfg.pool_tau == 0.03
+    assert cfg.seed == 7
 
 
 def test_overrides_validate_shape():
-    with pytest.raises(ConfigError):
-        apply_overrides({}, ["pool.tau"])
     with pytest.raises(ConfigError) as err:
-        apply_overrides({}, ["no.such.key=1"])
+        load_config(os.devnull, ["pool.tau"])
+    assert err.value.key == "override"
+    assert "expected key = value" in err.value.reason
+    with pytest.raises(ConfigError) as err:
+        load_config(os.devnull, ["no.such.key=1"])
     assert err.value.key == "no.such.key"
-    with pytest.raises(ConfigError):
-        apply_overrides({}, ["pool.tau="])
+    with pytest.raises(ConfigError) as err:
+        load_config(os.devnull, ["pool.tau="])
+    assert err.value.key == "pool.tau"
 
 
 def test_load_config_file_and_overrides(tmp_path):
@@ -401,18 +443,18 @@ def test_load_config_missing_file(tmp_path):
     assert "cannot read" in err.value.reason
 
 
-def test_list_values_round_trip():
-    cfg = build_config({"harness.n_values": "2, 4, 8", "lvr.dt_values": "0.5,0.25"})
+def test_list_values_round_trip(tmp_path):
+    cfg = _build({"harness.n_values": "2, 4, 8", "lvr.dt_values": "0.5,0.25"})
     assert cfg.harness_n_values == (2, 4, 8)
     assert cfg.lvr_dt_values == (0.5, 0.25)
-    again = build_config(parse_config_text(canonical_echo(cfg)))
+    again = _load_text(tmp_path, canonical_echo(cfg))
     assert again.harness_n_values == (2, 4, 8)
     assert again.lvr_dt_values == (0.5, 0.25)
 
 
-def test_float_echo_preserves_exact_value():
-    cfg = build_config({"pool.tau": "0.30000000000000004"})
-    again = build_config(parse_config_text(canonical_echo(cfg)))
+def test_float_echo_preserves_exact_value(tmp_path):
+    cfg = _build({"pool.tau": "0.30000000000000004"})
+    again = _load_text(tmp_path, canonical_echo(cfg))
     assert again.pool_tau == cfg.pool_tau
 
 

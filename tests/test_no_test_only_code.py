@@ -80,7 +80,6 @@ def test_every_result_field_is_read_outside_tests():
 
 # defaults kept although no call outside the tests relies on them, with the reason
 DEFAULTS_KEPT = {
-    "parse_config_text.source": "a text with no source name is the reader's ordinary input",
     "load_config.overrides": "a file with no overrides is the reader's ordinary input",
 }
 

@@ -289,3 +289,9 @@ def test_reserve_floor_scales_with_pool():
     assert math.isfinite(dy)
     with pytest.raises(DegenerateReserves):
         quote_trade(pool, 1e6, 1e6, -(1e6) * (1 - 0.5 * EPS_RESERVE_FACTOR))
+    # off the opening reserves the floor stays 1e-9 * x_reserve = 1e-6, not 1e-9 * x_adj
+    pool = make_pool(1000.0, 1000.0, 0.0)
+    with pytest.raises(DegenerateReserves):
+        quote_trade(pool, 1.0, 1.0, -(1 - 5e-7))
+    dy, _ = quote_trade(pool, 1.0, 1.0, -(1 - 2e-6))
+    assert math.isfinite(dy)
