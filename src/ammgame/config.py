@@ -165,8 +165,8 @@ SCHEMA = {
     "solver.initial_step": ("float", 1.0, _positive, "must be positive"),
     "solver.step_tol": ("float", 0.01, _positive, "must be positive"),
     "harness.n_values": ("int_list", (8, 16, 32, 64),
-                         lambda v: len(set(v)) >= 2 and all(x >= 1 for x in v),
-                         "needs at least two distinct positive population sizes"),
+                         lambda v: len(v) >= 2 and len(set(v)) == len(v) and min(v) >= 1,
+                         "needs at least two positive population sizes, none repeated"),
     "harness.replications": ("int", 100, lambda v: v >= 2, "needs at least 2"),
     "lvr.paths": ("int", 10000, lambda v: v >= 2, "needs at least 2"),
     "lvr.dt_values": ("float_list", (0.01, 0.001, 0.0001),

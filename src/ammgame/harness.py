@@ -18,14 +18,16 @@ N players. The deviation benchmark is built in two stages:
    and deviation runs share the bundle (common random numbers), so the
    pairwise difference isolates the deviator's edge plus the O(1/N) feedback
    of their control on the market.
-   All R replications run as one batch of 2R lanes of the market step
-   (baseline and deviation lane per replication) on the pilot's market and
-   LP path. Every control is a feedback on the player's own inventory, so
-   players 1..N-1, frozen at their pilot noise, walk the pilot's inventory
-   path in every lane: the batch steps player 0 alone, from the pilot's
-   opening inventory, with (lanes, 1) stocks, and reads the crowd's
-   controls off the pilot's recorded inventories. It keeps player 0's
-   per-step reward.
+   The R replications of every N in ``harness.n_values`` run as one batch
+   of 2R lanes per N of the market step (a baseline and a deviation lane per
+   replication), each lane on its own pilot's common and LP noise. Every
+   control is a feedback on the player's own inventory, so players 1..N-1,
+   frozen at their pilot noise, walk the pilot's inventory path in every
+   lane: the batch steps player 0 alone, from the pilot's opening inventory,
+   with (lanes, 1) stocks, and reads the crowd's controls off the pilots'
+   recorded inventories. Each lane's mean control is the mean of its own N
+   controls, so its numbers do not depend on the other N in the batch. It
+   keeps player 0's per-step reward.
 
 The reported gap for each N is the mean paired difference in player 0's
 realized objective; the convergence study fits a log-log slope across N.
@@ -70,50 +72,83 @@ class NashReport:
         return int(self.clipped.sum())
 
 
-def _paired_gaps(config, pilot, policy, deviation, noise, own):
-    """Player 0's objective gap, deviation minus baseline, for every replication.
+def _paired_gaps(config, policy, groups):
+    """Player 0's objective gap, deviation minus baseline, for every replication
+    of every group: one array of R gaps per group, in order.
 
-    All replications run as one lane batch of the market step on the
-    ``pilot``'s market and LP path: lanes [0, R) play ``policy``, lanes
-    [R, 2R) let player 0 play ``deviation``. Lanes r and R + r share every
-    stream: the pilot ``noise`` for the common price and the LP, and
-    ``own[r]`` for player 0. ``policy`` is a feedback on each player's own
-    inventory, so players 1..N-1, on their pilot noise, hold the pilot's
-    inventories in every lane; the market steps only player 0's (2R, 1)
-    stocks, from its pilot opening, and the crowd's controls at step t are
-    ``policy`` at the pilot's recorded inventories. Each lane's mean control
-    is taken over its full row of N controls. Only player 0's per-step
+    A group is a ``(pilot, deviation, noise, own)`` tuple: one population size
+    N, its pilot run and that run's ``noise``, the ``deviation`` player 0
+    plays against it, and ``own``, player 0's (R, steps) replication noise.
+    The pilots share one market and LP path. Every group's replications run
+    as one lane batch of the market step: lanes [0, B) play ``policy``, each
+    group's R rows contiguous in group order, and lanes [B, 2B) repeat that
+    layout with player 0 playing its group's ``deviation``. Lanes b and B + b
+    share every stream: their pilot's ``noise`` for the common price and the
+    LP, gathered per step through the lane's group, and its row of ``own``
+    for player 0. ``policy`` is a feedback on each player's own inventory,
+    so players 1..N-1, on their pilot noise, hold the pilot's inventories in
+    every lane; the market steps only player 0's (2B, 1) stocks, from its
+    pilot opening, and the crowd's controls at step t are ``policy`` at the
+    pilots' recorded inventories. Each lane's mean control is taken over its
+    full row of N controls, one (2R, N) block per group, so a lane's numbers
+    do not depend on the other groups in the batch. Only player 0's per-step
     reward is kept.
     """
-    reps, steps = own.shape
-    mk, lp_control_path, crowd_x = pilot.market, pilot.lp_control_path, pilot.trader_x[1:]
-    s = market.opening_state(config, np.full((2 * reps, 1), pilot.trader_x[0, 0]))
-    alpha = np.empty((2 * reps, pilot.trader_x.shape[0]))  # column 0 is the deviator
-    dw = np.empty((2 * reps, 1))
-    reward0 = np.empty((2 * reps, steps))
+    pilots, deviations, noises, owns = zip(*groups)
+    reps = [own.shape[0] for own in owns]
+    ends = np.cumsum(reps).tolist()
+    crowd_ends = np.cumsum([p.trader_x.shape[0] - 1 for p in pilots]).tolist()
+    # each group's baseline lanes [lo, hi) and crowd rows [c0, c1)
+    spans = list(zip([0] + ends[:-1], ends, [0] + crowd_ends[:-1], crowd_ends))
+    base, steps = ends[-1], owns[0].shape[1]
+    mk, lp_control_path = pilots[0].market, pilots[0].lp_control_path
+
+    lane_group = np.tile(np.repeat(np.arange(len(groups)), reps), 2)
+    common = np.stack([n.common for n in noises], axis=1)  # (steps, groups)
+    lp = np.stack([n.lp.T for n in noises], axis=2)  # (steps, 3, groups)
+    crowd_x = np.concatenate([p.trader_x[1:] for p in pilots])
+    opening = np.repeat([p.trader_x[0, 0] for p in pilots], reps)
+    s = market.opening_state(config, np.tile(opening, 2)[:, None])
+    sizes = [(2 * r, p.trader_x.shape[0]) for r, p in zip(reps, pilots)]
+    buffer = np.empty(max(rows * n for rows, n in sizes))  # one C-contiguous block per group
+    blocks = [buffer[:rows * n].reshape(rows, n) for rows, n in sizes]
+    alpha0 = np.empty((2 * base, 1))
+    qbar = np.empty(2 * base)
+    dw = np.empty((2 * base, 1))
+    reward0 = np.empty((2 * base, steps))
     for t in range(steps):
         x = s.trader_x[:, 0]
-        alpha[:, 1:] = policy(t, crowd_x[:, t])
-        alpha[:reps, 0] = policy(t, x[:reps])
-        alpha[reps:, 0] = deviation(t, x[reps:])
-        dw[:reps, 0] = dw[reps:, 0] = own[:, t]
-        s, flows = market.step(mk, s, t, alpha[:, :1], alpha.mean(axis=1), lp_control_path[t],
-                               noise.common[t], dw, noise.lp[:, t])
+        alpha0[:base, 0] = policy(t, x[:base])
+        crowd = policy(t, crowd_x[:, t])
+        for (lo, hi, c0, c1), alpha, deviation, own in zip(spans, blocks, deviations, owns):
+            r = hi - lo  # column 0 of ``alpha`` is the deviator
+            dw[lo:hi, 0] = dw[base + lo:base + hi, 0] = own[:, t]
+            alpha0[base + lo:base + hi, 0] = deviation(t, x[base + lo:base + hi])
+            alpha[:r, 0] = alpha0[lo:hi, 0]
+            alpha[r:, 0] = alpha0[base + lo:base + hi, 0]
+            alpha[:, 1:] = crowd[c0:c1]
+            mean = alpha.mean(axis=1)
+            qbar[lo:hi], qbar[base + lo:base + hi] = mean[:r], mean[r:]
+        s, flows = market.step(mk, s, t, alpha0, qbar, lp_control_path[t],
+                               common[t][lane_group], dw, lp[t][:, lane_group])
         reward0[:, t] = flows.trader_reward[:, 0]
     objective = market.trader_objective(
         reward0, s.trader_x[:, 0], mk.dt, config.trader_terminal_weight
     )
-    return objective[reps:] - objective[:reps]
+    return [objective[base + lo:base + hi] - objective[lo:hi] for lo, hi, _, _ in spans]
 
 
-def epsilon_nash_gap(config, n_players, solution, seed):
-    """Best-deviation gain for one player among ``n_players`` on the MFG
-    ``solution``'s policy, from ``harness.replications`` paired replications.
+def epsilon_nash_gap(config, solution, seed):
+    """Best-deviation gain for one player among N on the MFG ``solution``'s
+    policy, from ``harness.replications`` paired replications: one
+    ``DeviationEstimate`` per N of ``harness.n_values``, in order.
 
-    The pilot runs on the LP path the ``solution`` was solved against. The
-    time grid and the atoms are those of ``trader_layer(config)``; a
-    ``solution`` whose policy is not on that layer, or whose environment's
-    time step is not the layer's, raises ``InvalidParameter``.
+    Each N has its own pilot and deviation; the replications of every N run
+    as one lane batch. The pilots run on the LP path the ``solution`` was
+    solved against. The time grid and the atoms are those of
+    ``trader_layer(config)``; a ``solution`` whose policy is not on that
+    layer, or whose environment's time step is not the layer's, raises
+    ``InvalidParameter``.
     """
     layer = check_on_layer(config, solution.policy)
     if solution.env.market.dt != layer.market.dt:
@@ -122,37 +157,41 @@ def epsilon_nash_gap(config, n_players, solution, seed):
             f"config's {layer.market.dt:g}"
         )
     grid, atoms = layer.grid, layer.atoms
+    n_values = config.harness_n_values
     replications = config.harness_replications
-    if n_players < 1:
-        raise InvalidParameter(f"need at least one player, got {n_players}")
     policy = solution.policy.as_policy()
 
-    pilot_seed = int(opening_words((seed, 0), [n_players])[0, 0])
-    pilot_noise = make_noise(pilot_seed, grid, n_players)
-    pilot = simulate(config, policy, solution.env.lp_control_path, pilot_seed, noise=pilot_noise)
-    # freeze the other players' pilot contribution to the empirical mean and
-    # let the deviator's own control enter it with weight 1/N, mirroring how
-    # the engine pays a finite-N player
-    alpha0 = policy(np.arange(grid.steps), pilot.trader_x[0, :-1])
-    qbar_others = pilot.mean_control_path - alpha0 / n_players
-    qslot = qbar_others[:, None] + (1.0 / n_players) * atoms[None, :]
-    # the pilot's recorded market is the environment the deviation answers
-    deviation = best_response(config, pilot, qslot=qslot).as_policy()
-
+    groups = []
+    for n_players, words in zip(n_values, opening_words((seed, 0), n_values)):
+        pilot_seed = int(words[0])
+        pilot_noise = make_noise(pilot_seed, grid, n_players)
+        pilot = simulate(config, policy, solution.env.lp_control_path, pilot_seed,
+                         noise=pilot_noise)
+        # freeze the other players' pilot contribution to the empirical mean and
+        # let the deviator's own control enter it with weight 1/N, mirroring how
+        # the engine pays a finite-N player
+        alpha0 = policy(np.arange(grid.steps), pilot.trader_x[0, :-1])
+        qbar_others = pilot.mean_control_path - alpha0 / n_players
+        qslot = qbar_others[:, None] + (1.0 / n_players) * atoms[None, :]
+        # the pilot's recorded market is the environment the deviation answers
+        deviation = best_response(config, pilot, qslot=qslot).as_policy()
+        groups.append((pilot, deviation, pilot_noise))
     # replications redraw only player 0's idiosyncratic noise; the other
     # players (and the common and LP streams) stay frozen at the pilot draw,
-    # so baseline and deviation differ purely by player 0's policy
-    own = normals((seed, 2, n_players), replications, grid.steps) * np.sqrt(grid.dt)
-    gaps = _paired_gaps(config, pilot, policy, deviation, pilot_noise, own)
+    # so baseline and deviation differ purely by player 0's policy; they are
+    # drawn after every deviation DP, whose scratch is the harness's memory peak
+    groups = [(*g, normals((seed, 2, n), replications, grid.steps) * np.sqrt(grid.dt))
+              for g, n in zip(groups, n_values)]
 
-    gap = float(gaps.mean())
-    stderr = float(gaps.std(ddof=1) / np.sqrt(replications))
-    return DeviationEstimate(
-        n_players=n_players,
-        gap=gap,
-        stderr=stderr,
-        paired_gaps=gaps,
-    )
+    return [
+        DeviationEstimate(
+            n_players=n_players,
+            gap=float(gaps.mean()),
+            stderr=float(gaps.std(ddof=1) / np.sqrt(replications)),
+            paired_gaps=gaps,
+        )
+        for n_players, gaps in zip(n_values, _paired_gaps(config, policy, groups))
+    ]
 
 
 def convergence_study(config, seed=None):
@@ -162,7 +201,7 @@ def convergence_study(config, seed=None):
     seed = config.seed if seed is None else seed
 
     solution = solve_mfg(config)
-    estimates = [epsilon_nash_gap(config, n, solution, seed) for n in n_values]
+    estimates = epsilon_nash_gap(config, solution, seed)
     gaps = np.array([e.gap for e in estimates])
     stderrs = np.array([e.stderr for e in estimates])
 

@@ -270,6 +270,17 @@ def test_default_config_runs_the_schema_checks():
     assert default_config(pool_tau=0.01) == _build({"pool.tau": "0.01"})
 
 
+def test_repeated_population_size_is_rejected():
+    """The Nash streams are keyed on N, so a repeated size would be one run
+    reported twice and counted twice in the slope fit."""
+    for raw in ("8,8,16", "8,16,8"):
+        with pytest.raises(ConfigError) as err:
+            load_config(os.devnull, [f"harness.n_values={raw}"])
+        assert err.value.key == "harness.n_values"
+        assert "none repeated" in err.value.reason
+    assert _build({"harness.n_values": "16,8,12"}).harness_n_values == (16, 8, 12)
+
+
 def test_every_build_runs_the_schema_checks():
     """The constructor checks, so dataclasses.replace cannot skip the schema."""
     cfg = default_config()

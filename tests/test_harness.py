@@ -9,7 +9,7 @@ from conftest import small_config
 from ammgame import harness, market
 from ammgame.config import default_config, time_grid
 from ammgame.engine import make_noise, simulate
-from ammgame.errors import InvalidParameter
+from ammgame.errors import ConfigError, InvalidParameter
 from ammgame.harness import (
     DeviationEstimate,
     NashReport,
@@ -19,11 +19,25 @@ from ammgame.harness import (
 from ammgame.solver import best_response, forward_environment, solve_mfg
 
 
-def _shifted(cfg, policy):
-    """A deviation: ``policy`` raised by 0.5, kept in the control range."""
+def _shifted(cfg, policy, shift=0.5):
+    """A deviation: ``policy`` raised by ``shift``, kept in the control range."""
     def deviation(t, x):
-        return np.clip(policy(t, x) + 0.5, cfg.trader_a_min, cfg.trader_a_max)
+        return np.clip(policy(t, x) + shift, cfg.trader_a_min, cfg.trader_a_max)
     return deviation
+
+
+def _ladder(cfg, sol, n_values, reps):
+    """One ``_paired_gaps`` group per N: a pilot of N players on its own
+    noise, a deviation shifted by its own amount, and ``reps`` replications."""
+    policy = sol.policy.as_policy()
+    grid = time_grid(cfg)
+    groups = []
+    for k, (n, r) in enumerate(zip(n_values, reps)):
+        noise = make_noise(5 + k, grid, n)
+        own = np.random.default_rng(k).standard_normal((r, grid.steps)) * np.sqrt(grid.dt)
+        pilot = simulate(cfg, policy, sol.env.lp_control_path, 5 + k, noise=noise)
+        groups.append((pilot, _shifted(cfg, policy, 0.5 + 0.25 * k), noise, own))
+    return policy, groups
 
 
 @pytest.mark.parametrize("n_players", [1, 2, 8])
@@ -46,7 +60,7 @@ def test_paired_lanes_match_engine_runs(n_players):
     noise = make_noise(5, grid, n_players)
     own = np.random.default_rng(1).standard_normal((3, grid.steps)) * np.sqrt(grid.dt)
     pilot = simulate(cfg, policy, lp_path, 5, noise=noise)
-    gaps = harness._paired_gaps(cfg, pilot, policy, deviation, noise, own)
+    (gaps,) = harness._paired_gaps(cfg, policy, [(pilot, deviation, noise, own)])
     for r in range(3):
         idio = noise.idiosyncratic.copy()
         idio[0] = own[r]
@@ -57,17 +71,30 @@ def test_paired_lanes_match_engine_runs(n_players):
     assert np.any(gaps != 0.0)
 
 
+def test_ladder_lanes_match_one_group_batches():
+    """A lane's numbers do not depend on the batch: each N's paired gaps from
+    the ladder's one lane batch equal, bit for bit, a batch holding that N
+    alone, with a lone player, unequal replication counts, random openings,
+    LP noise and common noise."""
+    cfg = small_config(trader_init_law="gaussian", lp_sigma_z=0.5, external_sigma0=0.02)
+    policy, groups = _ladder(cfg, solve_mfg(cfg), (1, 5, 12), (3, 2, 4))
+    ladder = harness._paired_gaps(cfg, policy, groups)
+    assert [len(gaps) for gaps in ladder] == [3, 2, 4]
+    for group, gaps in zip(groups, ladder):
+        (alone,) = harness._paired_gaps(cfg, policy, [group])
+        np.testing.assert_array_equal(gaps, alone)
+        assert np.any(gaps != 0.0)
+
+
 def test_paired_lanes_step_only_the_deviator(monkeypatch):
-    """Players 1..N-1 replay the pilot: every market step of the lane batch
-    carries player 0's (2R, 1) stocks alone, and the gaps are unchanged."""
+    """Players 1..N-1 replay the pilot and every N steps in one batch: the
+    ladder takes ``grid.steps`` market steps, each carrying player 0's
+    (2R·len(n_values), 1) stocks alone, and the gaps are unchanged."""
     cfg = small_config(trader_init_law="gaussian")
     sol = solve_mfg(cfg)
-    policy = sol.policy.as_policy()
     grid = time_grid(cfg)
-    noise = make_noise(5, grid, 8)
-    own = np.random.default_rng(2).standard_normal((3, grid.steps)) * np.sqrt(grid.dt)
-    pilot = simulate(cfg, policy, sol.env.lp_control_path, 5, noise=noise)
-    args = (cfg, pilot, policy, _shifted(cfg, policy), noise, own)
+    policy, groups = _ladder(cfg, sol, (8, 3), (3, 3))
+    args = (cfg, policy, groups)
     expected = harness._paired_gaps(*args)
 
     shapes = []
@@ -79,38 +106,40 @@ def test_paired_lanes_step_only_the_deviator(monkeypatch):
 
     monkeypatch.setattr(harness.market, "step", spy)
     gaps = harness._paired_gaps(*args)
-    assert shapes == [(6, 1)] * grid.steps
+    assert shapes == [(2 * 3 * 2, 1)] * grid.steps
     np.testing.assert_array_equal(gaps, expected)
 
 
 def test_simulate_n_players_rejects_nonpositive():
-    """An N-player deviation run needs at least one player."""
-    cfg = small_config()
-    sol = solve_mfg(cfg)
-    with pytest.raises(InvalidParameter):
-        epsilon_nash_gap(cfg, n_players=0, seed=1, solution=sol)
+    """An N-player deviation run needs at least one player: the config
+    refuses a population size of 0, naming the key."""
+    with pytest.raises(ConfigError) as err:
+        small_config(harness_n_values=(0, 8))
+    assert err.value.key == "harness.n_values"
 
 
 def test_epsilon_nash_gap_rejects_solution_off_the_config_layer():
     """A solution on another inventory grid, step count or time step is
     refused, not paired with a deviation on the config's layer."""
-    cfg = default_config(grid_steps=10, grid_control_points=5, harness_replications=4)
+    ladder = {"harness_n_values": (4, 8), "harness_replications": 4}
+    cfg = default_config(grid_steps=10, grid_control_points=5, **ladder)
     sol = solve_mfg(default_config(grid_steps=10, grid_control_points=5, grid_x_points=21,
-                                   harness_replications=4))
+                                   **ladder))
     with pytest.raises(InvalidParameter, match="inventory grid of 21 points.*101 points"):
-        epsilon_nash_gap(cfg, 4, sol, 1)
+        epsilon_nash_gap(cfg, sol, 1)
     other_steps = solve_mfg(small_config(grid_steps=20))
     with pytest.raises(InvalidParameter, match="step count 20, the config's 10"):
-        epsilon_nash_gap(small_config(), 4, other_steps, 1)
+        epsilon_nash_gap(small_config(harness_n_values=(4, 8)), other_steps, 1)
     # same step count on a longer horizon: every policy array matches, the dt does not
-    other_horizon = solve_mfg(small_config(grid_horizon=2.0, harness_replications=4))
+    other_horizon = solve_mfg(small_config(grid_horizon=2.0, **ladder))
     with pytest.raises(InvalidParameter, match="time step 0.2 is not the config's 0.1"):
-        epsilon_nash_gap(small_config(harness_replications=4), 4, other_horizon, 1)
+        epsilon_nash_gap(small_config(**ladder), other_horizon, 1)
 
 
 def test_pilot_environment_reproduces_deterministic_env(monkeypatch):
     """On a noise-free pilot the deviation answers the solver's environment exactly."""
-    cfg = small_config(trader_sigma=0.0, external_sigma0=0.0, harness_replications=2)
+    cfg = small_config(trader_sigma=0.0, external_sigma0=0.0, harness_n_values=(4, 8),
+                       harness_replications=2)
     lp_path = np.full(cfg.grid_steps, 0.2)
     sol = solve_mfg(cfg, lp_path)
     seen = []
@@ -120,33 +149,35 @@ def test_pilot_environment_reproduces_deterministic_env(monkeypatch):
         return best_response(config, env, **kw)
 
     monkeypatch.setattr(harness, "best_response", spy)
-    epsilon_nash_gap(cfg, n_players=4, seed=3, solution=sol)
-    (env_real,) = seen
-    env_det = forward_environment(cfg, lp_path, env_real.mean_control_path)
-    for f in fields(env_det):
-        if getattr(env_det, f.name) is not None:  # the pilot also records its traders
-            np.testing.assert_array_equal(getattr(env_real, f.name), getattr(env_det, f.name))
+    epsilon_nash_gap(cfg, seed=3, solution=sol)
+    assert len(seen) == 2  # one deviation per N
+    for env_real in seen:
+        env_det = forward_environment(cfg, lp_path, env_real.mean_control_path)
+        for f in fields(env_det):
+            if getattr(env_det, f.name) is not None:  # the pilot also records its traders
+                np.testing.assert_array_equal(getattr(env_real, f.name),
+                                              getattr(env_det, f.name))
 
 
 def test_epsilon_nash_gap_fields_and_determinism():
-    cfg = small_config(harness_replications=6)
+    cfg = small_config(harness_n_values=(8, 3), harness_replications=6)
     sol = solve_mfg(cfg)
-    est = epsilon_nash_gap(cfg, n_players=8, seed=21, solution=sol)
+    est, other = epsilon_nash_gap(cfg, seed=21, solution=sol)
     assert isinstance(est, DeviationEstimate)
-    assert est.n_players == 8
+    assert est.n_players == 8 and other.n_players == 3
     assert est.paired_gaps.shape == (6,)
     assert est.gap == pytest.approx(float(np.mean(est.paired_gaps)), rel=1e-15)
     expected_se = float(np.std(est.paired_gaps, ddof=1) / np.sqrt(6))
     assert est.stderr == pytest.approx(expected_se, rel=1e-12)
-    again = epsilon_nash_gap(cfg, n_players=8, seed=21, solution=sol)
+    again, _ = epsilon_nash_gap(cfg, seed=21, solution=sol)
     np.testing.assert_array_equal(again.paired_gaps, est.paired_gaps)
 
 
 def test_epsilon_nash_gap_common_noise_pairing():
     """Pairing cancels shared randomness: gap spread is far below objective spread."""
-    cfg = small_config(harness_replications=8)
+    cfg = small_config(harness_n_values=(8, 16), harness_replications=8)
     sol = solve_mfg(cfg)
-    est = epsilon_nash_gap(cfg, n_players=8, seed=2, solution=sol)
+    est, _ = epsilon_nash_gap(cfg, seed=2, solution=sol)
     pol, grid = sol.policy.as_policy(), time_grid(cfg)
     baselines = [
         simulate(cfg, pol, sol.env.lp_control_path, seed=s,

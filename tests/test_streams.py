@@ -55,26 +55,28 @@ def test_harness_streams_match_numpy(monkeypatch):
     """The pilot runs on the noise of the first word SeedSequence((seed, 0, N))
     generates, and replication r redraws player 0 from (seed, 2, N, r)."""
     cfg = default_config(grid_steps=10, grid_x_points=41, grid_control_points=5,
-                         harness_replications=3)
+                         harness_n_values=(8, 3), harness_replications=3)
     seen = {}
 
     def pilot_noise(seed, grid, n):
-        seen["pilot"] = seed
+        seen.setdefault("pilot", []).append(seed)
         return make_noise(seed, grid, n)
 
-    def paired_gaps(config, pilot, policy, deviation, noise, own):
-        seen["own"] = own
-        return paired(config, pilot, policy, deviation, noise, own)
+    def paired_gaps(config, policy, groups):
+        seen["own"] = [own for *_, own in groups]
+        return paired(config, policy, groups)
 
     paired = harness._paired_gaps
     monkeypatch.setattr(harness, "make_noise", pilot_noise)
     monkeypatch.setattr(harness, "_paired_gaps", paired_gaps)
     seed = 2**33 + 1
-    harness.epsilon_nash_gap(cfg, 8, solve_mfg(cfg), seed)
-    words = np.random.SeedSequence((seed, 0, 8)).generate_state(1, np.uint64)
-    assert seen["pilot"] == int(words[0])
-    own = np.stack([numpy_normals((seed, 2, 8, r), cfg.grid_steps) for r in range(3)])
-    np.testing.assert_array_equal(seen["own"], own * np.sqrt(trader_layer(cfg).grid.dt))
+    harness.epsilon_nash_gap(cfg, solve_mfg(cfg), seed)
+    assert len(seen["pilot"]) == len(seen["own"]) == 2
+    for n, pilot, own_seen in zip((8, 3), seen["pilot"], seen["own"]):
+        words = np.random.SeedSequence((seed, 0, n)).generate_state(1, np.uint64)
+        assert pilot == int(words[0])
+        own = np.stack([numpy_normals((seed, 2, n, r), cfg.grid_steps) for r in range(3)])
+        np.testing.assert_array_equal(own_seen, own * np.sqrt(trader_layer(cfg).grid.dt))
 
 
 def test_arb_check_stream_matches_numpy(tmp_path):
