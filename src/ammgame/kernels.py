@@ -19,9 +19,11 @@ i + lo ... i + lo + w - 1 clamped to the grid, and ``_extension`` is the one
 statement of that clamp. The DP reads V at the window nodes, V extended by
 its edge values, through a strided (nx, w) window, and one matmul of it with
 the stencil gives every (node, atom) expectation at once. The pushforward
-is its transpose: it scatters mu times the stencil columns the policy picks
-onto the same window nodes. The law depends on neither time nor the
-environment, so the solver builds it once per config (its trader layer) and
+is its transpose: each step takes the stencil columns that step's policy
+picks into one (nx, w) buffer, scales them by mu and scatters them onto
+the same window nodes, so no (steps, nx, w) gather is ever built. The law
+depends on neither time nor the environment, so the solver builds it once
+per config (its trader layer) and
 passes it to every sweep and pushforward as ``operator``. ``dp_backward``
 builds its own when none is passed: the DP-versus-enumeration acceptance
 test calls it with the grids and quadrature, and the benchmark's hook reads
@@ -164,19 +166,22 @@ def push_forward(policy, mu0, operator):
     ``operator`` is ``transition_operator``'s (stencil, lo, admissible) on
     the policy's grid and atoms. Node i sends stencil[k, policy] of its mass
     to its window node k (``_extension``), the node the DP reads for that
-    move: each step scales the picked stencil columns by mu[t] and sums them
-    onto the window nodes with one bincount.
+    move. Each step picks its policy's columns into one reused (nx, w)
+    buffer, scales them by mu[t] in place and sums them onto the window
+    nodes with one bincount: the products of a gather of every step's
+    columns, without its (steps, nx, w) array.
     """
     n_steps, nx = policy.shape
     stencil, lo, _ = operator
     w = len(stencil)
     nodes = np.lib.stride_tricks.sliding_window_view(_extension(nx, lo, w), w).ravel()
-    picked = np.take(stencil.T, policy, axis=0)
+    columns = stencil.T  # columns[j]: the stencil column of atom j
     sent = np.empty((nx, w))  # sent[i, k]: node i's mass bound for its window node k
     mu = np.empty((n_steps + 1, nx))
     mu[0] = mu0
     for t in range(n_steps):
-        np.multiply(picked[t], mu[t, :, None], out=sent)
+        columns.take(policy[t], axis=0, out=sent)
+        sent *= mu[t, :, None]
         mu[t + 1] = np.bincount(nodes, sent.ravel(), minlength=nx)
     return mu
 

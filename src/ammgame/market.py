@@ -155,16 +155,21 @@ def slippage(mk: Market, alpha, x_total):
     return alpha / x_total if mk.slippage else 0 * alpha
 
 
-def trader_reward(mk: Market, x, alpha, x_adj, delta, drift):
+def trader_reward(mk: Market, x, alpha, x_adj, delta, drift, out=None):
     """Running reward of a trader holding x ETH and trading at rate alpha.
 
     ``drift`` is the price drift with the mean control in its rate slot. The
     inventory earns x * drift; the trade earns its notional alpha * k0 * G
     plus the fee-and-slippage correction alpha * k0 * G * (1 - S) * (1 - wedge).
-    The arguments broadcast against each other.
+    The arguments broadcast against each other. The sum is written into
+    ``out`` when given (an array of the broadcast shape), in the order the
+    plain expression rounds; ``Fraction`` inputs stay exact.
     """
     akg = alpha * (mk.k0 * g_factor(x_adj, delta, mk.phi))
-    return x * drift + akg + akg * (1 - slippage(mk, alpha, x_adj + delta)) * (1 - mk.wedge)
+    corr = akg * (1 - slippage(mk, alpha, x_adj + delta)) * (1 - mk.wedge)
+    total = np.add(x * drift, akg, out=out)
+    total += corr
+    return total
 
 
 def trader_objective(reward, x_terminal, dt, c_terminal):

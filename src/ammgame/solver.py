@@ -45,19 +45,23 @@ time grid, the inventory grid and control atoms, the initial law (the
 config's ``time_grid``, ``trader_grids`` and ``initial_trader_law``, which
 its checks also build), the terminal reward, the quadrature, the ``Market``
 and the one-step transition law, stored as one stencil per atom, with its
-admissibility mask (``kernels.transition_operator``). The config guarantees
-every inventory node an admissible atom, so the best response never picks a
-blocked one and no mass leaves the grid along its drift.
+admissibility mask (``kernels.transition_operator``), and the response
+map's one (steps, nx, atoms) reward table, which every best response fills
+in place. The config guarantees every inventory node an admissible atom, so
+the best response never picks a blocked one and no mass leaves the grid
+along its drift.
 No function takes a layer: each that needs one reads it through
 ``trader_layer(config)``, which keeps the layer of the last config object it
-was asked for, so the stencil is built once per config, not once per map,
-and a solve, an LP search or a check that recomputes one response map all
-share it. The layer also holds the response map's one-entry memo of its
-pushforward of ``mu0``, keyed on the policy: the pushed law is a function of
-the policy, ``mu0`` and the stencil alone, and most response maps of a
-search repeat the previous map's policy, also across LP candidates and
-across solves on the same config. ``induced_flows`` itself is a pure
-function. ``kernels.push_forward`` takes the layer's (stencil, lo,
+was asked for, so the stencil and the table are built once per config, not
+once per map, and a solve, an LP search or a check that recomputes one
+response map all share them. A map thus allocates no table: the memory a
+fresh one took would be handed back to the kernel between maps and faulted
+in again by the next. The layer also holds the response map's one-entry
+memo of its pushforward of ``mu0``, keyed on the policy: the pushed law is a
+function of the policy, ``mu0`` and the stencil alone, and most response
+maps of a search repeat the previous map's policy, also across LP
+candidates and across solves on the same config. ``induced_flows`` itself is
+a pure function. ``kernels.push_forward`` takes the layer's (stencil, lo,
 admissible) and nothing else; ``kernels.dp_backward`` is passed it too, but
 still builds its own when called without one, as the DP-versus-enumeration
 acceptance test calls it.
@@ -154,7 +158,10 @@ class TraderLayer:
     admissible) on these grids, quadrature and sigma * sqrt(dt): one (w, na)
     stencil over the moves lo ... lo + w - 1 that hold mass (w = 9, lo = -4
     at the default config), applied at every node through the same clamped
-    window nodes by the DP and the pushforward. ``pushed`` is
+    window nodes by the DP and the pushforward. ``rewards`` is the (steps,
+    nx, na) table ``best_response`` has ``tabulate_rewards`` fill for each
+    map; the DP reads it into its own ``base``, so no result holds it and
+    the next map may overwrite it. ``pushed`` is
     ``solve_mfg``'s one-entry memo: the policy bytes and the flows of the last
     pushforward of ``mu0``, which later maps share.
     """
@@ -169,6 +176,7 @@ class TraderLayer:
     sig_root_dt: float
     market: market.Market
     operator: tuple
+    rewards: np.ndarray
     pushed: list
 
 
@@ -179,8 +187,8 @@ def trader_layer(config):
     """The config's ``TraderLayer``, kept until another config object asks.
 
     The one entry is keyed on the config object's identity. The layer it
-    holds is dropped before the next one is built, so two transition
-    laws are never alive at once on its account.
+    holds is dropped before the next one is built, so two transition laws,
+    or two reward tables, are never alive at once on its account.
     """
     if _cached_layer[0] is not config:
         _cached_layer[:] = None, None
@@ -201,6 +209,7 @@ def trader_layer(config):
             operator=kernels.transition_operator(
                 x_grid, atoms, grid.dt, sig_root_dt, nodes, weights
             ),
+            rewards=np.empty((grid.steps, len(x_grid), len(atoms))),
             pushed=[None, None],
         )
     return _cached_layer[1]
@@ -231,8 +240,9 @@ def forward_environment(config, lp_control_path, qbar):
                          lambda t, s: (None, q[t], 0, 0, (0, 0, 0)))
 
 
-def tabulate_rewards(config, env: market.SystemTrajectory, qslot):
-    """Running reward table R[t, ix, ja] for the representative trader.
+def tabulate_rewards(config, env: market.SystemTrajectory, qslot, out):
+    """Running reward table R[t, ix, ja] for the representative trader,
+    written into ``out``, a (steps, nx, atoms) float array, and returned.
 
     ``qslot`` fills the mean-control slot of the price drift, per step and
     per own control: shape (steps, 1) for the frozen mean field
@@ -242,7 +252,8 @@ def tabulate_rewards(config, env: market.SystemTrajectory, qslot):
     then pays what the finite-N engine pays a player whose control enters
     the empirical mean, so a deviator can internalize its own impact. The
     drift and the reward are the market step's, evaluated at the path's left
-    points, so the table pays what the engine pays.
+    points, so the table pays what the engine pays. Filling ``out`` in place
+    rounds as a fresh table would: the same operations in the same order.
     """
     layer = trader_layer(config)
     mk, atoms = layer.market, layer.atoms
@@ -250,7 +261,8 @@ def tabulate_rewards(config, env: market.SystemTrajectory, qslot):
     dl = env.delta_path[:-1, None]
     pd = market.price_drift(xa, dl, env.lp_control_path[:, None], qslot, mk.phi, mk.k0)
     return market.trader_reward(
-        mk, layer.x_grid[None, :, None], atoms, xa[:, None], dl[:, None], pd[:, None, :]
+        mk, layer.x_grid[None, :, None], atoms, xa[:, None], dl[:, None], pd[:, None, :],
+        out=out,
     )
 
 
@@ -258,7 +270,9 @@ def best_response(config, env: market.SystemTrajectory, qslot=None):
     """Backward DP against a frozen environment.
 
     ``qslot`` is as in ``tabulate_rewards``; None means
-    ``env.mean_control_path[:, None]``.
+    ``env.mean_control_path[:, None]``. The rewards are tabulated into the
+    layer's table, whichever the slot, and the DP builds its result from
+    its own arrays, so a later call leaves this one's ``PolicyGrid`` alone.
     """
     layer = trader_layer(config)
     grid, x_grid, atoms = layer.grid, layer.x_grid, layer.atoms
@@ -268,7 +282,7 @@ def best_response(config, env: market.SystemTrajectory, qslot=None):
             f"mean-control slot must have shape ({grid.steps}, 1) or "
             f"({grid.steps}, {len(atoms)}), got {qslot.shape}"
         )
-    rewards = tabulate_rewards(config, env, qslot)
+    rewards = tabulate_rewards(config, env, qslot, layer.rewards)
     value, policy_idx, _ = kernels.dp_backward(
         rewards, layer.terminal, x_grid, atoms, grid.dt, layer.sig_root_dt,
         layer.z_nodes, layer.z_weights, layer.operator,

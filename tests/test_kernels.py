@@ -191,7 +191,8 @@ def _default_case():
     layer = solver.trader_layer(cfg)
     zeros = np.zeros(layer.grid.steps)
     env = solver.forward_environment(cfg, zeros, zeros)
-    reward = solver.tabulate_rewards(cfg, env, env.mean_control_path[:, None])
+    reward = solver.tabulate_rewards(cfg, env, env.mean_control_path[:, None],
+                                     np.empty_like(layer.rewards))
     return (reward, layer.terminal, layer.x_grid, layer.atoms, layer.grid.dt,
             layer.sig_root_dt, layer.z_nodes, layer.z_weights)
 

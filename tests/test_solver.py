@@ -3,6 +3,7 @@
 import ast
 import itertools
 import math
+import tracemalloc
 import weakref
 from dataclasses import fields, replace
 from functools import partial
@@ -14,7 +15,7 @@ from conftest import small_config
 
 from ammgame import kernels, market, solver
 from ammgame.config import default_config, time_grid
-from ammgame.engine import simulate
+from ammgame.engine import make_noise, simulate
 from ammgame.errors import DegenerateReserves, InvalidParameter, NotConverged
 from ammgame.solver import (
     FlowOfMeasures,
@@ -140,8 +141,8 @@ def test_tabulate_rewards_matches_agent_formula():
     steps = cfg.grid_steps
     env = forward_environment(cfg, np.full(steps, 0.3), np.full(steps, 0.2))
     x_grid, atoms = trader_grids(cfg)
-    table = tabulate_rewards(cfg, env, env.mean_control_path[:, None])
-    assert table.shape == (steps, len(x_grid), len(atoms))
+    table = np.empty((steps, len(x_grid), len(atoms)))
+    assert tabulate_rewards(cfg, env, env.mean_control_path[:, None], table) is table
     mk = market.Market.from_config(cfg)
     for t, ix, ja in ((0, 0, 0), (3, 20, 2), (9, 40, 4)):
         state = market.MarketState(
@@ -160,10 +161,34 @@ def test_tabulate_rewards_own_weight_continuity():
     steps = cfg.grid_steps
     env = forward_environment(cfg, np.zeros(steps), np.full(steps, 0.2))
     qbar = env.mean_control_path
-    atoms = trader_layer(cfg).atoms
-    base = tabulate_rewards(cfg, env, qbar[:, None])
-    perturbed = tabulate_rewards(cfg, env, qbar[:, None] + 1e-12 * atoms[None, :])
+    layer = trader_layer(cfg)
+    atoms = layer.atoms
+    # two buffers: views of one table would compare it with itself
+    base = tabulate_rewards(cfg, env, qbar[:, None], np.empty_like(layer.rewards))
+    perturbed = tabulate_rewards(cfg, env, qbar[:, None] + 1e-12 * atoms[None, :],
+                                 np.empty_like(layer.rewards))
     np.testing.assert_allclose(perturbed, base, rtol=1e-9, atol=1e-12)
+
+
+def test_trader_reward_into_a_buffer_keeps_its_bits():
+    """``trader_reward(..., out=buf)`` writes into ``buf`` exactly the floats
+    the call without ``out`` returns, on the table's broadcast and on the
+    engine's lanes."""
+    cfg = small_cfg()
+    layer = trader_layer(cfg)
+    steps = cfg.grid_steps
+    env = forward_environment(cfg, np.full(steps, 0.3), np.full(steps, 0.2))
+    xa, dl = env.x_adj_path[:-1, None, None], env.delta_path[:-1, None, None]
+    drift = np.random.default_rng(3).normal(size=(steps, 1, len(layer.atoms)))
+    args = (layer.market, layer.x_grid[None, :, None], layer.atoms, xa, dl, drift)
+    buf = np.empty_like(layer.rewards)
+    assert market.trader_reward(*args, out=buf) is buf
+    np.testing.assert_array_equal(buf, market.trader_reward(*args))
+    lanes = (layer.market, np.linspace(-2, 2, 8).reshape(2, 4), np.full((2, 4), 0.7),
+             np.array([[99.0], [101.0]]), np.array([[0.5], [-0.5]]), np.array([[0.1], [0.2]]))
+    buf = np.empty((2, 4))
+    market.trader_reward(*lanes, out=buf)
+    np.testing.assert_array_equal(buf, market.trader_reward(*lanes))
 
 
 def test_best_response_rejects_misshapen_slot():
@@ -192,7 +217,8 @@ def test_best_response_bellman_residual():
     env = forward_environment(cfg, np.zeros(steps), np.full(steps, 0.1))
     pol = best_response(cfg, env)
     x_grid, atoms = trader_grids(cfg)
-    rewards = tabulate_rewards(cfg, env, env.mean_control_path[:, None])
+    rewards = tabulate_rewards(cfg, env, env.mean_control_path[:, None],
+                               np.empty((steps, len(x_grid), len(atoms))))
     nodes, weights = kernels.gauss_hermite(cfg.grid_quad_points)
     grid = time_grid(cfg)
     sig = cfg.trader_sigma * np.sqrt(grid.dt)
@@ -215,7 +241,8 @@ def test_best_response_no_better_single_deviation():
     env = forward_environment(cfg, np.zeros(steps), np.full(steps, 0.1))
     pol = best_response(cfg, env)
     x_grid, atoms = trader_grids(cfg)
-    rewards = tabulate_rewards(cfg, env, env.mean_control_path[:, None])
+    rewards = tabulate_rewards(cfg, env, env.mean_control_path[:, None],
+                               np.empty((steps, len(x_grid), len(atoms))))
     grid = time_grid(cfg)
     nodes, weights = kernels.gauss_hermite(cfg.grid_quad_points)
     sig = cfg.trader_sigma * np.sqrt(grid.dt)
@@ -674,6 +701,62 @@ def test_trader_layer_stores_the_transition_law_as_one_stencil():
     assert stencil.shape == (9, na) and lo == -4
     assert stencil.nbytes < 1_000
     assert admissible.shape == (nx, na)
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_response_map_allocates_no_table_per_call():
+    """On a warm layer a best response fills the layer's reward table rather
+    than a fresh one, and a pushforward picks stencil columns step by step
+    rather than gathering all of them: each peaks well below the arrays it
+    used to allocate, (steps, nx, na) twice and (steps, nx, w) once."""
+    cfg = default_config()
+    layer = trader_layer(cfg)
+    steps, nx, na = layer.rewards.shape
+    w = len(layer.operator[0])
+    env = forward_environment(cfg, np.zeros(steps), np.zeros(steps))
+    pol = best_response(cfg, env)
+    assert _peak_bytes(best_response, cfg, env) < 1.5 * steps * nx * na * 8
+    args = (pol.policy_idx, layer.mu0, layer.operator)
+    kernels.push_forward(*args)
+    assert _peak_bytes(kernels.push_forward, *args) < 0.25 * steps * nx * w * 8
+
+
+def test_best_responses_share_the_table_without_aliasing():
+    """Two best responses in a row, the mean-field slot and then a harness's
+    (steps, atoms) slot on a finite-N pilot, each equal the DP on a private
+    table bit for bit, and the second leaves the first's result alone."""
+    cfg = small_cfg()
+    layer = trader_layer(cfg)
+    steps = cfg.grid_steps
+    env = forward_environment(cfg, np.full(steps, 0.3), np.full(steps, 0.2))
+    first = best_response(cfg, env)
+    kept = first.policy_idx.copy(), first.value.copy()
+    n_players = 4
+    pilot = simulate(cfg, first.as_policy(), env.lp_control_path, 5,
+                     noise=make_noise(5, layer.grid, n_players))
+    alpha0 = first.as_policy()(np.arange(steps), pilot.trader_x[0, :-1])
+    qslot = ((pilot.mean_control_path - alpha0 / n_players)[:, None]
+             + (1.0 / n_players) * layer.atoms[None, :])
+    second = best_response(cfg, pilot, qslot)
+    np.testing.assert_array_equal(first.policy_idx, kept[0])
+    np.testing.assert_array_equal(first.value, kept[1])
+    assert not np.array_equal(second.value, first.value)
+    for pol, e, slot in ((first, env, env.mean_control_path[:, None]), (second, pilot, qslot)):
+        table = tabulate_rewards(cfg, e, slot, np.empty_like(layer.rewards))
+        value, policy_idx, _ = kernels.dp_backward(
+            table, layer.terminal, layer.x_grid, layer.atoms, layer.grid.dt,
+            layer.sig_root_dt, layer.z_nodes, layer.z_weights, layer.operator,
+        )
+        np.testing.assert_array_equal(pol.value, value)
+        np.testing.assert_array_equal(pol.policy_idx, policy_idx)
 
 
 def test_no_function_takes_a_layer():
