@@ -19,15 +19,16 @@ N players. The deviation benchmark is built in two stages:
    pairwise difference isolates the deviator's edge plus the O(1/N) feedback
    of their control on the market.
    The R replications of every N in ``harness.n_values`` run as one batch
-   of 2R lanes per N of the market step (a baseline and a deviation lane per
-   replication), each lane on its own pilot's common and LP noise. Every
-   control is a feedback on the player's own inventory, so players 1..N-1,
-   frozen at their pilot noise, walk the pilot's inventory path in every
-   lane: the batch steps player 0 alone, from the pilot's opening inventory,
-   with (lanes, 1) stocks, and reads the crowd's controls off the pilots'
-   recorded inventories. Each lane's mean control is the mean of its own N
-   controls, so its numbers do not depend on the other N in the batch. It
-   keeps player 0's per-step reward.
+   of the market step, one N after another: each N owns 2R consecutive
+   lanes, its R baselines and then its R deviations, each on its own
+   pilot's common and LP noise. Every control is a feedback on the player's
+   own inventory, so players 1..N-1, frozen at their pilot noise, walk the
+   pilot's inventory path in every lane: the batch steps player 0 alone,
+   from the pilot's opening inventory, with (lanes, 1) stocks, and reads the
+   crowd's controls from one table per pilot, taken once on its recorded
+   inventories. Each lane's mean control is the mean of its own N controls,
+   so its numbers do not depend on the other N in the batch. It keeps
+   player 0's per-step reward.
 
 The reported gap for each N is the mean paired difference in player 0's
 realized objective; the convergence study fits a log-log slope across N.
@@ -74,68 +75,59 @@ class NashReport:
 
 def _paired_gaps(config, policy, groups):
     """Player 0's objective gap, deviation minus baseline, for every replication
-    of every group: one array of R gaps per group, in order.
+    of every group: a (groups, R) array, row g for group g.
 
     A group is a ``(pilot, deviation, noise, own)`` tuple: one population size
     N, its pilot run and that run's ``noise``, the ``deviation`` player 0
-    plays against it, and ``own``, player 0's (R, steps) replication noise.
-    The pilots share one market and LP path. Every group's replications run
-    as one lane batch of the market step: lanes [0, B) play ``policy``, each
-    group's R rows contiguous in group order, and lanes [B, 2B) repeat that
-    layout with player 0 playing its group's ``deviation``. Lanes b and B + b
-    share every stream: their pilot's ``noise`` for the common price and the
-    LP, gathered per step through the lane's group, and its row of ``own``
+    plays against it, and ``own``, player 0's (R, steps) replication noise,
+    one R for every group. The pilots share one market and LP path. Every
+    group's replications run as one lane batch of the market step, group g
+    on lanes [2Rg, 2R(g+1)): R lanes on ``policy``, then R on its
+    ``deviation``. Lanes 2Rg + r and 2Rg + R + r share every stream: their
+    pilot's ``noise`` for the common price and the LP, and row r of ``own``
     for player 0. ``policy`` is a feedback on each player's own inventory,
     so players 1..N-1, on their pilot noise, hold the pilot's inventories in
-    every lane; the market steps only player 0's (2B, 1) stocks, from its
-    pilot opening, and the crowd's controls at step t are ``policy`` at the
-    pilots' recorded inventories. Each lane's mean control is taken over its
-    full row of N controls, one (2R, N) block per group, so a lane's numbers
-    do not depend on the other groups in the batch. Only player 0's per-step
-    reward is kept.
+    every lane; the market steps only player 0's (lanes, 1) stocks, from its
+    pilot opening, and the crowd's controls are ``policy`` tabulated once on
+    each pilot's recorded inventories. A group's lanes are the rows of its
+    (2R, N) block of controls, column 0 the deviator's, and each lane's mean
+    control is the mean of its row, so a lane's numbers do not depend on the
+    other groups in the batch. Only player 0's per-step reward is kept.
     """
     pilots, deviations, noises, owns = zip(*groups)
-    reps = [own.shape[0] for own in owns]
-    ends = np.cumsum(reps).tolist()
-    crowd_ends = np.cumsum([p.trader_x.shape[0] - 1 for p in pilots]).tolist()
-    # each group's baseline lanes [lo, hi) and crowd rows [c0, c1)
-    spans = list(zip([0] + ends[:-1], ends, [0] + crowd_ends[:-1], crowd_ends))
-    base, steps = ends[-1], owns[0].shape[1]
+    n_groups, (reps, steps) = len(groups), owns[0].shape
     mk, lp_control_path = pilots[0].market, pilots[0].lp_control_path
+    n_players = [p.trader_x.shape[0] for p in pilots]
+    # players 1..N-1 of each pilot: their (N - 1, steps) controls
+    crowds = [policy(np.arange(steps), p.trader_x[1:, :-1]) for p in pilots]
 
-    lane_group = np.tile(np.repeat(np.arange(len(groups)), reps), 2)
+    lane_group = np.repeat(np.arange(n_groups), 2 * reps)
+    lanes = len(lane_group)
     common = np.stack([n.common for n in noises], axis=1)  # (steps, groups)
     lp = np.stack([n.lp.T for n in noises], axis=2)  # (steps, 3, groups)
-    crowd_x = np.concatenate([p.trader_x[1:] for p in pilots])
-    opening = np.repeat([p.trader_x[0, 0] for p in pilots], reps)
-    s = market.opening_state(config, np.tile(opening, 2)[:, None])
-    sizes = [(2 * r, p.trader_x.shape[0]) for r, p in zip(reps, pilots)]
-    buffer = np.empty(max(rows * n for rows, n in sizes))  # one C-contiguous block per group
-    blocks = [buffer[:rows * n].reshape(rows, n) for rows, n in sizes]
-    alpha0 = np.empty((2 * base, 1))
-    qbar = np.empty(2 * base)
-    dw = np.empty((2 * base, 1))
-    reward0 = np.empty((2 * base, steps))
+    opening = np.array([p.trader_x[0, 0] for p in pilots])[lane_group]
+    s = market.opening_state(config, opening[:, None])
+    buffer = np.empty(2 * reps * max(n_players))  # one C-contiguous block per group
+    blocks = [buffer[:2 * reps * n].reshape(2 * reps, n) for n in n_players]
+    alpha0, dw = np.empty((lanes, 1)), np.empty((lanes, 1))
+    qbar, reward0 = np.empty(lanes), np.empty((lanes, steps))
     for t in range(steps):
         x = s.trader_x[:, 0]
-        alpha0[:base, 0] = policy(t, x[:base])
-        crowd = policy(t, crowd_x[:, t])
-        for (lo, hi, c0, c1), alpha, deviation, own in zip(spans, blocks, deviations, owns):
-            r = hi - lo  # column 0 of ``alpha`` is the deviator
-            dw[lo:hi, 0] = dw[base + lo:base + hi, 0] = own[:, t]
-            alpha0[base + lo:base + hi, 0] = deviation(t, x[base + lo:base + hi])
-            alpha[:r, 0] = alpha0[lo:hi, 0]
-            alpha[r:, 0] = alpha0[base + lo:base + hi, 0]
-            alpha[:, 1:] = crowd[c0:c1]
-            mean = alpha.mean(axis=1)
-            qbar[lo:hi], qbar[base + lo:base + hi] = mean[:r], mean[r:]
+        alpha0[:, 0] = policy(t, x)
+        for g, (alpha, deviation, crowd, own) in enumerate(zip(blocks, deviations, crowds, owns)):
+            lo, mid, hi = 2 * reps * g, (2 * g + 1) * reps, 2 * reps * (g + 1)
+            alpha0[mid:hi, 0] = deviation(t, x[mid:hi])
+            dw[lo:mid, 0] = dw[mid:hi, 0] = own[:, t]
+            alpha[:, 0] = alpha0[lo:hi, 0]
+            alpha[:, 1:] = crowd[:, t]
+            qbar[lo:hi] = alpha.mean(axis=1)
         s, flows = market.step(mk, s, t, alpha0, qbar, lp_control_path[t],
                                common[t][lane_group], dw, lp[t][:, lane_group])
         reward0[:, t] = flows.trader_reward[:, 0]
     objective = market.trader_objective(
         reward0, s.trader_x[:, 0], mk.dt, config.trader_terminal_weight
-    )
-    return [objective[base + lo:base + hi] - objective[lo:hi] for lo, hi, _, _ in spans]
+    ).reshape(n_groups, 2, reps)
+    return objective[:, 1] - objective[:, 0]
 
 
 def epsilon_nash_gap(config, solution, seed):
@@ -143,12 +135,14 @@ def epsilon_nash_gap(config, solution, seed):
     policy, from ``harness.replications`` paired replications: one
     ``DeviationEstimate`` per N of ``harness.n_values``, in order.
 
-    Each N has its own pilot and deviation; the replications of every N run
-    as one lane batch. The pilots run on the LP path the ``solution`` was
-    solved against. The time grid and the atoms are those of
-    ``trader_layer(config)``; a ``solution`` whose policy is not on that
-    layer, or whose environment's time step is not the layer's, raises
-    ``InvalidParameter``.
+    Each N has its own pilot, deviation and replication noise; the
+    replications of every N run as one lane batch, each N's 2R lanes in one
+    block. A ``DegenerateReserves`` raised inside the batch names the first
+    failing step and a quantity from one of that step's failing lanes. The
+    pilots run on the LP path the ``solution`` was solved against. The time
+    grid and the atoms are those of ``trader_layer(config)``; a ``solution``
+    whose policy is not on that layer, or whose environment's time step is
+    not the layer's, raises ``InvalidParameter``.
     """
     layer = check_on_layer(config, solution.policy)
     if solution.env.market.dt != layer.market.dt:
@@ -175,13 +169,11 @@ def epsilon_nash_gap(config, solution, seed):
         qslot = qbar_others[:, None] + (1.0 / n_players) * atoms[None, :]
         # the pilot's recorded market is the environment the deviation answers
         deviation = best_response(config, pilot, qslot=qslot).as_policy()
-        groups.append((pilot, deviation, pilot_noise))
-    # replications redraw only player 0's idiosyncratic noise; the other
-    # players (and the common and LP streams) stay frozen at the pilot draw,
-    # so baseline and deviation differ purely by player 0's policy; they are
-    # drawn after every deviation DP, whose scratch is the harness's memory peak
-    groups = [(*g, normals((seed, 2, n), replications, grid.steps) * np.sqrt(grid.dt))
-              for g, n in zip(groups, n_values)]
+        # replications redraw only player 0's idiosyncratic noise; the other
+        # players (and the common and LP streams) stay frozen at the pilot
+        # draw, so baseline and deviation differ purely by player 0's policy
+        own = normals((seed, 2, n_players), replications, grid.steps) * np.sqrt(grid.dt)
+        groups.append((pilot, deviation, pilot_noise, own))
 
     return [
         DeviationEstimate(

@@ -5,9 +5,17 @@ Stream i of a key (k_1, ..., k_m) is the generator that
 from one. A batch of streams of one key opens without building a SeedSequence:
 its hash runs once over the batch, one uint32 lane per stream, and the words
 it ends on seed each PCG64 directly.
+
+SeedSequence pads an entropy of fewer than four words with zero words, so
+two streams whose words agree once padded open the same generator: with a
+seed below 2^32, stream i of (seed, j) is stream 0 of (seed, j, i), and
+stream j of (seed,) is stream 0 of (seed, j). A new kind of draw needs a key
+none of whose streams, padded, is a stream already in use.
 """
 
 import numpy as np
+
+from .errors import InvalidParameter
 
 # SeedSequence's hash (numpy/random/bit_generator.pyx): a pool of four words
 _POOL = 4
@@ -47,6 +55,8 @@ def opening_words(key, indices):
     """
     entropy = []
     for part in key:
+        if part < 0:
+            raise InvalidParameter(f"stream key {tuple(key)} has a negative part {part}")
         while True:
             entropy.append(np.full(len(indices), part & _MASK32, dtype=np.uint32))
             part >>= 32

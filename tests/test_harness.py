@@ -32,9 +32,9 @@ def _ladder(cfg, sol, n_values, reps):
     policy = sol.policy.as_policy()
     grid = time_grid(cfg)
     groups = []
-    for k, (n, r) in enumerate(zip(n_values, reps)):
+    for k, n in enumerate(n_values):
         noise = make_noise(5 + k, grid, n)
-        own = np.random.default_rng(k).standard_normal((r, grid.steps)) * np.sqrt(grid.dt)
+        own = np.random.default_rng(k).standard_normal((reps, grid.steps)) * np.sqrt(grid.dt)
         pilot = simulate(cfg, policy, sol.env.lp_control_path, 5 + k, noise=noise)
         groups.append((pilot, _shifted(cfg, policy, 0.5 + 0.25 * k), noise, own))
     return policy, groups
@@ -74,12 +74,11 @@ def test_paired_lanes_match_engine_runs(n_players):
 def test_ladder_lanes_match_one_group_batches():
     """A lane's numbers do not depend on the batch: each N's paired gaps from
     the ladder's one lane batch equal, bit for bit, a batch holding that N
-    alone, with a lone player, unequal replication counts, random openings,
-    LP noise and common noise."""
+    alone, with a lone player, random openings, LP noise and common noise."""
     cfg = small_config(trader_init_law="gaussian", lp_sigma_z=0.5, external_sigma0=0.02)
-    policy, groups = _ladder(cfg, solve_mfg(cfg), (1, 5, 12), (3, 2, 4))
+    policy, groups = _ladder(cfg, solve_mfg(cfg), (1, 5, 12), 3)
     ladder = harness._paired_gaps(cfg, policy, groups)
-    assert [len(gaps) for gaps in ladder] == [3, 2, 4]
+    assert ladder.shape == (3, 3)
     for group, gaps in zip(groups, ladder):
         (alone,) = harness._paired_gaps(cfg, policy, [group])
         np.testing.assert_array_equal(gaps, alone)
@@ -88,25 +87,32 @@ def test_ladder_lanes_match_one_group_batches():
 
 def test_paired_lanes_step_only_the_deviator(monkeypatch):
     """Players 1..N-1 replay the pilot and every N steps in one batch: the
-    ladder takes ``grid.steps`` market steps, each carrying player 0's
-    (2R·len(n_values), 1) stocks alone, and the gaps are unchanged."""
+    crowd's controls are one ``policy`` table per pilot, and the ladder takes
+    ``grid.steps`` market steps, each carrying player 0's (2R·len(n_values),
+    1) stocks alone after one ``policy`` call on them; the gaps are
+    unchanged."""
     cfg = small_config(trader_init_law="gaussian")
     sol = solve_mfg(cfg)
     grid = time_grid(cfg)
-    policy, groups = _ladder(cfg, sol, (8, 3), (3, 3))
-    args = (cfg, policy, groups)
-    expected = harness._paired_gaps(*args)
+    policy, groups = _ladder(cfg, sol, (8, 3), 3)
+    expected = harness._paired_gaps(cfg, policy, groups)
 
-    shapes = []
+    shapes, asked = [], []
     step = market.step
 
     def spy(mk, s, *rest):
         shapes.append(s.trader_x.shape)
         return step(mk, s, *rest)
 
+    def watched(t, x):
+        asked.append(np.shape(x))
+        return policy(t, x)
+
     monkeypatch.setattr(harness.market, "step", spy)
-    gaps = harness._paired_gaps(*args)
-    assert shapes == [(2 * 3 * 2, 1)] * grid.steps
+    gaps = harness._paired_gaps(cfg, watched, groups)
+    lanes = 2 * 3 * 2
+    assert shapes == [(lanes, 1)] * grid.steps
+    assert asked == [(7, grid.steps), (2, grid.steps)] + [(lanes,)] * grid.steps
     np.testing.assert_array_equal(gaps, expected)
 
 

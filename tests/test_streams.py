@@ -6,11 +6,13 @@ the tests below hold every kind of stream, at the site that draws it, to
 """
 
 import numpy as np
+import pytest
 
 from ammgame import harness, streams
 from ammgame.cli import main
 from ammgame.config import default_config
 from ammgame.engine import TimeGrid, initial_trader_states, make_noise
+from ammgame.errors import InvalidParameter
 from ammgame.solver import solve_mfg, trader_layer
 
 
@@ -25,6 +27,30 @@ def test_normals_are_each_streams_first_draws():
     )
     assert streams.normals(key, 0, 7).shape == (0, 7)
     assert streams.normals(key, 2, 0).shape == (2, 0)
+
+
+def test_short_entropy_pads_with_zero_words():
+    """As SeedSequence pads entropy to four words with zeros, stream i of
+    (seed, j) is stream 0 of (seed, j, i) and stream j of (seed,) is stream 0
+    of (seed, j)."""
+    np.testing.assert_array_equal(streams.opening_words((31, 2), [5]),
+                                  streams.opening_words((31, 2, 5), [0]))
+    np.testing.assert_array_equal(streams.opening_words((31,), [4]),
+                                  streams.opening_words((31, 4), [0]))
+    np.testing.assert_array_equal(streams.normals((31, 2), 6, 3)[5],
+                                  numpy_normals((31, 2, 5, 0), 3))
+
+
+def test_negative_seed_is_refused():
+    """SeedSequence refuses a negative entropy word; a negative seed raises
+    ``InvalidParameter`` naming it before any stream opens, at the noise
+    bundle and at the Nash ladder alike."""
+    with pytest.raises(InvalidParameter, match="negative part -1"):
+        make_noise(-1, TimeGrid(1.0, 12), 4)
+    cfg = default_config(grid_steps=10, grid_x_points=41, grid_control_points=5,
+                         harness_n_values=(2, 3), harness_replications=2)
+    with pytest.raises(InvalidParameter, match="negative part -7"):
+        harness.convergence_study(cfg, seed=-7)
 
 
 def test_make_noise_streams_match_numpy():
